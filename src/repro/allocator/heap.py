@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.allocator.dlmalloc import (
     ALIGNMENT,
@@ -101,6 +101,19 @@ FREE_BASE_INSTRS = 40
 #: Deriving the returned capability: csetaddr + csetbounds + candperm.
 CAP_DERIVE_INSTRS = 3
 
+#: Permissions of every capability ``malloc`` returns: read/write data
+#: and capabilities, global, with deep load authority.
+HEAP_PERMS = frozenset(
+    {
+        Permission.GL,
+        Permission.LD,
+        Permission.SD,
+        Permission.MC,
+        Permission.LM,
+        Permission.LG,
+    }
+)
+
 
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
@@ -136,6 +149,12 @@ class CheriHeap:
         self.region = region
         self.revocation_map = revocation_map
         self.memory_root = memory_root
+        #: ``memory_root`` with the ``malloc`` permission mask applied.
+        #: ``candperm`` commutes with the address and bounds moves, so
+        #: masking once here leaves each ``malloc`` two derivations and
+        #: returns the same capability (the simulated charge is still the
+        #: allocator's three instructions, ``CAP_DERIVE_INSTRS``).
+        self._payload_root = memory_root.and_perms(HEAP_PERMS)
         self.mode = mode
         self.software_revoker = software_revoker
         self.hardware_revoker = hardware_revoker
@@ -266,19 +285,8 @@ class CheriHeap:
             # Reused memory must present clear revocation bits.
             self.revocation_map.clear(chunk.address, chunk.size)
 
-        cap = (
-            self.memory_root.set_address(payload)
-            .set_bounds(rounded, exact=True)
-            .and_perms(
-                {
-                    Permission.GL,
-                    Permission.LD,
-                    Permission.SD,
-                    Permission.MC,
-                    Permission.LM,
-                    Permission.LG,
-                }
-            )
+        cap = self._payload_root.set_address(payload).set_bounds(
+            rounded, exact=True
         )
         self._live[payload] = chunk
         self.stats.mallocs += 1

@@ -18,7 +18,7 @@ specifies invalidation (address moves outside the representable region).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -39,6 +39,7 @@ from .errors import (
 from .permissions import NO_PERMS, Permission, PermSet
 
 _ADDR_MASK = (1 << bounds_mod.ADDRESS_BITS) - 1
+_UNSEALED = otypes_mod.OTYPE_UNSEALED
 
 #: Size in bytes of a capability in memory (32-bit address + metadata).
 CAP_SIZE_BYTES = 8
@@ -110,7 +111,10 @@ class Capability:
         """
         if 0 <= address < _SMALL_NULL_COUNT:
             return _SMALL_NULLS[address]
-        return _make_null(address & _ADDR_MASK)
+        return _make(
+            address & _ADDR_MASK, _NULL_BOUNDS, NO_PERMS, _UNSEALED, False,
+            False, None, None,
+        )
 
     @staticmethod
     def from_bounds(
@@ -223,7 +227,10 @@ class Capability:
         if not self.tag:
             return self
         # The decode depends only on (address, bounds), both unchanged.
-        return _derive(self, self.address, False, self._dec)
+        return _make(
+            self.address, self.bounds, self.perms, self.otype, False,
+            self.reserved, self._dec, self._pbits,
+        )
 
     def set_address(self, address: int) -> "Capability":
         """``csetaddr``: move the address, untagging on unrepresentability.
@@ -243,7 +250,10 @@ class Capability:
         # A verified move keeps the decoded bounds by definition of
         # representability; seed the cache so the derived capability
         # never re-decodes.  Unverified moves may decode differently.
-        return _derive(self, address, tag, self._dec if verified else None)
+        return _make(
+            address, self.bounds, self.perms, self.otype, tag, self.reserved,
+            self._dec if verified else None, self._pbits,
+        )
 
     def inc_address(self, delta: int) -> "Capability":
         """``cincaddr``: pointer arithmetic with representability check."""
@@ -268,17 +278,29 @@ class Capability:
             # a csetbounds from guest code traps instead of escaping the
             # simulator as a raw ValueError.
             raise BoundsFault(str(err)) from err
-        if new_base < self.base or new_top > self.top:
+        base, top = self._decoded_bounds
+        if new_base < base or new_top > top:
             raise MonotonicityFault(
                 f"setbounds [{new_base:#x}, {new_top:#x}) exceeds "
-                f"[{self.base:#x}, {self.top:#x})"
+                f"[{base:#x}, {top:#x})"
             )
-        return replace(self, bounds=encoded)
+        # The encoder rounds the base down from this same address, so
+        # the address's mantissa bits equal B and the decode of
+        # (address, encoded) is exactly (new_base, new_top): seed it.
+        return _make(
+            self.address, encoded, self.perms, _UNSEALED, True, self.reserved,
+            (new_base, new_top), self._pbits,
+        )
 
     def and_perms(self, mask: Iterable[Permission]) -> "Capability":
         """``candperm``: intersect permissions (then re-normalize)."""
         self._require_unsealed_tagged()
-        return replace(self, perms=compression.and_perms(self.perms, frozenset(mask)))
+        # Address and bounds are unchanged, so the decode carries over.
+        return _make(
+            self.address, self.bounds,
+            compression.and_perms(self.perms, frozenset(mask)), _UNSEALED,
+            True, self.reserved, self._dec, None,
+        )
 
     def clear_perms(self, *perms: Permission) -> "Capability":
         """Convenience: shed the listed permissions."""
@@ -308,7 +330,10 @@ class Capability:
         _check_seal_authority(authority, Permission.SE)
         otype = authority.address
         _check_otype_for(self, otype)
-        return replace(self, otype=otype)
+        return _make(
+            self.address, self.bounds, self.perms, otype, True, self.reserved,
+            self._dec, self._pbits,
+        )
 
     def seal_sentry(self, sentry_type: otypes_mod.SentryType) -> "Capability":
         """Seal an executable capability as a sentry (section 3.1.2).
@@ -320,7 +345,12 @@ class Capability:
         self._require_unsealed_tagged()
         if not self.is_executable:
             raise PermissionFault("sentries must be executable")
-        return replace(self, otype=int(sentry_type))
+        otype = int(sentry_type)
+        _check_otype_for(self, otype)
+        return _make(
+            self.address, self.bounds, self.perms, otype, True, self.reserved,
+            self._dec, self._pbits,
+        )
 
     def unseal(self, authority: "Capability") -> "Capability":
         """``cunseal``: remove the seal using a US authority."""
@@ -334,13 +364,19 @@ class Capability:
                 f"unseal otype mismatch: authority names {authority.address}, "
                 f"capability sealed with {self.otype}"
             )
-        return replace(self, otype=otypes_mod.OTYPE_UNSEALED)
+        return _make(
+            self.address, self.bounds, self.perms, _UNSEALED, True,
+            self.reserved, self._dec, self._pbits,
+        )
 
     def unseal_for_jump(self) -> "Capability":
         """Automatic unsealing applied when a sentry is jumped to."""
         if not self.is_sentry:
             raise OTypeFault("not a sentry")
-        return replace(self, otype=otypes_mod.OTYPE_UNSEALED)
+        return _make(
+            self.address, self.bounds, self.perms, _UNSEALED, self.tag,
+            self.reserved, self._dec, self._pbits,
+        )
 
     # ------------------------------------------------------------------
     # Dereference checks (used by the memory system and ISA)
@@ -418,56 +454,51 @@ _NULL_BOUNDS = EncodedBounds(0, 0, 0)
 _NULL_CAP = Capability(address=0, bounds=_NULL_BOUNDS, perms=NO_PERMS, tag=False)
 
 
-def _derive(src: Capability, address: int, tag: bool, dec) -> Capability:
-    """Clone a validated capability with a new address/tag, skipping
-    ``__post_init__`` — every skipped check depends only on fields
-    copied verbatim from the already-validated source.  ``dec`` seeds
-    the decoded-bounds cache when the caller knows the decode is
-    unchanged (pass ``None`` otherwise); the permission-bitmask cache
-    always carries over since the permission set does.
+def _make(
+    address: int,
+    bounds: EncodedBounds,
+    perms: PermSet,
+    otype: int,
+    tag: bool,
+    reserved: bool,
+    dec: Optional[Tuple[int, int]],
+    pbits: Optional[int],
+) -> Capability:
+    """Build a capability without running ``__post_init__``.
 
-    This sits on the ``csetaddr``/``cincaddr`` hot path: pointer
-    arithmetic dominates capability traffic, and the dataclass
-    constructor re-normalizes (and re-hashes) the permission frozenset
-    on every derivation.
+    The one non-validating constructor: every guarded manipulation
+    derives its result here.  Callers pass only fields that are already
+    valid — copied from a validated source, or produced by a validating
+    helper (``bounds.encode``, ``compression.normalize``,
+    ``_check_otype_for``) — so ``__post_init__`` would have nothing left
+    to check; ``dataclasses.replace`` would re-run it, re-normalizing
+    (and re-hashing) the permission frozenset on every derivation.
+
+    ``dec`` seeds the decoded-bounds cache and ``pbits`` the permission
+    bitmask cache; each must equal what the lazy property would compute
+    (``bounds.decode(address, bounds)`` and ``_perm_mask(perms)``), or be
+    ``None`` to compute on first use.
     """
     cap = object.__new__(Capability)
     _set = object.__setattr__
     _set(cap, "address", address)
-    _set(cap, "bounds", src.bounds)
-    _set(cap, "perms", src.perms)
-    _set(cap, "otype", src.otype)
+    _set(cap, "bounds", bounds)
+    _set(cap, "perms", perms)
+    _set(cap, "otype", otype)
     _set(cap, "tag", tag)
-    _set(cap, "reserved", src.reserved)
+    _set(cap, "reserved", reserved)
     _set(cap, "_dec", dec)
-    _set(cap, "_pbits", src._pbits)
-    return cap
-
-
-def _make_null(address: int) -> Capability:
-    """Build a NULL-derived capability without ``__post_init__``.
-
-    The skipped checks are vacuous here by construction: the caller
-    masks the address, the otype is unsealed, and ``NO_PERMS`` is its
-    own normalization.
-    """
-    cap = object.__new__(Capability)
-    _set = object.__setattr__
-    _set(cap, "address", address)
-    _set(cap, "bounds", _NULL_BOUNDS)
-    _set(cap, "perms", NO_PERMS)
-    _set(cap, "otype", otypes_mod.OTYPE_UNSEALED)
-    _set(cap, "tag", False)
-    _set(cap, "reserved", False)
-    _set(cap, "_dec", None)
-    _set(cap, "_pbits", None)
+    _set(cap, "_pbits", pbits)
     return cap
 
 
 #: Interning table for small NULL-derived integers (loop counters,
 #: flags, comparison constants dominate integer register traffic).
 _SMALL_NULL_COUNT = 2048
-_SMALL_NULLS = tuple(_make_null(a) for a in range(_SMALL_NULL_COUNT))
+_SMALL_NULLS = tuple(
+    _make(a, _NULL_BOUNDS, NO_PERMS, _UNSEALED, False, False, None, None)
+    for a in range(_SMALL_NULL_COUNT)
+)
 
 
 def _check_seal_authority(authority: Capability, needed: Permission) -> None:
@@ -516,4 +547,8 @@ def attenuate_loaded(loaded: Capability, authority: Capability) -> Capability:
         perms = perms - {Permission.LM, Permission.SD, Permission.SL}
     if perms == loaded.perms:
         return loaded
-    return replace(loaded, perms=compression.normalize(perms))
+    # Address and bounds are unchanged, so the decode carries over.
+    return _make(
+        loaded.address, loaded.bounds, compression.normalize(perms),
+        loaded.otype, True, loaded.reserved, loaded._dec, None,
+    )

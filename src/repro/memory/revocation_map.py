@@ -81,8 +81,7 @@ class RevocationMap:
             return
         first = self._index(address)
         last = self._index(address + size - 1)
-        for i in range(first, last + 1):
-            self._bits[i] = 1
+        self._bits[first : last + 1] = b"\x01" * (last + 1 - first)
 
     def clear(self, address: int, size: int) -> None:
         """Clear bits when quarantined memory is released for reuse."""
@@ -90,8 +89,7 @@ class RevocationMap:
             return
         first = self._index(address)
         last = self._index(address + size - 1)
-        for i in range(first, last + 1):
-            self._bits[i] = 0
+        self._bits[first : last + 1] = bytes(last + 1 - first)
 
     def any_revoked(self) -> bool:
         return any(self._bits)

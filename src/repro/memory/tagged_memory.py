@@ -84,8 +84,7 @@ class TaggedMemory:
             # Common case: a word-or-smaller store inside one granule.
             self._tags[first] = 0
         else:
-            for g in range(first, last + 1):
-                self._tags[g] = 0
+            self._tags[first : last + 1] = bytes(last + 1 - first)
         if self._dirty_hooks is not None:
             for hook in self._dirty_hooks:
                 hook(address, size)

@@ -66,6 +66,9 @@ MAX_FAULT_RETRIES = 3
 #: (register spills, trusted-stack maintenance).
 SWITCHER_MEM_FRACTION = 0.35
 
+#: The data otype import tokens are sealed with (section 3.2.2).
+_EXPORT_OTYPE = RTOS_DATA_OTYPES["compartment-export"]
+
 
 class CompartmentFault(Exception):
     """A callee compartment faulted; the switcher contained it.
@@ -208,6 +211,12 @@ class CompartmentSwitcher:
         self.csr = csr
         self.core_model = core_model
         self.unseal_authority = unseal_authority
+        #: The authority every import token is unsealed with: tokens are
+        #: sealed with the one compartment-export otype, so the address
+        #: move is call-independent.  ``_resolve_token`` still runs the
+        #: full ``unseal`` (tag, seal, otype, US and bounds checks) on
+        #: every call.
+        self._export_unsealer = unseal_authority.set_address(_EXPORT_OTYPE)
         self.stats = SwitcherStats()
         #: Optional :class:`repro.obs.Telemetry`; every instrumentation
         #: site below is guarded by one ``is not None`` check so the
@@ -299,11 +308,11 @@ class CompartmentSwitcher:
         sealed = token.sealed_cap
         if not sealed.tag:
             raise TagFault("import token is untagged (forged?)")
-        if not sealed.is_sealed or sealed.otype != RTOS_DATA_OTYPES["compartment-export"]:
+        if not sealed.is_sealed or sealed.otype != _EXPORT_OTYPE:
             raise SealedFault("import token not sealed as a compartment export")
         # Architectural unseal: faults if the authority does not cover
         # the export otype.
-        sealed.unseal(self.unseal_authority.set_address(sealed.otype))
+        sealed.unseal(self._export_unsealer)
         # The sealed capability's address names the export-table entry;
         # the token's free-text names must agree with it.  A valid sealed
         # capability replayed under different names is a forgery.

@@ -1,5 +1,8 @@
 """Tests for the capability-returning allocator compartment (section 5.1)."""
 
+import typing
+from typing import List
+
 import pytest
 
 from repro.allocator import (
@@ -9,6 +12,7 @@ from repro.allocator import (
     OutOfMemory,
     TemporalSafetyMode,
 )
+from repro.allocator.heap import HEAP_PERMS
 from repro.capability import Permission as P, make_roots
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
@@ -226,3 +230,20 @@ class TestAccounting:
         assert heap.stats.mallocs == 1
         assert heap.stats.frees == 1
         assert heap.stats.bytes_allocated >= 40
+
+    def test_malloc_cap_equals_root_narrowed_then_masked(self):
+        """Masking the root once up front returns the same capability as
+        ``csetaddr`` + ``csetboundsexact`` + ``candperm`` per call."""
+        heap, *_ = build_heap()
+        for size in (1, 40, 511, 512, 5000, 70000):
+            cap = heap.malloc(size)
+            expected = (
+                heap.memory_root.set_address(cap.address)
+                .set_bounds(cap.length, exact=True)
+                .and_perms(HEAP_PERMS)
+            )
+            assert cap == expected
+
+
+def test_type_hints_resolve():
+    assert typing.get_type_hints(CheriHeap.check_invariants)["return"] == List[str]

@@ -8,11 +8,14 @@ hold at every step — the closest Python analogue of proving
 monotonicity over the ISA.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.capability import Capability, Permission as P, make_roots
+from repro.capability import Capability, Permission as P, attenuate_loaded, make_roots
+from repro.capability import bounds as bounds_mod
+from repro.capability.capability import _perm_mask
 from repro.capability.errors import CapabilityError
+from repro.capability.otypes import SentryType
 
 ALL_PERMS = list(P)
 
@@ -102,3 +105,93 @@ def test_sealing_freezes_authority(script_a, script_b):
         if op in ("inc_address", "set_address") and mutated.tag:
             raise AssertionError("sealed capability moved with tag intact")
     assert sealed.unseal(authority) == cap
+
+
+# ----------------------------------------------------------------------
+# Derivations build their results without ``__post_init__``; each result
+# must be exactly what the validating constructor would build, and its
+# seeded caches (``_dec``, ``_pbits`` — excluded from equality) must hold
+# what a fresh decode and permission mask compute.
+# ----------------------------------------------------------------------
+
+derivations = st.lists(
+    st.one_of(
+        st.tuples(st.just("inc_address"), st.integers(-(1 << 16), 1 << 16)),
+        st.tuples(st.just("set_address"), st.integers(0, (1 << 32) - 1)),
+        st.tuples(st.just("set_bounds"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("set_bounds_exact"), st.integers(0, 1 << 20)),
+        # Lengths whose top lands exactly on 2**32.
+        st.tuples(st.just("set_bounds_to_top"), st.booleans()),
+        st.tuples(
+            st.just("and_perms"),
+            st.sets(st.sampled_from(ALL_PERMS), max_size=12).map(frozenset),
+        ),
+        st.tuples(st.just("clear_tag"), st.none()),
+        st.tuples(st.just("make_local"), st.none()),
+        st.tuples(st.just("readonly"), st.none()),
+        st.tuples(st.just("seal"), st.integers(0, 8)),
+        st.tuples(st.just("unseal"), st.none()),
+        st.tuples(st.just("seal_sentry"), st.sampled_from(list(SentryType))),
+        st.tuples(st.just("unseal_for_jump"), st.none()),
+        st.tuples(
+            st.just("attenuate_loaded"),
+            st.sets(st.sampled_from(ALL_PERMS), max_size=12).map(frozenset),
+        ),
+    ),
+    max_size=16,
+)
+
+
+def derive(cap: Capability, op, arg, roots):
+    if op == "set_bounds_exact":
+        return cap.set_bounds(arg, exact=True)
+    if op == "set_bounds_to_top":
+        return cap.set_bounds((1 << 32) - cap.address, exact=arg)
+    if op == "seal":
+        return cap.seal(roots.sealing.set_address(arg))
+    if op == "unseal":
+        return cap.unseal(roots.sealing.set_address(cap.otype))
+    if op == "seal_sentry":
+        return cap.seal_sentry(arg)
+    if op == "unseal_for_jump":
+        return cap.unseal_for_jump()
+    if op == "attenuate_loaded":
+        return attenuate_loaded(cap, roots.memory.and_perms(arg))
+    return apply_op(cap, op, arg)
+
+
+def assert_equals_validated(cap: Capability) -> None:
+    reference = Capability(
+        address=cap.address,
+        bounds=cap.bounds,
+        perms=cap.perms,
+        otype=cap.otype,
+        tag=cap.tag,
+        reserved=cap.reserved,
+    )
+    assert cap == reference
+    assert (cap.base, cap.top) == bounds_mod.decode(cap.address, cap.bounds)
+    assert cap.perm_bits == _perm_mask(cap.perms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["memory", "executable"]),
+    st.integers(0, (1 << 32) - 1),
+    derivations,
+)
+@example("memory", 0, [("set_bounds_to_top", True)])
+@example("memory", 1, [("set_bounds_to_top", False)])
+@example("memory", 0xFFFF_FE01, [("set_bounds_to_top", True)])
+@example("executable", (1 << 32) - 1, [("set_bounds_to_top", True)])
+def test_derivations_equal_validating_constructor(origin, address, script):
+    roots = make_roots()
+    cap = getattr(roots, origin).set_address(address)
+    assert_equals_validated(cap)
+    for op, arg in script:
+        try:
+            cap = derive(cap, op, arg, roots)
+        except CapabilityError:
+            continue
+        assert_equals_validated(cap)
+
