@@ -5,13 +5,11 @@ from .firewall import Firewall, FirewallStats
 from .jsvm import JavaScriptVM, VMError, VMStats, led_animation_bytecode
 from .loadgen import NetLoadGen, drive
 from .mqtt import MQTTClient, MQTTError, MQTTStats
-from .netstack import NetStats, NetworkStack
 from .packets import (
     FRAME_HEADER_BYTES,
     CloudSource,
     FramingError,
     Message,
-    Packet,
     checksum16,
     frame,
     unframe,
@@ -45,9 +43,6 @@ __all__ = [
     "NetLoadGen",
     "NetPipeline",
     "NetPipelineStats",
-    "NetStats",
-    "NetworkStack",
-    "Packet",
     "SessionError",
     "SessionState",
     "TICK_MS",

@@ -1,10 +1,19 @@
 """The end-to-end IoT application (paper section 7.2.3).
 
-A compartmentalized device: the TCP/IP stack, TLS, MQTT and the
-JavaScript interpreter each live in their own compartment; every network
-packet and every JS object is a separate heap allocation protected by
-temporal safety.  The cloud delivers LED-animation bytecode over
-TLS+MQTT; the JS program runs every 10 ms on a 20 MHz CHERIoT-Ibex.
+A compartmentalized device: the firewall, TCP/IP stack, TLS, MQTT and
+the JavaScript interpreter each live in their own compartment; every
+network packet and every JS object is a separate heap allocation
+protected by temporal safety.  The cloud delivers LED-animation
+bytecode over TLS+MQTT; the JS program runs every 10 ms on a 20 MHz
+CHERIoT-Ibex.
+
+The receive path is a one-session
+:class:`~repro.iot.sessions.NetPipeline`, the same chain the scaling
+sweep runs with thousands of sessions.  The application links its JS
+VM compartment into that pipeline's image and hands each cloud message
+to the driver edge as one packet (``submit`` then ``drain``), so every
+packet crosses firewall -> tcpip -> tls -> mqtt before the next one
+arrives.
 
 The headline number is **CPU load** averaged over the run (including
 the TLS connection establishment): the paper reports 17.5 %, i.e. the
@@ -21,20 +30,18 @@ from typing import List, Optional
 
 from repro.allocator import TemporalSafetyMode
 from repro.capability import Capability, Permission
-from repro.machine import System
 from repro.pipeline import CoreKind
-from .firewall import Firewall
 from .jsvm import JavaScriptVM, led_animation_bytecode
-from .mqtt import MQTTClient, MQTTError
-from .netstack import NetworkStack
-from .packets import CloudSource, Message, Packet, frame
-from .sessions import NARROW_CYCLES
-from .tls import TLSError, TLSSession
+from .packets import CloudSource, Message, frame
+from .sessions import NetPipeline, SessionState, session_key
+from .tls import TLSSession
 
 #: The paper's FPGA dev board clock.
 CLOCK_MHZ = 20.0
 #: JS animation period (paper: "invoked every 10ms to animate the LEDs").
 TICK_MS = 10
+#: The device's one connection, to the cloud hub.
+CONN_ID = 1
 
 
 @dataclass
@@ -62,58 +69,30 @@ class IoTReport:
 
 
 class IoTApplication:
-    """Builds the compartmentalized stack on a System and runs it."""
+    """The JS VM beside a one-session receive chain, on one System.
+
+    ``zero_copy`` picks the pipeline's receive discipline: capability
+    narrowing (default) or the copying baseline.  Both deliver the
+    same messages; only the cycle costs differ (tests/iot pin the
+    equivalence).
+    """
 
     def __init__(
         self,
         core: CoreKind = CoreKind.IBEX,
         mode: TemporalSafetyMode = TemporalSafetyMode.HARDWARE,
-        clock_mhz: float = CLOCK_MHZ,
         quarantine_threshold: "int | None" = None,
         zero_copy: bool = True,
     ) -> None:
-        self.clock_mhz = clock_mhz
-        #: Receive discipline: zero-copy capability narrowing (default)
-        #: or the historical per-layer copying path.  Both produce
-        #: byte-identical application behaviour and drop accounting —
-        #: only the cycle costs differ (tests/iot pin the equivalence).
-        self.zero_copy = zero_copy
-        # The application thread nests app -> tcpip -> tls -> mqtt plus
-        # allocator calls, so it gets a deeper stack than the allocation
-        # microbenchmark's ("a couple of KiBs" — section 5.2).
-        self.system = System.build(
+        self.pipeline = NetPipeline(
+            zero_copy=zero_copy,
             core=core,
             mode=mode,
-            finalize=False,
-            app_stack_size=4096,
             quarantine_threshold=quarantine_threshold,
+            compartments={"jsvm": {"tick": self._jsvm_tick}},
         )
-        loader = self.system.loader
-        switcher = self.system.switcher
+        self.system = self.pipeline.system
         bus = self.system.bus
-
-        # --- extra compartments (each from a different "vendor") -------
-        self.firewall_comp = loader.add_compartment("firewall")
-        self.tcpip_comp = loader.add_compartment("tcpip")
-        self.tls_comp = loader.add_compartment("tls")
-        self.mqtt_comp = loader.add_compartment("mqtt")
-        self.jsvm_comp = loader.add_compartment("jsvm")
-
-        # Allocator entry points, called cross-compartment via the app's
-        # main thread (matching the paper's per-packet allocations).
-        def malloc(size: int) -> Capability:
-            return self.system.malloc(size)
-
-        def free(cap: Capability) -> None:
-            self.system.free(cap)
-
-        def write_buffer(cap: Capability, data: bytes) -> None:
-            cap.check_access(cap.base, max(1, len(data)), (Permission.SD,))
-            bus.write_bytes(cap.base, data)
-
-        def read_buffer(cap: Capability, length: int) -> bytes:
-            cap.check_access(cap.base, max(1, length), (Permission.LD,))
-            return bus.read_bytes(cap.base, length)
 
         def write_field(cap: Capability, fld: int, value: int) -> None:
             address = cap.base + 4 * fld
@@ -125,153 +104,29 @@ class IoTApplication:
             cap.check_access(address, 4, (Permission.LD,))
             return bus.read_word(address, 4)
 
-        self.netstack = NetworkStack(malloc, free, write_buffer, read_buffer)
-        self.firewall = Firewall()
-        #: Hostile/corrupt records rejected by TLS or MQTT parsing.
-        self.dropped_records = 0
-        self.tls = TLSSession(b"device-session-key-0001")
-        self.mqtt = MQTTClient()
-        self.vm = JavaScriptVM(malloc, free, write_field, read_field)
-        self._read_buffer = read_buffer
-        self._write_buffer = write_buffer
-        self._malloc = malloc
-        self._free = free
-
-        # --- compartment exports ---------------------------------------
-        # The copying chain (app -> tcpip -> tls -> mqtt) is the seed's;
-        # the zero-copy chain enters through the firewall and hands a
-        # narrowed view of the driver's buffer down the same topology.
-        self.firewall_comp.export("admit", self._firewall_admit)
-        self.tcpip_comp.export("ingest", self._tcpip_ingest)
-        self.tcpip_comp.export("ingest_view", self._tcpip_ingest_view)
-        self.tls_comp.export("process", self._tls_process)
-        self.tls_comp.export("process_view", self._tls_process_view)
-        self.mqtt_comp.export("dispatch", self._mqtt_dispatch)
-        self.mqtt_comp.export("dispatch_view", self._mqtt_dispatch_view)
-        self.jsvm_comp.export("tick", self._jsvm_tick)
-
-        loader.link("app", "firewall", "admit")
-        loader.link("app", "tcpip", "ingest")
-        loader.link("firewall", "tcpip", "ingest_view")
-        loader.link("tcpip", "tls", "process")
-        loader.link("tcpip", "tls", "process_view")
-        loader.link("tls", "mqtt", "dispatch")
-        loader.link("tls", "mqtt", "dispatch_view")
-        loader.link("app", "jsvm", "tick")
-        loader.finalize()
-
-        # Bytecode arrives over MQTT on device/code.
-        self._code_buffer = bytearray()
-        self.mqtt.subscribe("device/code", self._on_code_chunk)
-        self.mqtt.subscribe("device/code-done", self._on_code_done)
-        self.mqtt.subscribe("device/poll", lambda payload: None)
-
+        # JS objects are allocated cross-compartment via the app's main
+        # thread, like the pipeline's packet buffers.
+        self.vm = JavaScriptVM(
+            self.system.malloc, self.system.free, write_field, read_field
+        )
         self.cloud = CloudSource(led_animation_bytecode())
+        #: The hub's end of the TLS session; sealing costs the device
+        #: nothing, so its cycles are never charged.
+        self.cloud_tls = TLSSession(session_key(CONN_ID))
+        self.cloud_tls.handshake()
+        #: The device's end, set up by :meth:`connect`.
+        self.session: Optional[SessionState] = None
+        self._code_buffer = bytearray()
 
     # ------------------------------------------------------------------
-    # Compartment entry points (run under the switcher)
+    # The JS VM compartment and its bytecode delivery
     # ------------------------------------------------------------------
-
-    def _firewall_admit(self, ctx, frame_cap: Capability, frame_len: int):
-        ctx.use_stack(96)
-        view, cycles = self.firewall.admit(frame_cap, frame_len)
-        self.system.core_model.charge(cycles)
-        if view is None:
-            self.netstack.stats.dropped_corrupt += 1
-            return 0
-        self.system.core_model.charge(NARROW_CYCLES)
-        return ctx.call("tcpip", "ingest_view", view, frame_len)
-
-    def _tcpip_ingest(self, ctx, packet: Packet):
-        ctx.use_stack(160)
-        buffer_cap, length, cycles = self.netstack.receive(packet)
-        self.system.core_model.charge(cycles)
-        if buffer_cap is None:
-            return 0
-        try:
-            return ctx.call("tls", "process", buffer_cap, length, packet.sequence)
-        finally:
-            self.netstack.release(buffer_cap)
-
-    def _tcpip_ingest_view(self, ctx, frame_cap: Capability, frame_len: int):
-        ctx.use_stack(160)
-        view, length, sequence, cycles = self.netstack.receive_view(
-            frame_cap, frame_len
-        )
-        self.system.core_model.charge(cycles)
-        if view is None:
-            return 0
-        self.system.core_model.charge(NARROW_CYCLES)
-        return ctx.call("tls", "process_view", view, length, sequence)
-
-    def _tls_process(self, ctx, buffer_cap: Capability, length: int, nonce: int):
-        ctx.use_stack(192)
-        record = self._read_buffer(buffer_cap, length)
-        try:
-            plaintext, cycles = self.tls.open_record(record, nonce)
-        except TLSError:
-            # Tampered or replayed record: drop it.  The compartment
-            # boundary means a hostile record can at worst cost the
-            # cycles of its own MAC check.
-            self.system.core_model.charge(600)
-            self.dropped_records += 1
-            return 0
-        self.system.core_model.charge(cycles)
-        try:
-            return ctx.call("mqtt", "dispatch", plaintext)
-        except MQTTError:
-            self.dropped_records += 1
-            return 0
-
-    def _tls_process_view(self, ctx, record_view: Capability, length: int,
-                          nonce: int):
-        ctx.use_stack(192)
-        record = self._read_buffer(record_view, length)
-        try:
-            plaintext, cycles = self.tls.open_record(record, nonce)
-        except TLSError:
-            self.system.core_model.charge(600)
-            self.dropped_records += 1
-            return 0
-        # The per-byte charge covers the in-place transform (load, XOR,
-        # store back through the same capability); the plaintext view
-        # handed to MQTT is narrowed and read-only.
-        self.system.core_model.charge(cycles)
-        self._write_buffer(record_view, plaintext)
-        self.system.core_model.charge(NARROW_CYCLES)
-        plain_view = (
-            record_view.set_address(record_view.base)
-            .set_bounds(len(plaintext))
-            .readonly()
-        )
-        try:
-            return ctx.call("mqtt", "dispatch_view", plain_view, len(plaintext))
-        except MQTTError:
-            self.dropped_records += 1
-            return 0
-
-    def _mqtt_dispatch(self, ctx, plaintext: bytes):
-        ctx.use_stack(128)
-        handlers, cycles = self.mqtt.handle_record(plaintext)
-        self.system.core_model.charge(cycles)
-        return handlers
-
-    def _mqtt_dispatch_view(self, ctx, plain_view: Capability, length: int):
-        ctx.use_stack(128)
-        plaintext = self._read_buffer(plain_view, length)
-        handlers, cycles = self.mqtt.handle_record(plaintext)
-        self.system.core_model.charge(cycles)
-        return handlers
 
     def _jsvm_tick(self, ctx):
         ctx.use_stack(224)
         cycles = self.vm.run_tick()
         self.system.core_model.charge(cycles)
         return self.vm.leds[:]
-
-    # ------------------------------------------------------------------
-    # Bytecode delivery
-    # ------------------------------------------------------------------
 
     def _on_code_chunk(self, payload: bytes) -> None:
         self._code_buffer += payload
@@ -283,39 +138,27 @@ class IoTApplication:
     # The run loop
     # ------------------------------------------------------------------
 
-    def _send(self, packet: Packet) -> None:
-        if not self.zero_copy:
-            token = self.system.app.get_import("tcpip", "ingest")
-            self.system.switcher.call(self.system.main_thread, token, packet)
-            return
-        # Zero-copy driver edge: one heap buffer per packet, DMA'd into
-        # directly (no CPU copy charge), then narrowed capability views
-        # all the way up — the buffer is freed only when the chain
-        # returns.
-        wire = packet.payload
-        frame_cap = self._malloc(max(8, len(wire)))
-        try:
-            self._write_buffer(frame_cap, wire)
-            token = self.system.app.get_import("firewall", "admit")
-            self.system.switcher.call(
-                self.system.main_thread, token, frame_cap, len(wire)
-            )
-        finally:
-            self._free(frame_cap)
+    def _send(self, wire: bytes) -> None:
+        """One frame off the wire, through the whole receive chain."""
+        self.pipeline.submit(CONN_ID, wire)
+        self.pipeline.drain()
 
     def _deliver(self, message: Message) -> None:
-        """Cloud side: seal the message and put it on the wire.
-
-        The cloud's encryption costs nothing on the device, so the seal
-        cycles are not charged; the device-side decrypt is charged in
-        the TLS compartment.
-        """
-        record, _ = self.tls.seal_record(message.body, message.sequence)
-        self._send(Packet(message.sequence, frame(message.sequence, record)))
+        """Cloud side: seal the message and put it on the wire."""
+        record, _ = self.cloud_tls.seal_record(message.body, message.sequence)
+        self._send(frame(message.sequence, record))
 
     def connect(self) -> None:
-        """TLS connection establishment (charged like the paper's run)."""
-        self.system.core_model.charge(self.tls.handshake())
+        """Establish the connection once, then fetch the bytecode.
+
+        The TLS handshake is charged like the paper's run.
+        """
+        if self.session is None:
+            self.session = self.pipeline.establish(CONN_ID)
+            mqtt = self.session.mqtt
+            mqtt.subscribe("device/code", self._on_code_chunk)
+            mqtt.subscribe("device/code-done", self._on_code_done)
+            mqtt.subscribe("device/poll", lambda payload: None)
         for message in self.cloud.initial_messages():
             self._deliver(message)
 
@@ -333,12 +176,12 @@ class IoTApplication:
                 self.system.switcher.call(self.system.main_thread, token_tick)
             now += TICK_MS
         busy = model.cycles - start_cycles
-        available = int(duration_ms * 1000 * self.clock_mhz)
+        available = int(duration_ms * 1000 * CLOCK_MHZ)
         return IoTReport(
             duration_ms=duration_ms,
             busy_cycles=busy,
             available_cycles=available,
-            packets_received=self.netstack.stats.packets_received,
+            packets_received=self.pipeline.stats.packets_delivered,
             js_ticks=self.vm.stats.ticks,
             js_objects_allocated=self.vm.stats.objects_allocated,
             gc_passes=self.vm.stats.gc_passes,

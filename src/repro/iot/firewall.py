@@ -10,9 +10,11 @@ allocator rounding slack) or rejects the packet before it can touch
 protocol state.
 
 Content-level verdicts are deliberately not made here: checksum and
-sequence failures stay attributed to the TCP/IP compartment's
-:class:`~repro.iot.netstack.NetStats`, exactly as in the seed stack,
-so telemetry keeps one unambiguous owner per drop cause.
+sequence failures are the TCP/IP stage's to judge.  The receive chain
+(:class:`~repro.iot.sessions.NetPipeline`) counts a firewall
+rejection as ``dropped_corrupt``, like a checksum failure; this
+module's :class:`FirewallStats` keeps the runt and oversize causes
+apart.
 """
 
 from __future__ import annotations
@@ -40,13 +42,9 @@ class FirewallStats:
 class Firewall:
     """Header-only admission control over driver-edge packet buffers."""
 
-    def __init__(
-        self,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        stats: Optional[FirewallStats] = None,
-    ) -> None:
+    def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
-        self.stats = stats if stats is not None else FirewallStats()
+        self.stats = FirewallStats()
 
     def admit(
         self, frame_cap: Capability, frame_len: int

@@ -21,18 +21,6 @@ class Message:
     body: bytes
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One network packet as it arrives at the device."""
-
-    sequence: int
-    payload: bytes
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
-
-
 def checksum16(data: bytes) -> int:
     """The framing checksum (a 16-bit ones'-complement-ish fold)."""
     total = 0

@@ -1,10 +1,11 @@
-"""Scaled multi-session receive pipeline: zero-copy vs per-layer copy.
+"""The receive chain: zero-copy vs per-layer copy, 1 to N sessions.
 
-The seed stack (:mod:`repro.iot.app`) serves one connection and
-re-materialises every packet body at each layer.  This module scales
-session handling to thousands of connections and realises the paper's
-performant receive discipline — and its copying strawman — over the
-*same* compartment topology, so the two are directly comparable:
+This is the only implementation of the paper's receive path.  The
+§7.2.3 application (:mod:`repro.iot.app`) runs it with one session and
+the JS VM linked in; the scaling sweep runs it with thousands.  It
+realises the paper's performant receive discipline — and its copying
+strawman — over the *same* compartment topology, so the two are
+directly comparable:
 
 ``driver (app) -> firewall -> tcpip -> tls -> mqtt/app``
 
@@ -23,7 +24,7 @@ free, zero CPU copies.
 compartmentalised stack without capability narrowing.  The DMA engine
 lands frames in the driver's fixed RX ring, and since handing ring
 memory to another compartment would leak the whole ring, the driver
-must copy each frame out (6 cycles/byte, the seed's constant); the
+must copy each frame out (``COPY_CYCLES_PER_BYTE``, 6 cycles/byte); the
 same argument repeats at every boundary, so each layer that keeps the
 data copies it into a heap buffer of its own and frees its upstream
 buffer.  Five allocations per packet instead of one, which also
@@ -58,7 +59,7 @@ covers this module).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.allocator import TemporalSafetyMode
 from repro.capability import Capability, Permission
@@ -66,23 +67,31 @@ from repro.machine import System
 from repro.obs.sketch import QuantileSketch
 from repro.pipeline import CoreKind
 
-from . import netstack as _netstack
 from . import tls as _tls
 from .firewall import Firewall
 from .mqtt import CYCLES_PER_MESSAGE, MQTTClient, MQTTError
 from .packets import FramingError, validate_frame
 from .tls import TLSError, TLSSession
 
+#: Copy cost per byte (load+store through capabilities); when TCP/IP
+#: copies, the framing checksum is folded into the copy loop.
+COPY_CYCLES_PER_BYTE = 6
+#: TCP/IP per-packet protocol processing beyond the data movement
+#: (header parse, TCP state machine update, ACK generation).
+TCPIP_CYCLES_PER_PACKET = 1400
+#: TCP/IP in-place validation per byte (load+accumulate, no store) on
+#: the zero-copy path, which never re-materialises the body.
+TCPIP_VALIDATE_CYCLES_PER_BYTE = 2
 #: Driver-edge fixed cost per packet (IRQ dispatch, RX descriptor).
 DRIVER_CYCLES_PER_PACKET = 400
 #: Copy-mode driver cost: software copies each frame out of the fixed
 #: DMA RX ring into a heap buffer.  The zero-copy driver never pays
 #: this — the DMA engine lands the frame in the heap buffer itself.
-DRIVER_CYCLES_PER_BYTE = _netstack.CYCLES_PER_BYTE
+DRIVER_CYCLES_PER_BYTE = COPY_CYCLES_PER_BYTE
 #: A ``csetaddr`` + ``csetbounds`` pair when a stage narrows its view.
 NARROW_CYCLES = 2
 #: TLS compartment charge for rejecting a tampered record (its own MAC
-#: check only — the seed app charges the same on a hostile record).
+#: check only).
 TLS_REJECT_CYCLES = 600
 
 
@@ -219,17 +228,22 @@ class NetPipeline:
     ``stats.crossing_cycles``.  Allocator traffic — including any
     revocation sweep a ``free`` triggers — is measured separately into
     ``stats.cycles_alloc``.
+
+    ``compartments`` maps further compartment names to their exports
+    (``{"jsvm": {"tick": handler}}``); each export is linked for the
+    driver's compartment to call before the image is sealed, so an
+    application can run beside the chain on the same system.
     """
 
     def __init__(
         self,
         zero_copy: bool = True,
         queue_capacity: int = 64,
-        max_frame: int = 1500,
         core: CoreKind = CoreKind.IBEX,
         mode: TemporalSafetyMode = TemporalSafetyMode.HARDWARE,
         quarantine_threshold: "int | None" = None,
         collect_messages: bool = False,
+        compartments: "Mapping[str, Mapping[str, Callable]] | None" = None,
     ) -> None:
         self.zero_copy = zero_copy
         self.collect_messages = collect_messages
@@ -251,7 +265,7 @@ class NetPipeline:
         self.system.registry.register_source("net", self.stats)
         self._core = self.system.core_model
         self._bus = self.system.bus
-        self.firewall = Firewall(max_frame=max_frame)
+        self.firewall = Firewall()
 
         loader = self.system.loader
         firewall_comp = loader.add_compartment("firewall")
@@ -266,6 +280,11 @@ class NetPipeline:
         loader.link("app", "tcpip", "ingest")
         loader.link("app", "tls", "process")
         loader.link("app", "mqtt", "dispatch")
+        for name, exports in (compartments or {}).items():
+            compartment = loader.add_compartment(name)
+            for export, handler in exports.items():
+                compartment.export(export, handler)
+                loader.link("app", name, export)
         loader.finalize()
 
         app = self.system.app
@@ -484,7 +503,7 @@ class NetPipeline:
             # frame into a buffer it owns and releases the driver's.
             data = self._read(item.cap, item.length)
             self._charge(
-                "cycles_firewall", _netstack.CYCLES_PER_BYTE * item.length
+                "cycles_firewall", COPY_CYCLES_PER_BYTE * item.length
             )
             fresh = self._alloc(max(8, item.length))
             self._write(fresh, data)
@@ -505,15 +524,13 @@ class NetPipeline:
         if self.zero_copy:
             self._charge(
                 "cycles_tcpip",
-                _netstack.CYCLES_PER_PACKET
-                + _netstack.CYCLES_PER_BYTE_VALIDATE * item.length,
+                TCPIP_CYCLES_PER_PACKET
+                + TCPIP_VALIDATE_CYCLES_PER_BYTE * item.length,
             )
         else:
-            # Copy+validate fused at the seed's 6 cycles/byte constant.
             self._charge(
                 "cycles_tcpip",
-                _netstack.CYCLES_PER_PACKET
-                + _netstack.CYCLES_PER_BYTE * item.length,
+                TCPIP_CYCLES_PER_PACKET + COPY_CYCLES_PER_BYTE * item.length,
             )
         try:
             sequence, offset, length = validate_frame(data)
@@ -606,7 +623,7 @@ class NetPipeline:
             payload_len = session.delivered_bytes - before_bytes
             scratch = self._alloc(max(8, payload_len))
             self._charge(
-                "cycles_app", _netstack.CYCLES_PER_BYTE * payload_len
+                "cycles_app", COPY_CYCLES_PER_BYTE * payload_len
             )
             self._free(scratch)
         return True

@@ -1,6 +1,8 @@
 """Every example script must run clean — they are the documentation."""
 
+import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -49,3 +51,29 @@ def test_quickstart_shows_the_story():
 def test_baremetal_uaf_dies():
     result = run_example("baremetal_assembly.py")
     assert "cheri-tag-violation" in result.stdout
+
+
+def load_example(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], EXAMPLES / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_image_audit_signs_the_iot_image(capsys):
+    load_example("image_audit.py").main()
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "the image is signable under this policy" in out
+
+
+def test_iot_application_reports_a_live_device(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["iot_application.py", "1"])
+    load_example("iot_application.py").main()
+    out = capsys.readouterr().out
+    ticks = int(re.search(r"JS ticks\s+(\d+)", out).group(1))
+    packets = int(re.search(r"packets received\s+(\d+)", out).group(1))
+    leds = re.search(r"LEDs\s+\[([*.]+)\]", out).group(1)
+    assert ticks == 100
+    assert packets > 0
+    assert leds.count("*") == 1

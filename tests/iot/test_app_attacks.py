@@ -3,7 +3,7 @@
 import pytest
 
 from repro.iot.app import IoTApplication
-from repro.iot.packets import Packet, frame
+from repro.iot.packets import frame
 
 
 @pytest.fixture
@@ -19,42 +19,47 @@ class TestHostileNetwork:
         seq = app.cloud._next_seq()
         wire = bytearray(frame(seq, b"PUB:device/poll:abcd"))
         wire[-1] ^= 0xFF  # flip a payload bit: checksum now fails
-        before = app.netstack.stats.packets_dropped
-        app._send(Packet(seq, bytes(wire)))
-        assert app.netstack.stats.packets_dropped == before + 1
+        before = app.pipeline.stats.dropped_corrupt
+        app._send(bytes(wire))
+        assert app.pipeline.stats.dropped_corrupt == before + 1
 
     def test_tampered_tls_record_dropped(self, connected_app):
         app = connected_app
         seq = app.cloud._next_seq()
-        record, _ = app.tls.seal_record(b"PUB:device/poll:evil", seq)
+        record, _ = app.cloud_tls.seal_record(b"PUB:device/poll:evil", seq)
         tampered = bytearray(record)
         tampered[0] ^= 1
         # Re-frame so the outer checksum is valid and only TLS rejects.
-        app._send(Packet(seq, frame(seq, bytes(tampered))))
-        assert app.dropped_records >= 1
-        assert app.tls.stats.mac_failures >= 1
+        before = app.pipeline.stats.dropped_tls
+        app._send(frame(seq, bytes(tampered)))
+        assert app.pipeline.stats.dropped_tls == before + 1
+        assert app.session.tls.stats.mac_failures == 1
 
     def test_replayed_record_rejected(self, connected_app):
-        """Replaying a legitimate record under a new sequence garbles
+        """A record replayed under a later sequence never reaches MQTT.
 
-        under the wrong nonce and (with overwhelming probability in the
-        real construction) fails parsing — it must not dispatch."""
+        TCP/IP still expects the sequence the replay skipped, so it
+        drops the replay as out of order and ``device/code`` receives
+        nothing.
+        """
         app = connected_app
         seq = app.cloud._next_seq()
-        record, _ = app.tls.seal_record(b"PUB:device/code:evil-code", seq)
+        record, _ = app.cloud_tls.seal_record(b"PUB:device/code:evil-code", seq)
         replay_seq = app.cloud._next_seq()
-        dispatched_before = app.mqtt.stats.dispatched
-        app._send(Packet(replay_seq, frame(replay_seq, record)))
-        # Either dropped or dispatched to an unknown (garbled) topic —
-        # never to device/code.
-        code_before = app.vm.bytecode
-        assert app.vm.bytecode == code_before
+        stats = app.pipeline.stats
+        out_of_order_before = stats.dropped_out_of_order
+        dispatched_before = app.session.mqtt.stats.dispatched
+        code_before = bytes(app._code_buffer)
+        app._send(frame(replay_seq, record))
+        assert stats.dropped_out_of_order == out_of_order_before + 1
+        assert app.session.mqtt.stats.dispatched == dispatched_before
+        assert bytes(app._code_buffer) == code_before
 
     def test_app_survives_and_keeps_ticking(self, connected_app):
         app = connected_app
         seq = app.cloud._next_seq()
         wire = bytearray(frame(seq, b"garbage"))
         wire[3] ^= 0x55
-        app._send(Packet(seq, bytes(wire)))
+        app._send(bytes(wire))
         report = app.run(duration_ms=200)
         assert report.js_ticks == 20  # still animating after the attack

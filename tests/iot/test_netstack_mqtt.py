@@ -1,83 +1,12 @@
-"""Tests for the TCP/IP and MQTT compartments."""
+"""Tests for the MQTT compartment.
+
+The TCP/IP stage is tested as part of the receive chain, in
+``test_firewall_sessions.py::TestNetPipeline``.
+"""
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
 from repro.iot.mqtt import MQTTClient, MQTTError
-from repro.iot.netstack import NetworkStack
-from repro.iot.packets import Packet, frame
-
-
-class _Heap:
-    """A tiny capability-backed buffer store for netstack tests."""
-
-    def __init__(self):
-        roots = make_roots()
-        self._root = roots.memory
-        self._next = 0x2006_0000
-        self.buffers = {}
-        self.freed = []
-
-    def malloc(self, size):
-        cap = self._root.set_address(self._next).set_bounds((size + 7) & ~7)
-        self._next += 0x100
-        return cap
-
-    def free(self, cap):
-        self.freed.append(cap.base)
-
-    def write(self, cap, data):
-        self.buffers[cap.base] = bytes(data)
-
-    def read(self, cap, length):
-        return self.buffers[cap.base][:length]
-
-
-@pytest.fixture
-def heap():
-    return _Heap()
-
-
-@pytest.fixture
-def stack(heap):
-    return NetworkStack(heap.malloc, heap.free, heap.write, heap.read)
-
-
-class TestNetworkStack:
-    def test_good_packet_lands_in_heap_buffer(self, stack, heap):
-        wire = frame(1, b"hello")
-        cap, length, cycles = stack.receive(Packet(1, wire))
-        assert cap is not None and length == 5
-        assert heap.read(cap, length) == b"hello"
-        assert cycles > 0
-        assert cap.length >= length
-
-    def test_corrupt_packet_dropped(self, stack):
-        wire = bytearray(frame(1, b"hello"))
-        wire[-1] ^= 0xFF
-        cap, length, _ = stack.receive(Packet(1, bytes(wire)))
-        assert cap is None
-        assert stack.stats.packets_dropped == 1
-
-    def test_out_of_order_dropped(self, stack):
-        stack.receive(Packet(1, frame(1, b"a")))
-        cap, _, _ = stack.receive(Packet(3, frame(3, b"c")))
-        assert cap is None
-        assert stack.stats.out_of_order == 1
-
-    def test_release_frees_buffer(self, stack, heap):
-        cap, _, _ = stack.receive(Packet(1, frame(1, b"x")))
-        stack.release(cap)
-        assert heap.freed == [cap.base]
-
-    def test_every_packet_is_a_separate_allocation(self, stack, heap):
-        """Paper 7.2.3: per-packet heap allocations."""
-        caps = []
-        for seq in (1, 2, 3):
-            cap, _, _ = stack.receive(Packet(seq, frame(seq, b"data")))
-            caps.append(cap)
-        bases = {c.base for c in caps}
-        assert len(bases) == 3
 
 
 class TestMQTT:

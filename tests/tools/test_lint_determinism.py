@@ -126,3 +126,22 @@ def test_the_declared_deterministic_paths_are_clean(lint):
     for path in lint.declared_files():
         findings.extend(lint.lint_file(path))
     assert findings == [], [str(f) for f in findings]
+
+
+def test_every_iot_module_is_declared(lint):
+    """The §7.2.3 table rows come from app.py, jsvm.py and mqtt.py, so
+    the whole package is linted, not a hand-kept list."""
+    iot = os.path.join(os.path.dirname(_TOOLS), "src", "repro", "iot")
+    modules = sorted(
+        os.path.join(iot, name) for name in os.listdir(iot)
+        if name.endswith(".py")
+    )
+    assert set(modules) <= set(lint.declared_files())
+
+
+@pytest.mark.parametrize("arg", ["--help", "no/such/module.py"])
+def test_missing_path_argument_exits_2_with_one_line(lint, capsys, arg):
+    assert lint.main([arg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert arg in err

@@ -34,7 +34,8 @@ modules below, not the whole tree.  A true positive that is actually
 fine (e.g. a seeded draw the lint cannot see) can be suppressed by
 putting ``det: allow`` in a comment on the offending line.
 
-Exit status 1 if any finding survives, 0 otherwise.
+Exit status 1 if any finding survives, 2 if a named file does not
+exist (``--help`` included), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -56,12 +57,7 @@ DETERMINISTIC_PATHS = [
     "src/repro/fleet/plan.py",
     "src/repro/fleet/shard.py",
     "src/repro/faultinject/*.py",
-    "src/repro/iot/firewall.py",
-    "src/repro/iot/loadgen.py",
-    "src/repro/iot/netstack.py",
-    "src/repro/iot/packets.py",
-    "src/repro/iot/sessions.py",
-    "src/repro/iot/tls.py",
+    "src/repro/iot/*.py",
     "src/repro/obs/export.py",
     "src/repro/obs/pipeline.py",
     "src/repro/obs/profile.py",
@@ -314,6 +310,14 @@ def declared_files() -> "list[str]":
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    for arg in args:
+        if not os.path.isfile(arg):
+            print(
+                f"lint_determinism: {arg}: no such file "
+                "(usage: lint_determinism.py [FILE...])",
+                file=sys.stderr,
+            )
+            return 2
     files = [os.path.abspath(a) for a in args] or declared_files()
     findings = []
     for path in files:
