@@ -1,93 +1,38 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-## Fault-campaign preset for `make faults` (short or full).
-CAMPAIGN ?= short
+## Worker processes for the parallel artifact producers (the committed
+## bytes are identical for any value).
+JOBS ?= $(shell $(PYTHON) -c 'import os; print(os.cpu_count() or 1)')
+
+## Artifacts for `make refresh` (see `tools/artifacts.py --help`):
+## faults fleet slo net audit profile tables simspeed.
+NAME ?=
 
 ## Output path for `make trace` (open it at https://ui.perfetto.dev).
 TRACE ?= trace.json
 
-## Worker processes for `make bench` (one benchmark module per worker).
-PARALLEL ?= 1
+.PHONY: test lint check refresh profile trace fleet-trace
 
-## Worker processes for `make fleet` (one shard per worker).
-FLEET_JOBS ?= 2
-
-## Worker processes for `make audit` (one image verification per worker).
-AUDIT_JOBS ?= 2
-
-## Worker processes for `make net` / `make net-check` (one sweep point
-## per worker; the bytes are identical for any value).
-NET_JOBS ?= 2
-
-## Devices merged into the fleet Perfetto trace / fleet profile.
-FLEET_TRACE_DEVICES ?= 3
-
-.PHONY: test ci bench bench-speed bench-check faults faults-check \
-	fleet fleet-check profile trace lint audit audit-refresh \
-	slo slo-check fleet-profile fleet-profile-check fleet-trace \
-	net net-check
-
-test: lint faults-check bench-check fleet-check audit slo-check \
-		fleet-profile-check net-check
+## What CI runs: the determinism lint, every artifact gate, the tests.
+test: lint check
 	$(PYTHON) -m pytest -x -q
-
-## What CI runs: the regression gates plus the full test suite.
-ci: test
 
 ## AST lint: no wall-clock reads, unseeded RNG, or unordered iteration
 ## in the modules that produce byte-reproducible artifacts.
 lint:
 	$(PYTHON) tools/lint_determinism.py
 
-## CI gate: statically verify every audited image (zero capability
-## violations), evaluate the linkage policy, cross-check against the
-## code-splice mutants, and fail on any drift from AUDIT_baseline.json.
-## Byte-identical for any AUDIT_JOBS value.
-audit:
-	$(PYTHON) tools/capaudit.py --check --jobs $(AUDIT_JOBS)
+## Regenerate every committed artifact and compare it with the
+## committed file byte for byte (BENCH_simspeed.json: within 20 % of
+## its probe-scaled times), and check each file's absolute claims.
+check:
+	$(PYTHON) tools/artifacts.py check --jobs $(JOBS)
 
-## Refresh the committed AUDIT_baseline.json after an intentional
-## change to the verifier, the images, or the policy.
-audit-refresh:
-	$(PYTHON) tools/capaudit.py --output AUDIT_baseline.json --jobs $(AUDIT_JOBS)
-
-## Regenerate bench_output_tables.txt (byte-identical for any PARALLEL).
-bench:
-	$(PYTHON) tools/run_benchmarks.py --jobs $(PARALLEL)
-
-## Measure simulator speed and refresh the committed baseline.
-bench-speed:
-	$(PYTHON) tools/bench_speed.py
-
-## CI gate: fail if the simulator got >20% slower than the baseline.
-bench-check:
-	$(PYTHON) tools/check_bench_regression.py
-
-## Run a fault-injection campaign.  `make faults CAMPAIGN=full` refreshes
-## the committed BENCH_faults.json (10,000 injections); the default short
-## campaign only prints its tally.
-faults:
-ifeq ($(CAMPAIGN),full)
-	$(PYTHON) tools/fault_campaign.py --campaign full --check
-else
-	$(PYTHON) tools/fault_campaign.py --campaign short --check --output -
-endif
-
-## CI gate: zero escaped injections + detection-rate non-regression.
-faults-check:
-	$(PYTHON) tools/check_fault_regression.py
-
-## Run the supervised device fleet and refresh BENCH_fleet.json.  The
-## report is byte-identical for any FLEET_JOBS value (and for --serial).
-fleet:
-	$(PYTHON) tools/fleet_campaign.py --jobs $(FLEET_JOBS) --check
-
-## CI gate: the committed BENCH_fleet.json must reproduce byte-for-byte
-## from a serial in-process run, with zero escapes and zero degraded
-## shards.
-fleet-check:
-	$(PYTHON) tools/check_fleet_regression.py
+## Rewrite the named artifacts after an intentional change, e.g.
+## `make refresh NAME=net`.
+refresh:
+	$(PYTHON) tools/artifacts.py refresh $(NAME) --jobs $(JOBS)
 
 ## Per-compartment cycle attribution + hot-PC report for the reference
 ## telemetry workload (exits non-zero if attribution fails to reconcile
@@ -99,36 +44,7 @@ profile:
 trace:
 	$(PYTHON) tools/trace_export.py -o $(TRACE)
 
-## Run the scaled network-stack sweep (zero-copy vs copying at 1..2048
-## concurrent sessions) and refresh the committed BENCH_net.json.
-net:
-	$(PYTHON) tools/net_bench.py --jobs $(NET_JOBS)
-
-## CI gate: BENCH_net.json must reproduce byte-for-byte (any job
-## count), and zero-copy must stay >= 2x cheaper in per-packet stack
-## cycles at >= 1024 concurrent sessions.
-net-check:
-	$(PYTHON) tools/check_net_regression.py --jobs $(NET_JOBS)
-
-## Evaluate OBS_slo_policy.json over the stock fleet plan and refresh
-## the committed OBS_slo.json (byte-identical for any execution route).
-slo:
-	$(PYTHON) tools/check_slo.py
-
-## CI gate: OBS_slo.json must reproduce byte-for-byte and every
-## service objective must hold (unknown rules fail closed).
-slo-check:
-	$(PYTHON) tools/check_slo.py --check
-
-## Refresh the committed merged hot-PC fleet profile.
-fleet-profile:
-	$(PYTHON) tools/profile_report.py --fleet $(FLEET_TRACE_DEVICES)
-
-## CI gate: the fleet profile must reproduce byte-for-byte; on drift
-## the failure names the top-N hot-path churn.
-fleet-profile-check:
-	$(PYTHON) tools/profile_report.py --fleet $(FLEET_TRACE_DEVICES) --check
-
-## Export the merged fleet Perfetto trace (one process per device).
+## Export the merged fleet Perfetto trace (one process per device, the
+## three devices of OBS_fleet_profile.json).
 fleet-trace:
-	$(PYTHON) tools/trace_export.py --fleet $(FLEET_TRACE_DEVICES) -o fleet-trace.json
+	$(PYTHON) tools/trace_export.py --fleet -o fleet-trace.json

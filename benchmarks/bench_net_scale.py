@@ -13,40 +13,19 @@ rises: per-packet stack cycles (cipher work excluded — it is
 byte-identical in both by construction), allocator traffic, and the
 batching-driven collapse of compartment-crossing overhead.
 
-The committed full sweep (to 2048 sessions) lives in ``BENCH_net.json``
-via ``make net``; this module reproduces the shape at a CI-friendly
-scale and asserts it.
+Every point runs through :func:`repro.iot.loadgen.run_point`, which
+checks delivered messages, payload bytes and both drop counts against
+the generator.  The committed full sweep (to 2048 sessions) lives in
+``BENCH_net.json`` (``make refresh NAME=net``); this module reproduces
+the shape at a CI-friendly scale and asserts it.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
-from repro.iot.loadgen import NetLoadGen, drive
-from repro.iot.sessions import NetPipeline
+from repro.iot.loadgen import run_point
 from conftest import emit
 
 CONNS = (4, 64, 512)
 ROUNDS = {4: 8, 64: 4, 512: 2}
-SEED = 20260807
-
-
-def run_point(zero_copy: bool, connections: int) -> dict:
-    pipeline = NetPipeline(zero_copy=zero_copy)
-    conn_ids = range(1, connections + 1)
-    pipeline.establish_many(conn_ids)
-    gen = NetLoadGen(
-        conn_ids, seed=SEED, corrupt_rate=0.02, reorder_rate=0.02
-    )
-    drive(pipeline, gen, rounds=ROUNDS[connections])
-    report = pipeline.report()
-    assert (
-        report["counters"]["packets_delivered"] == gen.expected_delivered
-    ), "the pipeline must deliver every generated message"
-    assert (
-        report["counters"]["payload_bytes_delivered"]
-        == gen.expected_payload_bytes
-    )
-    return report
 
 
 def test_net_scale(benchmark):
@@ -55,7 +34,7 @@ def test_net_scale(benchmark):
         for connections in CONNS:
             for zero_copy in (False, True):
                 points[(connections, zero_copy)] = run_point(
-                    zero_copy, connections
+                    zero_copy, connections, ROUNDS[connections]
                 )
         return points
 

@@ -9,9 +9,8 @@ execute-many executor and pins its two load-bearing properties:
 * both paths retire the *same* architectural instruction count — the
   speedup is pure host-time, never a semantic shortcut.
 
-``tools/bench_speed.py`` records the same workloads to
-``BENCH_simspeed.json``; ``tools/check_bench_regression.py`` gates CI
-on them.
+The ``simspeed`` entry of ``tools/artifacts.py`` records the same
+workloads to ``BENCH_simspeed.json`` and gates ``make check`` on them.
 """
 
 from repro.analysis.reporting import format_table

@@ -15,10 +15,10 @@ def emit(title: str, body: str) -> None:
     """Print a reproduced artifact with a recognisable banner.
 
     When ``REPRO_BENCH_TABLES`` names a file, the artifact is also
-    appended there — ``tools/run_benchmarks.py`` points each worker at
-    its own file and merges them in module order, so the combined
-    ``bench_output_tables.txt`` is byte-identical however many workers
-    ran.
+    appended there — :func:`repro.analysis.reporting.bench_tables`
+    points each worker at its own file and merges them in module order,
+    so the combined ``bench_output_tables.txt`` is byte-identical
+    however many workers ran.
     """
     banner = "=" * 72
     block = f"\n{banner}\n{title}\n{banner}\n{body}\n"

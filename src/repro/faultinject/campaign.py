@@ -16,6 +16,9 @@ from .outcomes import CampaignResult, FaultClass
 #: Default seed for committed results — arbitrary but fixed forever.
 DEFAULT_SEED = 20260806
 
+#: Injections in the committed ``BENCH_faults.json`` campaign.
+FULL_CAMPAIGN = 10_000
+
 
 def run_campaign(
     total: int,
@@ -65,3 +68,8 @@ def run_campaign(
         if progress is not None and (index + 1) % 500 == 0:
             progress(index + 1, total)
     return result
+
+
+def campaign_document(inputs=None) -> dict:
+    """The committed ``BENCH_faults.json``: the full seeded campaign."""
+    return run_campaign(total=FULL_CAMPAIGN, seed=DEFAULT_SEED).to_dict()

@@ -37,9 +37,9 @@ a separate report, never in the byte-stable artifact.
 
 from .checkpoint import CheckpointStore
 from .device import DeviceSpec, run_device
-from .merge import merge_report, render_report
+from .merge import fleet_report, merge_report, slo_document
 from .plan import FleetPlan, ShardSpec
-from .procutil import SupervisedResult, WorkerProcess, run_supervised
+from .procutil import WorkerProcess
 from .retry import RetryPolicy
 from .shard import run_shard
 from .supervisor import FleetInterrupted, FleetSupervisor
@@ -52,11 +52,10 @@ __all__ = [
     "FleetSupervisor",
     "RetryPolicy",
     "ShardSpec",
-    "SupervisedResult",
     "WorkerProcess",
+    "fleet_report",
     "merge_report",
-    "render_report",
     "run_device",
     "run_shard",
-    "run_supervised",
+    "slo_document",
 ]

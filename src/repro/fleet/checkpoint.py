@@ -118,6 +118,35 @@ class CheckpointStore:
                 os.unlink(path)
         return out
 
+    def results_for(self, plan: FleetPlan) -> Dict[int, dict]:
+        """Every shard of ``plan``, read back from this directory.
+
+        Refuses a directory that is not a checkpoint of ``plan`` or that
+        misses a shard — a partial fleet must not pass for a whole one.
+        """
+        manifest = self._read_manifest()
+        if manifest is None:
+            raise CheckpointError(
+                f"no manifest in {self.root!r}; not a checkpoint dir"
+            )
+        if manifest.get("fingerprint") != plan.fingerprint():
+            raise CheckpointError(
+                f"checkpoint dir {self.root!r} holds plan "
+                f"{manifest.get('fingerprint')!r}, expected "
+                f"{plan.fingerprint()!r}"
+            )
+        results = self.completed()
+        missing = [
+            spec.shard_id for spec in plan.shards()
+            if spec.shard_id not in results
+        ]
+        if missing:
+            raise CheckpointError(
+                f"checkpoint dir {self.root!r} is incomplete: missing "
+                f"shards {missing} — finish the run with --resume"
+            )
+        return results
+
     # ------------------------------------------------------------------
 
     @staticmethod

@@ -1,11 +1,10 @@
 """The deterministic fleet merge: same bytes for any execution history.
 
-This reuses the discipline ``tools/run_benchmarks.py`` established for
-the bench tables — workers may finish in any order, but the artifact
-is assembled in sorted key order from per-worker files, carries no
-timestamps, and rounds every float the same way — so the merged
-``BENCH_fleet.json`` is byte-identical whether the fleet ran serially,
-on eight workers, or was killed and resumed.
+Workers may finish in any order, but the artifact is assembled in
+sorted key order from per-shard results, carries no timestamps, and
+rounds every float the same way — so the merged ``BENCH_fleet.json``
+is byte-identical whether the fleet ran serially, on eight workers, or
+was killed and resumed.
 
 Graceful degradation: a quarantined shard's devices are *listed* in
 ``degraded`` (shard id, device ids, reason) and excluded from the
@@ -15,11 +14,18 @@ a silently shorter device table.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
+from repro.artifact import Inputs
+from repro.obs.pipeline import fleet_rollup
+from repro.obs.slo import load_policy, slo_report
+
 from .device import latency_summary
-from .plan import FleetPlan
+from .plan import FleetPlan, committed_plan
+from .shard import plan_results
+
+#: The committed SLO policy evaluated into ``OBS_slo.json``.
+SLO_POLICY = "OBS_slo_policy.json"
 
 #: Format version for the report schema (bump on shape changes so the
 #: regression gate fails loudly instead of misreading old baselines).
@@ -128,6 +134,14 @@ def merge_report(
     }
 
 
-def render_report(report: dict) -> str:
-    """The canonical byte form of a fleet report."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def fleet_report(inputs: Inputs) -> dict:
+    """The committed ``BENCH_fleet.json``: its own plan, rerun."""
+    plan = committed_plan(inputs.committed)
+    return merge_report(plan, plan_results(plan, inputs), {})
+
+
+def slo_document(inputs: Inputs) -> dict:
+    """The committed ``OBS_slo.json``: the SLO policy over its plan."""
+    plan = committed_plan(inputs.committed)
+    aggregate = fleet_rollup(plan, plan_results(plan, inputs), {})
+    return slo_report(plan, aggregate, load_policy(inputs.load(SLO_POLICY)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 #: Mixes the device index into the fleet seed (Weyl constant — any odd
 #: 32-bit multiplier works; fixed forever so committed results hold).
@@ -119,3 +119,19 @@ class FleetPlan:
         """A stable digest of the plan (checkpoint-compatibility key)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+#: Devices in the stock plan behind ``BENCH_fleet.json`` and ``OBS_slo.json``.
+STOCK_DEVICES = 8
+
+
+def committed_plan(committed: Optional[dict]) -> FleetPlan:
+    """The plan a committed fleet report records, else the stock plan.
+
+    Both committed fleet reports carry their plan, so regenerating one
+    reruns exactly the plan it was made from; to change the plan, edit
+    the ``plan`` block and refresh.
+    """
+    if committed is None:
+        return FleetPlan(devices=STOCK_DEVICES)
+    return FleetPlan.from_dict(committed["plan"])

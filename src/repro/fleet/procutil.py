@@ -1,4 +1,4 @@
-"""Worker-process supervision shared by the fleet and the bench runner.
+"""Worker-process supervision for the fleet.
 
 :class:`WorkerProcess` wraps one subprocess with the three things a
 supervisor needs and ``subprocess.run`` does not give:
@@ -11,10 +11,8 @@ supervisor needs and ``subprocess.run`` does not give:
 * **terminate-then-kill escalation** — SIGTERM first so the worker can
   flush, SIGKILL if it lingers.
 
-:func:`run_supervised` is the blocking convenience built on top — what
-``tools/run_benchmarks.py`` uses for its per-module timeout — while
-the fleet supervisor drives :class:`WorkerProcess` directly so it can
-watch many workers at once.
+The fleet supervisor drives one :class:`WorkerProcess` per shard so it
+can watch many workers at once.
 """
 
 from __future__ import annotations
@@ -22,23 +20,7 @@ from __future__ import annotations
 import os
 import subprocess
 import time
-from dataclasses import dataclass
 from typing import List, Optional
-
-
-@dataclass
-class SupervisedResult:
-    """What one supervised worker run came back with."""
-
-    returncode: int
-    stdout: str
-    stderr: str
-    timed_out: bool
-    duration: float
-
-    @property
-    def ok(self) -> bool:
-        return self.returncode == 0 and not self.timed_out
 
 
 def tail(text: str, lines: int = 25) -> str:
@@ -166,62 +148,3 @@ class WorkerProcess:
 def now_wall() -> float:
     """Wall time for heartbeat-mtime comparisons (mockable in tests)."""
     return time.time()
-
-
-def run_supervised(
-    cmd: List[str],
-    *,
-    timeout: Optional[float] = None,
-    env: Optional[dict] = None,
-    cwd: Optional[str] = None,
-    poll_interval: float = 0.05,
-    scratch_dir: Optional[str] = None,
-) -> SupervisedResult:
-    """Run ``cmd`` to completion under a wall-clock deadline.
-
-    Unlike ``subprocess.run(timeout=...)`` this never raises on
-    timeout: the worker is killed (terminate, then kill) and the
-    result says so, with whatever output it produced — the caller gets
-    diagnostics instead of a ``TimeoutExpired`` traceback.
-    """
-    import tempfile
-
-    owns_scratch = scratch_dir is None
-    scratch = scratch_dir or tempfile.mkdtemp(prefix="supervised-")
-    out_path = os.path.join(scratch, "stdout")
-    err_path = os.path.join(scratch, "stderr")
-    worker = WorkerProcess(
-        cmd,
-        env=env,
-        cwd=cwd,
-        stdout_path=out_path,
-        stderr_path=err_path,
-        timeout=timeout,
-    )
-    worker.spawn()
-    timed_out = False
-    try:
-        while True:
-            code = worker.poll()
-            if code is not None:
-                break
-            if worker.expired() is not None:
-                timed_out = True
-                worker.kill()
-                code = worker.proc.returncode
-                break
-            time.sleep(poll_interval)
-        duration = time.monotonic() - worker.started_at
-        stdout, stderr = worker.read_output()
-        return SupervisedResult(
-            returncode=code if code is not None else -1,
-            stdout=stdout,
-            stderr=stderr,
-            timed_out=timed_out,
-            duration=duration,
-        )
-    finally:
-        if owns_scratch:
-            import shutil
-
-            shutil.rmtree(scratch, ignore_errors=True)

@@ -15,12 +15,14 @@ nothing about what the shard computes or checkpoints.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
+from repro.artifact import Inputs
 from repro.obs.pipeline import device_telemetry, empty_telemetry, merge_telemetry
 
+from .checkpoint import CheckpointStore
 from .device import DeviceSpec, run_device
-from .plan import ShardSpec
+from .plan import FleetPlan, ShardSpec
 
 #: Heartbeat callback: ``(device_id, devices_done, telemetry_block)``.
 HeartbeatFn = Callable[[int, int, dict], None]
@@ -59,3 +61,24 @@ def run_shard(
         "fleet_seed": spec.fleet_seed,
         "devices": devices,
     }
+
+
+def plan_results(plan: FleetPlan, inputs: Inputs) -> Dict[int, dict]:
+    """Every shard result of ``plan``, computed once per artifact run.
+
+    The results come from ``inputs.results_from`` when that names a
+    checkpoint directory, and otherwise from one serial in-process
+    shard run (no workers, no supervision) that every producer of the
+    same run shares — the fleet report and the SLO report fold the
+    same shards.
+    """
+    key = ("fleet-shards", plan.fingerprint())
+    if key not in inputs.cache:
+        if inputs.results_from:
+            results = CheckpointStore(inputs.results_from).results_for(plan)
+        else:
+            results = {
+                spec.shard_id: run_shard(spec) for spec in plan.shards()
+            }
+        inputs.cache[key] = results
+    return inputs.cache[key]

@@ -28,12 +28,23 @@ stream, because the seed's sequencing only advances on an exact match:
 All randomness (shape assignment, payload sizes, injection points,
 cross-connection interleaving) comes from one ``random.Random(seed)``,
 so a given configuration reproduces its wire byte stream exactly.
+
+:func:`run_point` is one self-checked sweep point (one receive
+discipline at one connection count) and :func:`net_sweep` assembles
+the committed ``BENCH_net.json`` from them: per point the
+per-compartment cycle buckets, crossing overhead, queue high-watermarks
+and latency quantiles; per connection count the copy/zero-copy ratios.
+``per_packet_stack_cycles`` excludes the cipher work (byte-identical
+in both disciplines by construction), so its ratio isolates the
+data-movement path that narrowing optimises.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Dict, List, Tuple
+
+from repro.artifact import Inputs, parallel_map
 
 from .packets import FRAME_HEADER_BYTES, frame
 from .sessions import NetPipeline, session_key
@@ -42,6 +53,28 @@ from .tls import TLSSession
 #: Streaming-shape payload size (the seed's bytecode chunk size).
 STREAM_PAYLOAD_BYTES = 64
 
+#: Document version of ``BENCH_net.json``.
+NET_BENCH_VERSION = 1
+
+#: The committed connection-count sweep (the last point is the scale
+#: the at-scale claim is gated on).
+DEFAULT_CONNS = (1, 32, 256, 2048)
+
+#: Traffic rounds per point, by connection count: enough packets at
+#: every scale to reach steady state without letting the big points
+#: dominate the runtime.  Unlisted counts fall back to 4.
+DEFAULT_ROUNDS = {1: 16, 32: 8, 256: 4, 2048: 2}
+
+#: One seed for every sweep point; a point's stream is a pure function
+#: of (mode, connections, rounds, seed).
+SEED = 20260807
+
+#: Fault-injection rates: low enough that drops stay a small correction
+#: to throughput, high enough that both drop paths are exercised at
+#: every sweep point.
+CORRUPT_RATE = 0.02
+REORDER_RATE = 0.02
+
 
 class NetLoadGen:
     """Deterministic traffic for a set of connection ids."""
@@ -49,7 +82,7 @@ class NetLoadGen:
     def __init__(
         self,
         conn_ids,
-        seed: int = 20260807,
+        seed: int = SEED,
         stream_fraction: float = 0.5,
         stream_burst: int = 4,
         corrupt_rate: float = 0.0,
@@ -196,3 +229,135 @@ def drive(
                 raise RuntimeError("ingress ring wedged despite pumping")
         pipeline.pump()
     pipeline.drain()
+
+
+class DeliveryMismatch(Exception):
+    """A sweep point whose pipeline disagreed with its generator."""
+
+
+def run_point(zero_copy: bool, connections: int, rounds: int) -> dict:
+    """One (mode, connections) sweep point, self-checked.
+
+    The pipeline must deliver exactly the messages and payload bytes
+    the generator emitted, and drop exactly the corrupt and reordered
+    frames it injected — a benchmark of a broken stack is not a
+    benchmark.
+    """
+    pipeline = NetPipeline(zero_copy=zero_copy)
+    conn_ids = range(1, connections + 1)
+    pipeline.establish_many(conn_ids)
+    gen = NetLoadGen(
+        conn_ids,
+        seed=SEED,
+        corrupt_rate=CORRUPT_RATE,
+        reorder_rate=REORDER_RATE,
+    )
+    drive(pipeline, gen, rounds=rounds)
+
+    report = pipeline.report()
+    counters = report["counters"]
+    mode = report["mode"]
+    for name, got, want in (
+        ("delivered messages", counters["packets_delivered"],
+         gen.expected_delivered),
+        ("payload bytes", counters["payload_bytes_delivered"],
+         gen.expected_payload_bytes),
+        ("corrupt drops", counters["dropped_corrupt"], gen.injected_corrupt),
+        ("out-of-order drops", counters["dropped_out_of_order"],
+         gen.injected_reorder),
+    ):
+        if got != want:
+            raise DeliveryMismatch(
+                f"{mode} @ {connections} connections: {name} {got}, "
+                f"generator expected {want}"
+            )
+
+    return {
+        "mode": mode,
+        "connections": connections,
+        "rounds": rounds,
+        "frames_emitted": gen.frames_emitted,
+        "counters": counters,
+        "queues": report["queues"],
+        "latency": report["latency"],
+        "steady_cycles": report["steady_cycles"],
+        "stack_cycles": report["stack_cycles"],
+        "per_packet_cycles": report["per_packet_cycles"],
+        "per_packet_stack_cycles": report["per_packet_stack_cycles"],
+        "crossing_cycles_per_packet": report["crossing_cycles_per_packet"],
+    }
+
+
+def _point(task: "Tuple[bool, int, int]") -> dict:
+    return run_point(*task)
+
+
+def _comparison(points: "List[dict]") -> "List[dict]":
+    """Per connection count: what the copying baseline costs extra."""
+    by_key = {(p["mode"], p["connections"]): p for p in points}
+    rows = []
+    for connections in sorted({p["connections"] for p in points}):
+        zero = by_key.get(("zerocopy", connections))
+        copy = by_key.get(("copy", connections))
+        if zero is None or copy is None:
+            continue
+        rows.append(
+            {
+                "connections": connections,
+                "copy_per_packet_stack_cycles": copy[
+                    "per_packet_stack_cycles"
+                ],
+                "zerocopy_per_packet_stack_cycles": zero[
+                    "per_packet_stack_cycles"
+                ],
+                "stack_cycles_ratio": round(
+                    copy["per_packet_stack_cycles"]
+                    / zero["per_packet_stack_cycles"],
+                    4,
+                ),
+                "total_cycles_ratio": round(
+                    copy["per_packet_cycles"] / zero["per_packet_cycles"], 4
+                ),
+                "allocs_per_packet_copy": round(
+                    copy["counters"]["allocs"]
+                    / copy["counters"]["packets_delivered"],
+                    4,
+                ),
+                "allocs_per_packet_zerocopy": round(
+                    zero["counters"]["allocs"]
+                    / zero["counters"]["packets_delivered"],
+                    4,
+                ),
+            }
+        )
+    return rows
+
+
+def sweep_document(
+    conns=DEFAULT_CONNS, rounds=None, jobs: int = 1
+) -> dict:
+    """A sweep document over ``conns``; byte-identical for any ``jobs``."""
+    rounds = rounds or DEFAULT_ROUNDS
+    tasks = [
+        (zero_copy, connections, rounds.get(connections, 4))
+        for connections in sorted(conns)
+        for zero_copy in (False, True)
+    ]
+    points = parallel_map(_point, tasks, jobs)
+    return {
+        "version": NET_BENCH_VERSION,
+        "config": {
+            "connections": sorted(conns),
+            "rounds": {str(c): rounds.get(c, 4) for c in sorted(conns)},
+            "seed": SEED,
+            "corrupt_rate": CORRUPT_RATE,
+            "reorder_rate": REORDER_RATE,
+        },
+        "sweep": points,
+        "comparison": _comparison(points),
+    }
+
+
+def net_sweep(inputs: Inputs) -> dict:
+    """The committed ``BENCH_net.json``: the default sweep."""
+    return sweep_document(jobs=inputs.jobs)

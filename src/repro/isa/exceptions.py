@@ -34,6 +34,7 @@ class TrapCause(enum.Enum):
     ILLEGAL_INSTRUCTION = "illegal-instruction"
     ECALL = "environment-call"
     PMP_FAULT = "pmp-access-fault"
+    BUS_FAULT = "bus-access-fault"
     TIMER_INTERRUPT = "machine-timer-interrupt"
     EXTERNAL_INTERRUPT = "machine-external-interrupt"
 
@@ -53,6 +54,7 @@ _MCAUSE_CODES = {
     TrapCause.ILLEGAL_INSTRUCTION: 2,
     TrapCause.ECALL: 11,
     TrapCause.PMP_FAULT: 5,
+    TrapCause.BUS_FAULT: 5,
     TrapCause.CHERI_TAG: 0x1C0 | 2,
     TrapCause.CHERI_SEAL: 0x1C0 | 3,
     TrapCause.CHERI_PERMISSION: 0x1C0 | 0x11,

@@ -40,6 +40,7 @@ from repro.capability.otypes import (
     RETURN_SENTRY_OTYPES,
 )
 from repro.memory.bus import SystemBus
+from repro.memory.tagged_memory import MemoryError_
 from .assembler import Program
 from .blockcache import BlockCacheStats, translate_block
 from .tracejit import (
@@ -76,6 +77,24 @@ class ExecutionMode(enum.Enum):
 #: Hot-path alias: dereferencing the enum member once per module load
 #: beats the two-attribute chain in the per-access authorization check.
 _CHERIOT = ExecutionMode.CHERIOT
+
+
+#: What an executing instruction can raise that becomes an
+#: architectural trap: a capability check, a PMP denial, or a physical
+#: access that no SRAM bank decodes (a bus error, delivered as an
+#: access fault the way a load or store to an unmapped address would be
+#: on the core).
+_INSTRUCTION_FAULTS = (CapabilityError, PMPViolation, MemoryError_)
+_BLOCK_FAULTS = (Trap,) + _INSTRUCTION_FAULTS
+
+
+def _fault_trap(fault: Exception, pc: int) -> Trap:
+    """The trap for one of :data:`_INSTRUCTION_FAULTS` raised at ``pc``."""
+    if isinstance(fault, CapabilityError):
+        return trap_from_capability_fault(fault, pc)
+    if isinstance(fault, PMPViolation):
+        return Trap(TrapCause.PMP_FAULT, pc, str(fault))
+    return Trap(TrapCause.BUS_FAULT, pc, str(fault))
 
 
 class Halted(Exception):
@@ -461,12 +480,9 @@ class CPU:
             )
             try:
                 next_pc = handler(self, operands, next_pc, info)
-            except CapabilityError as fault:
+            except _INSTRUCTION_FAULTS as fault:
                 self.stats.traps += 1
-                raise trap_from_capability_fault(fault, pc) from fault
-            except PMPViolation as fault:
-                self.stats.traps += 1
-                raise Trap(TrapCause.PMP_FAULT, pc, str(fault)) from fault
+                raise _fault_trap(fault, pc) from fault
         except Trap as trap:
             if self._trap_vector_installed():
                 self._vector(trap)
@@ -610,7 +626,7 @@ class CPU:
                     next_pc, iters = jb.fn(
                         self, (remaining - consumed) // block.steps
                     )
-                except (Trap, CapabilityError, PMPViolation) as fault:
+                except _BLOCK_FAULTS as fault:
                     iters = self._jit_loop_iters
                     jstats.executions += iters + 1
                     jstats.instructions += iters * jb.consumed
@@ -638,7 +654,7 @@ class CPU:
                 jstats.executions += 1
                 try:
                     next_pc = jb.fn(self)
-                except (Trap, CapabilityError, PMPViolation) as fault:
+                except _BLOCK_FAULTS as fault:
                     # The generated except block already reverted any
                     # streamed cycles and wrote back the locals valid at
                     # the faulting guard ordinal; ``cpu.pc`` points at
@@ -671,14 +687,14 @@ class CPU:
                             tstats.cycles += pre
                             flushed += pre
                         handler(self, operands, 0, info)
-                except (Trap, CapabilityError, PMPViolation) as fault:
+                except _BLOCK_FAULTS as fault:
                     if flushed:
                         tstats.cycles -= flushed
                     return consumed + self._block_fault(
                         block, (self.pc - pc) >> 2, fault
                     )
                 except BaseException:
-                    # Non-architectural failure (bus MemoryError_, bugs):
+                    # Non-architectural failure (a simulator bug):
                     # commit the retired prefix so diagnostics match
                     # single-stepping, then let it propagate.
                     if flushed:
@@ -704,12 +720,9 @@ class CPU:
             try:
                 try:
                     next_pc = t_handler(self, t_operands, next_pc, t_info)
-                except CapabilityError as fault:
+                except _INSTRUCTION_FAULTS as fault:
                     stats.traps += 1
-                    raise trap_from_capability_fault(fault, t_pc) from fault
-                except PMPViolation as fault:
-                    stats.traps += 1
-                    raise Trap(TrapCause.PMP_FAULT, t_pc, str(fault)) from fault
+                    raise _fault_trap(fault, t_pc) from fault
             except Trap as trap:
                 if self._trap_vector_installed():
                     self._vector(trap)
@@ -736,13 +749,9 @@ class CPU:
         pc = self.pc
         if isinstance(fault, Trap):
             trap = fault
-        elif isinstance(fault, PMPViolation):
-            self.stats.traps += 1
-            trap = Trap(TrapCause.PMP_FAULT, pc, str(fault))
-            trap.__cause__ = fault
         else:
             self.stats.traps += 1
-            trap = trap_from_capability_fault(fault, pc)
+            trap = _fault_trap(fault, pc)
             trap.__cause__ = fault
         if self._trap_vector_installed():
             self._vector(trap)
@@ -814,12 +823,9 @@ class CPU:
             info = _RetireInfo(instr, pc=self.pc)
             try:
                 next_pc = self._execute(instr, next_pc, info)
-            except CapabilityError as fault:
+            except _INSTRUCTION_FAULTS as fault:
                 self.stats.traps += 1
-                raise trap_from_capability_fault(fault, self.pc) from fault
-            except PMPViolation as fault:
-                self.stats.traps += 1
-                raise Trap(TrapCause.PMP_FAULT, self.pc, str(fault)) from fault
+                raise _fault_trap(fault, self.pc) from fault
         except Trap as trap:
             if self._trap_vector_installed():
                 self._vector(trap)

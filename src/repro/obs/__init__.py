@@ -38,11 +38,10 @@ from .pipeline import (
     empty_telemetry,
     fleet_rollup,
     merge_telemetry,
-    render_aggregate,
     shard_telemetry,
 )
 from .sketch import QuantileSketch
-from .slo import evaluate_slo, render_slo, slo_report
+from .slo import evaluate_slo, slo_report
 from .profile import (
     CycleAttributor,
     PCProfiler,
@@ -91,10 +90,8 @@ __all__ = [
     "merge_telemetry",
     "profile_to_dict",
     "register_fleet_health",
-    "render_aggregate",
     "render_attribution",
     "render_hot_pcs",
-    "render_slo",
     "shard_telemetry",
     "slo_report",
     "spans_to_trace_events",

@@ -329,8 +329,3 @@ def _degraded_device_lists(plan, degraded) -> list:
         return []
     shards = {spec.shard_id: spec.device_ids for spec in plan.shards()}
     return [list(shards.get(shard_id, ())) for shard_id in sorted(degraded)]
-
-
-def render_aggregate(aggregate: dict) -> str:
-    """The canonical byte form of a fleet aggregate."""
-    return json.dumps(aggregate, indent=2, sort_keys=True) + "\n"

@@ -198,8 +198,3 @@ def slo_report(plan, aggregate: dict, policy: dict) -> dict:
         "aggregate": aggregate,
         "slo": evaluate_slo(aggregate, policy),
     }
-
-
-def render_slo(report: dict) -> str:
-    """The canonical byte form of an SLO report."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

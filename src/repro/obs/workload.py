@@ -16,8 +16,10 @@ One recipe, two phases, every span category the exporter knows about:
    estate and the RTOS image stays untouched.
 
 ``tools/trace_export.py`` and ``tools/profile_report.py`` both run this
-recipe; the telemetry-off differential test runs it twice (telemetry on
-and off) and asserts bit-identical cycle/stat outcomes.
+recipe, and :func:`fleet_profile` merges it across devices into the
+committed ``OBS_fleet_profile.json``; the telemetry-off differential
+test runs it twice (telemetry on and off) and asserts bit-identical
+cycle/stat outcomes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.isa import assemble
 from repro.machine import CoreKind, System
 from repro.workloads.coremark import _KERNEL_DRIVERS, build_coremark_module
 
-from .profile import PCProfiler
+from .profile import PCProfiler, merge_profile_dicts, profile_to_dict
 
 #: Offsets into the code region for the kernel phase's data and stack.
 #: The code region is 256 KiB; compiled programs are a few KiB of
@@ -117,6 +119,9 @@ def run_kernel_phase(
 #: Table-3 kernel in the merged exports.
 FLEET_KERNELS = ("list", "matrix", "state")
 
+#: Devices merged into ``OBS_fleet_profile.json`` and ``make fleet-trace``.
+FLEET_PROFILE_DEVICES = 3
+
 
 def fleet_device_name(index: int) -> str:
     """The Perfetto process name for fleet workload device ``index``."""
@@ -124,7 +129,7 @@ def fleet_device_name(index: int) -> str:
 
 
 def run_fleet_workloads(
-    devices: int = 3,
+    devices: int = FLEET_PROFILE_DEVICES,
     core: CoreKind = CoreKind.IBEX,
     rounds: int = 40,
     iterations: int = 1,
@@ -175,3 +180,16 @@ def run_traced_workload(
         "kernel": kernel,
         "kernel_cycles": kernel_cycles,
     }
+
+
+def fleet_profile(inputs=None) -> dict:
+    """The committed ``OBS_fleet_profile.json``: merged hot-PC histograms.
+
+    Per-device histograms merge by integer addition, with PC keys
+    namespaced by program image, so the profile is a pure function of
+    the workload knobs.
+    """
+    return merge_profile_dicts(
+        profile_to_dict(result["profiler"], image=f"traced-{result['kernel']}")
+        for _, result in run_fleet_workloads(devices=FLEET_PROFILE_DEVICES)
+    )

@@ -19,10 +19,9 @@ before it ever runs.  This package is that auditor for our image model:
 * :mod:`images` — the audited image set mirroring the repo's
   example/workload images;
 * :mod:`crosscheck` — the falsifiability gate tying the static verdicts
-  to the dynamic fault campaign through code-splice mutants.
-
-``tools/capaudit.py`` drives all of it and emits the committed
-``AUDIT_baseline.json``.
+  to the dynamic fault campaign through code-splice mutants;
+* :mod:`report` — all of the above as the committed
+  ``AUDIT_baseline.json`` (``make refresh NAME=audit``).
 """
 
 from .absint import (
@@ -42,6 +41,7 @@ from .policy import (
     audit_image,
     evaluate_policy,
 )
+from .report import audit_document
 
 __all__ = [
     "AUDITED_IMAGES",
@@ -55,6 +55,7 @@ __all__ = [
     "PolicyViolation",
     "Tri",
     "VerifyResult",
+    "audit_document",
     "audit_image",
     "build_cfg",
     "evaluate_policy",

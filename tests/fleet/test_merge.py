@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fleet import FleetPlan, merge_report, render_report, run_shard
+from repro.artifact import render_json
+from repro.fleet import FleetPlan, merge_report, run_shard
 from repro.fleet.merge import MergeError
 
 #: Tiny fleet so the module stays fast; module-level cache because the
@@ -22,9 +23,9 @@ class TestByteStability:
     def test_result_dict_order_never_matters(self):
         forward = shard_results()
         backward = dict(sorted(forward.items(), reverse=True))
-        assert render_report(
+        assert render_json(
             merge_report(PLAN, forward, {})
-        ) == render_report(merge_report(PLAN, backward, {}))
+        ) == render_json(merge_report(PLAN, backward, {}))
 
     def test_devices_sorted_and_samples_stripped(self):
         report = merge_report(PLAN, shard_results(), {})
@@ -41,7 +42,7 @@ class TestByteStability:
         report = merge_report(PLAN, shard_results(), {})
         assert report["plan"] == PLAN.to_dict()
         assert report["fingerprint"] == PLAN.fingerprint()
-        assert render_report(report).endswith("\n")
+        assert render_json(report).endswith("\n")
 
 
 class TestDegradation:

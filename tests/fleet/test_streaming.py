@@ -13,13 +13,13 @@ import subprocess
 import sys
 import os
 
+from repro.artifact import render_json
 from repro.fleet import (
     CheckpointStore,
     FleetPlan,
     FleetSupervisor,
     RetryPolicy,
     merge_report,
-    render_report,
     run_shard,
 )
 from repro.obs.pipeline import (
@@ -115,7 +115,7 @@ class TestSupervisedStreaming:
         assert summaries[-1]["devices_done"] == PLAN.devices
         assert summaries[-1]["shards_completed"] == len(PLAN.shards())
         # Resume with streaming still merges byte-identically.
-        assert render_report(merge_report(PLAN, results, {})) == render_report(
+        assert render_json(merge_report(PLAN, results, {})) == render_json(
             merge_report(
                 PLAN, {s.shard_id: run_shard(s) for s in PLAN.shards()}, {}
             )

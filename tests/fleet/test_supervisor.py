@@ -19,13 +19,13 @@ import time
 
 import pytest
 
+from repro.artifact import render_json
 from repro.fleet import (
     CheckpointStore,
     FleetPlan,
     FleetSupervisor,
     RetryPolicy,
     merge_report,
-    render_report,
     run_shard,
 )
 
@@ -41,7 +41,7 @@ RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05, seed=0)
 
 
 def serial_bytes(plan=PLAN):
-    return render_report(
+    return render_json(
         merge_report(plan, {s.shard_id: run_shard(s) for s in plan.shards()}, {})
     )
 
@@ -59,7 +59,7 @@ class TestSupervisedRuns:
         )
         results, quarantined = supervisor.run()
         assert quarantined == {}
-        assert render_report(
+        assert render_json(
             merge_report(PLAN, results, quarantined)
         ) == serial_bytes()
         assert supervisor.health.worker_launches == 3
@@ -78,7 +78,7 @@ class TestSupervisedRuns:
         )
         results, quarantined = supervisor.run()
         assert quarantined == {}
-        assert render_report(
+        assert render_json(
             merge_report(PLAN, results, quarantined)
         ) == serial_bytes()
         assert supervisor.health.worker_crashes == 1
@@ -99,7 +99,7 @@ class TestSupervisedRuns:
         )
         results, quarantined = supervisor.run()
         assert quarantined == {}
-        assert render_report(
+        assert render_json(
             merge_report(PLAN, results, quarantined)
         ) == serial_bytes()
         assert supervisor.health.worker_timeouts == 1

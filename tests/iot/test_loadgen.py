@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.iot.loadgen import STREAM_PAYLOAD_BYTES, NetLoadGen, drive
+from repro.iot.loadgen import (
+    STREAM_PAYLOAD_BYTES,
+    DeliveryMismatch,
+    NetLoadGen,
+    drive,
+    run_point,
+)
 from repro.iot.packets import (
     FRAME_HEADER_BYTES,
     FramingError,
@@ -94,6 +100,36 @@ class TestLoadGen:
         drive(pipeline, gen, rounds=2)
         assert pipeline.stats.dropped_backpressure > 0
         assert pipeline.stats.packets_delivered == gen.expected_delivered
+
+
+class TestRunPoint:
+    """The one sweep point behind BENCH_net.json and the net-scale bench."""
+
+    def test_point_reports_both_drop_paths(self):
+        point = run_point(True, 64, 4)
+        assert point["mode"] == "zerocopy"
+        assert point["counters"]["dropped_corrupt"] > 0
+        assert point["counters"]["dropped_out_of_order"] > 0
+
+    @pytest.mark.parametrize("counter, check", [
+        ("packets_delivered", "delivered messages"),
+        ("payload_bytes_delivered", "payload bytes"),
+        ("dropped_corrupt", "corrupt drops"),
+        ("dropped_out_of_order", "out-of-order drops"),
+    ])
+    def test_each_self_check_catches_a_miscount(
+        self, monkeypatch, counter, check
+    ):
+        real_report = NetPipeline.report
+
+        def miscounted(pipeline):
+            report = real_report(pipeline)
+            report["counters"][counter] += 1
+            return report
+
+        monkeypatch.setattr(NetPipeline, "report", miscounted)
+        with pytest.raises(DeliveryMismatch, match=check):
+            run_point(False, 4, 2)
 
 
 bodies = st.binary(max_size=200)

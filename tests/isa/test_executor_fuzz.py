@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Halted, Trap, TrapCause, assemble
 from repro.isa.instructions import Instruction
 from repro.memory import SystemBus, TaggedMemory
 
@@ -135,3 +135,49 @@ class TestChaosFuzz:
             cpu.run(max_steps=2000)
         except (Trap, Halted, CSRError, RuntimeError):
             pass
+
+
+_WALK_OFF_SRAM = """
+    li a0, 2000
+loop:
+    {access}
+    cincaddrimm a1, a1, -1
+    addi a0, a0, -1
+    bnez a0, loop
+    halt
+"""
+
+
+class TestUnmappedAccess:
+    """A capability-valid access that no SRAM bank decodes is a bus
+    error, delivered as a trap — found by the chaos fuzz above as
+    ``auipcc ra, 0; lb zero, -1(ra)``, which raised a host exception.
+    A loop walks the memory root down off the bottom of SRAM, hot
+    enough for every execution tier to be running it when the access
+    faults."""
+
+    TIERS = {
+        "interpreter": dict(predecode=False),
+        "predecoded": dict(block_cache=False),
+        "fused": dict(trace_jit=False),
+        "jit": dict(),
+    }
+
+    @pytest.mark.parametrize("access", ["lb zero, 0(a1)", "sb zero, 0(a1)"])
+    def test_every_tier_traps_at_the_same_point(self, access):
+        program = assemble(_WALK_OFF_SRAM.format(access=access))
+        outcomes = set()
+        for tier, options in self.TIERS.items():
+            bus = SystemBus()
+            bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
+            cpu = CPU(bus, ExecutionMode.CHERIOT, **options)
+            cpu.load_program(program, CODE_BASE, pcc=make_roots().executable)
+            cpu.regs.write(11, make_roots().memory.set_address(CODE_BASE + 512))
+            with pytest.raises(Trap) as info:
+                cpu.run(max_steps=100_000)
+            assert info.value.cause is TrapCause.BUS_FAULT, tier
+            outcomes.add((
+                info.value.pc, cpu.regs.read_int(10),
+                cpu.stats.instructions, cpu.stats.traps,
+            ))
+        assert len(outcomes) == 1, outcomes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.artifact import render_json
 from repro.fleet import FleetPlan, run_shard
 from repro.obs.pipeline import (
     LATENCY_SKETCH,
@@ -17,7 +18,6 @@ from repro.obs.pipeline import (
     heartbeat_payload,
     merge_telemetry,
     parse_heartbeat,
-    render_aggregate,
     shard_telemetry,
 )
 
@@ -162,7 +162,7 @@ class TestRollup:
         a = fleet_rollup(PLAN, _results(PLAN), {})
         b = fleet_rollup(wide, _results(wide), {})
         assert a.pop("fingerprint") != b.pop("fingerprint")
-        assert render_aggregate(a) == render_aggregate(b)
+        assert render_json(a) == render_json(b)
 
     def test_rollup_counts_degraded_devices(self):
         results = _results(PLAN)

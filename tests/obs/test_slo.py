@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.artifact import render_json
 from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import (
     PolicyError,
     evaluate_slo,
     load_policy,
     policy_digest,
-    render_slo,
 )
 
 
@@ -146,6 +146,6 @@ class TestPolicyEnvelope:
     def test_render_is_canonical(self):
         verdict = evaluate_slo(_aggregate(), _policy({"rule": "fault-escapes",
                                                       "max": 0}))
-        text = render_slo(verdict)
+        text = render_json(verdict)
         assert text.endswith("\n")
-        assert render_slo(verdict) == text
+        assert render_json(verdict) == text

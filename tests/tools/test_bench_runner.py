@@ -1,69 +1,34 @@
-"""The parallel benchmark runner's reproducibility contract.
+"""The benchmark tables' reproducibility contract.
 
-``tools/run_benchmarks.py`` fans benchmark modules out to worker
-subprocesses; the merged ``bench_output_tables.txt`` must be
-byte-identical whether one worker ran or many — sorted module order,
-private per-worker table files, no timestamps, no wall-clock-dependent
-interleaving.  Uses the two fastest deterministic modules so the test
-stays cheap; the full-suite equivalence was verified the same way when
-the committed tables file was generated.
+The ``tables`` entry of the artifact table regenerates
+``bench_output_tables.txt`` by fanning benchmark modules out to worker
+subprocesses; the merged file must be byte-identical whether one
+worker ran or many — sorted module order, private per-worker table
+files, no timestamps, no wall-clock-dependent interleaving.  Uses the
+two fastest deterministic modules so the test stays cheap; ``make
+check`` compares the full suite with the committed file.
 """
 
 import os
-import subprocess
-import sys
+
+from repro.analysis.reporting import merge_tables
 
 ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
-RUNNER = os.path.join(ROOT, "tools", "run_benchmarks.py")
-MODULES = "bench_encoding_precision,bench_table2_area_power"
+MODULES = ("bench_encoding_precision.py", "bench_table2_area_power.py")
 
 
-def _run(jobs, output):
-    proc = subprocess.run(
-        [
-            sys.executable,
-            RUNNER,
-            "--jobs",
-            str(jobs),
-            "--modules",
-            MODULES,
-            "-o",
-            output,
-        ],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    with open(output, "rb") as fh:
-        return fh.read()
-
-
-def test_parallel_output_byte_identical_to_serial(tmp_path):
-    serial = _run(1, str(tmp_path / "serial.txt"))
-    parallel = _run(2, str(tmp_path / "parallel.txt"))
+def test_parallel_output_byte_identical_to_serial():
+    serial = merge_tables(ROOT, MODULES, jobs=1)
+    parallel = merge_tables(ROOT, MODULES, jobs=2)
     assert parallel == serial
     # The tables actually made it into the file (not a trivially-empty
     # equality) and the header is the deterministic one.
-    assert serial.startswith(b"Section-7 reproduced tables")
-    assert serial.count(b"=" * 72) >= 4
+    assert serial.startswith("Section-7 reproduced tables")
+    assert serial.count("=" * 72) >= 4
 
 
-def test_unknown_module_rejected(tmp_path):
-    proc = subprocess.run(
-        [
-            sys.executable,
-            RUNNER,
-            "--modules",
-            "bench_does_not_exist",
-            "-o",
-            str(tmp_path / "out.txt"),
-        ],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "no such benchmark module" in proc.stderr
+def test_unknown_module_rejected(artifacts, capsys):
+    assert artifacts.main(["check", "bench_does_not_exist"]) == 2
+    assert "no such artifact: bench_does_not_exist" in capsys.readouterr().err

@@ -1,11 +1,17 @@
-"""The audit artifact: deterministic, parallel-safe, gate-enforcing."""
+"""The audit artifact: deterministic, job-count independent, claim-enforcing.
 
-import importlib.util
+``AUDIT_baseline.json`` is the ``audit`` entry of the artifact table:
+:func:`repro.verify.audit_document` produces it and the entry's claims
+demand zero violations, a clean policy and a consistent crosscheck.
+"""
+
 import json
 import os
-import sys
 
 import pytest
+
+from repro.artifact import Inputs, render_json
+from repro.verify import audit_document
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -13,21 +19,8 @@ REPO = os.path.dirname(
 
 
 @pytest.fixture(scope="module")
-def capaudit():
-    spec = importlib.util.spec_from_file_location(
-        "capaudit", os.path.join(REPO, "tools", "capaudit.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Register before exec so multiprocessing can pickle the module's
-    # worker function by qualified name.
-    sys.modules["capaudit"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def doc(capaudit):
-    return capaudit.build_audit(os.path.join(REPO, "AUDIT_policy.json"))
+def doc():
+    return audit_document(Inputs(root=REPO))
 
 
 def test_audit_document_shape(doc):
@@ -35,33 +28,30 @@ def test_audit_document_shape(doc):
     assert set(doc["images"]) == {"baremetal", "coremark", "regwalk", "switcher"}
 
 
-def test_audit_is_deterministic(capaudit, doc):
-    again = capaudit.build_audit(os.path.join(REPO, "AUDIT_policy.json"))
-    assert capaudit.render(doc) == capaudit.render(again)
+def test_audit_is_deterministic(doc):
+    again = audit_document(Inputs(root=REPO))
+    assert render_json(doc) == render_json(again)
 
 
-def test_parallel_jobs_produce_identical_bytes(capaudit, doc):
-    parallel = capaudit.build_audit(
-        os.path.join(REPO, "AUDIT_policy.json"), jobs=3
-    )
-    assert capaudit.render(doc) == capaudit.render(parallel)
+def test_parallel_jobs_produce_identical_bytes(artifacts, entry):
+    """The committed audit reproduces whatever ``--jobs`` says."""
+    assert artifacts.check(entry("audit"), Inputs(root=REPO, jobs=3)) == 0
 
 
-def test_committed_baseline_matches_a_fresh_run(capaudit, doc):
-    baseline_path = os.path.join(REPO, "AUDIT_baseline.json")
-    with open(baseline_path) as fh:
+def test_committed_baseline_matches_a_fresh_run(doc):
+    with open(os.path.join(REPO, "AUDIT_baseline.json")) as fh:
         committed = fh.read()
-    assert committed == capaudit.render(doc), (
-        "AUDIT_baseline.json is stale — refresh with: make audit-refresh"
+    assert committed == render_json(doc), (
+        "AUDIT_baseline.json is stale — refresh with: make refresh NAME=audit"
     )
 
 
-def test_gates_pass_on_the_stock_audit(capaudit, doc):
-    assert capaudit._enforce_gates(doc) == []
+def test_gates_pass_on_the_stock_audit(entry, doc):
+    assert entry("audit").claims(doc) == []
 
 
-def test_gates_catch_injected_violations(capaudit, doc):
-    bad = json.loads(capaudit.render(doc))
+def test_gates_catch_injected_violations(entry, doc):
+    bad = json.loads(render_json(doc))
     bad["images"]["baremetal"]["violations"].append(
         {
             "category": "bounds",
@@ -74,5 +64,5 @@ def test_gates_catch_injected_violations(capaudit, doc):
         {"rule": "mmio-allowlist", "subject": "x", "message": "synthetic"}
     )
     bad["crosscheck"]["consistent"] = False
-    problems = capaudit._enforce_gates(bad)
+    problems = entry("audit").claims(bad)
     assert len(problems) == 3

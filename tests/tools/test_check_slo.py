@@ -1,155 +1,125 @@
-"""The SLO gate tool: regenerate, byte-compare, fail closed."""
+"""The SLO artifact: regenerate, byte-compare, fail closed.
 
-import importlib.util
+``OBS_slo.json`` is the ``slo`` entry of the artifact table.  Its
+producer reads the fleet plan from the committed file's ``plan`` block
+and the policy from ``OBS_slo_policy.json`` beside it, so each test
+here builds a small repository root in a temporary directory: a policy
+plus a committed file whose plan is small enough to run in a second.
+"""
+
 import json
 import os
-import sys
 
 import pytest
+
+from repro.artifact import Inputs
+from repro.fleet import CheckpointStore, FleetPlan, run_shard
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
-#: Small plan so the module stays fast (the stock plan is CI's job).
-SMALL = ["--devices", "4", "--shard-size", "2",
-         "--injections", "1", "--alloc-ops", "4"]
+#: Small plan so the module stays fast (the stock plan is `make check`'s).
+SMALL = FleetPlan(devices=4, shard_size=2, injections_per_device=1, alloc_ops=4)
 
 
-@pytest.fixture(scope="module")
-def check_slo():
-    spec = importlib.util.spec_from_file_location(
-        "check_slo", os.path.join(REPO, "tools", "check_slo.py")
+def _root(tmp_path, rules):
+    """A repository root holding a policy and a plan-only SLO file."""
+    (tmp_path / "OBS_slo_policy.json").write_text(
+        json.dumps({"version": 1, "rules": rules})
     )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["check_slo"] = module
-    spec.loader.exec_module(module)
-    return module
+    (tmp_path / "OBS_slo.json").write_text(
+        json.dumps({"plan": SMALL.to_dict()})
+    )
+    return Inputs(root=str(tmp_path))
 
 
 @pytest.fixture()
-def small_baseline(check_slo, tmp_path):
+def small_baseline(artifacts, entry, tmp_path):
     """A freshly generated small-plan baseline + its policy."""
-    policy = tmp_path / "policy.json"
-    policy.write_text(json.dumps({
-        "version": 1,
-        "rules": [
-            {"rule": "fault-escapes", "max": 0},
-            {"rule": "degraded-ceiling", "max_fraction": 0.0},
-        ],
-    }))
-    baseline = tmp_path / "OBS_slo.json"
-    rc = check_slo.main(
-        SMALL + ["--policy", str(policy), "--baseline", str(baseline)]
-    )
-    assert rc == 0
-    return policy, baseline
+    inputs = _root(tmp_path, [
+        {"rule": "fault-escapes", "max": 0},
+        {"rule": "degraded-ceiling", "max_fraction": 0.0},
+    ])
+    assert artifacts.refresh(entry("slo"), inputs) == 0
+    return inputs
 
 
 class TestGate:
     def test_regenerated_baseline_passes_the_check(
-        self, check_slo, small_baseline
+        self, artifacts, entry, small_baseline
     ):
-        policy, baseline = small_baseline
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline),
-                     "--check"]
-        ) == 0
+        assert artifacts.check(entry("slo"), small_baseline) == 0
 
-    def test_tampered_baseline_is_drift(self, check_slo, small_baseline):
-        policy, baseline = small_baseline
-        doc = json.loads(baseline.read_text())
+    def test_tampered_baseline_is_drift(
+        self, artifacts, entry, small_baseline, capsys
+    ):
+        path = os.path.join(small_baseline.root, "OBS_slo.json")
+        with open(path) as fh:
+            doc = json.load(fh)
         doc["aggregate"]["counters"]["calls"] += 1
-        baseline.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline),
-                     "--check"]
-        ) == 1
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert artifacts.check(entry("slo"), small_baseline) == 1
+        assert "drifted at aggregate.counters.calls" in capsys.readouterr().err
 
     def test_violated_objective_fails_even_when_bytes_match(
-        self, check_slo, tmp_path
+        self, artifacts, entry, tmp_path
     ):
-        """A policy that cannot hold produces a failing report; --check
-        must flag it even if the committed baseline records the same
-        failure (a red baseline is not a green gate)."""
-        policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps({
-            "version": 1,
-            "rules": [{"rule": "throughput-floor",
-                       "min_calls_per_kcycle": 10**6}],
-        }))
-        baseline = tmp_path / "OBS_slo.json"
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline)]
-        ) == 1
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline),
-                     "--check"]
-        ) == 1
+        """A policy that cannot hold produces a failing report; the
+        check must flag it even though the committed file records the
+        same failure (a red baseline is not a green gate)."""
+        inputs = _root(tmp_path, [
+            {"rule": "throughput-floor", "min_calls_per_kcycle": 10**6},
+        ])
+        assert artifacts.refresh(entry("slo"), inputs) == 1
+        assert artifacts.check(entry("slo"), inputs) == 1
 
     def test_unknown_rule_fails_closed_through_the_tool(
-        self, check_slo, tmp_path
+        self, artifacts, entry, tmp_path, capsys
     ):
-        policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps({
-            "version": 1, "rules": [{"rule": "made-up-objective"}],
-        }))
-        baseline = tmp_path / "OBS_slo.json"
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline)]
-        ) == 1
+        inputs = _root(tmp_path, [{"rule": "made-up-objective"}])
+        assert artifacts.refresh(entry("slo"), inputs) == 1
+        assert "made-up-objective" in capsys.readouterr().err
 
-    def test_missing_baseline_is_usage_error(self, check_slo, tmp_path):
-        policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps({
-            "version": 1, "rules": [{"rule": "fault-escapes", "max": 0}],
-        }))
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy),
-                     "--baseline", str(tmp_path / "nope.json"), "--check"]
-        ) == 2
+    def test_missing_baseline_is_usage_error(
+        self, artifacts, entry, tmp_path, capsys
+    ):
+        inputs = _root(tmp_path, [{"rule": "fault-escapes", "max": 0}])
+        os.unlink(os.path.join(inputs.root, "OBS_slo.json"))
+        assert artifacts.check(entry("slo"), inputs) == 2
+        assert "make refresh NAME=slo" in capsys.readouterr().err
 
-    def test_results_from_checkpoints(self, check_slo, small_baseline, tmp_path):
+    def test_results_from_checkpoints(
+        self, artifacts, entry, small_baseline, tmp_path
+    ):
         """Shard results harvested from a checkpoint dir gate
-        identically to a fresh serial rebuild."""
-        from repro.fleet import CheckpointStore, FleetPlan, run_shard
-
-        policy, baseline = small_baseline
-        plan = FleetPlan(devices=4, shard_size=2,
-                         injections_per_device=1, alloc_ops=4)
+        identically to a fresh in-process rebuild."""
         store = CheckpointStore(str(tmp_path / "ckpt"))
-        store.bind(plan, resume=False)
-        for spec in plan.shards():
+        store.bind(SMALL, resume=False)
+        for spec in SMALL.shards():
             store.commit(spec.shard_id, run_shard(spec))
-        assert check_slo.main(
-            SMALL + ["--policy", str(policy), "--baseline", str(baseline),
-                     "--check", "--results-from", str(tmp_path / "ckpt")]
-        ) == 0
+        inputs = Inputs(
+            root=small_baseline.root, results_from=str(tmp_path / "ckpt")
+        )
+        assert artifacts.check(entry("slo"), inputs) == 0
 
     def test_incomplete_checkpoints_are_refused(
-        self, check_slo, small_baseline, tmp_path
+        self, artifacts, entry, small_baseline, tmp_path, capsys
     ):
-        from repro.fleet import CheckpointStore, FleetPlan, run_shard
-
-        policy, baseline = small_baseline
-        plan = FleetPlan(devices=4, shard_size=2,
-                         injections_per_device=1, alloc_ops=4)
         store = CheckpointStore(str(tmp_path / "ckpt"))
-        store.bind(plan, resume=False)
-        store.commit(0, run_shard(plan.shards()[0]))  # shard 1 missing
-        with pytest.raises(SystemExit):
-            check_slo.main(
-                SMALL + ["--policy", str(policy), "--baseline", str(baseline),
-                         "--check", "--results-from", str(tmp_path / "ckpt")]
-            )
+        store.bind(SMALL, resume=False)
+        store.commit(0, run_shard(SMALL.shards()[0]))  # shard 1 missing
+        inputs = Inputs(
+            root=small_baseline.root, results_from=str(tmp_path / "ckpt")
+        )
+        assert artifacts.check(entry("slo"), inputs) == 1
+        err = capsys.readouterr().err
+        assert "missing shards [1]" in err
+        assert "--resume" in err
 
 
 class TestCommittedArtifacts:
-    def test_committed_slo_baseline_is_fresh_and_green(self, check_slo):
+    def test_committed_slo_baseline_is_fresh_and_green(self, artifacts, entry):
         """The repo's own OBS_slo.json must reproduce and pass."""
-        cwd = os.getcwd()
-        os.chdir(REPO)
-        try:
-            assert check_slo.main(["--check"]) == 0
-        finally:
-            os.chdir(cwd)
+        assert artifacts.check(entry("slo"), Inputs(root=REPO)) == 0

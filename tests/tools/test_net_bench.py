@@ -1,46 +1,42 @@
-"""The net benchmark tool and its regression gate."""
+"""The net sweep and its artifact gate.
 
-import importlib.util
+``BENCH_net.json`` is the ``net`` entry of the artifact table:
+:func:`repro.iot.loadgen.net_sweep` produces it from self-checked
+sweep points, and the entry's claim demands zero-copy stay at least
+2x cheaper in per-packet stack cycles at 1024 or more sessions.
+"""
+
 import json
 import os
-import sys
+from dataclasses import replace
 
 import pytest
+
+from repro.artifact import Inputs, render_json
+from repro.iot.loadgen import NET_BENCH_VERSION, sweep_document
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
-#: Tiny sweep so the module stays fast (the full sweep is CI's job).
+#: Tiny sweep so the module stays fast (the full sweep is `make check`'s).
 SMALL_CONNS = (2, 4)
 SMALL_ROUNDS = {2: 2, 4: 2}
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(REPO, "tools", f"{name}.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+def _small_sweep(inputs):
+    return sweep_document(SMALL_CONNS, SMALL_ROUNDS, jobs=inputs.jobs)
 
 
 @pytest.fixture(scope="module")
-def net_bench():
-    return _load("net_bench")
+def small_doc():
+    return sweep_document(SMALL_CONNS, SMALL_ROUNDS, jobs=1)
 
 
-@pytest.fixture(scope="module")
-def check_net(net_bench):
-    return _load("check_net_regression")
-
-
-@pytest.fixture(scope="module")
-def small_doc(net_bench):
-    return net_bench.build_document(
-        conns=SMALL_CONNS, rounds=SMALL_ROUNDS, jobs=1
-    )
+@pytest.fixture()
+def small_net(entry):
+    """The net entry, producing the tiny sweep."""
+    return replace(entry("net"), produce=_small_sweep)
 
 
 class TestNetBench:
@@ -52,16 +48,12 @@ class TestNetBench:
             ("copy", 2), ("zerocopy", 2), ("copy", 4), ("zerocopy", 4)
         ]
 
-    def test_serial_and_parallel_bytes_identical(self, net_bench, small_doc):
-        parallel = net_bench.build_document(
-            conns=SMALL_CONNS, rounds=SMALL_ROUNDS, jobs=2
-        )
-        assert net_bench.render_document(
-            parallel
-        ) == net_bench.render_document(small_doc)
+    def test_serial_and_parallel_bytes_identical(self, small_doc):
+        parallel = sweep_document(SMALL_CONNS, SMALL_ROUNDS, jobs=2)
+        assert render_json(parallel) == render_json(small_doc)
 
-    def test_rendered_form_is_canonical(self, net_bench, small_doc):
-        rendered = net_bench.render_document(small_doc)
+    def test_rendered_form_is_canonical(self, small_doc):
+        rendered = render_json(small_doc)
         assert rendered.endswith("\n")
         assert json.dumps(
             json.loads(rendered), indent=2, sort_keys=True
@@ -74,22 +66,19 @@ class TestNetBench:
                 row["allocs_per_packet_zerocopy"]
             )
 
-    def test_cli_writes_file(self, net_bench, tmp_path):
-        out = tmp_path / "net.json"
-        rc = net_bench.main(
-            ["--conns", "2,4", "--rounds", "2", "-o", str(out)]
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["version"] == (
-            net_bench.NET_BENCH_VERSION
-        )
+    def test_cli_writes_file(self, artifacts, small_net, tmp_path):
+        # The tiny sweep has no at-scale point, so the claim fails (1),
+        # but the file is written all the same.
+        assert artifacts.refresh(small_net, Inputs(root=str(tmp_path))) == 1
+        written = json.loads((tmp_path / "BENCH_net.json").read_text())
+        assert written["version"] == NET_BENCH_VERSION
 
 
 class TestCommittedBaseline:
-    def test_committed_baseline_meets_the_claim(self, check_net):
+    def test_committed_baseline_meets_the_claim(self, entry):
         with open(os.path.join(REPO, "BENCH_net.json")) as fh:
             baseline = json.load(fh)
-        assert check_net.check_ratios(baseline) == []
+        assert entry("net").claims(baseline) == []
 
     def test_committed_sweep_reaches_scale(self):
         with open(os.path.join(REPO, "BENCH_net.json")) as fh:
@@ -98,38 +87,31 @@ class TestCommittedBaseline:
 
 
 class TestGate:
-    @pytest.fixture()
-    def small_baseline(self, net_bench, small_doc, tmp_path):
-        path = tmp_path / "BENCH_net.json"
-        path.write_text(net_bench.render_document(small_doc))
-        return path
-
-    def test_missing_baseline_exits_2(self, check_net, tmp_path):
-        rc = check_net.main(
-            ["--baseline", str(tmp_path / "absent.json")]
-        )
-        assert rc == 2
+    def test_missing_baseline_exits_2(self, artifacts, entry, tmp_path):
+        assert artifacts.check(entry("net"), Inputs(root=str(tmp_path))) == 2
 
     def test_tampered_counter_detected(
-        self, check_net, net_bench, small_doc, tmp_path
+        self, artifacts, small_net, small_doc, tmp_path, capsys
     ):
-        doc = json.loads(net_bench.render_document(small_doc))
+        doc = json.loads(render_json(small_doc))
         doc["sweep"][0]["counters"]["packets_delivered"] += 1
-        path = tmp_path / "tampered.json"
-        path.write_text(net_bench.render_document(doc))
-        rc = check_net.main(["--baseline", str(path)])
-        assert rc == 1
+        (tmp_path / "BENCH_net.json").write_text(render_json(doc))
+        assert artifacts.check(small_net, Inputs(root=str(tmp_path))) == 1
+        assert (
+            "drifted at sweep[0].counters.packets_delivered"
+            in capsys.readouterr().err
+        )
 
-    def test_ratio_floor_enforced(self, check_net):
+    def test_ratio_floor_enforced(self, entry):
         doc = {
             "comparison": [
                 {"connections": 2048, "stack_cycles_ratio": 1.4},
             ]
         }
-        problems = check_net.check_ratios(doc)
+        problems = entry("net").claims(doc)
         assert len(problems) == 1
         assert "1.4" in problems[0]
 
-    def test_no_at_scale_point_is_a_problem(self, check_net):
+    def test_no_at_scale_point_is_a_problem(self, entry):
         doc = {"comparison": [{"connections": 64, "stack_cycles_ratio": 9.0}]}
-        assert check_net.check_ratios(doc)
+        assert entry("net").claims(doc)

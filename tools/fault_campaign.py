@@ -1,33 +1,23 @@
 #!/usr/bin/env python3
-"""Run a seeded fault-injection campaign and write the result JSON.
+"""Replay one injection of a seeded fault-injection campaign.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tools/fault_campaign.py [--campaign short|full]
-        [--total N] [--seed N] [--output BENCH_faults.json] [--check]
+    PYTHONPATH=src python tools/fault_campaign.py --reproduce INDEX [--seed N]
 
-``--campaign full`` (10,000 injections) refreshes the committed
-``BENCH_faults.json``; ``--campaign short`` (750 injections) is the
-fast configuration wired into ``make test``.  The output is fully
-deterministic for a given ``(seed, total)`` pair — no timestamps, no
-environment — so the committed file is bit-reproducible.
+The campaign is deterministic, so injection *k* of a ``(seed, total)``
+campaign is injection *k* of any campaign with the same seed and
+``total > k``.  This replays injection ``INDEX`` alone and prints its
+full record — the debugging entry point that every escape reported by
+the ``faults`` artifact gate hands you.  The committed 10,000-injection
+campaign itself is ``BENCH_faults.json`` (``make refresh NAME=faults``).
 
-``--check`` additionally exits non-zero if any injection escaped, so
-the runner doubles as a gate.  Every escape is reported with its fault
-class, the campaign seed, and a one-line ``--reproduce`` command that
-replays exactly that injection.
-
-``--reproduce INDEX`` replays a single injection from the seeded
-stream (the campaign is deterministic, so injection *k* of a
-``(seed, total)`` campaign is injection *k* of any campaign with the
-same seed and ``total > k``) and prints the full record — the
-debugging entry point the escape messages hand you.
+Exit status 1 if the injection escapes, 2 on a negative index.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -37,28 +27,6 @@ sys.path.insert(
 
 from repro.faultinject import run_campaign  # noqa: E402
 from repro.faultinject.campaign import DEFAULT_SEED  # noqa: E402
-
-CAMPAIGN_SIZES = {"short": 750, "full": 10_000}
-
-
-def reproduce_command(index: int, seed: int) -> str:
-    """The exact command that replays injection ``index`` alone."""
-    return (
-        f"PYTHONPATH=src python tools/fault_campaign.py "
-        f"--reproduce {index} --seed {seed}"
-    )
-
-
-def print_escape(record, seed: int, out=sys.stderr) -> None:
-    """One actionable block per escaped injection."""
-    print(
-        f"ESCAPED injection #{record.index} "
-        f"[fault class {record.fault_class.value}, seed {seed}]\n"
-        f"  scenario: {record.scenario}\n"
-        f"  detail:   {record.detail or '(none)'}\n"
-        f"  replay:   {reproduce_command(record.index, seed)}",
-        file=out,
-    )
 
 
 def reproduce(index: int, seed: int) -> int:
@@ -82,16 +50,11 @@ def reproduce(index: int, seed: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--campaign",
-        choices=sorted(CAMPAIGN_SIZES),
-        default="full",
-        help="preset injection count (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--total",
+        "--reproduce",
         type=int,
-        default=None,
-        help="override the preset injection count",
+        required=True,
+        metavar="INDEX",
+        help="the injection to replay (exit 1 if it escapes)",
     )
     parser.add_argument(
         "--seed",
@@ -99,54 +62,8 @@ def main(argv=None) -> int:
         default=DEFAULT_SEED,
         help="campaign RNG seed (default: %(default)s)",
     )
-    parser.add_argument(
-        "--output",
-        default="BENCH_faults.json",
-        help="result JSON path (default: %(default)s); '-' for stdout",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if any injection escaped",
-    )
-    parser.add_argument(
-        "--reproduce",
-        type=int,
-        default=None,
-        metavar="INDEX",
-        help="replay a single injection from the seeded stream and "
-        "print its full record (exit 1 if it escapes)",
-    )
     args = parser.parse_args(argv)
-
-    if args.reproduce is not None:
-        return reproduce(args.reproduce, args.seed)
-
-    total = args.total if args.total is not None else CAMPAIGN_SIZES[args.campaign]
-
-    def progress(done: int, planned: int) -> None:
-        print(f"  {done}/{planned} injections", file=sys.stderr)
-
-    result = run_campaign(total=total, seed=args.seed, progress=progress)
-    payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.output == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.output}")
-
-    tally = result.tally()
-    print(
-        f"{result.total} injections: {tally['masked']} masked, "
-        f"{tally['detected']} detected, {tally['contained']} contained, "
-        f"{tally['escaped']} ESCAPED ({result.wrong_results} wrong results)"
-    )
-    if args.check and result.escaped:
-        for record in result.escaped:
-            print_escape(record, args.seed)
-        return 1
-    return 0
+    return reproduce(args.reproduce, args.seed)
 
 
 if __name__ == "__main__":

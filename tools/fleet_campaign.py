@@ -7,7 +7,7 @@ Usage (from the repository root)::
         [--devices N] [--shard-size K] [--seed N] [--jobs J]
         [--timeout S] [--heartbeat-timeout S] [--max-attempts N]
         [--checkpoint-dir DIR] [--resume]
-        [--output BENCH_fleet.json] [--health FILE] [--serial] [--check]
+        [--output BENCH_fleet.json] [--health FILE]
 
 The fleet shards N simulated devices across J supervised worker
 processes.  Results checkpoint per shard as they complete; a run
@@ -37,12 +37,13 @@ Two observability artifacts ride along:
   object that writes the ``health.json`` sidecar, so the two can never
   disagree.  The ``host`` group is wall-clock territory and therefore
   lives outside the byte-stable ``aggregate`` (which is identical for
-  any ``--jobs`` value; ``tools/check_slo.py`` gates it).
+  any ``--jobs`` value).
 
-``--serial`` runs every shard in-process (no worker pool, no
-supervision) — the reference execution the chaos tests compare
-against.  ``--check`` exits non-zero if any injection escaped or any
-shard was quarantined.
+The reference run is the committed file: the ``fleet`` and ``slo``
+entries of ``tools/artifacts.py`` rerun the committed plan in-process,
+and ``tools/artifacts.py check fleet slo --results-from DIR`` compares
+a supervised run's checkpointed shards against both committed reports
+byte for byte.
 
 Chaos flags (tests/CI only): ``--chaos-crash I`` / ``--chaos-hang I``
 make shard I fail once and succeed on retry; ``--chaos-stubborn I``
@@ -52,7 +53,6 @@ makes it fail every attempt, exercising quarantine.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -62,6 +62,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.artifact import render_json  # noqa: E402
 from repro.fleet import (  # noqa: E402
     CheckpointStore,
     FleetInterrupted,
@@ -69,21 +70,19 @@ from repro.fleet import (  # noqa: E402
     FleetSupervisor,
     RetryPolicy,
     merge_report,
-    render_report,
-    run_shard,
 )
-from repro.obs.fleet import FleetHealthStats, health_metric_group  # noqa: E402
+from repro.fleet.plan import STOCK_DEVICES  # noqa: E402
+from repro.obs.fleet import health_metric_group  # noqa: E402
 from repro.obs.pipeline import fleet_rollup  # noqa: E402
 
 #: Exit codes: distinguish "interrupted, resume me" from real failure.
-EXIT_GATE_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--devices", type=int, default=8)
+    parser.add_argument("--devices", type=int, default=STOCK_DEVICES)
     parser.add_argument("--shard-size", type=int, default=2)
     parser.add_argument("--seed", type=int, default=20260807)
     parser.add_argument(
@@ -127,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-stream", action="store_true",
         help="suppress the live telemetry progress lines",
     )
-    parser.add_argument(
-        "--serial", action="store_true",
-        help="run shards in-process, unsupervised (the reference mode)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 on any escaped injection or quarantined shard",
-    )
     parser.add_argument("--chaos-crash", type=int, action="append", default=[])
     parser.add_argument("--chaos-hang", type=int, action="append", default=[])
     parser.add_argument(
@@ -171,79 +162,65 @@ def main(argv=None) -> int:
         alloc_ops=args.alloc_ops,
     )
 
-    if args.serial:
-        results = {
-            spec.shard_id: run_shard(spec) for spec in plan.shards()
-        }
-        quarantined = {}
-        health = None
-        # The one-source health object for the telemetry report: a
-        # serial run has no supervisor, so its health is the trivial
-        # "everything completed in-process" record.
-        health_stats = FleetHealthStats(
-            shards_total=len(results), shards_completed=len(results)
-        )
-    else:
-        tmp_ctx = None
-        ckpt_dir = args.checkpoint_dir
-        if ckpt_dir is None:
-            tmp_ctx = tempfile.TemporaryDirectory(prefix="fleet-ckpt-")
-            ckpt_dir = tmp_ctx.name
-        chaos_dir = None
-        chaos_tmp = tempfile.TemporaryDirectory(prefix="fleet-chaos-")
-        if _write_chaos_tokens(chaos_tmp.name, args):
-            chaos_dir = chaos_tmp.name
+    tmp_ctx = None
+    ckpt_dir = args.checkpoint_dir
+    if ckpt_dir is None:
+        tmp_ctx = tempfile.TemporaryDirectory(prefix="fleet-ckpt-")
+        ckpt_dir = tmp_ctx.name
+    chaos_dir = None
+    chaos_tmp = tempfile.TemporaryDirectory(prefix="fleet-chaos-")
+    if _write_chaos_tokens(chaos_tmp.name, args):
+        chaos_dir = chaos_tmp.name
 
-        def stream_progress(summary: dict) -> None:
-            print(
-                "  [stream] "
-                f"{summary['devices_done']}/{plan.devices} devices "
-                f"({summary['shards_completed']}/{summary['shards_total']} "
-                f"shards done), {summary['calls']} calls, "
-                f"latency p50/p99 ≈ {summary['latency_p50']}/"
-                f"{summary['latency_p99']} cyc, "
-                f"{summary['injections']} injections / "
-                f"{summary['escaped']} escaped",
-                file=sys.stderr,
-            )
-
-        supervisor = FleetSupervisor(
-            plan,
-            CheckpointStore(ckpt_dir),
-            jobs=max(1, args.jobs),
-            timeout=args.timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-            retry=RetryPolicy(max_attempts=args.max_attempts, seed=args.seed),
-            chaos_dir=chaos_dir,
-            log=lambda msg: print(f"  {msg}", file=sys.stderr),
-            progress=None if args.no_stream else stream_progress,
+    def stream_progress(summary: dict) -> None:
+        print(
+            "  [stream] "
+            f"{summary['devices_done']}/{plan.devices} devices "
+            f"({summary['shards_completed']}/{summary['shards_total']} "
+            f"shards done), {summary['calls']} calls, "
+            f"latency p50/p99 ≈ {summary['latency_p50']}/"
+            f"{summary['latency_p99']} cyc, "
+            f"{summary['injections']} injections / "
+            f"{summary['escaped']} escaped",
+            file=sys.stderr,
         )
 
-        def on_signal(signum, frame):
-            supervisor.request_stop()
+    supervisor = FleetSupervisor(
+        plan,
+        CheckpointStore(ckpt_dir),
+        jobs=max(1, args.jobs),
+        timeout=args.timeout,
+        heartbeat_timeout=args.heartbeat_timeout,
+        retry=RetryPolicy(max_attempts=args.max_attempts, seed=args.seed),
+        chaos_dir=chaos_dir,
+        log=lambda msg: print(f"  {msg}", file=sys.stderr),
+        progress=None if args.no_stream else stream_progress,
+    )
 
-        old_term = signal.signal(signal.SIGTERM, on_signal)
-        old_int = signal.signal(signal.SIGINT, on_signal)
-        try:
-            results, quarantined = supervisor.run(resume=args.resume)
-        except FleetInterrupted as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            _write_health(args, ckpt_dir, supervisor.health.to_dict())
-            return EXIT_INTERRUPTED
-        finally:
-            signal.signal(signal.SIGTERM, old_term)
-            signal.signal(signal.SIGINT, old_int)
-            chaos_tmp.cleanup()
-            if tmp_ctx is not None:
-                tmp_ctx.cleanup()
+    def on_signal(signum, frame):
+        supervisor.request_stop()
 
-        health = supervisor.health.to_dict()
-        health_stats = supervisor.health
-        _write_health(args, ckpt_dir if args.checkpoint_dir else None, health)
+    old_term = signal.signal(signal.SIGTERM, on_signal)
+    old_int = signal.signal(signal.SIGINT, on_signal)
+    try:
+        results, quarantined = supervisor.run(resume=args.resume)
+    except FleetInterrupted as exc:
+        print(f"interrupted: {exc}", file=sys.stderr)
+        _write_health(args, ckpt_dir, supervisor.health.to_dict())
+        return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, old_term)
+        signal.signal(signal.SIGINT, old_int)
+        chaos_tmp.cleanup()
+        if tmp_ctx is not None:
+            tmp_ctx.cleanup()
+
+    health = supervisor.health.to_dict()
+    _write_health(args, ckpt_dir if args.checkpoint_dir else None, health)
 
     report = merge_report(plan, results, quarantined)
-    _write_telemetry(args, plan, results, quarantined, health_stats)
-    payload = render_report(report)
+    _write_telemetry(args, plan, results, quarantined, supervisor.health)
+    payload = render_json(report)
     if args.output == "-":
         sys.stdout.write(payload)
     else:
@@ -260,27 +237,14 @@ def main(argv=None) -> int:
         f"call latency p50/p99 = {agg['latency']['p50']}/{agg['latency']['p99']} cycles; "
         f"revocation duty cycle {agg['revocation_duty_cycle']}"
     )
-    if health is not None:
-        print(
-            "orchestrator health: "
-            f"{health['worker_launches']} launches, "
-            f"{health['worker_crashes']} crashes, "
-            f"{health['worker_timeouts'] + health['heartbeat_timeouts']} timeouts, "
-            f"{health['retries']} retries, "
-            f"{health['quarantined']} quarantined"
-        )
-
-    if args.check:
-        failed = False
-        if agg["faults"]["escaped"]:
-            print("GATE: escaped injections in fleet run", file=sys.stderr)
-            failed = True
-        if report["degraded"]:
-            shards = [e["shard"] for e in report["degraded"]]
-            print(f"GATE: quarantined shards {shards}", file=sys.stderr)
-            failed = True
-        if failed:
-            return EXIT_GATE_FAILED
+    print(
+        "orchestrator health: "
+        f"{health['worker_launches']} launches, "
+        f"{health['worker_crashes']} crashes, "
+        f"{health['worker_timeouts'] + health['heartbeat_timeouts']} timeouts, "
+        f"{health['retries']} retries, "
+        f"{health['quarantined']} quarantined"
+    )
     return 0
 
 
@@ -294,8 +258,7 @@ def _write_telemetry(args, plan, results, quarantined, health_stats) -> None:
         "host": health_metric_group(health_stats),
     }
     with open(args.telemetry_out, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(document))
     print(f"wrote {args.telemetry_out}")
 
 
@@ -306,8 +269,7 @@ def _write_health(args, ckpt_dir, health: dict) -> None:
     if path is None:
         return
     with open(path, "w") as fh:
-        json.dump(health, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(health))
 
 
 if __name__ == "__main__":

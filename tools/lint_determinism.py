@@ -6,12 +6,11 @@ Usage (from the repository root)::
     python tools/lint_determinism.py            # lint the declared paths
     python tools/lint_determinism.py FILE...    # lint specific files
 
-Three committed artifacts (``bench_output_tables.txt``,
-``BENCH_fleet.json``, ``AUDIT_baseline.json``) carry a byte-identical
-reproducibility contract, enforced by regression gates that re-run the
-producing code.  Those gates catch drift *after* it lands; this lint
-catches the usual causes at review time, in the modules that feed the
-artifacts:
+Every byte-gated committed artifact (the ``ARTIFACTS`` table in
+``tools/artifacts.py``) carries a byte-identical reproducibility
+contract, enforced by ``make check`` re-running its producer.  The gate
+catches drift *after* it lands; this lint catches the usual causes at
+review time, in every module that holds a producer or feeds one:
 
 * **wall-clock reads** — ``time.time()``, ``time.monotonic()``,
   ``perf_counter``, ``datetime.now()``: any of these in a report value
@@ -28,9 +27,11 @@ artifacts:
   ``Path.iterdir``/``Path.glob`` results used without an immediate
   ``sorted(...)``: filesystem enumeration order is unspecified.
 
-Supervision code (timeouts, backoff, worker polling) legitimately reads
-the clock, so the lint applies only to the declared deterministic-path
-modules below, not the whole tree.  A true positive that is actually
+Supervision code (timeouts, backoff, worker polling) and the gate loop
+itself (its per-artifact timing line) legitimately read the clock, as
+does the host-timed ``BENCH_simspeed.json`` producer, so the lint
+applies only to the declared deterministic-path modules below, not the
+whole tree.  A true positive that is actually
 fine (e.g. a seeded draw the lint cannot see) can be suppressed by
 putting ``det: allow`` in a comment on the offending line.
 
@@ -47,11 +48,13 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The modules whose output must be byte-reproducible.  Everything that
-#: feeds a committed baseline or a CI gate belongs here; supervision and
-#: wall-time measurement code (procutil, supervisor, bench_speed) does
-#: not.
+#: The modules whose output must be byte-reproducible.  Every module
+#: holding an ``ARTIFACTS`` producer, and everything feeding one,
+#: belongs here; supervision and wall-time measurement code (procutil,
+#: supervisor, simspeed, the gate loop) does not.
 DETERMINISTIC_PATHS = [
+    "src/repro/artifact.py",
+    "src/repro/analysis/reporting.py",
     "src/repro/fleet/device.py",
     "src/repro/fleet/merge.py",
     "src/repro/fleet/plan.py",
@@ -64,17 +67,9 @@ DETERMINISTIC_PATHS = [
     "src/repro/obs/registry.py",
     "src/repro/obs/sketch.py",
     "src/repro/obs/slo.py",
+    "src/repro/obs/workload.py",
     "src/repro/rtos/audit.py",
     "src/repro/verify/*.py",
-    "tools/_baseline.py",
-    "tools/capaudit.py",
-    "tools/check_fault_regression.py",
-    "tools/check_fleet_regression.py",
-    "tools/check_net_regression.py",
-    "tools/check_slo.py",
-    "tools/fault_campaign.py",
-    "tools/net_bench.py",
-    "tools/run_benchmarks.py",
 ]
 
 SUPPRESS_MARKER = "det: allow"

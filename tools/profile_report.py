@@ -4,8 +4,6 @@
 Usage (from the repository root)::
 
     PYTHONPATH=src python tools/profile_report.py [--kernel list]
-    PYTHONPATH=src python tools/profile_report.py --fleet 3 \
-        [--output OBS_fleet_profile.json] [--check]
 
 Runs the reference telemetry workload (malloc/free churn + forced
 revocation sweep + one Table-3 CoreMark kernel) on a telemetry-enabled
@@ -19,19 +17,14 @@ system and prints:
   :class:`~repro.obs.profile.PCProfiler`;
 * switcher/error-handler overhead counters from the metrics registry.
 
-``--fleet N`` instead runs the workload per device (kernels rotating
-through list/matrix/state), merges the per-device hot-PC histograms by
-integer addition into one fleet profile, and writes it as JSON.  The
-profile is a pure function of the plan knobs, so the committed
-``OBS_fleet_profile.json`` is a byte-reproducible baseline;
-``--fleet N --check`` regenerates it and fails with a top-N hot-path
-diff if the fresh profile drifts — the hot-path regression gate.
+The merged three-device hot-PC profile is the committed
+``OBS_fleet_profile.json`` (``make refresh NAME=profile``); its gate
+reports a drift as top-N hot-path churn.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -41,23 +34,7 @@ sys.path.insert(
 
 from repro.machine import CoreKind  # noqa: E402
 from repro.obs import render_attribution, render_hot_pcs  # noqa: E402
-from repro.obs.profile import (  # noqa: E402
-    diff_hot,
-    hot_from_dict,
-    merge_profile_dicts,
-    profile_to_dict,
-)
-from repro.obs.workload import (  # noqa: E402
-    run_fleet_workloads,
-    run_traced_workload,
-)
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from _baseline import BaselineError, load_baseline  # noqa: E402
-
-#: The default committed fleet-profile baseline.
-FLEET_BASELINE = "OBS_fleet_profile.json"
+from repro.obs.workload import run_traced_workload  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -83,23 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--top", type=int, default=10, help="hot PCs to show (default: 10)"
     )
-    parser.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help="merge N devices into one fleet profile (0: single device)",
-    )
-    parser.add_argument(
-        "--output", "-o", default=FLEET_BASELINE,
-        help="fleet profile JSON path (with --fleet; default: %(default)s)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="with --fleet: compare against the committed baseline "
-        "instead of writing it; exit 1 with a top-N diff on drift",
-    )
     args = parser.parse_args(argv)
-
-    if args.fleet:
-        return _fleet(args)
 
     result = run_traced_workload(
         core=CoreKind(args.core),
@@ -133,66 +94,6 @@ def main(argv=None) -> int:
         print("error: attribution does not reconcile with the core model")
         return 1
     return 0
-
-
-def _render_profile(profile: dict) -> str:
-    return json.dumps(profile, indent=2, sort_keys=True) + "\n"
-
-
-def _fleet(args) -> int:
-    """Merged fleet profile: regenerate, then write or gate."""
-    workloads = run_fleet_workloads(
-        devices=args.fleet, core=CoreKind(args.core),
-        rounds=args.rounds, iterations=args.iterations,
-    )
-    fresh = merge_profile_dicts(
-        profile_to_dict(result["profiler"], image=f"traced-{result['kernel']}")
-        for _, result in workloads
-    )
-
-    print(
-        f"fleet profile: {args.fleet} devices, core={args.core}, "
-        f"kernels={[result['kernel'] for _, result in workloads]}, "
-        f"{fresh['retired']:,} instructions retired"
-    )
-    print(f"hot PCs (fleet, top {args.top}):")
-    rows = hot_from_dict(fresh, args.top)
-    top = rows[0][1] or 1
-    for key, cycles, hits, text in rows:
-        bar = "#" * max(1, round(cycles / top * 30))
-        print(f"  {key:<24} {cycles:>10,} cyc  {hits:>8,} hits  {bar}  {text}")
-
-    if not args.check:
-        with open(args.output, "w") as fh:
-            fh.write(_render_profile(fresh))
-        print(f"wrote {args.output}")
-        return 0
-
-    try:
-        baseline = load_baseline(
-            args.output,
-            hint=f"PYTHONPATH=src python tools/profile_report.py "
-            f"--fleet {args.fleet} -o {args.output}",
-        )
-    except BaselineError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if _render_profile(baseline) == _render_profile(fresh):
-        print("fleet profile reproduces byte-identically")
-        return 0
-    print("fleet profile drifted from the committed baseline:", file=sys.stderr)
-    lines = diff_hot(baseline, fresh, args.top) or [
-        f"(no top-{args.top} churn; drift is in the cold tail or totals)"
-    ]
-    for line in lines:
-        print(f"  {line}", file=sys.stderr)
-    print(
-        "if the hot-path change is intentional, refresh with: "
-        f"PYTHONPATH=src python tools/profile_report.py "
-        f"--fleet {args.fleet} -o {args.output}",
-        file=sys.stderr,
-    )
-    return 1
 
 
 if __name__ == "__main__":

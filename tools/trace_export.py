@@ -4,7 +4,7 @@
 Usage (from the repository root)::
 
     PYTHONPATH=src python tools/trace_export.py [-o trace.json]
-    PYTHONPATH=src python tools/trace_export.py --fleet 3 -o fleet-trace.json
+    PYTHONPATH=src python tools/trace_export.py --fleet [N] -o fleet-trace.json
 
 The output is Chrome/Perfetto ``trace_event`` JSON: open it at
 https://ui.perfetto.dev (or ``chrome://tracing``).  The trace covers a
@@ -14,7 +14,9 @@ kernel — so compartment-switch, allocator and revoker spans all appear
 on their tracks.
 
 ``--fleet N`` runs the workload once per device (kernel rotating
-through list/matrix/state) and merges the N span sets into one trace:
+through list/matrix/state; N defaults to the three devices of the
+committed ``OBS_fleet_profile.json``) and merges the N span sets into
+one trace:
 each device is its own Perfetto *process* (pid ``i+1``, process name
 ``cheriot-sim/device-i``) with tids allocated per device, so two
 devices exporting the same compartment track land on separate rows —
@@ -34,6 +36,7 @@ sys.path.insert(
 from repro.machine import CoreKind  # noqa: E402
 from repro.obs.export import write_fleet_trace  # noqa: E402
 from repro.obs.workload import (  # noqa: E402
+    FLEET_PROFILE_DEVICES,
     run_fleet_workloads,
     run_traced_workload,
 )
@@ -63,8 +66,10 @@ def main(argv=None) -> int:
         "--iterations", type=int, default=1, help="kernel iterations (default: 1)"
     )
     parser.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help="merge N devices into one fleet trace (0: single device)",
+        "--fleet", type=int, nargs="?", default=0,
+        const=FLEET_PROFILE_DEVICES, metavar="N",
+        help="merge N devices into one fleet trace (0: single device; "
+        f"bare --fleet: {FLEET_PROFILE_DEVICES})",
     )
     args = parser.parse_args(argv)
 
