@@ -1,29 +1,13 @@
 """Shared benchmark configuration.
 
-Every benchmark prints the reproduced table/figure (visible with
-``pytest benchmarks/ --benchmark-only -s`` and in the captured output)
-and asserts the paper's *shape* — orderings, crossovers, rough factors —
-rather than absolute numbers.
+The Section-7 tables are produced in process by
+:mod:`repro.analysis.tables` (``make refresh NAME=tables``); what
+remains here is the host-time harness, run with
+``pytest benchmarks/ --benchmark-disable -s``.
 """
-
-import os
-
-import pytest
 
 
 def emit(title: str, body: str) -> None:
-    """Print a reproduced artifact with a recognisable banner.
-
-    When ``REPRO_BENCH_TABLES`` names a file, the artifact is also
-    appended there — :func:`repro.analysis.reporting.bench_tables`
-    points each worker at its own file and merges them in module order,
-    so the combined ``bench_output_tables.txt`` is byte-identical
-    however many workers ran.
-    """
+    """Print a measurement with a recognisable banner."""
     banner = "=" * 72
-    block = f"\n{banner}\n{title}\n{banner}\n{body}\n"
-    print(block)
-    path = os.environ.get("REPRO_BENCH_TABLES")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(block)
+    print(f"\n{banner}\n{title}\n{banner}\n{body}\n")

@@ -243,3 +243,24 @@ def format_table2(rows: "List[Table2Row] | None" = None) -> str:
             f"{row.power_mw:>10.3f} {pratio:>8s}"
         )
     return "\n".join(lines)
+
+
+def read_table2(text: str) -> List[Table2Row]:
+    """Invert :func:`format_table2`, at the precision it prints.
+
+    The columns are fixed-width (names up to 28 characters); a blank
+    ratio is the baseline's 1.0.
+    """
+    def ratio(cell: str) -> float:
+        return float(cell.strip()[1:-2]) if cell.strip() else 1.0
+
+    return [
+        Table2Row(
+            name=line[:28].rstrip(),
+            gates=int(line[29:39]),
+            gate_ratio=ratio(line[40:48]),
+            power_mw=float(line[49:59]),
+            power_ratio=ratio(line[60:68]),
+        )
+        for line in text.splitlines()[1:]
+    ]

@@ -8,7 +8,8 @@ from .alloc_bench import (
     format_table4,
     overhead_series,
     run_alloc_bench,
-    table4,
+    run_cell,
+    sweep_cells,
 )
 from .coremark import (
     PAPER_BASELINE_SCORE,
@@ -31,8 +32,9 @@ __all__ = [
     "build_coremark_module",
     "format_table4",
     "overhead_series",
+    "run_cell",
     "run_coremark",
     "run_kernel_profile",
+    "sweep_cells",
     "table3",
-    "table4",
 ]

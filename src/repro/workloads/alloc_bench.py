@@ -1,8 +1,9 @@
 """The allocation microbenchmark (paper Table 4, Figures 5 and 6).
 
 The benchmark allocates and frees a total of 1 MiB of heap memory at
-allocation sizes from 32 bytes to 128 KiB, through cross-compartment
-calls into the allocator compartment, under four configurations:
+allocation sizes from 32 bytes to 128 KiB (256 KiB below 2 KiB, see
+:func:`_total_for`), through cross-compartment calls into the
+allocator compartment, under four configurations:
 
 * **Baseline** — no temporal safety at all (spatial safety only; no
   revocation bitmap, so also vulnerable to interior-pointer frees —
@@ -14,15 +15,18 @@ calls into the allocator compartment, under four configurations:
 Each configuration runs with and without the stack high-water mark
 (the ``(S)`` variants).  Results are mechanistic cycle counts from the
 core models; overheads relative to Baseline reproduce the shapes of
-Figures 5 (Flute) and 6 (Ibex).
+Figures 5 (Flute) and 6 (Ibex).  Both figures and Table 4 are views of
+one sweep: 13 sizes x 8 configurations per core (:func:`sweep_cells`),
+one independent :func:`run_cell` per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.allocator import TemporalSafetyMode
+from repro.analysis.reporting import parse_size, size_label
 from repro.machine import System
 from repro.pipeline import CoreKind
 
@@ -30,6 +34,8 @@ from repro.pipeline import CoreKind
 TOTAL_BYTES = 1 << 20
 #: The paper's allocation size sweep: 32 B to 128 KiB, doubling.
 ALLOCATION_SIZES = tuple(32 << i for i in range(13))
+#: The sizes Table 4 prints; Figures 5 and 6 plot them all.
+TABLE4_SIZES = (32, 1024, 32 * 1024, 128 * 1024)
 
 #: Configuration order as presented in Table 4.
 CONFIGURATIONS = (
@@ -95,21 +101,35 @@ def run_alloc_bench(
     )
 
 
-def table4(
-    core: CoreKind,
-    sizes: Iterable[int] = ALLOCATION_SIZES,
-    total_bytes: int = TOTAL_BYTES,
-    hwm_variants: Tuple[bool, ...] = (False, True),
-) -> List[AllocBenchResult]:
-    """All Table 4 cells for one core."""
-    results = []
-    for size in sizes:
-        for mode in CONFIGURATIONS:
-            for hwm in hwm_variants:
-                results.append(
-                    run_alloc_bench(core, mode, hwm, size, total_bytes)
-                )
-    return results
+def _total_for(size: int) -> int:
+    """Bytes allocated and freed by one sweep cell.
+
+    256 KiB below 2 KiB, the paper's 1 MiB from 2 KiB: the small sizes
+    make thousands of calls either way, and each size is normalised
+    against its own Baseline, so the overhead ratios do not depend on
+    the total.
+    """
+    return TOTAL_BYTES if size >= 2048 else TOTAL_BYTES // 4
+
+
+#: One sweep cell: (core, mode, hwm, allocation size).
+Cell = Tuple[CoreKind, TemporalSafetyMode, bool, int]
+
+
+def sweep_cells(core: CoreKind) -> List[Cell]:
+    """One core's 104 cells: every size x configuration, Table 4 order."""
+    return [
+        (core, mode, hwm, size)
+        for size in ALLOCATION_SIZES
+        for mode in CONFIGURATIONS
+        for hwm in (False, True)
+    ]
+
+
+def run_cell(cell: Cell) -> AllocBenchResult:
+    """Run one sweep cell (a pure function of the cell)."""
+    core, mode, hwm, size = cell
+    return run_alloc_bench(core, mode, hwm, size, _total_for(size))
 
 
 def overhead_series(
@@ -153,6 +173,18 @@ def format_table4(results: List[AllocBenchResult]) -> str:
         for label in labels:
             result = by_key.get((label, size))
             cells.append(f"{result.cycles:>14,}" if result else f"{'-':>14s}")
-        size_label = f"{size}B" if size < 1024 else f"{size // 1024}KiB"
-        lines.append(f"{size_label:>8s} | " + " | ".join(cells))
+        lines.append(f"{size_label(size):>8s} | " + " | ".join(cells))
     return "\n".join(lines)
+
+
+def read_table4(text: str) -> "Dict[Tuple[str, int], int]":
+    """Invert :func:`format_table4`: ``{(label, size): cycles}``."""
+    header, _, *lines = text.splitlines()
+    labels = [cell.strip() for cell in header.split("|")[1:]]
+    cycles = {}
+    for line in lines:
+        size, *cells = (cell.strip() for cell in line.split("|"))
+        for label, cell in zip(labels, cells):
+            if cell != "-":
+                cycles[(label, parse_size(size))] = int(cell.replace(",", ""))
+    return cycles

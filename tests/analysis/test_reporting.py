@@ -1,6 +1,15 @@
 """Tests for the text table/series renderers."""
 
-from repro.analysis.reporting import format_series, format_table, size_label
+import pytest
+
+from repro.analysis.reporting import (
+    format_series,
+    format_table,
+    parse_size,
+    read_series,
+    read_table,
+    size_label,
+)
 
 
 class TestFormatTable:
@@ -15,6 +24,15 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["a"], [])
         assert "a" in text
+
+    def test_read_inverts_render(self):
+        headers = ["core", "critical path", "avg power"]
+        rows = [
+            ("RV32E + PMP16", "alu-bypass (EX)", "0.0361 mW"),
+            ("security premium", "+28.0%", ""),
+            ("x", "1,024 B", "7"),
+        ]
+        assert read_table(format_table(headers, rows)) == (headers, rows)
 
 
 class TestFormatSeries:
@@ -32,9 +50,25 @@ class TestFormatSeries:
     def test_empty(self):
         assert "no data" in format_series({}, "t")
 
+    @pytest.mark.parametrize("series", [
+        {
+            "Baseline (S)": [(32, 0.819), (2048, 0.805)],
+            "Software": [(32, 1.046), (128 * 1024, 173.609)],
+        },
+        {},
+    ])
+    def test_read_inverts_render(self, series):
+        assert read_series(format_series(series, "Figure 5")) == series
+
 
 class TestSizeLabel:
     def test_labels(self):
         assert size_label(32) == "32B"
         assert size_label(2048) == "2KiB"
         assert size_label(1 << 20) == "1MiB"
+
+    def test_parse_inverts_label(self):
+        for nbytes in (32, 1000, 1024, 128 * 1024, 1 << 20):
+            assert parse_size(size_label(nbytes)) == nbytes
+        with pytest.raises(ValueError):
+            parse_size("12 parsecs")

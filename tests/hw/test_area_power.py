@@ -5,9 +5,11 @@ import pytest
 from repro.hw.area_power import (
     BASELINE_GATES,
     BASELINE_POWER_MW,
+    Table2Row,
     area_power_table,
     format_table2,
     ibex_variants,
+    read_table2,
     rv32e,
     rv32e_capabilities,
     rv32e_pmp16,
@@ -78,6 +80,14 @@ class TestTableRendering:
         text = format_table2()
         for name in PAPER:
             assert name in text
+
+    def test_read_inverts_render(self):
+        rows = [
+            Table2Row("RV32E", 26988, 1.0, 1.437, 1.0),
+            Table2Row("RV32E + PMP16", 55905, 2.07, 2.156, 1.5),
+            Table2Row("+ background revoker", 61422, 2.28, 2.76, 1.92),
+        ]
+        assert read_table2(format_table2(rows)) == rows
 
     def test_block_budgets_sum(self):
         for variant in ibex_variants():

@@ -98,8 +98,12 @@ class TestLoadGen:
         pipeline.establish_many(range(1, 9))
         gen = NetLoadGen(range(1, 9), seed=5, stream_fraction=1.0)
         drive(pipeline, gen, rounds=2)
-        assert pipeline.stats.dropped_backpressure > 0
-        assert pipeline.stats.packets_delivered == gen.expected_delivered
+        stats = pipeline.stats
+        assert stats.dropped_backpressure > 0
+        assert stats.packets_delivered == gen.expected_delivered
+        # Zero-copy: one allocation per accepted packet, none for a
+        # refused one.
+        assert stats.allocs == stats.packets_in - stats.dropped_backpressure
 
 
 class TestRunPoint:

@@ -11,7 +11,32 @@ import os
 
 import pytest
 
+from repro.analysis.tables import (
+    ATTRIBUTION,
+    BANNER,
+    BATCH_BOUND,
+    BATCH_WINDOW,
+    CLAIMS,
+    COMPILER_FIXES,
+    ENCODING,
+    ENERGY,
+    FIGURE,
+    GRANULE,
+    IOT,
+    NET_SCALE,
+    PEEPHOLE,
+    QUARANTINE,
+    TABLE2,
+    TABLE3,
+    TABLE4,
+    TEMPORAL_COST,
+    TIMING,
+    WORST_WINDOW,
+    read_sections,
+    tables_claims,
+)
 from repro.artifact import Inputs, render_json
+from repro.pipeline import CoreKind
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,8 +84,16 @@ def _dropped_workload(doc):
     del doc["workloads"]["coremark_1k"]
 
 
-def _dropped_module(text):
-    return text.replace("bench_table4_alloc", "", 1)
+def _edit(text, title, old, new):
+    """``text`` with one value in section ``title`` replaced, in place."""
+    body = read_sections(text)[title]
+    assert body.count(old) == 1 and len(old) == len(new), (title, old)
+    head, banner, rest = text.partition(f"{title}\n{BANNER}\n")
+    return head + banner + body.replace(old, new) + rest[len(body):]
+
+
+def _hardware_s_loses_at_128b(text):
+    return _edit(text, FIGURE[CoreKind.FLUTE], "128B   0.860x", "128B   1.001x")
 
 
 #: One tamper per entry; each breaks a claim, not just the bytes.
@@ -72,7 +105,7 @@ TAMPERS = {
     "net": _weak_zero_copy,
     "audit": _audit_violation,
     "profile": _lost_instruction,
-    "tables": _dropped_module,
+    "tables": _hardware_s_loses_at_128b,
 }
 
 
@@ -100,6 +133,108 @@ def test_claims_accept_committed_and_reject_tampered(entry, name):
     artifact = entry(name)
     assert artifact.claims(_committed(artifact)) == []
     assert artifact.claims(_tampered(artifact))
+
+
+FLUTE_FIGURE, IBEX_FIGURE = FIGURE[CoreKind.FLUTE], FIGURE[CoreKind.IBEX]
+FLUTE_TABLE4, IBEX_TABLE4 = TABLE4[CoreKind.FLUTE], TABLE4[CoreKind.IBEX]
+
+#: One one-value edit of the committed tables per claim, in CLAIMS
+#: order: (section, old text, new text).  Each breaks its claim.
+CLAIM_TAMPERS = [
+    # Ablations
+    (COMPILER_FIXES, "24,474              0.00%", "24,474              9.99%"),
+    (GRANULE, "32 B      1,024 B", "32 B      8,192 B"),
+    (GRANULE, "0.20%  9,216 B", "0.20%  1,000 B"),
+    (QUARANTINE, "4,465,570", "5,465,570"),
+    (BATCH_WINDOW, "7,168", "1,000"),
+    (BATCH_WINDOW, "7,168      229,376", "7,168      239,376"),
+    (PEEPHOLE, "22,215  25,510", "22,215  25,900"),
+    # Encoding precision
+    (ENCODING, "object     511 B", "object     510 B"),
+    (ENCODING, "0.128%", "0.528%"),
+    (ENCODING, "8.91%", "4.91%"),
+    (ENCODING, "0.128%", "0.328%"),
+    (ENCODING, "SRAM overhead     1.56%", "SRAM overhead     1.57%"),
+    # Figure 5
+    (FLUTE_FIGURE, "32B   1.046x", "32B 200.000x"),
+    (FLUTE_FIGURE, "128KiB 173.609x", "128KiB  19.000x"),
+    (FLUTE_FIGURE, "32B   1.017x", "32B   1.050x"),
+    (FLUTE_FIGURE, "128B   0.860x", "128B   1.001x"),
+    (FLUTE_FIGURE, "512B   0.978x", "512B   1.021x"),
+    (FLUTE_FIGURE, "2KiB   1.517x", "2KiB   0.999x"),
+    (FLUTE_FIGURE, "128KiB 144.523x", "128KiB   3.000x"),
+    # Figure 6
+    (IBEX_FIGURE, "32B   0.800x", "32B   1.000x"),
+    (IBEX_FIGURE, "64B   0.854x", "64B   1.000x"),
+    (IBEX_FIGURE, "128KiB 240.029x", "128KiB  19.000x"),
+    (IBEX_FIGURE, "32B   0.757x", "32B   1.150x"),
+    (IBEX_FIGURE, "128KiB 159.430x", "128KiB 158.000x"),
+    # End-to-end IoT application
+    (IOT, "CPU load        14.9%", "CPU load        35.0%"),
+    (IOT, "(10ms)         6000", "(10ms)         5999"),
+    (IOT, "received           64", "received            0"),
+    (IOT, "allocated        18000", "allocated            0"),
+    (ENERGY, "+28.0%", "+50.0%"),
+    (TEMPORAL_COST, "34.85%", "34.95%"),
+    (TEMPORAL_COST, "34.90%", "35.90%"),
+    (TEMPORAL_COST, "35.87%", "90.00%"),
+    # The receive chain at scale
+    (NET_SCALE, "10609                4948", "10609                5948"),
+    (NET_SCALE, "2.14x              5.0", "2.14x              3.0"),
+    (NET_SCALE, "1.0                24", "1.0                58"),
+    # The real-time bound
+    (WORST_WINDOW, "128KiB               2048                 448",
+     "128KiB               2048                 449"),
+    (BATCH_BOUND, "64                    448", "64                  1,800"),
+    (BATCH_BOUND, "256                  1,792", "256                  1,900"),
+    # Table 2
+    (TABLE2, "26988", "26989"),
+    (TABLE2, "2.760", "2.900"),
+    (TABLE2, "(2.07x)", "(2.09x)"),
+    (TABLE2, "(2.28x)", "(2.30x)"),
+    (TABLE2, "58431", "58700"),
+    (TABLE2, "61422", "61500"),
+    (TIMING, "revoker  alu-bypass (EX)     36", "revoker  alu-bypass (EX)     37"),
+    # Table 3
+    (TABLE3, "1.892        5.43\nflute", "1.892        9.43\nflute"),
+    (TABLE3, "1.892        5.43\n ibex", "1.892        5.44\n ibex"),
+    (TABLE3, "1.811       11.09", "1.811        8.09"),
+    (TABLE3, "1.624       17.14", "1.624       29.14"),
+    (TABLE3, "1.811       11.09", "1.811        5.43"),
+    (TABLE3, "1.811       11.09", "1.811       18.00"),
+    (ATTRIBUTION, "+17.7%        +29.1%", "+17.7%        +18.0%"),
+    # Table 4
+    (FLUTE_TABLE4, "6,651,906", "6,500,000"),
+    (FLUTE_TABLE4, "1,044,578", "  600,000"),
+    (FLUTE_TABLE4, "         5,914", "        60,000"),
+    (FLUTE_TABLE4, "5,349,378", "6,400,000"),
+    (IBEX_TABLE4, "1,564,005", "1,550,000"),
+]
+
+
+def test_every_tables_claim_has_a_tamper():
+    assert len(CLAIMS) == len(CLAIM_TAMPERS) == 57
+
+
+@pytest.mark.parametrize(
+    "claim, tamper", list(zip(CLAIMS, CLAIM_TAMPERS)),
+    ids=[f"claim{n:02d}" for n in range(1, len(CLAIMS) + 1)],
+)
+def test_tables_claim_rejects_its_tamper(entry, claim, tamper):
+    title = tamper[0]
+    assert title in claim.sections
+    tampered = _edit(_committed(entry("tables")), *tamper)
+    assert f"{title}: claim fails: {claim.statement}" in tables_claims(tampered)
+
+
+def test_tables_claims_name_a_missing_section(entry):
+    text = _committed(entry("tables")).replace(TIMING, "Timing", 1)
+    assert tables_claims(text) == [f"missing section: {TIMING}"]
+
+
+def test_unknown_module_rejected(artifacts, capsys):
+    assert artifacts.main(["check", "bench_does_not_exist"]) == 2
+    assert "no such artifact: bench_does_not_exist" in capsys.readouterr().err
 
 
 def test_fault_escape_prints_its_replay_command(entry):

@@ -1,34 +1,23 @@
 """The benchmark tables' reproducibility contract.
 
 The ``tables`` entry of the artifact table regenerates
-``bench_output_tables.txt`` by fanning benchmark modules out to worker
-subprocesses; the merged file must be byte-identical whether one
-worker ran or many — sorted module order, private per-worker table
-files, no timestamps, no wall-clock-dependent interleaving.  Uses the
-two fastest deterministic modules so the test stays cheap; ``make
-check`` compares the full suite with the committed file.
+``bench_output_tables.txt`` in process, spreading its measurements over
+worker processes; the rendered sections must be byte-identical whether
+one worker ran or many — fixed section order, results placed by task,
+no timestamps, no completion-order interleaving.  Uses two cheap
+sections so the test stays cheap; ``make check`` compares the whole
+file with the committed one.
 """
 
-import os
-
-from repro.analysis.reporting import merge_tables
-
-ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
-MODULES = ("bench_encoding_precision.py", "bench_table2_area_power.py")
+from repro.analysis.tables import BANNER, encoding_precision, render, table2
 
 
 def test_parallel_output_byte_identical_to_serial():
-    serial = merge_tables(ROOT, MODULES, jobs=1)
-    parallel = merge_tables(ROOT, MODULES, jobs=2)
+    sections = (encoding_precision, table2)
+    serial = render(sections, jobs=1)
+    parallel = render(sections, jobs=2)
     assert parallel == serial
-    # The tables actually made it into the file (not a trivially-empty
-    # equality) and the header is the deterministic one.
-    assert serial.startswith("Section-7 reproduced tables")
-    assert serial.count("=" * 72) >= 4
-
-
-def test_unknown_module_rejected(artifacts, capsys):
-    assert artifacts.main(["check", "bench_does_not_exist"]) == 2
-    assert "no such artifact: bench_does_not_exist" in capsys.readouterr().err
+    # The tables actually made it into the text (not a trivially-empty
+    # equality), in the order asked for.
+    assert serial.count(BANNER) == 6
+    assert serial.index("encoding precision") < serial.index("Table 2")

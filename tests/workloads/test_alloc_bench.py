@@ -1,7 +1,8 @@
 """Tests for the allocation microbenchmark harness (Table 4, Figs 5/6).
 
 These use a reduced total (64 KiB instead of 1 MiB) so the orderings
-can be asserted quickly; the full-size runs live in ``benchmarks/``.
+can be asserted quickly; the full sweep is the ``tables`` artifact
+(``repro.analysis.tables``).
 """
 
 import pytest
@@ -9,10 +10,15 @@ import pytest
 from repro.allocator import TemporalSafetyMode as M
 from repro.pipeline import CoreKind
 from repro.workloads.alloc_bench import (
+    ALLOCATION_SIZES,
+    CONFIGURATIONS,
+    TABLE4_SIZES,
+    AllocBenchResult,
     format_table4,
     overhead_series,
+    read_table4,
     run_alloc_bench,
-    table4,
+    sweep_cells,
 )
 
 TOTAL = 64 * 1024
@@ -94,8 +100,12 @@ class TestHarness:
         assert result.cycles_per_iteration > 0
 
     def test_table4_and_series(self):
-        results = table4(CoreKind.IBEX, sizes=(64, 4096), total_bytes=TOTAL)
-        assert len(results) == 2 * 4 * 2
+        results = [
+            run_alloc_bench(CoreKind.IBEX, mode, hwm, size, TOTAL)
+            for size in (64, 4096)
+            for mode in CONFIGURATIONS
+            for hwm in (False, True)
+        ]
         series = overhead_series(results)
         assert "Baseline" in series and "Software (S)" in series
         for points in series.values():
@@ -104,3 +114,23 @@ class TestHarness:
         assert baseline[64] == pytest.approx(1.0)
         text = format_table4(results)
         assert "64B" in text and "4KiB" in text
+
+    def test_sweep_is_every_size_and_configuration_once(self):
+        cells = sweep_cells(CoreKind.FLUTE)
+        assert len(cells) == len(set(cells)) == 13 * 8
+        assert {size for *_, size in cells} == set(ALLOCATION_SIZES)
+        assert set(TABLE4_SIZES) <= set(ALLOCATION_SIZES)
+
+    def test_read_table4_inverts_render(self):
+        results = [
+            AllocBenchResult(CoreKind.FLUTE, mode, hwm, size, 1, cycles, 0)
+            for cycles, (size, mode, hwm) in enumerate(
+                ((size, mode, hwm)
+                 for size in (32, 1024, 128 * 1024)
+                 for mode in CONFIGURATIONS
+                 for hwm in (False, True)),
+                start=999_990,
+            )
+        ]
+        expected = {(r.label, r.allocation_size): r.cycles for r in results}
+        assert read_table4(format_table4(results)) == expected

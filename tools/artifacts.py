@@ -10,7 +10,8 @@ Usage (from the repository root)::
 Each :data:`ARTIFACTS` entry names one committed file, the producer
 that regenerates it, and the absolute claims the file must satisfy
 whatever its bytes (zero escaped injections, zero-copy at least 2x
-cheaper at scale, every SLO objective met, ...).
+cheaper at scale, every SLO objective met, the paper's shapes in the
+Section-7 tables, ...).
 
 ``check`` (every entry, or the named ones) reads the committed file,
 checks its claims, regenerates it and compares the bytes.  On drift it
@@ -47,12 +48,12 @@ from typing import Callable, List, Optional
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.analysis.reporting import bench_modules, bench_tables  # noqa: E402
 from repro.analysis.simspeed import (  # noqa: E402
     REQUIRED_WORKLOADS,
     check_speed,
     speed_report,
 )
+from repro.analysis.tables import bench_tables, tables_claims  # noqa: E402
 from repro.artifact import Inputs, render_json  # noqa: E402
 from repro.faultinject.campaign import campaign_document  # noqa: E402
 from repro.fleet import fleet_report, slo_document  # noqa: E402
@@ -256,22 +257,6 @@ def profile_diagnosis(committed: dict, fresh: dict) -> Lines:
     return diff_hot(committed, fresh, PROFILE_TOP) or [
         f"(no top-{PROFILE_TOP} churn; drift is in the cold tail or totals)"
     ]
-
-
-def tables_claims(text: str) -> Lines:
-    """Every Section-7 benchmark module's tables are in the file."""
-    listed = next(
-        (line for line in text.splitlines() if line.startswith("Modules: ")),
-        "Modules: ",
-    )[len("Modules: "):].split(", ")
-    missing = [
-        module[: -len(".py")]
-        for module in bench_modules(os.path.join(ROOT, "benchmarks"))
-        if module[: -len(".py")] not in listed
-    ]
-    if missing:
-        return [f"tables miss benchmark module(s): {', '.join(missing)}"]
-    return []
 
 
 def simspeed_claims(doc: dict) -> Lines:

@@ -55,6 +55,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DETERMINISTIC_PATHS = [
     "src/repro/artifact.py",
     "src/repro/analysis/reporting.py",
+    "src/repro/analysis/tables.py",
     "src/repro/fleet/device.py",
     "src/repro/fleet/merge.py",
     "src/repro/fleet/plan.py",
@@ -70,6 +71,7 @@ DETERMINISTIC_PATHS = [
     "src/repro/obs/workload.py",
     "src/repro/rtos/audit.py",
     "src/repro/verify/*.py",
+    "src/repro/workloads/alloc_bench.py",
 ]
 
 SUPPRESS_MARKER = "det: allow"
