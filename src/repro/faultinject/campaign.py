@@ -8,7 +8,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .engine import FaultInjector
 from .outcomes import CampaignResult, FaultClass
@@ -24,49 +24,17 @@ def run_campaign(
     total: int,
     seed: int = DEFAULT_SEED,
     classes: Sequence[FaultClass] = tuple(FaultClass),
-    progress: Optional[Callable[[int, int], None]] = None,
-    registry=None,
 ) -> CampaignResult:
-    """Run ``total`` injections spread round-robin over ``classes``.
-
-    ``progress`` (if given) is called with ``(done, total)`` every 500
-    injections — campaign runs are long enough to want a heartbeat.
-
-    ``registry`` (if given) is a
-    :class:`~repro.obs.registry.MetricsRegistry`; the campaign counts
-    injections by fault class and outcomes by verdict into labelled
-    counters, so campaign progress shows up in the same snapshot/diff
-    stream as the rest of the system.
-    """
+    """Run ``total`` injections spread round-robin over ``classes``."""
     if total <= 0:
         raise ValueError("campaign needs a positive injection count")
     if not classes:
         raise ValueError("campaign needs at least one fault class")
-    injections = outcomes = None
-    if registry is not None:
-        injections = registry.counter(
-            "faultinject.injections",
-            "injections by fault class",
-            labels=("fault_class",),
-            replace=True,
-        )
-        outcomes = registry.counter(
-            "faultinject.outcomes",
-            "injection outcomes by verdict",
-            labels=("outcome",),
-            replace=True,
-        )
     injector = FaultInjector(seed)
     result = CampaignResult(seed=seed)
     for index in range(total):
         fault_class = classes[index % len(classes)]
-        record = injector.inject(index, fault_class)
-        result.records.append(record)
-        if injections is not None:
-            injections.labels(fault_class=fault_class.value).inc()
-            outcomes.labels(outcome=record.outcome.value).inc()
-        if progress is not None and (index + 1) % 500 == 0:
-            progress(index + 1, total)
+        result.records.append(injector.inject(index, fault_class))
     return result
 
 

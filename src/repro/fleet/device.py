@@ -11,9 +11,9 @@ four phases, every one clocked in simulated cycles (never wall time):
    :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` with the
    plan's execution tier.  Cycle counts are bit-identical across
    interpreter / block-cache / trace-JIT (the differential suite's
-   guarantee), so tier promotion — which may differ between a serial
-   run and a sharded one as the in-process code cache warms — can
-   never leak into the report.
+   guarantee), so tier promotion — which may differ from one device
+   to the next as the in-process code cache warms — can never leak
+   into the report.
 3. **Revocation** — frees push chunks through quarantine, then a
    forced sweep measures the revoker's share of the device's cycles
    (the duty-cycle column).
@@ -31,8 +31,8 @@ the outcome tally; the fleet-level acceptance criterion is that the
 summed ``escaped`` count is zero.
 
 Everything is a pure function of ``(fleet_seed, device_id, knobs)``,
-which is what makes shard placement, worker count, retries and resumes
-invisible in the merged report.
+which is what makes shard placement and run order invisible in the
+merged report.
 """
 
 from __future__ import annotations

@@ -1,20 +1,15 @@
-"""The deterministic fleet merge: same bytes for any execution history.
+"""The deterministic fleet merge: same bytes for any result order.
 
-Workers may finish in any order, but the artifact is assembled in
-sorted key order from per-shard results, carries no timestamps, and
-rounds every float the same way — so the merged ``BENCH_fleet.json``
-is byte-identical whether the fleet ran serially, on eight workers, or
-was killed and resumed.
-
-Graceful degradation: a quarantined shard's devices are *listed* in
-``degraded`` (shard id, device ids, reason) and excluded from the
-aggregates — a partial fleet produces a complete, honest report, never
-a silently shorter device table.
+The artifact is assembled in sorted key order from per-shard results,
+carries no timestamps, and rounds every float the same way — so the
+merged ``BENCH_fleet.json`` is byte-identical whatever order the shard
+results arrive in.  A result map that misses a planned shard is
+refused, never merged into a silently shorter device table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.artifact import Inputs
 from repro.obs.pipeline import fleet_rollup
@@ -36,34 +31,21 @@ class MergeError(Exception):
     """Shard results that cannot be merged into one report."""
 
 
-def merge_report(
-    plan: FleetPlan,
-    shard_results: Dict[int, dict],
-    degraded: Optional[Dict[int, str]] = None,
-) -> dict:
+def merge_report(plan: FleetPlan, shard_results: Dict[int, dict]) -> dict:
     """Fold per-shard results into the fleet report dict.
 
-    ``shard_results`` maps shard id -> the worker's result;
-    ``degraded`` maps quarantined shard id -> reason.  Every planned
-    shard must be accounted for in exactly one of the two — a shard
-    missing from both would mean results were silently dropped, which
-    is the one failure mode this layer exists to prevent.
+    ``shard_results`` maps shard id -> :func:`~repro.fleet.shard.run_shard`
+    result.  Every planned shard must be present — a missing one would
+    mean results were silently dropped, which is the one failure mode
+    this layer exists to prevent.
     """
-    degraded = degraded or {}
-    planned = plan.shards()
     missing = [
-        s.shard_id
-        for s in planned
-        if s.shard_id not in shard_results and s.shard_id not in degraded
+        s.shard_id for s in plan.shards() if s.shard_id not in shard_results
     ]
     if missing:
         raise MergeError(
-            f"shards {missing} neither completed nor quarantined — refusing "
-            "to merge a silently-partial fleet"
+            f"shards {missing} missing — refusing to merge a partial fleet"
         )
-    both = sorted(set(shard_results) & set(degraded))
-    if both:
-        raise MergeError(f"shards {both} both completed and quarantined")
 
     devices = []
     all_latencies = []
@@ -76,21 +58,11 @@ def merge_report(
             )
         for device in result["devices"]:
             entry = dict(device)
-            # Raw samples feed the fleet-wide percentiles, then stay in
-            # the checkpoint files — the report keeps the summaries.
+            # Raw samples feed the fleet-wide percentiles; the report
+            # keeps only the summaries.
             all_latencies.extend(entry.pop("latency_samples", ()))
             devices.append(entry)
     devices.sort(key=lambda d: d["device"])
-
-    shard_index = {s.shard_id: s for s in planned}
-    degraded_entries = [
-        {
-            "shard": shard_id,
-            "devices": list(shard_index[shard_id].device_ids),
-            "reason": reason,
-        }
-        for shard_id, reason in sorted(degraded.items())
-    ]
 
     total_cycles = sum(d["cycles"] for d in devices)
     total_calls = sum(d["throughput"]["calls"] for d in devices)
@@ -103,9 +75,12 @@ def merge_report(
         for outcome, count in d["faults"]["outcomes"].items():
             outcome_totals[outcome] = outcome_totals.get(outcome, 0) + count
 
+    # ``devices_degraded`` and ``degraded`` are always empty: every
+    # planned shard is merged or the merge is refused.  They stay so
+    # the committed report keeps its schema.
     aggregates = {
         "devices_reporting": len(devices),
-        "devices_degraded": sum(len(e["devices"]) for e in degraded_entries),
+        "devices_degraded": 0,
         "total_cycles": total_cycles,
         "throughput": {
             "calls": total_calls,
@@ -130,18 +105,18 @@ def merge_report(
         "fingerprint": plan.fingerprint(),
         "aggregates": aggregates,
         "devices": devices,
-        "degraded": degraded_entries,
+        "degraded": [],
     }
 
 
 def fleet_report(inputs: Inputs) -> dict:
     """The committed ``BENCH_fleet.json``: its own plan, rerun."""
     plan = committed_plan(inputs.committed)
-    return merge_report(plan, plan_results(plan, inputs), {})
+    return merge_report(plan, plan_results(plan, inputs))
 
 
 def slo_document(inputs: Inputs) -> dict:
     """The committed ``OBS_slo.json``: the SLO policy over its plan."""
     plan = committed_plan(inputs.committed)
-    aggregate = fleet_rollup(plan, plan_results(plan, inputs), {})
+    aggregate = fleet_rollup(plan, plan_results(plan, inputs))
     return slo_report(plan, aggregate, load_policy(inputs.load(SLO_POLICY)))

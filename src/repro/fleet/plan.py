@@ -1,18 +1,18 @@
-"""The fleet plan: which devices exist, and who runs them.
+"""The fleet plan: which devices exist, and how they are sharded.
 
 A plan is pure data — device count, shard size, the fleet seed and the
 per-device workload knobs — and everything else is derived from it
 deterministically: per-device seeds, shard assignment, and the
-fingerprint that pins a checkpoint directory to exactly one plan (a
-``--resume`` against a different plan must be refused, not silently
-merged).
+fingerprint that both committed fleet reports (``BENCH_fleet.json``
+and ``OBS_slo.json``) record as the identity of the plan they were
+made from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 #: Mixes the device index into the fleet seed (Weyl constant — any odd
@@ -27,7 +27,7 @@ def device_seed(fleet_seed: int, device_id: int) -> int:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One worker's slice of the fleet."""
+    """One contiguous slice of the fleet's devices."""
 
     shard_id: int
     device_ids: "tuple[int, ...]"
@@ -35,27 +35,6 @@ class ShardSpec:
     injections_per_device: int
     alloc_ops: int
     trace_jit: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "device_ids": list(self.device_ids),
-            "fleet_seed": self.fleet_seed,
-            "injections_per_device": self.injections_per_device,
-            "alloc_ops": self.alloc_ops,
-            "trace_jit": self.trace_jit,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ShardSpec":
-        return ShardSpec(
-            shard_id=data["shard_id"],
-            device_ids=tuple(data["device_ids"]),
-            fleet_seed=data["fleet_seed"],
-            injections_per_device=data["injections_per_device"],
-            alloc_ops=data["alloc_ops"],
-            trace_jit=data["trace_jit"],
-        )
 
 
 @dataclass(frozen=True)
@@ -78,7 +57,7 @@ class FleetPlan:
     # ------------------------------------------------------------------
 
     def shards(self) -> List[ShardSpec]:
-        """Contiguous device slices, one ShardSpec per worker launch."""
+        """Contiguous device slices, in shard-id order."""
         out: List[ShardSpec] = []
         for shard_id, lo in enumerate(range(0, self.devices, self.shard_size)):
             ids = tuple(range(lo, min(lo + self.shard_size, self.devices)))
@@ -116,7 +95,7 @@ class FleetPlan:
         )
 
     def fingerprint(self) -> str:
-        """A stable digest of the plan (checkpoint-compatibility key)."""
+        """A stable digest of the plan: the identity the reports record."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

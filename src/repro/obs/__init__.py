@@ -31,9 +31,7 @@ from .export import (
     write_fleet_trace,
     write_trace,
 )
-from .fleet import FleetHealthStats, health_metric_group, register_fleet_health
 from .pipeline import (
-    FleetAggregator,
     device_telemetry,
     empty_telemetry,
     fleet_rollup,
@@ -65,8 +63,6 @@ __all__ = [
     "Counter",
     "CycleAttributor",
     "DEFAULT_RING_CAPACITY",
-    "FleetAggregator",
-    "FleetHealthStats",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -84,12 +80,10 @@ __all__ = [
     "export_trace",
     "fleet_rollup",
     "fleet_trace_events",
-    "health_metric_group",
     "hot_from_dict",
     "merge_profile_dicts",
     "merge_telemetry",
     "profile_to_dict",
-    "register_fleet_health",
     "render_attribution",
     "render_hot_pcs",
     "shard_telemetry",

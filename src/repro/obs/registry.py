@@ -93,10 +93,6 @@ class Counter:
             child.value += other._children[key].value
         return self
 
-    def to_delta(self, earlier) -> "int | dict":
-        """This counter's collected value minus an earlier ``collect()``."""
-        return delta_values(self.collect(), earlier)
-
 
 class Gauge:
     """A value that can go up or down — or be computed on demand."""
@@ -139,9 +135,6 @@ class Gauge:
             raise ValueError(f"gauge {self.name} is callback-backed")
         self.value += other.collect()
         return self
-
-    def to_delta(self, earlier):
-        return delta_values(self.collect(), earlier)
 
 
 class Histogram:
@@ -199,9 +192,6 @@ class Histogram:
         self.sum += other.sum
         return self
 
-    def to_delta(self, earlier):
-        return delta_values(self.collect(), earlier)
-
 
 def _harvest(stats) -> dict:
     """The numeric fields of a stats object, as a plain dict.
@@ -258,42 +248,6 @@ def _merge_single(value):
     raise ValueError(f"cannot merge value of kind {type(value).__name__}")
 
 
-def delta_values(now, before):
-    """``now - before`` over the same JSON shapes ``merge_values`` folds.
-
-    The inverse used for streaming: a worker ships deltas between
-    consecutive snapshots, and ``merge_values(before, delta) == now``
-    for counter-like (monotone) values.  Sketch leaves are shipped
-    whole (bin counts only grow, and merging an older sketch into a
-    newer one is not meaningful), so their delta *is* ``now``.
-    """
-    if is_sketch_dict(now):
-        return now
-    if isinstance(now, dict):
-        out = {}
-        for key in sorted(now):
-            prior = before.get(key) if isinstance(before, dict) else None
-            if isinstance(now[key], dict):
-                out[key] = delta_values(now[key], prior if prior is not None else {})
-            elif isinstance(now[key], _NUMERIC):
-                out[key] = now[key] - (prior if isinstance(prior, _NUMERIC) else 0)
-        return out
-    if isinstance(now, _NUMERIC):
-        return now - (before if isinstance(before, _NUMERIC) else 0)
-    raise ValueError(f"cannot delta value of kind {type(now).__name__}")
-
-
-def harvest_stats(stats) -> dict:
-    """Public face of the source harvest (numeric fields as a dict).
-
-    Consumers that emit a stats object *outside* a registry — e.g. the
-    fleet campaign folding :class:`~repro.obs.fleet.FleetHealthStats`
-    into its merged telemetry report — use this so there is exactly one
-    definition of "the metric view of a stats object".
-    """
-    return _harvest(stats)
-
-
 class MetricsSnapshot:
     """One point-in-time reading of a registry: a nested plain dict."""
 
@@ -326,10 +280,6 @@ class MetricsSnapshot:
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Fold another snapshot into a new one (fleet-fold algebra)."""
         return MetricsSnapshot(merge_values(self.values, other.values))
-
-    def to_delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Alias for :meth:`diff` — the streaming wire format's verb."""
-        return self.diff(earlier)
 
     def diff(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """Numeric deltas ``self - earlier``, same nested shape.

@@ -2,10 +2,10 @@
 
 The fleet pipeline needs latency percentiles that *merge*: any set of
 per-device summaries must fold into one fleet summary that is
-byte-identical for every shard split, worker count, and resume
-history.  Exact percentiles do not have that property without shipping
-every raw sample; adaptive sketches (t-digest, GK) do not have it
-either, because their centroids depend on arrival order.
+byte-identical for every shard split and merge order.  Exact
+percentiles do not have that property without shipping every raw
+sample; adaptive sketches (t-digest, GK) do not have it either,
+because their centroids depend on arrival order.
 
 This sketch takes the HDR-histogram route instead: the bin layout is
 **fixed ahead of time** — every non-negative integer value maps to one

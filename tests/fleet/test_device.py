@@ -47,15 +47,8 @@ class TestSampleShape:
     def test_shard_concatenates_devices_in_order(self):
         plan = FleetPlan(devices=2, shard_size=2, injections_per_device=1,
                          alloc_ops=4)
-        beats = []
-        result = run_shard(
-            plan.shards()[0],
-            heartbeat=lambda device_id, done, telemetry: beats.append(
-                (device_id, done, telemetry["counters"]["devices"])
-            ),
-        )
+        result = run_shard(plan.shards()[0])
         assert [d["device"] for d in result["devices"]] == [0, 1]
-        assert beats == [(0, 1, 1), (1, 2, 2)]
         assert result["fleet_seed"] == plan.seed
 
 

@@ -24,57 +24,36 @@ class TestByteStability:
         forward = shard_results()
         backward = dict(sorted(forward.items(), reverse=True))
         assert render_json(
-            merge_report(PLAN, forward, {})
-        ) == render_json(merge_report(PLAN, backward, {}))
+            merge_report(PLAN, forward)
+        ) == render_json(merge_report(PLAN, backward))
 
     def test_devices_sorted_and_samples_stripped(self):
-        report = merge_report(PLAN, shard_results(), {})
+        report = merge_report(PLAN, shard_results())
         ids = [d["device"] for d in report["devices"]]
         assert ids == sorted(ids) == list(range(4))
         assert all("latency_samples" not in d for d in report["devices"])
 
     def test_fleet_latency_pools_every_device_sample(self):
-        report = merge_report(PLAN, shard_results(), {})
+        report = merge_report(PLAN, shard_results())
         per_device = sum(d["latency"]["count"] for d in report["devices"])
         assert report["aggregates"]["latency"]["count"] == per_device
 
     def test_report_names_plan_and_fingerprint(self):
-        report = merge_report(PLAN, shard_results(), {})
+        report = merge_report(PLAN, shard_results())
         assert report["plan"] == PLAN.to_dict()
         assert report["fingerprint"] == PLAN.fingerprint()
         assert render_json(report).endswith("\n")
 
 
 class TestDegradation:
-    def test_quarantined_shard_is_annotated_not_dropped(self):
-        results = shard_results()
-        lost = results.pop(1)
-        report = merge_report(PLAN, results, {1: "quarantined after 3 attempts"})
-        (entry,) = report["degraded"]
-        assert entry["shard"] == 1
-        assert entry["devices"] == [2, 3]
-        assert "quarantined" in entry["reason"]
-        assert report["aggregates"]["devices_reporting"] == 2
-        assert report["aggregates"]["devices_degraded"] == 2
-        # The degraded devices' numbers are really excluded.
-        full = merge_report(PLAN, shard_results(), {})
-        lost_cycles = sum(d["cycles"] for d in lost["devices"])
-        assert report["aggregates"]["total_cycles"] == (
-            full["aggregates"]["total_cycles"] - lost_cycles
-        )
-
     def test_missing_shard_refused(self):
         results = shard_results()
         results.pop(0)
         with pytest.raises(MergeError, match=r"shards \[0\]"):
-            merge_report(PLAN, results, {})
-
-    def test_completed_and_quarantined_refused(self):
-        with pytest.raises(MergeError, match="both completed and quarantined"):
-            merge_report(PLAN, shard_results(), {0: "but it also finished"})
+            merge_report(PLAN, results)
 
     def test_seed_mismatch_refused(self):
         results = shard_results()
         results[0] = dict(results[0], fleet_seed=999)
         with pytest.raises(MergeError, match="seed"):
-            merge_report(PLAN, results, {})
+            merge_report(PLAN, results)

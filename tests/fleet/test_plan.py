@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fleet import FleetPlan
-from repro.fleet.plan import ShardSpec, device_seed
+from repro.fleet.plan import device_seed
 
 
 class TestDeviceSeed:
@@ -39,10 +39,6 @@ class TestShards:
             assert shard.injections_per_device == 5
             assert shard.alloc_ops == 7
             assert shard.trace_jit is False
-
-    def test_spec_round_trips_through_json_dict(self):
-        spec = FleetPlan(devices=3, shard_size=2).shards()[1]
-        assert ShardSpec.from_dict(spec.to_dict()) == spec
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Merge/delta semantics on registry metrics and snapshots.
+"""Merge semantics on registry metrics and snapshots.
 
 The fleet-fold algebra's laws — commutative, associative, ``{}``/0 as
 identity — are what make the merged aggregate independent of shard
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, MetricsSnapshot
-from repro.obs.registry import delta_values, merge_values
+from repro.obs.registry import merge_values
 from repro.obs.sketch import QuantileSketch
 
 def _sketch_dict(values):
@@ -108,19 +108,6 @@ class TestMergeLaws:
             merge_values({"x": _sketch_dict([1])}, {"x": 3})
 
 
-class TestDeltas:
-    def test_numeric_delta_recombines(self):
-        before = {"calls": 3, "nested": {"cycles": 10}}
-        now = {"calls": 5, "nested": {"cycles": 25}}
-        delta = delta_values(now, before)
-        assert delta == {"calls": 2, "nested": {"cycles": 15}}
-        assert merge_values(before, delta) == now
-
-    def test_sketch_delta_is_the_whole_sketch(self):
-        now = _sketch_dict([1, 2, 900])
-        assert delta_values(now, _sketch_dict([1])) == now
-
-
 class TestMetricMerge:
     def test_counter_merge_adds_values_and_children(self):
         a = Counter("c", labels=("kind",))
@@ -134,11 +121,6 @@ class TestMetricMerge:
     def test_counter_merge_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             Counter("c", labels=("kind",)).merge(Counter("c"))
-
-    def test_counter_to_delta(self):
-        c = Counter("c")
-        c.inc(9)
-        assert c.to_delta(4) == 5
 
     def test_gauge_merge_is_additive(self):
         a, b = Gauge("g"), Gauge("g")
@@ -172,4 +154,4 @@ class TestSnapshotMerge:
         merged = a.merge(b)
         assert merged["calls"] == 5
         assert merged["lat"]["count"] == 2
-        assert a.to_delta(MetricsSnapshot({"calls": 1}))["calls"] == 1
+        assert a.diff(MetricsSnapshot({"calls": 1}))["calls"] == 1

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.artifact import Inputs
-from repro.fleet import CheckpointStore, FleetPlan, run_shard
+from repro.fleet import FleetPlan
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -89,34 +89,6 @@ class TestGate:
         os.unlink(os.path.join(inputs.root, "OBS_slo.json"))
         assert artifacts.check(entry("slo"), inputs) == 2
         assert "make refresh NAME=slo" in capsys.readouterr().err
-
-    def test_results_from_checkpoints(
-        self, artifacts, entry, small_baseline, tmp_path
-    ):
-        """Shard results harvested from a checkpoint dir gate
-        identically to a fresh in-process rebuild."""
-        store = CheckpointStore(str(tmp_path / "ckpt"))
-        store.bind(SMALL, resume=False)
-        for spec in SMALL.shards():
-            store.commit(spec.shard_id, run_shard(spec))
-        inputs = Inputs(
-            root=small_baseline.root, results_from=str(tmp_path / "ckpt")
-        )
-        assert artifacts.check(entry("slo"), inputs) == 0
-
-    def test_incomplete_checkpoints_are_refused(
-        self, artifacts, entry, small_baseline, tmp_path, capsys
-    ):
-        store = CheckpointStore(str(tmp_path / "ckpt"))
-        store.bind(SMALL, resume=False)
-        store.commit(0, run_shard(SMALL.shards()[0]))  # shard 1 missing
-        inputs = Inputs(
-            root=small_baseline.root, results_from=str(tmp_path / "ckpt")
-        )
-        assert artifacts.check(entry("slo"), inputs) == 1
-        err = capsys.readouterr().err
-        assert "missing shards [1]" in err
-        assert "--resume" in err
 
 
 class TestCommittedArtifacts:

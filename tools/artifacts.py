@@ -4,7 +4,6 @@
 Usage (from the repository root)::
 
     PYTHONPATH=src python tools/artifacts.py check [NAME ...] [--jobs N]
-        [--results-from DIR]
     PYTHONPATH=src python tools/artifacts.py refresh NAME ... [--jobs N]
 
 Each :data:`ARTIFACTS` entry names one committed file, the producer
@@ -24,11 +23,6 @@ the committed time, scaled by a host-speed probe, instead.
 
 ``refresh`` rewrites the named files after an intentional change and
 reports any claim the new file breaks.
-
-``--results-from DIR`` takes the fleet's shard results from a
-checkpoint directory (say, a supervised fleet run that was interrupted
-and resumed) instead of rerunning them; the ``fleet`` and ``slo``
-entries fold them.
 
 Exit status: 0 all green; 1 a claim failed or a file drifted; 2 a
 committed file is missing or unreadable, or a name is unknown.
@@ -128,7 +122,7 @@ def fault_diagnosis(committed: dict, fresh: dict) -> Lines:
 
 
 def fleet_claims(doc: dict) -> Lines:
-    """Zero escapes, and a report from a run that lost no shard."""
+    """Zero escapes, and a report that covers every planned device."""
     problems = []
     escaped = doc.get("aggregates", {}).get("faults", {}).get("escaped")
     if escaped != 0:
@@ -136,27 +130,34 @@ def fleet_claims(doc: dict) -> Lines:
     if doc.get("degraded"):
         shards = [entry.get("shard") for entry in doc["degraded"]]
         problems.append(
-            f"made by a degraded run (quarantined shards {shards}); rerun "
-            "the fleet cleanly before committing"
+            f"lists degraded shards {shards}; a committed report must "
+            "cover every planned device"
         )
     return problems
 
 
 def fleet_diagnosis(committed: dict, fresh: dict) -> Lines:
-    """The command that reruns the first diverging device alone."""
+    """The command that reruns the first diverging device alone.
+
+    It prints the device's entry as the report records it: the raw
+    latency samples, which only feed the fleet-wide percentiles, are
+    dropped.
+    """
     plan = fresh["plan"]
     for before, now in zip(committed.get("devices", []), fresh["devices"]):
         if before != now:
             spec = (
                 f"DeviceSpec({now['device']}, {plan['seed']}, "
                 f"injections={plan['injections_per_device']}, "
-                f"alloc_ops={plan['alloc_ops']})"
+                f"alloc_ops={plan['alloc_ops']}, "
+                f"trace_jit={plan['trace_jit']})"
             )
             return [
                 "single-device reproduction: PYTHONPATH=src python -c "
                 "\"from repro.artifact import render_json; "
                 "from repro.fleet import DeviceSpec, run_device; "
-                f"print(render_json(run_device({spec})))\""
+                f"d = run_device({spec}); d.pop('latency_samples'); "
+                "print(render_json(d))\""
             ]
     return []
 
@@ -428,11 +429,6 @@ def main(argv=None) -> int:
         help="worker processes for parallel producers; the bytes do not "
         "depend on it (default: CPU count)",
     )
-    parser.add_argument(
-        "--results-from", metavar="DIR",
-        help="fold fleet shard results from this checkpoint directory "
-        "instead of rerunning them (fleet, slo)",
-    )
     args = parser.parse_args(argv)
 
     by_name = {entry.name: entry for entry in ARTIFACTS}
@@ -452,9 +448,7 @@ def main(argv=None) -> int:
         return 2
 
     entries = [by_name[name] for name in args.names] or list(ARTIFACTS)
-    inputs = Inputs(
-        root=ROOT, jobs=max(1, args.jobs), results_from=args.results_from
-    )
+    inputs = Inputs(root=ROOT, jobs=max(1, args.jobs))
     action = check if args.command == "check" else refresh
     start = time.perf_counter()
     status = max(action(entry, inputs) for entry in entries)

@@ -27,11 +27,10 @@ review time, in every module that holds a producer or feeds one:
   ``Path.iterdir``/``Path.glob`` results used without an immediate
   ``sorted(...)``: filesystem enumeration order is unspecified.
 
-Supervision code (timeouts, backoff, worker polling) and the gate loop
-itself (its per-artifact timing line) legitimately read the clock, as
-does the host-timed ``BENCH_simspeed.json`` producer, so the lint
-applies only to the declared deterministic-path modules below, not the
-whole tree.  A true positive that is actually
+The gate loop itself (its per-artifact timing line) legitimately reads
+the clock, as does the host-timed ``BENCH_simspeed.json`` producer, so
+the lint applies only to the declared deterministic-path modules below,
+not the whole tree.  A true positive that is actually
 fine (e.g. a seeded draw the lint cannot see) can be suppressed by
 putting ``det: allow`` in a comment on the offending line.
 
@@ -50,17 +49,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The modules whose output must be byte-reproducible.  Every module
 #: holding an ``ARTIFACTS`` producer, and everything feeding one,
-#: belongs here; supervision and wall-time measurement code (procutil,
-#: supervisor, simspeed, the gate loop) does not.
+#: belongs here; wall-time measurement code (simspeed, the gate loop)
+#: does not.
 DETERMINISTIC_PATHS = [
     "src/repro/artifact.py",
     "src/repro/analysis/reporting.py",
     "src/repro/analysis/tables.py",
-    "src/repro/fleet/device.py",
-    "src/repro/fleet/merge.py",
-    "src/repro/fleet/plan.py",
-    "src/repro/fleet/shard.py",
     "src/repro/faultinject/*.py",
+    "src/repro/fleet/*.py",
     "src/repro/iot/*.py",
     "src/repro/obs/export.py",
     "src/repro/obs/pipeline.py",
