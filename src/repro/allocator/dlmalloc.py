@@ -99,8 +99,11 @@ class DlMalloc:
         # End-address index: the O(1) equivalent of dlmalloc's prev-size
         # boundary tag (chunk whose end is X, if any).
         self._by_end: Dict[int, Chunk] = {}
-        # Exact-fit small bins: payload size -> LIFO list of chunks.
+        # Exact-fit small bins: chunk size -> LIFO list of chunks.
         self._small_bins: Dict[int, List[Chunk]] = {}
+        # dlmalloc's smallmap: bit ``size // ALIGNMENT`` is set exactly
+        # when the small bin for chunk size ``size`` is non-empty.
+        self._smallmap = 0
         # Large chunks: a single size-sorted list (dlmalloc's tree bins,
         # collapsed — search cost is still counted per visited node).
         self._large_bin: List[Chunk] = []
@@ -183,17 +186,23 @@ class DlMalloc:
     def _take_small(self, needed: int) -> Optional[Chunk]:
         if needed > SMALL_BIN_MAX + HEADER_SIZE:
             return None
-        # Exact bin first, then the next sizes up (dlmalloc's smallmap scan).
-        size = needed
-        while size <= SMALL_BIN_MAX + HEADER_SIZE:
-            self.ops.list_ops += 1
-            bin_ = self._small_bins.get(size)
-            if bin_:
-                chunk = bin_.pop()
-                self.ops.list_ops += 1
-                return chunk
-            size += ALIGNMENT
-        return None
+        # Exact bin first, then the next sizes up: the lowest set bit of
+        # the smallmap at or above the request names the bin.  The ops
+        # still count a bin-by-bin scan: one list op per bin position
+        # visited, and one for the unlink.
+        first = needed // ALIGNMENT
+        candidates = self._smallmap >> first
+        if not candidates:
+            largest = SMALL_BIN_MAX + HEADER_SIZE
+            self.ops.list_ops += (largest - needed) // ALIGNMENT + 1
+            return None
+        skipped = (candidates & -candidates).bit_length() - 1
+        bin_ = self._small_bins[needed + skipped * ALIGNMENT]
+        chunk = bin_.pop()
+        if not bin_:
+            self._smallmap &= ~(1 << (first + skipped))
+        self.ops.list_ops += skipped + 2
+        return chunk
 
     def _take_large(self, needed: int) -> Optional[Chunk]:
         # Best fit over the sorted large list.
@@ -255,6 +264,7 @@ class DlMalloc:
         self.ops.list_ops += 1
         if chunk.size <= SMALL_BIN_MAX + HEADER_SIZE:
             self._small_bins.setdefault(chunk.size, []).append(chunk)
+            self._smallmap |= 1 << (chunk.size // ALIGNMENT)
         else:
             # Keep the large list sorted by size (insertion point scan).
             index = 0
@@ -274,6 +284,8 @@ class DlMalloc:
             bin_ = self._small_bins.get(chunk.size, [])
             if chunk in bin_:
                 bin_.remove(chunk)
+                if not bin_:
+                    self._smallmap &= ~(1 << (chunk.size // ALIGNMENT))
                 return
             raise HeapCorruption(f"free chunk missing from small bin: {chunk}")
         if chunk in self._large_bin:

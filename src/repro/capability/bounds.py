@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._compat import DATACLASS_SLOTS
 
 #: Width of the address space in bits.
 ADDRESS_BITS = 32
@@ -57,7 +56,7 @@ class BoundsError(ValueError):
     """Requested bounds cannot be represented (e.g. length > 2**32)."""
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class EncodedBounds:
     """The stored (E, B, T) triple of a capability."""
 

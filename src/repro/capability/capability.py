@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from . import bounds as bounds_mod
 from . import compression
 from . import otypes as otypes_mod
@@ -58,7 +56,7 @@ def _perm_mask(perms: PermSet) -> int:
     return mask
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Capability:
     """An architectural CHERIoT capability.
 
@@ -159,7 +157,7 @@ class Capability:
         dec = self._dec
         if dec is None:
             dec = bounds_mod.decode(self.address, self.bounds)
-            object.__setattr__(self, "_dec", dec)
+            _set_dec(self, dec)
         return dec
 
     @property
@@ -178,7 +176,7 @@ class Capability:
         pbits = self._pbits
         if pbits is None:
             pbits = _perm_mask(self.perms)
-            object.__setattr__(self, "_pbits", pbits)
+            _set_pbits(self, pbits)
         return pbits
 
     @property
@@ -394,13 +392,13 @@ class Capability:
         pbits = self._pbits
         if pbits is None:
             pbits = _perm_mask(self.perms)
-            object.__setattr__(self, "_pbits", pbits)
+            _set_pbits(self, pbits)
         if need_bits & ~pbits:
             return False
         dec = self._dec
         if dec is None:
             dec = bounds_mod.decode(self.address, self.bounds)
-            object.__setattr__(self, "_dec", dec)
+            _set_dec(self, dec)
         return dec[0] <= address and address + size <= dec[1]
 
     def check_access(
@@ -454,6 +452,23 @@ _NULL_BOUNDS = EncodedBounds(0, 0, 0)
 _NULL_CAP = Capability(address=0, bounds=_NULL_BOUNDS, perms=NO_PERMS, tag=False)
 
 
+#: The ``__set__`` of each slot descriptor, bound once.  Writing a slot
+#: through its descriptor skips the frozen class's ``__setattr__`` (which
+#: would raise) and the per-call attribute lookup that
+#: ``object.__setattr__(cap, name, value)`` repeats for every field.
+_new = object.__new__
+(
+    _set_address, _set_bounds, _set_perms, _set_otype, _set_tag,
+    _set_reserved, _set_dec, _set_pbits,
+) = (
+    Capability.__dict__[name].__set__
+    for name in (
+        "address", "bounds", "perms", "otype", "tag", "reserved", "_dec",
+        "_pbits",
+    )
+)
+
+
 def _make(
     address: int,
     bounds: EncodedBounds,
@@ -479,16 +494,15 @@ def _make(
     (``bounds.decode(address, bounds)`` and ``_perm_mask(perms)``), or be
     ``None`` to compute on first use.
     """
-    cap = object.__new__(Capability)
-    _set = object.__setattr__
-    _set(cap, "address", address)
-    _set(cap, "bounds", bounds)
-    _set(cap, "perms", perms)
-    _set(cap, "otype", otype)
-    _set(cap, "tag", tag)
-    _set(cap, "reserved", reserved)
-    _set(cap, "_dec", dec)
-    _set(cap, "_pbits", pbits)
+    cap = _new(Capability)
+    _set_address(cap, address)
+    _set_bounds(cap, bounds)
+    _set_perms(cap, perms)
+    _set_otype(cap, otype)
+    _set_tag(cap, tag)
+    _set_reserved(cap, reserved)
+    _set_dec(cap, dec)
+    _set_pbits(cap, pbits)
     return cap
 
 

@@ -22,10 +22,14 @@ class Message:
 
 
 def checksum16(data: bytes) -> int:
-    """The framing checksum (a 16-bit ones'-complement-ish fold)."""
-    total = 0
-    for index, byte in enumerate(data):
-        total = (total + (byte << (8 * (index & 1)))) & 0xFFFF_FFFF
+    """The framing checksum (a 16-bit ones'-complement-ish fold).
+
+    Even-indexed bytes add as the low byte of a 16-bit word, odd-indexed
+    ones as the high byte, into a 32-bit running sum.  Masking that sum
+    to 32 bits after every step equals masking the whole sum once, so
+    the two byte lanes are summed at C speed.
+    """
+    total = (sum(data[0::2]) + (sum(data[1::2]) << 8)) & 0xFFFF_FFFF
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF

@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from .instructions import (
     ALU,
     CAP,
@@ -75,7 +73,7 @@ FUSABLE_MNEMONICS = frozenset(
 MAX_BLOCK_INSTRUCTIONS = 128
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class BlockCacheStats:
     """Translation-cache observability counters (host-side only)."""
 

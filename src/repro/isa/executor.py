@@ -17,8 +17,6 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 from repro.capability import (
     Capability,
     Permission,
@@ -101,7 +99,7 @@ class Halted(Exception):
     """Raised by the ``halt`` instruction to end simulation cleanly."""
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class ExecStats:
     """Retired-instruction event counts (input to the timing models)."""
 
@@ -1101,7 +1099,7 @@ def _operand_regs(instr: Instruction) -> "Tuple[Optional[int], tuple]":
     return dest, tuple(sources)
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class _RetireInfo:
     """Per-instruction facts handed to the timing model.
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 
 # Timing classes
 ALU = "ALU"
@@ -49,7 +48,7 @@ CSR = "CSR"
 SYSTEM = "SYSTEM"
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class InstructionSpec:
     """Static description of one mnemonic."""
 
@@ -179,7 +178,7 @@ INSTRUCTION_SPECS: Dict[str, InstructionSpec] = dict(
 )
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded instruction.
 

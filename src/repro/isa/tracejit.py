@@ -58,12 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 
 _WORD = 0xFFFFFFFF
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class TraceJITStats:
     """Trace-JIT observability counters (host-side only)."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Protocol, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.capability import Capability
 from .tagged_memory import MemoryError_, TaggedMemory
 
@@ -30,7 +29,7 @@ class MMIODevice(Protocol):
         ...
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class BusStats:
     """Access counters consumed by the pipeline timing models."""
 

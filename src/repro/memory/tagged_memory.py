@@ -74,12 +74,19 @@ class TaggedMemory:
         return bytes(self._data[off : off + size])
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        """Data write: clears the tag of every granule touched."""
+        """Data write: clears the tag of every granule touched.
+
+        An empty write touches no granule, so it changes nothing and
+        notifies no dirty hook (even at the bank's exact end, where no
+        granule follows).
+        """
         size = len(data)
         off = self._offset(address, size)
+        if not size:
+            return
         self._data[off : off + size] = data
         first = off // CAP_SIZE_BYTES
-        last = (off + size - 1) // CAP_SIZE_BYTES if data else first
+        last = (off + size - 1) // CAP_SIZE_BYTES
         if first == last:
             # Common case: a word-or-smaller store inside one granule.
             self._tags[first] = 0

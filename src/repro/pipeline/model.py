@@ -22,9 +22,8 @@ cycles from one consistent cost base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.isa.instructions import (
     ALU,
     BRANCH,
@@ -74,7 +73,7 @@ class CoreTimingParams:
     load_filter_port_conflict: bool = False
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class TimingStats:
     """Cycle breakdown for analysis and tests."""
 
@@ -99,6 +98,11 @@ class CoreModel:
         # and the cycle at which its value becomes forwardable.
         self._pending_load_reg: Optional[int] = None
         self._pending_ready_at: int = 0
+        # Memoised bulk charges.  Each is a pure function of its
+        # arguments and the frozen params, and lives on this model, so
+        # no other core's result can ever be returned.
+        self._zero_cycles: Dict[int, int] = {}
+        self._mix_cycles: Dict[Tuple[int, float], int] = {}
         # Pre-classified charge tables: base cost and bus beats per
         # timing class, folded from the params (and the load-filter
         # configuration) once here so retire() never re-derives them.
@@ -305,18 +309,35 @@ class CoreModel:
         """Cost of ``count`` straight-line single-cycle instructions."""
         return count
 
+    def mixed_instr_cycles(self, count: int, mem_fraction: float) -> int:
+        """Cost of ``count`` hand-written instructions, ``mem_fraction``
+
+        of them stores (register spills, trusted-stack maintenance) and
+        the rest single-cycle."""
+        key = (count, mem_fraction)
+        cycles = self._mix_cycles.get(key)
+        if cycles is None:
+            mem = int(count * mem_fraction)
+            cycles = (count - mem) + mem * self.params.store_cycles
+            self._mix_cycles[key] = cycles
+        return cycles
+
     def zero_bytes_cycles(self, nbytes: int) -> int:
         """Cost of zeroing ``nbytes`` with a capability-width store loop.
 
         The loop writes 8 bytes per iteration (``csc`` of NULL) plus one
         cycle of loop overhead per two stores (unrolled x2).
         """
-        if nbytes <= 0:
-            return 0
-        p = self.params
-        words = (nbytes + 7) // 8
-        store_cost = p.store_cycles + (p.cap_access_beats - 1)
-        return words * store_cost + (words + 1) // 2
+        cycles = self._zero_cycles.get(nbytes)
+        if cycles is None:
+            cycles = 0
+            if nbytes > 0:
+                p = self.params
+                words = (nbytes + 7) // 8
+                store_cost = p.store_cycles + (p.cap_access_beats - 1)
+                cycles = words * store_cost + (words + 1) // 2
+            self._zero_cycles[nbytes] = cycles
+        return cycles
 
     def sweep_cycles_software(self, nbytes: int) -> int:
         """Software revocation sweep over ``nbytes`` (section 3.3.2).
@@ -363,7 +384,7 @@ class CoreModel:
         return beats
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class BlockCharge:
     """One straight-line block's pre-classified cost vector.
 

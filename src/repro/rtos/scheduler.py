@@ -80,9 +80,7 @@ class Scheduler:
             instrs += HWM_CSR_EXTRA_INSTRS
         if self.core_model is None:
             return instrs
-        p = self.core_model.params
-        mem = int(instrs * SWITCH_MEM_FRACTION)
-        return (instrs - mem) + mem * p.store_cycles
+        return self.core_model.mixed_instr_cycles(instrs, SWITCH_MEM_FRACTION)
 
     def switch_to(self, thread: Thread) -> None:
         """Switch the hart to ``thread`` (saving the HWM CSR pair)."""

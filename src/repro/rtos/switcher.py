@@ -232,6 +232,8 @@ class CompartmentSwitcher:
         #: the authority; the names are only a convenience).
         self._export_table: Dict[int, "tuple[str, str]"] = {}
         self._export_slots: Dict[str, int] = {}
+        #: Chopped stack capabilities, see :meth:`_chop`.
+        self._chops: Dict[tuple, "tuple[Capability, Capability]"] = {}
 
     # ------------------------------------------------------------------
     # Registry (populated by the loader)
@@ -268,11 +270,9 @@ class CompartmentSwitcher:
     # ------------------------------------------------------------------
 
     def _charge_instrs(self, count: int) -> None:
-        if self.core_model is None:
-            return
-        p = self.core_model.params
-        mem = int(count * SWITCHER_MEM_FRACTION)
-        self.core_model.charge((count - mem) + mem * p.store_cycles)
+        core = self.core_model
+        if core is not None:
+            core.charge(core.mixed_instr_cycles(count, SWITCHER_MEM_FRACTION))
 
     def _zero(self, base: int, top: int) -> None:
         """Zero ``[base, top)`` of stack, functionally and in cycles."""
@@ -379,6 +379,25 @@ class CompartmentSwitcher:
                     token.compartment_name, token.export_name, fault
                 ) from fault
 
+    def _chop(self, stack_cap: Capability, base: int, sp: int) -> Capability:
+        """The callee's stack: ``stack_cap`` narrowed to ``[base, sp)``.
+
+        The chop is a pure function of its three arguments, and the
+        batched receive pumps repeat a handful of them, so it is
+        memoised.  The key holds the capability's identity and the entry
+        holds the capability itself: while an entry lives, no other
+        object can take that identity, so a replaced ``thread.stack_cap``
+        always misses.  A chop that faults raises before anything is
+        stored, so it faults again on every call.
+        """
+        key = (id(stack_cap), base, sp)
+        hit = self._chops.get(key)
+        if hit is not None and hit[0] is stack_cap:
+            return hit[1]
+        chopped = stack_cap.set_address(base).set_bounds(sp - base)
+        self._chops[key] = (stack_cap, chopped)
+        return chopped
+
     def _invoke(self, thread: Thread, target: Compartment, export: Export, args):
         """One entry through the call/return path (no fault policy)."""
         self.stats.calls += 1
@@ -402,9 +421,7 @@ class CompartmentSwitcher:
         # Clear anything dirty below the caller's SP, then chop the stack.
         self._zero_below_sp(thread)
         sp = thread.sp & ~0xF
-        callee_stack = thread.stack_cap.set_address(
-            thread.stack_region.base
-        ).set_bounds(sp - thread.stack_region.base)
+        callee_stack = self._chop(thread.stack_cap, thread.stack_region.base, sp)
         frame = _Frame(target, sp, saved_posture)
         self._trusted_stack.append(frame)
 

@@ -10,6 +10,7 @@ from repro.allocator.dlmalloc import (
     ALIGNMENT,
     HEADER_SIZE,
     MIN_CHUNK_SIZE,
+    SMALL_BIN_MAX,
     DlMalloc,
     HeapCorruption,
     HeapExhausted,
@@ -149,3 +150,91 @@ class TestPropertyBased:
             heap.release(chunk)
         heap.check_invariants()
         assert heap.free_bytes == SIZE
+
+
+class _LinearWalk(DlMalloc):
+    """The small-bin search as a bin-by-bin walk: the smallmap's reference."""
+
+    def _take_small(self, needed):
+        if needed > SMALL_BIN_MAX + HEADER_SIZE:
+            return None
+        size = needed
+        while size <= SMALL_BIN_MAX + HEADER_SIZE:
+            self.ops.list_ops += 1
+            bin_ = self._small_bins.get(size)
+            if bin_:
+                chunk = bin_.pop()
+                self.ops.list_ops += 1
+                return chunk
+            size += ALIGNMENT
+        return None
+
+
+def _ops(heap):
+    ops = heap.ops
+    return ops.header_reads, ops.header_writes, ops.list_ops
+
+
+def _assert_smallmap_exact(heap):
+    """Bit k is set exactly when the bin for chunk size 8k is non-empty."""
+    bins = (SMALL_BIN_MAX + HEADER_SIZE) // ALIGNMENT
+    for k in range(bins + 1):
+        occupied = bool(heap._small_bins.get(k * ALIGNMENT))
+        assert bool(heap._smallmap >> k & 1) == occupied, k
+    assert heap._smallmap >> (bins + 1) == 0
+
+
+class TestSmallmap:
+    def test_hit_and_miss_counts(self):
+        heap = DlMalloc(BASE, SIZE)
+        keep = [heap.allocate(40), heap.allocate(8), heap.allocate(40)]
+        heap.release(keep[1])  # a 16-byte chunk between two live ones
+        heap.ops.reset()
+        # A 48-byte request misses every bin from 48 up to 264.
+        assert heap._take_small(48) is None
+        assert heap.ops.list_ops == (264 - 48) // ALIGNMENT + 1
+        heap.ops.reset()
+        # The exact bin hits: one position visited, plus the unlink.
+        assert heap._take_small(16) is keep[1]
+        assert heap.ops.list_ops == 2
+        assert heap._smallmap == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([ALIGNMENT, 2 * ALIGNMENT, 8 * ALIGNMENT]),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=1, max_value=600),
+                st.integers(min_value=0, max_value=1 << 16),
+            ),
+            min_size=1,
+            max_size=150,
+        ),
+    )
+    def test_matches_linear_walk(self, granularity, script):
+        """Same chunk and same op counts as the walk, after every step."""
+        fast = DlMalloc(BASE, SIZE, granularity)
+        slow = _LinearWalk(BASE, SIZE, granularity)
+        live_fast, live_slow = [], []
+        for do_free, size, pick in script:
+            if do_free and live_fast:
+                index = pick % len(live_fast)
+                fast.release(live_fast.pop(index))
+                slow.release(live_slow.pop(index))
+            else:
+                try:
+                    got = fast.allocate(size)
+                except HeapExhausted:
+                    got = None
+                try:
+                    want = slow.allocate(size)
+                except HeapExhausted:
+                    want = None
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert (got.address, got.size) == (want.address, want.size)
+                    live_fast.append(got)
+                    live_slow.append(want)
+            assert _ops(fast) == _ops(slow)
+            _assert_smallmap_exact(fast)

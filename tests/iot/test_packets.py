@@ -1,6 +1,10 @@
 """Tests for packet framing and the simulated cloud."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.iot.packets import (
     CloudSource,
@@ -35,6 +39,52 @@ class TestFraming:
         assert checksum16(b"") == 0xFFFF
         assert checksum16(b"abc") != checksum16(b"abd")
         assert 0 <= checksum16(b"\xff" * 100) <= 0xFFFF
+
+
+def _checksum16_reference(data: bytes) -> int:
+    """The per-byte loop: a 32-bit running sum, masked after every byte."""
+    total = 0
+    for index, byte in enumerate(data):
+        total = (total + (byte << (8 * (index & 1)))) & 0xFFFF_FFFF
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+#: Each pair of 0xFF bytes adds 0xFFFF, so the running sum passes
+#: 2**32 - 1 once more than 131,074 bytes of 0xFF have been summed.
+_WRAP_BYTES = 131_074
+
+
+class TestChecksumReference:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x01",
+            b"abc",
+            bytes(range(256)),
+            b"\xff" * _WRAP_BYTES,
+            b"\xff" * (_WRAP_BYTES + 1),
+            b"\xff" * (_WRAP_BYTES + 2),
+            b"\xff" * (3 * _WRAP_BYTES + 5),
+            bytes(random.Random(7).getrandbits(8) for _ in range(4099)),
+        ],
+        ids=lambda data: f"{len(data)}B",
+    )
+    def test_equals_per_byte_loop(self, data):
+        assert checksum16(data) == _checksum16_reference(data)
+        assert checksum16(bytearray(data)) == _checksum16_reference(data)
+
+    def test_long_inputs_wrap_the_running_sum(self):
+        """The wrap cases above really do overflow 32 bits."""
+        assert 0xFFFF * (_WRAP_BYTES // 2) <= 0xFFFF_FFFF
+        assert 0xFF + 0xFFFF * (_WRAP_BYTES // 2) > 0xFFFF_FFFF
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=600))
+    def test_equals_per_byte_loop_on_any_frame(self, data):
+        assert checksum16(data) == _checksum16_reference(data)
 
 
 class TestCloudSource:

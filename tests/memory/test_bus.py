@@ -60,6 +60,24 @@ class TestRouting:
         assert rmap.is_revoked(SRAM_BASE)
 
 
+class TestEmptyWrites:
+    """The bus passes zero-length writes to the bank, which ignores them."""
+
+    def test_empty_write_keeps_tag(self, bus):
+        cap = Capability.from_bounds(SRAM_BASE, 64, RW)
+        bus.write_capability(SRAM_BASE + 16, cap)
+        bus.write_bytes(SRAM_BASE + 16, b"")
+        bus.fill(SRAM_BASE + 20, 0)
+        assert bus.read_capability(SRAM_BASE + 16).tag
+
+    def test_empty_write_at_bank_end(self, bus):
+        cap = Capability.from_bounds(SRAM_BASE, 64, RW)
+        bus.write_capability(SRAM_BASE + 4088, cap)
+        bus.write_bytes(SRAM_BASE + 4096, b"")
+        bus.fill(SRAM_BASE + 4096, 0)
+        assert bus.read_capability(SRAM_BASE + 4088).tag
+
+
 class TestStats:
     def test_counters(self, bus):
         cap = Capability.from_bounds(SRAM_BASE, 16, RW)

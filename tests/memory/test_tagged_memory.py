@@ -104,6 +104,37 @@ class TestCapabilityStorage:
         assert mem.read_capability(BASE + 16).address == cap.address
 
 
+class TestEmptyWrites:
+    """A zero-length write touches no byte, so no granule and no tag."""
+
+    @pytest.mark.parametrize("offset", (0, 3, 8))
+    def test_empty_write_keeps_tag(self, mem, cap, offset):
+        mem.write_capability(BASE + 8, cap)
+        mem.write_bytes(BASE + 8 + offset, b"")
+        mem.fill(BASE + 8 + offset, 0)
+        assert mem.read_capability(BASE + 8) == cap
+        assert mem.read_capability(BASE + 8).tag
+
+    def test_empty_write_at_bank_end(self, mem, cap):
+        mem.write_capability(BASE + 4088, cap)
+        mem.write_bytes(BASE + 4096, b"")
+        mem.fill(BASE + 4096, 0)
+        assert mem.read_capability(BASE + 4088).tag
+
+    def test_empty_write_fires_no_dirty_hook(self, mem):
+        seen = []
+        mem.add_dirty_hook(lambda address, size: seen.append((address, size)))
+        mem.write_bytes(BASE, b"")
+        mem.fill(BASE + 4096, 0)
+        assert seen == []
+
+    def test_empty_write_outside_bank_still_faults(self, mem):
+        with pytest.raises(MemoryError_):
+            mem.write_bytes(BASE + 4097, b"")
+        with pytest.raises(MemoryError_):
+            mem.fill(BASE - 8, 0)
+
+
 class TestTaggedGranules:
     def test_enumeration(self, mem, cap):
         for offset in (0, 24, 4088):

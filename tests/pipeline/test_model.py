@@ -6,6 +6,8 @@ from repro.isa.assembler import assemble
 from repro.isa.executor import _RetireInfo
 from repro.pipeline import CoreKind, make_core_model
 from repro.pipeline.model import flute_params, ibex_params
+from repro.rtos.scheduler import SWITCH_MEM_FRACTION
+from repro.rtos.switcher import SWITCHER_MEM_FRACTION
 
 
 def retire(model, source):
@@ -130,6 +132,56 @@ class TestBulkHelpers:
         blocked = model.sweep_cycles_hardware(4096, cpu_blocked=True)
         contended = model.sweep_cycles_hardware(4096, cpu_blocked=False)
         assert contended > blocked
+
+
+_INPUTS = (-4096, -9, -1, 0) + tuple(range(1, 4097))
+
+
+def _zero_bytes_formula(params, nbytes):
+    if nbytes <= 0:
+        return 0
+    words = (nbytes + 7) // 8
+    store_cost = params.store_cycles + (params.cap_access_beats - 1)
+    return words * store_cost + (words + 1) // 2
+
+
+def _mixed_instr_formula(params, count, mem_fraction):
+    mem = int(count * mem_fraction)
+    return (count - mem) + mem * params.store_cycles
+
+
+class TestMemoisedCharges:
+    """The cached bulk charges equal their formulas, on a miss and a hit."""
+
+    @pytest.mark.parametrize("kind", [CoreKind.FLUTE, CoreKind.IBEX])
+    def test_zero_bytes_cycles(self, kind):
+        model = make_core_model(kind)
+        for _ in range(2):
+            for nbytes in _INPUTS:
+                assert model.zero_bytes_cycles(nbytes) == _zero_bytes_formula(
+                    model.params, nbytes
+                ), nbytes
+
+    @pytest.mark.parametrize("kind", [CoreKind.FLUTE, CoreKind.IBEX])
+    @pytest.mark.parametrize(
+        "mem_fraction", [SWITCHER_MEM_FRACTION, SWITCH_MEM_FRACTION]
+    )
+    def test_mixed_instr_cycles(self, kind, mem_fraction):
+        model = make_core_model(kind)
+        for _ in range(2):
+            for count in _INPUTS:
+                assert model.mixed_instr_cycles(
+                    count, mem_fraction
+                ) == _mixed_instr_formula(model.params, count, mem_fraction), count
+
+    def test_caches_are_per_core(self):
+        """A charge cached on one core is never returned by another."""
+        flute = make_core_model(CoreKind.FLUTE)
+        ibex = make_core_model(CoreKind.IBEX)
+        assert flute.zero_bytes_cycles(1024) != ibex.zero_bytes_cycles(1024)
+        assert flute.mixed_instr_cycles(180, SWITCHER_MEM_FRACTION) != (
+            ibex.mixed_instr_cycles(180, SWITCHER_MEM_FRACTION)
+        )
 
 
 class TestReset:

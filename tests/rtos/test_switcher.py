@@ -5,7 +5,7 @@ import pytest
 from repro.capability import Capability, Permission as P
 from repro.capability.errors import PermissionFault, SealedFault, TagFault
 from repro.rtos.compartment import ImportToken, InterruptPosture
-from repro.rtos.switcher import CROSS_CALL_INSTRS
+from repro.rtos.switcher import CROSS_CALL_INSTRS, CompartmentFault
 
 
 class TestBasicCalls:
@@ -106,6 +106,81 @@ class TestStackChopping:
         comp.export("probe", probe)
         loader.link("probe", "probe", "probe")
         assert switcher.call(thread, comp.get_import("probe", "probe"))
+
+
+class TestStackChopCache:
+    """The memoised chop equals a fresh two-step derivation every time."""
+
+    @staticmethod
+    def _recorder(loader):
+        comp = loader.add_compartment("recorder")
+        seen = []
+
+        def record(ctx):
+            seen.append(ctx.stack_cap)
+
+        comp.export("record", record)
+        loader.link("recorder", "recorder", "record")
+        return comp.get_import("recorder", "record"), seen
+
+    @staticmethod
+    def _fresh_chop(thread):
+        base = thread.stack_region.base
+        sp = thread.sp & ~0xF
+        return thread.stack_cap.set_address(base).set_bounds(sp - base)
+
+    def test_replaced_stack_cap_is_used(self, loader, switcher, thread):
+        token, seen = self._recorder(loader)
+        for _ in range(2):
+            expected = self._fresh_chop(thread)
+            switcher.call(thread, token)
+            assert seen[-1] == expected
+        thread.stack_cap = thread.stack_cap.clear_perms(P.LG)
+        for _ in range(2):
+            expected = self._fresh_chop(thread)
+            switcher.call(thread, token)
+            assert seen[-1] == expected
+        assert P.LG in seen[0].perms
+        assert P.LG not in seen[-1].perms
+
+    def test_moved_sp_is_used(self, loader, switcher, thread):
+        token, seen = self._recorder(loader)
+        top = thread.sp
+        for sp in (top, top - 64, top - 72, top - 256, top - 64, top):
+            thread.sp = sp
+            expected = self._fresh_chop(thread)
+            switcher.call(thread, token)
+            assert seen[-1] == expected
+        assert len({cap.top for cap in seen}) == 4
+
+    def test_each_thread_gets_its_own_stack(
+        self, loader, switcher, thread, scheduler
+    ):
+        token, seen = self._recorder(loader)
+        other = loader.add_thread("t1", stack_size=1024, priority=1)
+        scheduler.add_thread(other)
+        for current in (thread, other, thread, other):
+            scheduler.switch_to(current)
+            expected = self._fresh_chop(current)
+            switcher.call(current, token)
+            assert seen[-1] == expected
+            assert seen[-1].base == current.stack_region.base
+        assert seen[0] == seen[2] and seen[1] == seen[3]
+        assert seen[0] != seen[1]
+
+    def test_faulting_chop_faults_on_every_call(self, loader, switcher, thread):
+        token, seen = self._recorder(loader)
+        top = thread.sp
+        for _ in range(3):
+            thread.sp = thread.stack_region.base - 16
+            with pytest.raises(CompartmentFault) as info:
+                switcher.call(thread, token)
+            assert info.value.cause_type == "BoundsFault"
+        assert seen == []
+        thread.sp = top
+        expected = self._fresh_chop(thread)
+        switcher.call(thread, token)
+        assert seen == [expected]
 
 
 class TestStackZeroing:

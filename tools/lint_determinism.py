@@ -52,12 +52,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: belongs here; wall-time measurement code (simspeed, the gate loop)
 #: does not.
 DETERMINISTIC_PATHS = [
+    "src/repro/allocator/*.py",
     "src/repro/artifact.py",
     "src/repro/analysis/reporting.py",
     "src/repro/analysis/tables.py",
+    "src/repro/capability/*.py",
     "src/repro/faultinject/*.py",
     "src/repro/fleet/*.py",
     "src/repro/iot/*.py",
+    "src/repro/machine.py",
+    "src/repro/memory/*.py",
     "src/repro/obs/export.py",
     "src/repro/obs/pipeline.py",
     "src/repro/obs/profile.py",
@@ -65,7 +69,9 @@ DETERMINISTIC_PATHS = [
     "src/repro/obs/sketch.py",
     "src/repro/obs/slo.py",
     "src/repro/obs/workload.py",
-    "src/repro/rtos/audit.py",
+    "src/repro/pipeline/*.py",
+    "src/repro/revoker/*.py",
+    "src/repro/rtos/*.py",
     "src/repro/verify/*.py",
     "src/repro/workloads/alloc_bench.py",
 ]
