@@ -3,22 +3,19 @@
 ``repro.fleet`` scales the reproduction from one simulated device to a
 *fleet*: N independent :class:`~repro.machine.System` instances, each
 driven by a seeded fault-campaign slice plus a cross-compartment
-allocation workload and a tiered-CPU kernel, run in process and folded
-into one report.
+allocation workload and a tiered-CPU kernel, run serially in process
+and folded into one report.
 
 The layering, bottom-up:
 
 * :mod:`repro.fleet.device` — one device's deterministic metric sample
   (throughput, call-latency percentiles, revocation duty cycle, fault
   outcomes) from a per-device seed;
-* :mod:`repro.fleet.plan` — the fleet plan: device list, shard
-  assignment, per-device seeds, and the fingerprint both committed
-  fleet reports record as the plan's identity;
-* :mod:`repro.fleet.shard` — a shard runs a contiguous slice of
-  devices; shards are the unit the merge checks for completeness;
-* :mod:`repro.fleet.merge` — the deterministic sorted merge into the
-  ``BENCH_fleet.json`` report and the ``OBS_slo.json`` document
-  (byte-identical for any result order).
+* :mod:`repro.fleet.plan` — the fleet plan: the device specs with
+  their per-device seeds, and the fingerprint both committed fleet
+  reports record as the plan's identity;
+* :mod:`repro.fleet.merge` — the fold of one device list into the
+  ``BENCH_fleet.json`` report and the ``OBS_slo.json`` aggregate.
 
 Determinism contract: everything in the merged report derives from
 simulated cycles and seeded RNG streams — never wall clock — so the
@@ -26,17 +23,15 @@ same plan always produces the same bytes.
 """
 
 from .device import DeviceSpec, run_device
-from .merge import fleet_report, merge_report, slo_document
-from .plan import FleetPlan, ShardSpec
-from .shard import run_shard
+from .merge import fleet_report, fleet_rollup, merge_report, slo_document
+from .plan import FleetPlan
 
 __all__ = [
     "DeviceSpec",
     "FleetPlan",
-    "ShardSpec",
     "fleet_report",
+    "fleet_rollup",
     "merge_report",
     "run_device",
-    "run_shard",
     "slo_document",
 ]

@@ -8,12 +8,12 @@ four phases, every one clocked in simulated cycles (never wall time):
    becomes a latency sample, and the phase's op/cycle ratio the
    device's throughput.
 2. **Tiered CPU kernel** — a seeded store/load loop on a real
-   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` with the
-   plan's execution tier.  Cycle counts are bit-identical across
-   interpreter / block-cache / trace-JIT (the differential suite's
-   guarantee), so tier promotion — which may differ from one device
-   to the next as the in-process code cache warms — can never leak
-   into the report.
+   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` with every
+   tier on.  Cycle counts are bit-identical across interpreter /
+   block-cache / trace-JIT (the differential suite's guarantee, which
+   runs this kernel too), so tier promotion — which may differ from
+   one device to the next as the in-process code cache warms — can
+   never leak into the report.
 3. **Revocation** — frees push chunks through quarantine, then a
    forced sweep measures the revoker's share of the device's cycles
    (the duty-cycle column).
@@ -22,8 +22,8 @@ four phases, every one clocked in simulated cycles (never wall time):
    system, so phases 1–3 stay byte-identical to older reports) takes
    a few seeded rounds of multi-session traffic with corrupt/reorder
    faults injected.  The phase ships its flat counters and an
-   already-folded per-packet latency sketch — never raw samples — so
-   the fleet-fold merges it exactly like every other metric.
+   already-folded per-packet latency sketch — never raw samples — and
+   the fleet fold merges the devices' sketches.
 
 Finally a per-device fault-campaign slice
 (:func:`repro.faultinject.run_campaign` with the device seed) yields
@@ -31,8 +31,7 @@ the outcome tally; the fleet-level acceptance criterion is that the
 summed ``escaped`` count is zero.
 
 Everything is a pure function of ``(fleet_seed, device_id, knobs)``,
-which is what makes shard placement and run order invisible in the
-merged report.
+which is what makes run order invisible in the merged report.
 """
 
 from __future__ import annotations
@@ -45,9 +44,12 @@ from repro.allocator import TemporalSafetyMode
 from repro.faultinject import run_campaign
 from repro.isa import assemble
 from repro.machine import System
+from repro.obs.sketch import nearest_rank
 from repro.pipeline import CoreKind
 
-from .plan import device_seed
+#: Mixes the device index into the fleet seed (Weyl constant — any odd
+#: 32-bit multiplier works; fixed forever so committed results hold).
+_SEED_STRIDE = 0x9E3779B1
 
 #: Net-traffic phase shape: a handful of sessions and rounds is enough
 #: to exercise sequencing, TLS, fault drops and the latency sketch per
@@ -88,6 +90,11 @@ nowrap:
 """
 
 
+def device_seed(fleet_seed: int, device_id: int) -> int:
+    """The per-device RNG seed: decorrelated, deterministic, stable."""
+    return (fleet_seed ^ (device_id * _SEED_STRIDE)) & 0x7FFF_FFFF
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """Everything needed to reproduce one device bit-for-bit."""
@@ -96,7 +103,6 @@ class DeviceSpec:
     fleet_seed: int
     injections: int = 3
     alloc_ops: int = 12
-    trace_jit: bool = True
 
     @property
     def seed(self) -> int:
@@ -107,8 +113,7 @@ def _percentile(sorted_samples: List[int], q: float) -> int:
     """Nearest-rank percentile over a sorted sample list."""
     if not sorted_samples:
         return 0
-    rank = max(1, -(-int(q * 100) * len(sorted_samples) // 100))  # ceil
-    return sorted_samples[min(rank, len(sorted_samples)) - 1]
+    return sorted_samples[nearest_rank(q, len(sorted_samples)) - 1]
 
 
 def latency_summary(samples: List[int]) -> Dict[str, object]:
@@ -132,8 +137,8 @@ def _run_net_phase(spec: DeviceSpec) -> dict:
     Runs on its own :class:`~repro.iot.sessions.NetPipeline` (and thus
     its own system), so the device's phase 1–3 numbers and RNG draws
     are untouched by this phase's existence.  Returns flat integer
-    counters plus the per-packet latency sketch *state* — the block
-    :func:`repro.obs.pipeline.device_telemetry` folds fleet-wide.
+    counters plus the per-packet latency sketch *state*, which
+    :func:`repro.fleet.merge.fleet_rollup` merges fleet-wide.
     """
     from repro.iot.loadgen import NetLoadGen, drive
     from repro.iot.sessions import NetPipeline
@@ -196,7 +201,7 @@ def run_device(spec: DeviceSpec) -> dict:
             buf_size=_KERNEL_BUF_SIZE,
         )
     )
-    cpu = system.make_cpu(trace_jit=spec.trace_jit, jit_threshold=16)
+    cpu = system.make_cpu(jit_threshold=16)
     from repro.capability import make_roots
 
     roots = make_roots()

@@ -1,40 +1,21 @@
-"""The fleet plan: which devices exist, and how they are sharded.
+"""The fleet plan: which devices exist, and what each one runs.
 
-A plan is pure data — device count, shard size, the fleet seed and the
-per-device workload knobs — and everything else is derived from it
-deterministically: per-device seeds, shard assignment, and the
-fingerprint that both committed fleet reports (``BENCH_fleet.json``
-and ``OBS_slo.json``) record as the identity of the plan they were
-made from.
+A plan is pure data — device count, the fleet seed and the per-device
+workload knobs — and everything else is derived from it
+deterministically: the device specs (with their per-device seeds) and
+the fingerprint that both committed fleet reports
+(``BENCH_fleet.json`` and ``OBS_slo.json``) record as the identity of
+the plan they were made from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
-#: Mixes the device index into the fleet seed (Weyl constant — any odd
-#: 32-bit multiplier works; fixed forever so committed results hold).
-_SEED_STRIDE = 0x9E3779B1
-
-
-def device_seed(fleet_seed: int, device_id: int) -> int:
-    """The per-device RNG seed: decorrelated, deterministic, stable."""
-    return (fleet_seed ^ (device_id * _SEED_STRIDE)) & 0x7FFF_FFFF
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One contiguous slice of the fleet's devices."""
-
-    shard_id: int
-    device_ids: "tuple[int, ...]"
-    fleet_seed: int
-    injections_per_device: int
-    alloc_ops: int
-    trace_jit: bool
+from .device import DeviceSpec
 
 
 @dataclass(frozen=True)
@@ -42,57 +23,42 @@ class FleetPlan:
     """The whole fleet, before anything runs."""
 
     devices: int
-    shard_size: int = 2
     seed: int = 20260807
     injections_per_device: int = 3
     alloc_ops: int = 12
-    trace_jit: bool = True
 
     def __post_init__(self) -> None:
-        if self.devices <= 0:
-            raise ValueError("a fleet needs at least one device")
-        if self.shard_size <= 0:
-            raise ValueError("shard_size must be positive")
+        for name in ("devices", "injections_per_device", "alloc_ops"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
 
     # ------------------------------------------------------------------
 
-    def shards(self) -> List[ShardSpec]:
-        """Contiguous device slices, in shard-id order."""
-        out: List[ShardSpec] = []
-        for shard_id, lo in enumerate(range(0, self.devices, self.shard_size)):
-            ids = tuple(range(lo, min(lo + self.shard_size, self.devices)))
-            out.append(
-                ShardSpec(
-                    shard_id=shard_id,
-                    device_ids=ids,
-                    fleet_seed=self.seed,
-                    injections_per_device=self.injections_per_device,
-                    alloc_ops=self.alloc_ops,
-                    trace_jit=self.trace_jit,
-                )
+    def device_specs(self) -> List[DeviceSpec]:
+        """Every device of the fleet, in device-id order."""
+        return [
+            DeviceSpec(
+                device_id=device_id,
+                fleet_seed=self.seed,
+                injections=self.injections_per_device,
+                alloc_ops=self.alloc_ops,
             )
-        return out
+            for device_id in range(self.devices)
+        ]
 
     def to_dict(self) -> dict:
-        return {
-            "devices": self.devices,
-            "shard_size": self.shard_size,
-            "seed": self.seed,
-            "injections_per_device": self.injections_per_device,
-            "alloc_ops": self.alloc_ops,
-            "trace_jit": self.trace_jit,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "FleetPlan":
-        return FleetPlan(
-            devices=data["devices"],
-            shard_size=data["shard_size"],
-            seed=data["seed"],
-            injections_per_device=data["injections_per_device"],
-            alloc_ops=data["alloc_ops"],
-            trace_jit=data["trace_jit"],
-        )
+        """The plan a ``plan`` block records; unknown keys are refused."""
+        names = [field.name for field in fields(FleetPlan)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"unknown fleet plan keys: {', '.join(unknown)}")
+        return FleetPlan(**{name: data[name] for name in names})
 
     def fingerprint(self) -> str:
         """A stable digest of the plan: the identity the reports record."""

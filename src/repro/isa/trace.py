@@ -7,15 +7,11 @@ its PC and disassembly; capability-register writes can be reconstructed
 from the register file afterwards.  This is a debugging aid for
 compiler and RTOS work — the embedded equivalent of a waveform viewer's
 instruction lane.
-
-For backward compatibility the trace still *can* sit in the ``timing``
-slot (optionally chained to a real timing model via ``timing=``); both
-styles record through the same :meth:`record` path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .disassembler import format_instruction
@@ -40,8 +36,7 @@ class TraceEntry:
 class ExecutionTrace:
     """Retire-stream recorder riding the CPU's retire hook."""
 
-    def __init__(self, timing=None, limit: int = 100_000, code_base: int = 0) -> None:
-        self.timing = timing
+    def __init__(self, limit: int = 100_000, code_base: int = 0) -> None:
         self.limit = limit
         self.code_base = code_base
         self.entries: List[TraceEntry] = []
@@ -73,26 +68,6 @@ class ExecutionTrace:
                 branch_taken=info.branch_taken,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Legacy timing-slot adapter
-    # ------------------------------------------------------------------
-
-    def retire(self, instr: Instruction, info) -> None:
-        """Timing-model interface: record, then chain to the real model."""
-        self.record(instr, info)
-        if self.timing is not None:
-            self.timing.retire(instr, info)
-
-    def charge(self, cycles: int) -> None:
-        if self.timing is not None:
-            self.timing.charge(cycles)
-
-    @property
-    def params(self):
-        if self.timing is None:
-            raise AttributeError("no chained timing model")
-        return self.timing.params
 
     # ------------------------------------------------------------------
     # Reading

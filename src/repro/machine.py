@@ -332,8 +332,9 @@ class System:
 
         ``block_cache``/``trace_jit``/``jit_threshold`` select the
         execution tier, exactly as on :class:`~repro.isa.CPU` — the
-        fleet device runner and the tier-differential recovery tests
-        pin or vary the tier through this seam.
+        fleet device runner sets its JIT threshold, and the
+        tier-differential recovery tests vary the tier, through this
+        seam.
         """
         cpu = CPU(
             self.bus,

@@ -19,6 +19,12 @@ Instrumented subsystems carry an ``obs`` attribute that defaults to
 ``None``; every instrumentation site is guarded by a single ``is not
 None`` check, so a system built without telemetry follows the seed's
 exact code path.
+
+Beside them, :class:`~repro.obs.sketch.QuantileSketch` and
+:mod:`repro.obs.slo` judge the fleet:
+:func:`repro.fleet.merge.fleet_rollup` folds the device samples into
+one aggregate, with call and packet latencies in sketches, and the SLO
+engine evaluates the committed policy over it.
 """
 
 from __future__ import annotations
@@ -30,13 +36,6 @@ from .export import (
     spans_to_trace_events,
     write_fleet_trace,
     write_trace,
-)
-from .pipeline import (
-    device_telemetry,
-    empty_telemetry,
-    fleet_rollup,
-    merge_telemetry,
-    shard_telemetry,
 )
 from .sketch import QuantileSketch
 from .slo import evaluate_slo, slo_report
@@ -50,20 +49,12 @@ from .profile import (
     render_attribution,
     render_hot_pcs,
 )
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from .registry import Histogram, MetricsRegistry, MetricsSnapshot
 from .span import DEFAULT_RING_CAPACITY, Span, SpanTracer
 
 __all__ = [
-    "Counter",
     "CycleAttributor",
     "DEFAULT_RING_CAPACITY",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -72,21 +63,16 @@ __all__ = [
     "Span",
     "SpanTracer",
     "Telemetry",
-    "device_telemetry",
     "diff_hot",
-    "empty_telemetry",
     "evaluate_slo",
     "export_fleet_trace",
     "export_trace",
-    "fleet_rollup",
     "fleet_trace_events",
     "hot_from_dict",
     "merge_profile_dicts",
-    "merge_telemetry",
     "profile_to_dict",
     "render_attribution",
     "render_hot_pcs",
-    "shard_telemetry",
     "slo_report",
     "spans_to_trace_events",
     "write_fleet_trace",

@@ -1,10 +1,10 @@
 """A fixed-centroid quantile sketch for fleet latency percentiles.
 
-The fleet pipeline needs latency percentiles that *merge*: any set of
-per-device summaries must fold into one fleet summary that is
-byte-identical for every shard split and merge order.  Exact
-percentiles do not have that property without shipping every raw
-sample; adaptive sketches (t-digest, GK) do not have it either,
+The fleet fold needs latency percentiles that *merge*: each device's
+network phase ships a sketch rather than its raw samples, and the
+fleet-wide sketch must not depend on the order the devices fold in.
+Exact percentiles do not have that property without shipping every
+raw sample; adaptive sketches (t-digest, GK) do not have it either,
 because their centroids depend on arrival order.
 
 This sketch takes the HDR-histogram route instead: the bin layout is
@@ -14,7 +14,7 @@ bin by a pure function of the value — so a sketch is just a bag of
 per-bin integer addition, which makes ``merge``:
 
 * **commutative and associative** (integer addition is),
-* **shard-split invariant** — observing a sample list directly or
+* **partition invariant** — observing a sample list directly or
   observing any partition of it in any order and merging produces the
   *identical* state, bit for bit.
 
@@ -25,11 +25,13 @@ its bin.  Cross-compartment call latencies in this repo are hundreds
 to thousands of cycles, so the whole fleet's distribution fits in a
 few dozen bins.
 
-Quantiles are nearest-rank over the cumulative bin counts, answered
-with the bin's representative value and clamped to the exact observed
-``[min, max]`` — so ``quantile(0.0)``/``quantile(1.0)`` are exact, and
-interior quantiles carry the documented ~6.25% bin-width error bound
-(the soundness note in ``docs/architecture.md``).
+Quantiles are nearest-rank over the cumulative bin counts (one rank
+rule, :func:`nearest_rank`, shared with the fleet's exact per-device
+percentiles), answered with the bin's representative value and
+clamped to the exact observed ``[min, max]`` — so
+``quantile(0.0)``/``quantile(1.0)`` are exact, and interior quantiles
+carry the documented ~6.25% bin-width error bound (the soundness note
+in ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ _SUBBINS = 8
 
 #: log2(_EXACT_LIMIT) — the exponent where octave binning starts.
 _BASE_EXP = 4
+
+#: Quantiles are ranked in ten-thousandths: ``q`` is rounded to a whole
+#: number of them first, so a float product such as ``0.57 * 10_000 ==
+#: 5699.999...`` cannot drop a rank.
+_RANK_SCALE = 10_000
+
+
+def nearest_rank(q: float, count: int) -> int:
+    """The 1-based nearest rank of quantile ``q`` among ``count`` values."""
+    return max(1, -(-round(q * _RANK_SCALE) * count // _RANK_SCALE))  # ceil
 
 
 def bin_index(value: int) -> int:
@@ -80,7 +92,7 @@ def bin_representative(index: int) -> int:
 
 
 class SketchError(ValueError):
-    """Sketches that cannot be merged or parsed."""
+    """A serialized sketch that cannot be parsed."""
 
 
 class QuantileSketch:
@@ -136,7 +148,7 @@ class QuantileSketch:
         if self.count == 0:
             return 0
         assert self.min is not None and self.max is not None
-        rank = max(1, -(-int(q * 10000) * self.count // 10000))  # ceil
+        rank = nearest_rank(q, self.count)
         seen = 0
         for index in sorted(self.bins):
             seen += self.bins[index]
@@ -160,7 +172,7 @@ class QuantileSketch:
         }
 
     # ------------------------------------------------------------------
-    # Serialization (the delta wire format's sketch leaf)
+    # Serialization (the aggregate's ``sketch`` and ``net_sketch``)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -198,20 +210,3 @@ class QuantileSketch:
         if sum(sketch.bins.values()) != sketch.count:
             raise SketchError("bin counts do not sum to the recorded count")
         return sketch
-
-
-def is_sketch_dict(value) -> bool:
-    """Whether a JSON-shaped leaf is a serialized sketch."""
-    return isinstance(value, dict) and value.get("scheme") == SCHEME
-
-
-def normalize_sketch_dict(data: dict) -> dict:
-    """A canonical copy of a serialized sketch (validates on the way)."""
-    return QuantileSketch.from_dict(data).to_dict()
-
-
-def merge_sketch_dicts(a: dict, b: dict) -> dict:
-    """Merge two serialized sketches into a new serialized sketch."""
-    merged = QuantileSketch.from_dict(a)
-    merged.merge(QuantileSketch.from_dict(b))
-    return merged.to_dict()

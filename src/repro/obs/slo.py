@@ -4,10 +4,9 @@ The CHERIoT paper's headline claims are, at fleet scale, service-level
 objectives: cross-compartment calls stay cheap (latency quantiles),
 the revocation sweep stays a bounded share of the cycle budget (duty
 cycle), no injected fault ever escapes (error budget of exactly zero),
-every device clears a throughput floor, and the orchestrator keeps
-degradation under a ceiling.  This module evaluates a declarative JSON
-policy over the aggregate :func:`repro.obs.pipeline.fleet_rollup`
-produces.
+and every device clears a throughput floor.  This module evaluates a
+declarative JSON policy over the aggregate
+:func:`repro.fleet.merge.fleet_rollup` produces.
 
 Policy file (``OBS_slo_policy.json``)::
 
@@ -15,10 +14,11 @@ Policy file (``OBS_slo_policy.json``)::
      "rules": [
         {"rule": "latency-quantile", "q": 0.50, "max_cycles": 520},
         {"rule": "latency-quantile", "q": 0.99, "max_cycles": 620},
+        {"rule": "net-packet-latency-quantile", "q": 0.99,
+         "max_cycles": 150000},
         {"rule": "revocation-duty-cycle", "max": 0.90},
         {"rule": "fault-escapes", "max": 0},
-        {"rule": "throughput-floor", "min_calls_per_kcycle": 1.0},
-        {"rule": "degraded-ceiling", "max_fraction": 0.0}
+        {"rule": "throughput-floor", "min_calls_per_kcycle": 1.0}
      ]}
 
 Like :mod:`repro.verify.policy`, **unknown rule names fail closed**: a
@@ -28,15 +28,19 @@ appears in the result list in policy order, with the observed value
 and the bound, so the committed ``OBS_slo.json`` is a complete audit
 of the objectives, not just a verdict bit.
 
-Latency quantiles are answered by the fleet's fixed-centroid sketch
-(any ``q``, not just precomputed ones); the sketch-vs-exact soundness
-note lives in ``docs/architecture.md``.
+Latency quantiles are answered by the fleet's fixed-centroid sketches
+(any ``q``, not just precomputed ones): ``sketch`` holds the
+cross-compartment call latencies and ``net_sketch`` the per-packet
+ones.  A missing or empty sketch fails the rule rather than reporting
+0; the sketch-vs-exact soundness note lives in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import Callable, Dict, List
 
 from .sketch import QuantileSketch
@@ -75,31 +79,20 @@ def policy_digest(data: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-def _eval_latency_quantile(aggregate: dict, rule: dict) -> dict:
+def _eval_quantile(field: str, aggregate: dict, rule: dict) -> dict:
+    """A latency quantile read from the aggregate's sketch ``field``."""
     q = rule.get("q")
     bound = rule.get("max_cycles")
     if not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
         return _fail(rule, None, bound, f"q {q!r} outside [0, 1]")
     if not isinstance(bound, (int, float)):
         return _fail(rule, None, bound, "missing max_cycles bound")
-    sketch = QuantileSketch.from_dict(aggregate["sketch"])
-    observed = sketch.quantile(float(q))
-    return _verdict(rule, observed, bound, observed <= bound)
-
-
-def _eval_net_packet_latency_quantile(aggregate: dict, rule: dict) -> dict:
-    q = rule.get("q")
-    bound = rule.get("max_cycles")
-    if not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
-        return _fail(rule, None, bound, f"q {q!r} outside [0, 1]")
-    if not isinstance(bound, (int, float)):
-        return _fail(rule, None, bound, "missing max_cycles bound")
-    sketch_dict = aggregate.get("net_sketch")
-    if sketch_dict is None:
-        return _fail(rule, None, bound, "aggregate carries no net sketch")
-    sketch = QuantileSketch.from_dict(sketch_dict)
+    name = field.replace("_", " ")
+    if field not in aggregate:
+        return _fail(rule, None, bound, f"aggregate carries no {name}")
+    sketch = QuantileSketch.from_dict(aggregate[field])
     if sketch.count == 0:
-        return _fail(rule, None, bound, "net sketch is empty")
+        return _fail(rule, None, bound, f"{name} is empty")
     observed = sketch.quantile(float(q))
     return _verdict(rule, observed, bound, observed <= bound)
 
@@ -130,21 +123,12 @@ def _eval_throughput_floor(aggregate: dict, rule: dict) -> dict:
     return _verdict(rule, observed, bound, observed >= bound)
 
 
-def _eval_degraded_ceiling(aggregate: dict, rule: dict) -> dict:
-    bound = rule.get("max_fraction")
-    if not isinstance(bound, (int, float)):
-        return _fail(rule, None, bound, "missing max_fraction bound")
-    observed = aggregate["derived"]["degraded_fraction"]
-    return _verdict(rule, observed, bound, observed <= bound)
-
-
 _RULES: Dict[str, Callable[[dict, dict], dict]] = {
-    "latency-quantile": _eval_latency_quantile,
-    "net-packet-latency-quantile": _eval_net_packet_latency_quantile,
+    "latency-quantile": partial(_eval_quantile, "sketch"),
+    "net-packet-latency-quantile": partial(_eval_quantile, "net_sketch"),
     "revocation-duty-cycle": _eval_revocation_duty_cycle,
     "fault-escapes": _eval_fault_escapes,
     "throughput-floor": _eval_throughput_floor,
-    "degraded-ceiling": _eval_degraded_ceiling,
 }
 
 

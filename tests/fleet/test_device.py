@@ -1,9 +1,11 @@
-"""Device runner: pure function of the spec, tier-invariant numbers."""
+"""Device runner: a pure function of the spec.
+
+The kernel phase's tier invariance is pinned with the other tier
+differentials, in ``tests/isa/test_block_cache.py``.
+"""
 
 from repro.fleet import DeviceSpec, run_device
-from repro.fleet.device import latency_summary
-from repro.fleet.shard import run_shard
-from repro.fleet.plan import FleetPlan
+from repro.fleet.device import _percentile, latency_summary
 
 #: Small workload so the whole module stays fast.
 SPEC = DeviceSpec(device_id=3, fleet_seed=20260807, injections=1, alloc_ops=4)
@@ -22,16 +24,6 @@ class TestDeterminism:
             a["cycles"] != b["cycles"]
         )
 
-    def test_tier_choice_never_changes_the_numbers(self):
-        """The report's determinism rests on cycle-exact tiers: a device
-        run with the trace-JIT must produce the identical sample."""
-        jit = run_device(SPEC)
-        interp = run_device(
-            DeviceSpec(device_id=3, fleet_seed=20260807, injections=1,
-                       alloc_ops=4, trace_jit=False)
-        )
-        assert jit == interp
-
 
 class TestSampleShape:
     def test_sample_has_every_report_field(self):
@@ -43,13 +35,6 @@ class TestSampleShape:
         assert sample["latency"]["count"] == len(sample["latency_samples"])
         assert 0.0 < sample["revocation"]["duty_cycle"] < 1.0
         assert sample["kernel"]["instructions"] > 0
-
-    def test_shard_concatenates_devices_in_order(self):
-        plan = FleetPlan(devices=2, shard_size=2, injections_per_device=1,
-                         alloc_ops=4)
-        result = run_shard(plan.shards()[0])
-        assert [d["device"] for d in result["devices"]] == [0, 1]
-        assert result["fleet_seed"] == plan.seed
 
 
 class TestLatencySummary:
@@ -69,3 +54,8 @@ class TestLatencySummary:
         assert summary["p99"] == 99
         assert summary["min"] == 1 and summary["max"] == 100
         assert summary["mean"] == 50.5
+
+    def test_rank_survives_float_products(self):
+        """``0.999 * 100`` truncates to 99, which ranked the 990th of
+        1,000 samples; the shared rank rule rounds first."""
+        assert _percentile(list(range(1, 1001)), 0.999) == 999

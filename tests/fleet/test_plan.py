@@ -1,9 +1,9 @@
-"""Plan layer: seeds, shard assignment, and the fingerprint pin."""
+"""Plan layer: seeds, device specs, validation and the fingerprint pin."""
 
 import pytest
 
-from repro.fleet import FleetPlan
-from repro.fleet.plan import device_seed
+from repro.fleet import DeviceSpec, FleetPlan
+from repro.fleet.device import device_seed
 
 
 class TestDeviceSeed:
@@ -19,32 +19,30 @@ class TestDeviceSeed:
         assert device_seed(1, 5) != device_seed(2, 5)
 
 
-class TestShards:
-    def test_contiguous_cover_every_device_exactly_once(self):
-        plan = FleetPlan(devices=7, shard_size=3)
-        shards = plan.shards()
-        assert [s.shard_id for s in shards] == [0, 1, 2]
-        covered = [d for s in shards for d in s.device_ids]
-        assert covered == list(range(7))
-        # The ragged tail shard holds the remainder.
-        assert shards[-1].device_ids == (6,)
+class TestDeviceSpecs:
+    def test_every_device_once_in_id_order(self):
+        specs = FleetPlan(devices=7).device_specs()
+        assert [spec.device_id for spec in specs] == list(range(7))
 
-    def test_shards_carry_the_workload_knobs(self):
-        plan = FleetPlan(
-            devices=2, shard_size=1, seed=99, injections_per_device=5,
-            alloc_ops=7, trace_jit=False,
-        )
-        for shard in plan.shards():
-            assert shard.fleet_seed == 99
-            assert shard.injections_per_device == 5
-            assert shard.alloc_ops == 7
-            assert shard.trace_jit is False
+    def test_specs_carry_the_workload_knobs(self):
+        plan = FleetPlan(devices=2, seed=99, injections_per_device=5,
+                         alloc_ops=7)
+        assert plan.device_specs() == [
+            DeviceSpec(device_id=i, fleet_seed=99, injections=5, alloc_ops=7)
+            for i in range(2)
+        ]
 
+
+class TestValidation:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FleetPlan(devices=0)
-        with pytest.raises(ValueError):
-            FleetPlan(devices=1, shard_size=0)
+        for name in ("devices", "injections_per_device", "alloc_ops"):
+            for value in (0, -1):
+                with pytest.raises(ValueError, match=f"^{name} must be "):
+                    FleetPlan(**{"devices": 1, name: value})
+        # A plan block left over from an older schema fails loudly.
+        stale = dict(FleetPlan(devices=8).to_dict(), trace_jit=True)
+        with pytest.raises(ValueError, match="trace_jit"):
+            FleetPlan.from_dict(stale)
 
 
 class TestFingerprint:
@@ -58,18 +56,16 @@ class TestFingerprint:
         base = FleetPlan(devices=8)
         variants = [
             FleetPlan(devices=9),
-            FleetPlan(devices=8, shard_size=3),
             FleetPlan(devices=8, seed=1),
             FleetPlan(devices=8, injections_per_device=4),
             FleetPlan(devices=8, alloc_ops=13),
-            FleetPlan(devices=8, trace_jit=False),
         ]
         prints = {p.fingerprint() for p in variants}
         assert base.fingerprint() not in prints
         assert len(prints) == len(variants)
 
     def test_round_trip_preserves_fingerprint(self):
-        plan = FleetPlan(devices=5, shard_size=2, seed=7)
+        plan = FleetPlan(devices=5, seed=7)
         assert FleetPlan.from_dict(plan.to_dict()).fingerprint() == (
             plan.fingerprint()
         )

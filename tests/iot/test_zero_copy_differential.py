@@ -18,6 +18,7 @@ from repro.fleet.device import DeviceSpec, run_device
 from repro.iot.app import IoTApplication
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.sessions import NetPipeline
+from repro.machine import System
 from repro.pipeline import CoreKind
 
 
@@ -130,15 +131,15 @@ class TestTierDifferential:
     """
 
     @pytest.mark.parametrize("device_id", [0, 3])
-    def test_device_sample_tier_invariant(self, device_id):
-        jit = run_device(
-            DeviceSpec(device_id=device_id, fleet_seed=20260807,
-                       trace_jit=True)
+    def test_device_sample_tier_invariant(self, device_id, monkeypatch):
+        spec = DeviceSpec(device_id=device_id, fleet_seed=20260807)
+        jit = run_device(spec)
+        make_cpu = System.make_cpu
+        monkeypatch.setattr(
+            System, "make_cpu",
+            lambda system, **kw: make_cpu(system, **kw, trace_jit=False),
         )
-        interp = run_device(
-            DeviceSpec(device_id=device_id, fleet_seed=20260807,
-                       trace_jit=False)
-        )
+        interp = run_device(spec)
         assert json.dumps(jit, sort_keys=True) == json.dumps(
             interp, sort_keys=True
         )

@@ -576,6 +576,21 @@ class TestWorkloadEquivalence:
         assert states[1][1][0] > 50  # the full call/return path ran
         assert states[1][0][10].address == 42  # callee's result in a0
 
+    def test_fleet_kernel_bit_identical(self):
+        # The fleet device's CPU kernel: a device's report numbers must
+        # not depend on which tier its kernel reached as the in-process
+        # code cache warmed.
+        from repro.fleet.device import _KERNEL_SOURCE
+
+        source = _KERNEL_SOURCE.format(
+            iters=100, buf_top=DATA_BASE + DATA_SIZE, buf_size=DATA_SIZE
+        )
+        states, cpus = _run_all(source)
+        assert states[1] == states[0]
+        assert states[2] == states[0]
+        assert cpus[1].block_stats.executions > 0
+        assert cpus[2].jit_stats.executions > 0
+
     def test_fault_campaign_slice_bit_identical(self, monkeypatch):
         # 1000 seeded injections: every scenario, outcome, detail and
         # wrong-result flag must match across all three tiers.

@@ -47,20 +47,6 @@ class TestTrace:
         assert core.cycles > 0
         assert len(trace) == 2
 
-    def test_legacy_timing_slot_chains(self, bus, roots):
-        """The deprecated timing-slot style still records and chains."""
-        core = make_core_model(CoreKind.IBEX)
-        cpu = make_cpu(bus, roots, "li a0, 1\nlw a1, 0(s0)\nhalt")
-        from .conftest import DATA_BASE
-
-        cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
-        trace = ExecutionTrace(timing=core, code_base=CODE_BASE)
-        cpu.timing = trace
-        cpu.run()
-        assert core.cycles > 0
-        assert len(trace) == 2
-        assert trace.params is core.params
-
     def test_detach_stops_recording(self, bus, roots):
         cpu = make_cpu(bus, roots, "li a0, 1\nli a1, 2\nadd a2, a0, a1\nhalt")
         trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)

@@ -1,10 +1,10 @@
-"""Tests for the metrics registry: metrics, sources, snapshot/diff."""
+"""Tests for the metrics registry: histograms, sources, snapshot/diff."""
 
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
 
 
 @dataclass
@@ -17,39 +17,6 @@ class FakeStats:
 
 
 class TestMetrics:
-    def test_counter_only_goes_up(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(4)
-        assert c.collect() == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_counter_labels_are_independent_children(self):
-        c = Counter("c", labels=("kind",))
-        c.labels(kind="a").inc(2)
-        c.labels(kind="b").inc()
-        c.labels(kind="a").inc()
-        assert c.collect() == {"kind=a": 3, "kind=b": 1}
-
-    def test_counter_label_mismatch_raises(self):
-        c = Counter("c", labels=("kind",))
-        with pytest.raises(ValueError):
-            c.labels(wrong="x")
-
-    def test_gauge_set_add_and_callback(self):
-        g = Gauge("g")
-        g.set(7)
-        g.add(-2)
-        assert g.collect() == 5
-        backing = {"v": 3}
-        live = Gauge("live", fn=lambda: backing["v"])
-        assert live.collect() == 3
-        backing["v"] = 9
-        assert live.collect() == 9
-        with pytest.raises(ValueError):
-            live.set(1)
-
     def test_histogram_buckets_and_overflow(self):
         h = Histogram("h", buckets=(10, 100))
         for v in (1, 9, 10, 11, 100, 5000):
@@ -61,12 +28,15 @@ class TestMetrics:
 
 
 class TestRegistry:
-    def test_duplicate_name_rejected_unless_replace(self):
+    def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x")
+        reg.histogram("x")
         with pytest.raises(ValueError):
-            reg.counter("x")
-        reg.counter("x", replace=True)  # no raise
+            reg.histogram("x")
+        with pytest.raises(ValueError):
+            reg.register_source("x", FakeStats())
+        with pytest.raises(ValueError):
+            reg.register_scalar("x", lambda: 1)
 
     def test_source_harvests_numeric_fields_live(self):
         reg = MetricsRegistry()
@@ -121,10 +91,3 @@ class TestSnapshotDiff:
         reg.register_scalar("new", lambda: 7)
         diff = reg.snapshot().diff(before)
         assert diff["new"] == 7
-
-    def test_flat_dotted_paths(self):
-        stats = FakeStats(hits=4)
-        reg = self._registry(stats)
-        flat = reg.snapshot().flat()
-        assert flat["cache.hits"] == 4
-        assert flat["epoch"] == 4

@@ -9,7 +9,7 @@ from repro.obs.sketch import (
     bin_bounds,
     bin_index,
     bin_representative,
-    merge_sketch_dicts,
+    nearest_rank,
 )
 
 samples = st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=60)
@@ -63,6 +63,27 @@ class TestQuantiles:
         assert abs(summary["p50"] - 50) <= 4
         assert abs(summary["p90"] - 90) <= 7
 
+    def test_rank_survives_float_products(self):
+        """``0.57 * 10_000`` is 5699.999...: truncating it ranked the
+        5,699th value, a 0, where nearest rank is the 5,700th, a 1."""
+        sketch = QuantileSketch()
+        sketch.observe(0, weight=5_699)
+        sketch.observe(1, weight=4_301)
+        assert nearest_rank(0.57, 10_000) == 5_700
+        assert sketch.quantile(0.57) == 1
+        assert sketch.quantile(0.5699) == 0
+
+    @given(
+        st.sampled_from([0.5, 0.9, 0.99]),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_reported_quantiles_keep_their_ranks(self, q, count):
+        """p50/p90/p99 rank exactly as the truncating rule did, so no
+        committed summary moves."""
+        assert nearest_rank(q, count) == max(
+            1, -(-int(q * 10_000) * count // 10_000)
+        )
+
     def test_empty_sketch_is_all_zero(self):
         summary = QuantileSketch().summary()
         assert summary == {
@@ -95,8 +116,9 @@ class TestMergeLaws:
     @settings(max_examples=40)
     @given(samples, st.integers(min_value=1, max_value=7))
     def test_shard_split_invariance(self, a, shards):
-        """Observing the stream whole or in any shard split folds to
-        the same sketch — the fleet determinism contract in miniature."""
+        """Observing the stream whole or split into any number of parts
+        folds to the same sketch — the fleet determinism contract in
+        miniature."""
         whole = _sketch(a)
         parts = [QuantileSketch() for _ in range(shards)]
         for i, value in enumerate(a):
@@ -105,13 +127,6 @@ class TestMergeLaws:
         for part in parts:
             folded = folded.merge(part)
         assert folded.to_dict() == whole.to_dict()
-
-    def test_dict_merge_matches_object_merge(self):
-        a, b = _sketch([1, 5, 900]), _sketch([2, 77])
-        assert (
-            merge_sketch_dicts(a.to_dict(), b.to_dict())
-            == a.merge(b).to_dict()
-        )
 
 
 class TestWireFormat:

@@ -12,7 +12,7 @@ from repro.obs.slo import (
 )
 
 
-def _aggregate(escaped=0, duty=0.85, floor=2.0, degraded=0.0,
+def _aggregate(escaped=0, duty=0.85, floor=2.0,
                latencies=(450, 500, 550), net_latencies=(90_000, 110_000)):
     sketch = QuantileSketch()
     sketch.observe_many(latencies)
@@ -23,10 +23,7 @@ def _aggregate(escaped=0, duty=0.85, floor=2.0, degraded=0.0,
         "floors": {"calls_per_kcycle": floor},
         "sketch": sketch.to_dict(),
         "net_sketch": net_sketch.to_dict(),
-        "derived": {
-            "revocation_duty_cycle": duty,
-            "degraded_fraction": degraded,
-        },
+        "derived": {"revocation_duty_cycle": duty},
     }
 
 
@@ -54,6 +51,22 @@ class TestRules:
                                   "max_cycles": 100})
         assert not bad["ok"] and "outside" in bad["detail"]
 
+    def test_latency_quantile_fails_closed_on_empty_sketch(self):
+        """An empty sketch has no quantile: reporting 0 would pass any
+        bound."""
+        bad = _one(_aggregate(latencies=()),
+                   {"rule": "latency-quantile", "q": 0.99,
+                    "max_cycles": 600})
+        assert not bad["ok"] and "empty" in bad["detail"]
+        assert bad["observed"] is None
+
+    def test_latency_quantile_fails_closed_without_sketch(self):
+        aggregate = _aggregate()
+        del aggregate["sketch"]
+        bad = _one(aggregate, {"rule": "latency-quantile", "q": 0.5,
+                               "max_cycles": 600})
+        assert not bad["ok"] and "no sketch" in bad["detail"]
+
     def test_revocation_duty_cycle(self):
         assert _one(_aggregate(duty=0.8),
                     {"rule": "revocation-duty-cycle", "max": 0.9})["ok"]
@@ -70,12 +83,6 @@ class TestRules:
                     {"rule": "throughput-floor", "min_calls_per_kcycle": 1.5})["ok"]
         assert not _one(_aggregate(floor=1.0),
                         {"rule": "throughput-floor", "min_calls_per_kcycle": 1.5})["ok"]
-
-    def test_degraded_ceiling(self):
-        assert _one(_aggregate(degraded=0.0),
-                    {"rule": "degraded-ceiling", "max_fraction": 0.0})["ok"]
-        assert not _one(_aggregate(degraded=0.25),
-                        {"rule": "degraded-ceiling", "max_fraction": 0.0})["ok"]
 
     def test_missing_bound_fails_not_crashes(self):
         assert not _one(_aggregate(), {"rule": "fault-escapes"})["ok"]

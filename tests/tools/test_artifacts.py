@@ -56,8 +56,8 @@ def _escape(doc):
     }]
 
 
-def _degraded_shard(doc):
-    doc["degraded"] = [{"shard": 1, "devices": [2, 3], "reason": "synthetic"}]
+def _fleet_escape(doc):
+    doc["aggregates"]["faults"]["escaped"] = 1
 
 
 def _weak_zero_copy(doc):
@@ -100,7 +100,7 @@ def _hardware_s_loses_at_128b(text):
 TAMPERS = {
     "simspeed": _dropped_workload,
     "faults": _escape,
-    "fleet": _degraded_shard,
+    "fleet": _fleet_escape,
     "slo": _failed_slo,
     "net": _weak_zero_copy,
     "audit": _audit_violation,

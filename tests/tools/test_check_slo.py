@@ -20,7 +20,7 @@ REPO = os.path.dirname(
 )
 
 #: Small plan so the module stays fast (the stock plan is `make check`'s).
-SMALL = FleetPlan(devices=4, shard_size=2, injections_per_device=1, alloc_ops=4)
+SMALL = FleetPlan(devices=4, injections_per_device=1, alloc_ops=4)
 
 
 def _root(tmp_path, rules):
@@ -39,7 +39,7 @@ def small_baseline(artifacts, entry, tmp_path):
     """A freshly generated small-plan baseline + its policy."""
     inputs = _root(tmp_path, [
         {"rule": "fault-escapes", "max": 0},
-        {"rule": "degraded-ceiling", "max_fraction": 0.0},
+        {"rule": "latency-quantile", "q": 0.99, "max_cycles": 1000},
     ])
     assert artifacts.refresh(entry("slo"), inputs) == 0
     return inputs

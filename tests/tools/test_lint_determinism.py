@@ -129,12 +129,15 @@ def test_the_declared_deterministic_paths_are_clean(lint):
 
 
 #: Packages the byte-gated artifacts run through: the §7.2.3 table rows
-#: come from ``iot``, and the simulated cycles from the capability,
-#: memory, core-model, allocator, revoker and RTOS layers of a
-#: ``repro.machine`` System.  Whole packages are linted, not a hand-kept
-#: list, so a module added to one is linted too.
+#: come from ``iot``, the simulated cycles from the capability, memory,
+#: core-model, allocator, revoker and RTOS layers of a
+#: ``repro.machine`` System, and the fault, fleet, SLO, profile and audit
+#: reports from ``faultinject``, ``fleet``, ``obs`` and ``verify``.
+#: Whole packages are linted, not a hand-kept list, so a module added to
+#: one is linted too.
 _LINTED_PACKAGES = (
-    "allocator", "capability", "iot", "memory", "pipeline", "revoker", "rtos",
+    "allocator", "capability", "faultinject", "fleet", "iot", "memory", "obs",
+    "pipeline", "revoker", "rtos", "verify",
 )
 
 

@@ -62,13 +62,7 @@ DETERMINISTIC_PATHS = [
     "src/repro/iot/*.py",
     "src/repro/machine.py",
     "src/repro/memory/*.py",
-    "src/repro/obs/export.py",
-    "src/repro/obs/pipeline.py",
-    "src/repro/obs/profile.py",
-    "src/repro/obs/registry.py",
-    "src/repro/obs/sketch.py",
-    "src/repro/obs/slo.py",
-    "src/repro/obs/workload.py",
+    "src/repro/obs/*.py",
     "src/repro/pipeline/*.py",
     "src/repro/revoker/*.py",
     "src/repro/rtos/*.py",
