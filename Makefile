@@ -19,7 +19,7 @@ test: lint check
 	$(PYTHON) -m pytest -x -q
 
 ## AST lint: no wall-clock reads, unseeded RNG, or unordered iteration
-## in the modules that produce byte-reproducible artifacts.
+## in src/repro (all but the host-timed simspeed producer).
 lint:
 	$(PYTHON) tools/lint_determinism.py
 

@@ -20,6 +20,7 @@ from repro.analysis.simspeed import (
     measure_mem_loop,
     measure_table3_iter1,
 )
+from repro.isa import Tier
 from conftest import emit
 
 
@@ -61,10 +62,10 @@ def test_predecode_speedup_same_semantics(benchmark):
     fast = {}
 
     def run_fast():
-        fast.update(measure_alu_loop(count=100_000, predecode=True))
+        fast.update(measure_alu_loop(count=100_000))
 
     benchmark.pedantic(run_fast, rounds=1, iterations=1)
-    interp = measure_alu_loop(count=100_000, predecode=False)
+    interp = measure_alu_loop(count=100_000, tier=Tier.INTERP)
 
     speedup = interp["seconds"] / fast["seconds"]
     emit(

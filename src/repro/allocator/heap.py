@@ -51,7 +51,7 @@ from repro.memory.layout import Region
 from repro.memory.revocation_map import GRANULE_BYTES, RevocationMap
 from repro.pipeline.model import CoreModel
 from repro.revoker.epoch import EpochCounter
-from repro.revoker.hardware import REG_END, REG_KICK, REG_START, BackgroundRevoker
+from repro.revoker.hardware import REG_END, REG_START, BackgroundRevoker
 from repro.revoker.software import SoftwareRevoker
 
 
@@ -143,7 +143,6 @@ class CheriHeap:
         core_model: Optional[CoreModel] = None,
         quarantine_threshold: Optional[int] = None,
         wait_policy: Optional[Callable[[int], int]] = None,
-        hardware_revoker_mmio_base: Optional[int] = None,
     ) -> None:
         self.bus = bus
         self.region = region
@@ -160,7 +159,6 @@ class CheriHeap:
         self.hardware_revoker = hardware_revoker
         self.core_model = core_model
         self.wait_policy = wait_policy
-        self._hw_mmio_base = hardware_revoker_mmio_base
         if mode is TemporalSafetyMode.SOFTWARE and software_revoker is None:
             raise ValueError("SOFTWARE mode requires a software revoker")
         if mode is TemporalSafetyMode.HARDWARE and hardware_revoker is None:
@@ -501,15 +499,9 @@ class CheriHeap:
 
     def _run_hardware_pass(self, blocking: bool = True) -> None:
         hw = self.hardware_revoker
-        if self._hw_mmio_base is not None:
-            # Go through the MMIO window like the real allocator would.
-            self.bus.write_word(self._hw_mmio_base + REG_START, self.region.base)
-            self.bus.write_word(self._hw_mmio_base + REG_END, self.region.top)
-            self.bus.write_word(self._hw_mmio_base + REG_KICK, 1)
-        else:
-            hw.mmio_write(REG_START, self.region.base)
-            hw.mmio_write(REG_END, self.region.top)
-            hw.kick()
+        hw.mmio_write(REG_START, self.region.base)
+        hw.mmio_write(REG_END, self.region.top)
+        hw.kick()
         wall = hw.run_to_completion(cpu_blocked=blocking)
         if blocking:
             # Out of memory: the allocating thread waits for completion.

@@ -23,7 +23,7 @@ import time
 from typing import Dict, List
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, assemble
+from repro.isa import CPU, ExecutionMode, Tier, assemble
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
 
@@ -37,8 +37,8 @@ DATA_BASE = 0x2000_8000
 SEED_BASELINE = {
     "table3_iter1_seconds": 2.659,
     "alu_loop_mips": 0.059,
-    # Measured through the seed's execution path (interpretive step,
-    # predecode=False) on the same container as the other two numbers.
+    # Measured through the seed's execution path (the interpretive step,
+    # Tier.INTERP) on the same container as the other two numbers.
     "mem_loop_mips": 0.102,
 }
 
@@ -63,35 +63,13 @@ loop:
 """
 
 
-def _fresh_cpu(
-    predecode: bool = True,
-    timing: bool = True,
-    block_cache: bool = True,
-    trace_jit: bool = True,
-) -> CPU:
-    bus = SystemBus()
-    bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-    cpu = CPU(
-        bus,
-        ExecutionMode.CHERIOT,
-        predecode=predecode,
-        block_cache=block_cache,
-        trace_jit=trace_jit,
-    )
-    if timing:
-        cpu.timing = make_core_model(CoreKind.IBEX)
-    return cpu
-
-
-def _run_source(
-    source: str, predecode: bool, block_cache: bool = True,
-    trace_jit: bool = True,
-) -> Dict[str, float]:
+def _run_source(source: str, tier: Tier = Tier.JIT) -> Dict[str, float]:
     """Time one program end-to-end; returns seconds / instructions / MIPS."""
     roots = make_roots()
-    cpu = _fresh_cpu(
-        predecode=predecode, block_cache=block_cache, trace_jit=trace_jit
-    )
+    bus = SystemBus()
+    bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
+    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+    cpu.timing = make_core_model(CoreKind.IBEX)
     cpu.load_program(assemble(source), CODE_BASE, pcc=roots.executable)
     cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
     start = time.perf_counter()
@@ -106,23 +84,15 @@ def _run_source(
 
 
 def measure_alu_loop(
-    count: int = 200_000, predecode: bool = True, block_cache: bool = True,
-    trace_jit: bool = True,
+    count: int = 200_000, tier: Tier = Tier.JIT
 ) -> Dict[str, float]:
     """A tight countdown loop: pure fetch/dispatch/ALU throughput."""
-    return _run_source(
-        _ALU_SOURCE.format(count=count), predecode, block_cache, trace_jit
-    )
+    return _run_source(_ALU_SOURCE.format(count=count), tier)
 
 
-def measure_mem_loop(
-    count: int = 50_000, predecode: bool = True, block_cache: bool = True,
-    trace_jit: bool = True,
-) -> Dict[str, float]:
+def measure_mem_loop(count: int = 50_000) -> Dict[str, float]:
     """Load/store loop: exercises the capability-checked memory path."""
-    return _run_source(
-        _MEM_SOURCE.format(count=count), predecode, block_cache, trace_jit
-    )
+    return _run_source(_MEM_SOURCE.format(count=count))
 
 
 def measure_table3_iter1() -> Dict[str, float]:

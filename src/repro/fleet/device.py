@@ -8,9 +8,9 @@ four phases, every one clocked in simulated cycles (never wall time):
    becomes a latency sample, and the phase's op/cycle ratio the
    device's throughput.
 2. **Tiered CPU kernel** — a seeded store/load loop on a real
-   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` with every
-   tier on.  Cycle counts are bit-identical across interpreter /
-   block-cache / trace-JIT (the differential suite's guarantee, which
+   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` at the
+   default ``Tier.JIT``.  Cycle counts are bit-identical across every
+   :class:`~repro.isa.Tier` (the differential suite's guarantee, which
    runs this kernel too), so tier promotion — which may differ from
    one device to the next as the in-process code cache warms — can
    never leak into the report.

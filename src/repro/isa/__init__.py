@@ -10,7 +10,7 @@ from .disassembler import (
     to_source,
 )
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
-from .executor import CPU, ExecStats, ExecutionMode, Halted
+from .executor import CPU, ExecStats, ExecutionMode, Halted, Tier
 from .instructions import INSTRUCTION_SPECS, Instruction, InstructionSpec
 from .load_filter import LoadFilter, LoadFilterStats
 from .pmp import PMP_ENTRIES, PMPEntry, PMPUnit, PMPViolation
@@ -49,6 +49,7 @@ __all__ = [
     "PMP_ENTRIES",
     "Program",
     "RegisterFile",
+    "Tier",
     "TraceEntry",
     "TraceJITStats",
     "Trap",

@@ -72,6 +72,25 @@ class ExecutionMode(enum.Enum):
     CHERIOT = "cheriot"
 
 
+class Tier(enum.Enum):
+    """How the executor runs a program, slowest first.
+
+    Every tier is observationally identical to :attr:`INTERP`; the
+    differential suites loop over all four to hold them to that.
+    """
+
+    #: The seed's interpretive step: string-keyed dispatch and a full
+    #: PCC authorization per fetch — the reference semantics.
+    INTERP = "interp"
+    #: Pre-decoded single step: handlers and operands resolved once at
+    #: :meth:`CPU.load_program` time.
+    STEP = "step"
+    #: Pre-decoded superblocks (:mod:`repro.isa.blockcache`).
+    FUSED = "fused"
+    #: Superblocks plus the trace-JIT (:mod:`repro.isa.tracejit`).
+    JIT = "jit"
+
+
 #: Hot-path alias: dereferencing the enum member once per module load
 #: beats the two-attribute chain in the per-access authorization check.
 _CHERIOT = ExecutionMode.CHERIOT
@@ -147,7 +166,12 @@ def _rem_impl(a: int, b: int) -> int:
 
 
 class CPU:
-    """A single CHERIoT (or plain RV32E) hart attached to a bus."""
+    """A single CHERIoT (or plain RV32E) hart attached to a bus.
+
+    ``tier`` picks how programs run (:class:`Tier`; the default is the
+    fastest, :attr:`Tier.JIT`).  ``jit_threshold`` is how many fused
+    executions promote a block to compiled code on the JIT tier.
+    """
 
     def __init__(
         self,
@@ -158,9 +182,7 @@ class CPU:
         timing=None,
         hwm_enabled: bool = True,
         cfi_strict: bool = False,
-        predecode: bool = True,
-        block_cache: bool = True,
-        trace_jit: bool = True,
+        tier: Tier = Tier.JIT,
         jit_threshold: int = 50,
     ) -> None:
         self.bus = bus
@@ -168,29 +190,26 @@ class CPU:
         self.load_filter = load_filter
         self.pmp = pmp
         self._timing = timing
-        #: Decode-once, execute-many: with ``predecode`` (the default)
-        #: the handler and operand metadata of every instruction are
-        #: resolved at :meth:`load_program` time.  ``predecode=False``
-        #: keeps the seed's per-step interpretive dispatch — the
-        #: reference semantics the differential tests compare against.
-        self._predecode = predecode
+        self.tier = tier
+        #: Decode-once, execute-many: above :attr:`Tier.INTERP` the
+        #: handler and operand metadata of every instruction are
+        #: resolved at :meth:`load_program` time.
         self._decoded: Optional[List[tuple]] = None
         #: Superblock translation cache (:mod:`repro.isa.blockcache`):
-        #: with ``block_cache`` (the default, pre-decode only) the run
-        #: loop fuses straight-line runs into single-dispatch blocks.
-        #: The fused path is refused per step while any observer is
-        #: attached (``pre_step_hook``, retire hooks, a polled timer),
-        #: so telemetry and fault injection always see the ordinary
-        #: per-instruction stream.
-        self._block_cache_enabled = block_cache and predecode
+        #: from :attr:`Tier.FUSED` up the run loop fuses straight-line
+        #: runs into single-dispatch blocks.  The fused path is refused
+        #: per step while any observer is attached (``pre_step_hook``,
+        #: retire hooks, a polled timer), so telemetry and fault
+        #: injection always see the ordinary per-instruction stream.
+        self._block_cache_enabled = tier in (Tier.FUSED, Tier.JIT)
         self._blocks: dict = {}
         self.block_stats = BlockCacheStats()
         self._code_watch = None
-        #: Trace-JIT tier (:mod:`repro.isa.tracejit`): blocks that
-        #: execute fused ``jit_threshold`` times are compiled into
-        #: specialised Python functions.  Rides on the block cache, so
-        #: it inherits its deopt predicate and dirty-range invalidation.
-        self._jit_enabled = trace_jit and self._block_cache_enabled
+        #: Trace-JIT (:mod:`repro.isa.tracejit`): blocks that execute
+        #: fused ``jit_threshold`` times are compiled into specialised
+        #: Python functions.  Rides on the block cache, so it inherits
+        #: its deopt predicate and dirty-range invalidation.
+        self._jit_enabled = tier is Tier.JIT
         self._jit_threshold = jit_threshold
         self.jit_stats = TraceJITStats()
         #: Completed iterations a faulting trace-loop recorded before it
@@ -363,7 +382,9 @@ class CPU:
             if pcc is None:
                 raise ValueError("CHERIoT mode requires a PCC")
             self.pcc = pcc.set_address(self.pc)
-        self._decoded = _decode_program(program) if self._predecode else None
+        self._decoded = (
+            None if self.tier is Tier.INTERP else _decode_program(program)
+        )
         self._blocks.clear()
         if self._block_cache_enabled and self._decoded:
             lo, hi = code_base, code_base + 4 * len(program.instructions)
@@ -803,7 +824,7 @@ class CPU:
     def _step_interp(self) -> None:
         """The seed's interpretive step: string-keyed dispatch and a full
         PCC authorization per fetch.  Kept as the reference semantics for
-        the differential golden-trace tests (``predecode=False``)."""
+        the differential golden-trace tests (:attr:`Tier.INTERP`)."""
         if self._pre_step_hook is not None:
             self._pre_step_hook(self)
         if (

@@ -31,6 +31,7 @@ from repro.isa import (
     ExecutionMode,
     LoadFilter,
     PMPUnit,
+    Tier,
     TraceJITStats,
 )
 from repro.memory import (
@@ -177,7 +178,6 @@ class System:
         app_stack_size: int = 1024,
         finalize: bool = True,
         telemetry: bool = False,
-        trace_capacity: Optional[int] = None,
     ) -> "System":
         """Boot a system: memory, devices, RTOS image, allocator.
 
@@ -191,8 +191,7 @@ class System:
         ``telemetry`` wires a :class:`repro.obs.Telemetry` (span tracer,
         cycle attributor, obs metrics) into the switcher, scheduler,
         allocator and revokers; disabled, those subsystems follow the
-        seed's exact code paths.  ``trace_capacity`` bounds the span
-        ring buffer.
+        seed's exact code paths.
         """
         mm = memory_map if memory_map is not None else default_memory_map()
         bus = SystemBus()
@@ -241,7 +240,6 @@ class System:
             core_model=core_model,
             quarantine_threshold=quarantine_threshold,
             wait_policy=wait_policy,
-            hardware_revoker_mmio_base=None,
         )
 
         def malloc_handler(ctx, size):
@@ -274,10 +272,7 @@ class System:
 
         obs: Optional[Telemetry] = None
         if telemetry:
-            if trace_capacity is not None:
-                obs = Telemetry(core_model, capacity=trace_capacity)
-            else:
-                obs = Telemetry(core_model)
+            obs = Telemetry(core_model)
             switcher.obs = obs
             scheduler.obs = obs
             allocator.obs = obs
@@ -325,16 +320,14 @@ class System:
 
     def make_cpu(self, mode: ExecutionMode = ExecutionMode.CHERIOT,
                  pmp: Optional[PMPUnit] = None,
-                 block_cache: bool = True,
-                 trace_jit: bool = True,
+                 tier: Tier = Tier.JIT,
                  jit_threshold: int = 50) -> CPU:
         """An ISA-level CPU sharing this system's bus and devices.
 
-        ``block_cache``/``trace_jit``/``jit_threshold`` select the
-        execution tier, exactly as on :class:`~repro.isa.CPU` — the
-        fleet device runner sets its JIT threshold, and the
-        tier-differential recovery tests vary the tier, through this
-        seam.
+        ``tier`` and ``jit_threshold`` pick the execution tier exactly
+        as on :class:`~repro.isa.CPU`: the fleet device runner sets its
+        JIT threshold through this seam, and the zero-copy differential
+        varies the tier of a device's CPU.
         """
         cpu = CPU(
             self.bus,
@@ -343,8 +336,7 @@ class System:
             pmp=pmp,
             timing=self.core_model,
             hwm_enabled=self.csr.hwm_enabled,
-            block_cache=block_cache,
-            trace_jit=trace_jit,
+            tier=tier,
             jit_threshold=jit_threshold,
         )
         # Aggregate this hart's tier counters into the system registry.

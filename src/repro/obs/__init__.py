@@ -83,10 +83,10 @@ __all__ = [
 class Telemetry:
     """Registry + tracer + attributor over one core model's clock."""
 
-    def __init__(self, core_model, capacity: int = DEFAULT_RING_CAPACITY) -> None:
+    def __init__(self, core_model) -> None:
         self.core_model = core_model
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(lambda: core_model.cycles, capacity=capacity)
+        self.tracer = SpanTracer(lambda: core_model.cycles)
         self.attributor = CycleAttributor(core_model)
         # Telemetry's own health metrics, and the allocation-size
         # distribution the heap instrumentation feeds.

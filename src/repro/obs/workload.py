@@ -10,10 +10,11 @@ One recipe, two phases, every span category the exporter knows about:
 2. **Kernel phase** — one Table-3 CoreMark kernel compiled by the
    in-repo compiler and executed on a CPU sharing the system's bus and
    core model, with the :class:`~repro.obs.profile.PCProfiler` riding
-   the retire hook for the hot-PC histogram.  Kernel data and stack are
-   placed in the upper half of the code region: program instructions
-   are structural (never written to memory), so that SRAM is free real
-   estate and the RTOS image stays untouched.
+   the retire hook for the hot-PC histogram.  Kernel globals and stack
+   are placed in the upper half of the code region, in two disjoint
+   windows: program instructions are structural (never written to
+   memory), so that SRAM is free real estate and the RTOS image stays
+   untouched.
 
 ``tools/trace_export.py`` and ``tools/profile_report.py`` both run this
 recipe, and :func:`fleet_profile` merges it across devices into the
@@ -27,17 +28,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.allocator import TemporalSafetyMode
-from repro.capability import Permission, make_roots
-from repro.cc import Target, compile_module
-from repro.isa import assemble
 from repro.machine import CoreKind, System
-from repro.workloads.coremark import _KERNEL_DRIVERS, build_coremark_module
+from repro.memory import Region
+from repro.workloads.coremark import boot, coremark_program
 
 from .profile import PCProfiler, merge_profile_dicts, profile_to_dict
 
 #: Offsets into the code region for the kernel phase's data and stack.
 #: The code region is 256 KiB; compiled programs are a few KiB of
-#: structural instructions, so the upper half is unused SRAM.
+#: structural instructions, so the upper half is unused SRAM.  The
+#: globals window is the 64 KiB below the stack, so ``cgp`` and ``csp``
+#: cover disjoint ranges.
 KERNEL_DATA_OFFSET = 0x20000
 KERNEL_STACK_OFFSET = 0x30000
 KERNEL_STACK_BYTES = 0x8000
@@ -78,31 +79,16 @@ def run_kernel_phase(
     system's core model, so the tracer's clock keeps advancing and the
     attributor books the kernel under the root ``app`` context.
     """
-    if kernel not in _KERNEL_DRIVERS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    mm = system.memory_map
-    data_base = mm.code.base + KERNEL_DATA_OFFSET
-    stack_base = mm.code.base + KERNEL_STACK_OFFSET
-    stack_top = stack_base + KERNEL_STACK_BYTES
-
-    module = build_coremark_module(8)
-    compiled = compile_module(module, Target.CHERIOT, data_base=data_base)
-    driver = _KERNEL_DRIVERS[kernel].format(iterations=iterations)
-    program = assemble(compiled.assembly + driver, name=f"traced-{kernel}")
-
+    code = system.memory_map.code.base
+    stack = Region("kernel-stack", code + KERNEL_STACK_OFFSET, KERNEL_STACK_BYTES)
+    globals_ = Region(
+        "kernel-globals",
+        code + KERNEL_DATA_OFFSET,
+        KERNEL_STACK_OFFSET - KERNEL_DATA_OFFSET,
+    )
+    program = coremark_program("cheriot", iterations, kernel, globals_.base)
     cpu = system.make_cpu()
-    roots = make_roots()
-    cpu.load_program(program, mm.code.base, pcc=roots.executable, entry="_start")
-    cpu.regs.write(
-        2,
-        roots.memory.set_address(stack_base)
-        .set_bounds(KERNEL_STACK_BYTES)
-        .set_address(stack_top - 8)
-        .clear_perms(Permission.GL),
-    )
-    cpu.regs.write(
-        3, roots.memory.set_address(data_base).set_bounds(KERNEL_DATA_OFFSET)
-    )
+    boot(cpu, program, code, stack, globals_)
     if profiler is not None:
         profiler.attach(cpu)
     before = system.core_model.cycles

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from repro.capability import Capability, Permission as P, SentryType, make_roots
 from repro.capability.otypes import RTOS_DATA_OTYPES
-from repro.isa import CPU, ExecutionMode, assemble
+from repro.isa import CPU, ExecutionMode, Tier, assemble
 from repro.memory import SystemBus, TaggedMemory
 
 #: The hand-written trusted path.  Labels `switcher_call` and
@@ -159,8 +159,7 @@ def build_image(
     stack_size: int = 0x200,
     trusted_stack_at: int = 0x2000_9000,
     export_table_at: int = 0x2000_9800,
-    block_cache: bool = True,
-    trace_jit: bool = True,
+    tier: Tier = Tier.JIT,
     jit_threshold: int = 50,
 ) -> AsmSwitcherImage:
     """Assemble switcher + callee + caller into one bootable image.
@@ -168,7 +167,8 @@ def build_image(
     ``caller_asm`` must define ``_start`` and jump via ``jalr ra, s0``
     where s0 holds the switcher sentry and t0 the export token (both
     pre-loaded in registers by this builder).  ``callee_asm`` must
-    define ``callee_entry`` and end with ``ret``.
+    define ``callee_entry`` and end with ``ret``.  ``tier`` and
+    ``jit_threshold`` pick the CPU's execution tier (:class:`~repro.isa.Tier`).
     """
     roots = make_roots()
     source = SWITCHER_ASM + callee_asm + caller_asm
@@ -176,13 +176,7 @@ def build_image(
 
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(code_base, 0x1_0000))
-    cpu = CPU(
-        bus,
-        ExecutionMode.CHERIOT,
-        block_cache=block_cache,
-        trace_jit=trace_jit,
-        jit_threshold=jit_threshold,
-    )
+    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier, jit_threshold=jit_threshold)
     cpu.load_program(program, code_base, pcc=roots.executable, entry="_start")
 
     # The switcher's entry sentry: disable interrupts, keep SR.

@@ -25,7 +25,7 @@ from typing import Callable, Dict
 
 from repro.capability import Permission as P, SentryType, make_roots
 from repro.capability.otypes import RTOS_DATA_OTYPES, RETURN_SENTRY_OTYPES
-from repro.isa import assemble
+from repro.isa import ExecutionMode, assemble
 from repro.memory import default_memory_map
 
 from .absint import CompartmentSpan, ImageSpec
@@ -262,19 +262,13 @@ def switcher_image() -> ImageSpec:
 
 
 def coremark_image() -> ImageSpec:
-    from repro.workloads.coremark import _assembled_image
+    from repro.workloads.coremark import coremark_program, entry_registers
 
     mm = default_memory_map()
     roots = make_roots()
-    program = _assembled_image("cheriot", 2, False, False, mm.globals_.base)
-    stack_cap = (
-        roots.memory.set_address(mm.stacks.base)
-        .set_bounds(mm.stacks.size)
-        .set_address(mm.stacks.top - 8)
-        .clear_perms(P.GL)
-    )
-    gp_cap = roots.memory.set_address(mm.globals_.base).set_bounds(
-        mm.globals_.size
+    program = coremark_program("cheriot", 2)
+    stack_cap, gp_cap = entry_registers(
+        ExecutionMode.CHERIOT, mm.stacks, mm.globals_
     )
     span = CompartmentSpan(
         name="app",

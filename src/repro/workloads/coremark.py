@@ -24,13 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.capability import Capability, Permission, make_roots
 from repro.cc import ir
-from repro.cc.lower import Target, compile_module
-from repro.isa import CPU, ExecutionMode, LoadFilter, assemble
-from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
+from repro.cc.lower import GlobalLayout, Target, compile_module
+from repro.isa import CPU, ExecutionMode, LoadFilter, Program, Tier, assemble
+from repro.memory import (
+    Region,
+    RevocationMap,
+    SystemBus,
+    TaggedMemory,
+    default_memory_map,
+)
 from repro.pipeline import CoreKind, make_core_model
 
 #: Linked-list length (nodes).
@@ -376,175 +382,8 @@ _bench_loop:
     halt
 """
 
-
-@dataclass
-class CoreMarkResult:
-    """One configuration's outcome."""
-
-    core: CoreKind
-    config: str  # "rv32e" | "cheriot" | "cheriot+filter"
-    iterations: int
-    cycles: int
-    instructions: int
-    crc: int
-
-    @property
-    def iterations_per_megacycle(self) -> float:
-        return self.iterations / (self.cycles / 1e6)
-
-
-@lru_cache(maxsize=32)
-def _assembled_image(
-    config: str,
-    iterations: int,
-    fixed_compiler: bool,
-    optimize: bool,
-    data_base: int,
-):
-    """Build and assemble one configuration's image, memoized.
-
-    The pipeline from IR to assembled program is deterministic in these
-    arguments, and benchmark harnesses (and the regression gate) run the
-    same configurations repeatedly — re-assembling dominated short runs.
-    The returned program is immutable and shared read-only across CPUs.
-    """
-    cheriot = config != "rv32e"
-    target = Target.CHERIOT if cheriot else Target.RV32E
-    module = build_coremark_module(8 if cheriot else 4)
-    compiled = compile_module(
-        module,
-        target,
-        fixed_compiler=fixed_compiler,
-        data_base=data_base,
-        optimize=optimize,
-    )
-    source = compiled.assembly + _DRIVER.format(iterations=iterations)
-    return assemble(source, name=f"coremark-{config}")
-
-
-def run_coremark(
-    core: CoreKind,
-    config: str,
-    iterations: int = 2,
-    fixed_compiler: bool = False,
-    optimize: bool = False,
-    block_cache: bool = True,
-    trace_jit: bool = True,
-) -> CoreMarkResult:
-    """Run the workalike under one of Table 3's configurations.
-
-    ``config`` is one of ``rv32e`` (integer pointers, no capabilities),
-    ``cheriot`` (capabilities, load filter disabled), or
-    ``cheriot+filter`` (capabilities with the load filter engaged).
-    ``block_cache=False`` forces pure single-stepping — the differential
-    tests use it to pin the fused executor to the reference semantics —
-    and ``trace_jit=False`` keeps the superblock cache but disables
-    compilation to specialised code (the middle tier alone).
-    """
-    if config not in ("rv32e", "cheriot", "cheriot+filter"):
-        raise ValueError(f"unknown config {config!r}")
-    cheriot = config != "rv32e"
-    mm = default_memory_map()
-    bus = SystemBus()
-    bus.attach_sram(TaggedMemory(mm.code.base, mm.sram_bytes))
-    rmap = RevocationMap(mm.heap.base, mm.heap.size)
-
-    program = _assembled_image(
-        config, iterations, fixed_compiler, optimize, mm.globals_.base
-    )
-
-    core_model = make_core_model(core, load_filter_enabled=(config == "cheriot+filter"))
-    load_filter = LoadFilter(rmap) if config == "cheriot+filter" else None
-    cpu = CPU(
-        bus,
-        mode=ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E,
-        load_filter=load_filter,
-        timing=core_model,
-        block_cache=block_cache,
-        trace_jit=trace_jit,
-    )
-
-    stack_top = mm.stacks.top
-    if cheriot:
-        roots = make_roots()
-        pcc = roots.executable
-        cpu.load_program(program, mm.code.base, pcc=pcc, entry="_start")
-        stack_cap = (
-            roots.memory.set_address(mm.stacks.base)
-            .set_bounds(mm.stacks.size)
-            .set_address(stack_top - 8)
-            .clear_perms(Permission.GL)
-        )
-        gp_cap = roots.memory.set_address(mm.globals_.base).set_bounds(
-            mm.globals_.size
-        )
-        cpu.regs.write(2, stack_cap)  # csp
-        cpu.regs.write(3, gp_cap)  # cgp
-    else:
-        cpu.load_program(program, mm.code.base, entry="_start")
-        cpu.regs.write_int(2, stack_top - 8)
-        cpu.regs.write_int(3, mm.globals_.base)
-
-    stats = cpu.run(max_steps=50_000_000)
-    return CoreMarkResult(
-        core=core,
-        config=config,
-        iterations=iterations,
-        cycles=core_model.cycles,
-        instructions=stats.instructions,
-        crc=cpu.regs.read_int(10),
-    )
-
-
-#: The paper's Table 3 baseline scores, used only to place our relative
-#: results on the paper's absolute scale (CoreMark/MHz).
-PAPER_BASELINE_SCORE = {CoreKind.FLUTE: 2.017, CoreKind.IBEX: 2.086}
-PAPER_TABLE3 = {
-    (CoreKind.FLUTE, "rv32e"): 2.017,
-    (CoreKind.FLUTE, "cheriot"): 1.892,
-    (CoreKind.FLUTE, "cheriot+filter"): 1.892,
-    (CoreKind.IBEX, "rv32e"): 2.086,
-    (CoreKind.IBEX, "cheriot"): 1.811,
-    (CoreKind.IBEX, "cheriot+filter"): 1.624,
-}
-
-
-def table3(iterations: int = 2) -> "list[dict]":
-    """Regenerate Table 3: both cores, all three configurations.
-
-    Returns one row per (core, config) with raw and scaled scores plus
-    the overhead relative to the same core's rv32e baseline.
-    """
-    rows = []
-    for core in (CoreKind.FLUTE, CoreKind.IBEX):
-        base = run_coremark(core, "rv32e", iterations)
-        scale = PAPER_BASELINE_SCORE[core] / base.iterations_per_megacycle
-        for config in ("rv32e", "cheriot", "cheriot+filter"):
-            result = (
-                base if config == "rv32e" else run_coremark(core, config, iterations)
-            )
-            raw = result.iterations_per_megacycle
-            overhead = (base.cycles and (result.cycles - base.cycles) / base.cycles)
-            rows.append(
-                {
-                    "core": core.value,
-                    "config": config,
-                    "cycles": result.cycles,
-                    "instructions": result.instructions,
-                    "score_raw": raw,
-                    "score_scaled": raw * scale,
-                    "overhead_pct": 100.0 * overhead,
-                    "paper_score": PAPER_TABLE3[(core, config)],
-                    "crc": result.crc,
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Per-kernel profiling
-# ---------------------------------------------------------------------------
-
+#: One driver per kernel, for :func:`run_kernel_profile`: each runs only
+#: that kernel's initialiser and its loop.
 _KERNEL_DRIVERS = {
     "list": """
 _start:
@@ -580,6 +419,229 @@ _bench_loop:
 """,
 }
 
+#: Table 3's configurations, in the table's order.
+CONFIGS = ("rv32e", "cheriot", "cheriot+filter")
+
+#: Where every run of this module places code, globals and the stack.
+_MEMORY = default_memory_map()
+
+
+@dataclass
+class CoreMarkResult:
+    """One configuration's outcome."""
+
+    core: CoreKind
+    config: str  # "rv32e" | "cheriot" | "cheriot+filter"
+    iterations: int
+    cycles: int
+    instructions: int
+    crc: int
+
+    @property
+    def iterations_per_megacycle(self) -> float:
+        return self.iterations / (self.cycles / 1e6)
+
+
+@lru_cache(maxsize=64)
+def coremark_program(
+    config: str,
+    iterations: int,
+    kernel: Optional[str] = None,
+    data_base: int = _MEMORY.globals_.base,
+    fixed_compiler: bool = False,
+    optimize: bool = False,
+) -> Program:
+    """The assembled workalike for one of :data:`CONFIGS`, memoized.
+
+    With ``kernel`` (``"list"``, ``"matrix"`` or ``"state"``) the driver
+    loops over that kernel alone; otherwise over the full CoreMark
+    iteration.  Globals are addressed at ``data_base``, the base of the
+    region :func:`boot` is given as ``globals_``.
+
+    The pipeline from IR to assembled program is deterministic in these
+    arguments, and benchmark harnesses (and the regression gate) run the
+    same configurations repeatedly — re-assembling dominated short runs.
+    The returned program is immutable and shared read-only across CPUs.
+    """
+    if config not in CONFIGS:
+        raise ValueError(f"unknown config {config!r}")
+    if kernel is not None and kernel not in _KERNEL_DRIVERS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    cheriot = config != "rv32e"
+    target = Target.CHERIOT if cheriot else Target.RV32E
+    module = build_coremark_module(8 if cheriot else 4)
+    compiled = compile_module(
+        module,
+        target,
+        fixed_compiler=fixed_compiler,
+        data_base=data_base,
+        optimize=optimize,
+    )
+    driver = _KERNEL_DRIVERS[kernel] if kernel else _DRIVER
+    name = f"coremark-{kernel}-{config}" if kernel else f"coremark-{config}"
+    source = compiled.assembly + driver.format(iterations=iterations)
+    return assemble(source, name=name)
+
+
+# ---------------------------------------------------------------------------
+# Booting compiled code
+# ---------------------------------------------------------------------------
+
+
+def entry_registers(
+    mode: ExecutionMode, stack: Region, globals_: Region
+) -> "tuple[Capability | int, Capability | int]":
+    """``(csp, cgp)``: what compiled code finds in registers 2 and 3.
+
+    In CHERIoT mode ``csp`` is a local (GL-less) capability to ``stack``
+    and ``cgp`` a capability to ``globals_``, both derived from the
+    memory root (so ``cgp`` keeps the root's SL).  In RV32E they are
+    plain integers.  Either way the stack pointer starts 8 bytes below
+    the stack's top.
+    """
+    sp = stack.top - 8
+    if mode is not ExecutionMode.CHERIOT:
+        return sp, globals_.base
+    memory = make_roots().memory
+    csp = (
+        memory.set_address(stack.base)
+        .set_bounds(stack.size)
+        .set_address(sp)
+        .clear_perms(Permission.GL)
+    )
+    return csp, memory.set_address(globals_.base).set_bounds(globals_.size)
+
+
+def boot(
+    cpu: CPU,
+    program: Program,
+    code_base: int,
+    stack: Region,
+    globals_: Region,
+    data: Iterable[GlobalLayout] = (),
+) -> None:
+    """Put ``cpu`` at the entry state of a compiled program.
+
+    Loads ``program`` at ``code_base`` with its PC at ``_start`` (in
+    CHERIoT mode under the executable root), writes ``csp`` and ``cgp``
+    from :func:`entry_registers`, and copies the initialised globals in
+    ``data`` (a compiled module's ``globals_layout.values()``) into
+    ``globals_``.
+    """
+    csp, cgp = entry_registers(cpu.mode, stack, globals_)
+    # An RV32E CPU ignores the PCC and takes the registers as integers.
+    cpu.load_program(
+        program, code_base, pcc=make_roots().executable, entry="_start"
+    )
+    cheriot = cpu.mode is ExecutionMode.CHERIOT
+    write = cpu.regs.write if cheriot else cpu.regs.write_int
+    write(2, csp)
+    write(3, cgp)
+    for layout in data:
+        if layout.init:
+            cpu.bus.write_bytes(globals_.base + layout.offset, layout.init)
+
+
+def _run(core: CoreKind, config: str, program: Program, tier: Tier) -> CPU:
+    """Run ``program`` to ``halt`` on a fresh bus under one configuration."""
+    mm = _MEMORY
+    bus = SystemBus()
+    bus.attach_sram(TaggedMemory(mm.code.base, mm.sram_bytes))
+    filtered = config == "cheriot+filter"
+    cpu = CPU(
+        bus,
+        mode=ExecutionMode.RV32E if config == "rv32e" else ExecutionMode.CHERIOT,
+        load_filter=(
+            LoadFilter(RevocationMap(mm.heap.base, mm.heap.size))
+            if filtered else None
+        ),
+        timing=make_core_model(core, load_filter_enabled=filtered),
+        tier=tier,
+    )
+    boot(cpu, program, mm.code.base, mm.stacks, mm.globals_)
+    cpu.run(max_steps=50_000_000)
+    return cpu
+
+
+def run_coremark(
+    core: CoreKind,
+    config: str,
+    iterations: int = 2,
+    fixed_compiler: bool = False,
+    optimize: bool = False,
+    tier: Tier = Tier.JIT,
+) -> CoreMarkResult:
+    """Run the workalike under one of Table 3's configurations.
+
+    ``config`` is one of ``rv32e`` (integer pointers, no capabilities),
+    ``cheriot`` (capabilities, load filter disabled), or
+    ``cheriot+filter`` (capabilities with the load filter engaged).
+    ``tier`` picks the executor's tier (:class:`~repro.isa.Tier`); the
+    differential tests run every tier and require identical results.
+    """
+    program = coremark_program(
+        config, iterations, fixed_compiler=fixed_compiler, optimize=optimize
+    )
+    cpu = _run(core, config, program, tier)
+    return CoreMarkResult(
+        core=core,
+        config=config,
+        iterations=iterations,
+        cycles=cpu.timing.cycles,
+        instructions=cpu.stats.instructions,
+        crc=cpu.regs.read_int(10),
+    )
+
+
+#: The paper's Table 3 baseline scores, used only to place our relative
+#: results on the paper's absolute scale (CoreMark/MHz).
+PAPER_BASELINE_SCORE = {CoreKind.FLUTE: 2.017, CoreKind.IBEX: 2.086}
+PAPER_TABLE3 = {
+    (CoreKind.FLUTE, "rv32e"): 2.017,
+    (CoreKind.FLUTE, "cheriot"): 1.892,
+    (CoreKind.FLUTE, "cheriot+filter"): 1.892,
+    (CoreKind.IBEX, "rv32e"): 2.086,
+    (CoreKind.IBEX, "cheriot"): 1.811,
+    (CoreKind.IBEX, "cheriot+filter"): 1.624,
+}
+
+
+def table3(iterations: int = 2) -> "list[dict]":
+    """Regenerate Table 3: both cores, all three configurations.
+
+    Returns one row per (core, config) with raw and scaled scores plus
+    the overhead relative to the same core's rv32e baseline.
+    """
+    rows = []
+    for core in (CoreKind.FLUTE, CoreKind.IBEX):
+        base = run_coremark(core, "rv32e", iterations)
+        scale = PAPER_BASELINE_SCORE[core] / base.iterations_per_megacycle
+        for config in CONFIGS:
+            result = (
+                base if config == "rv32e" else run_coremark(core, config, iterations)
+            )
+            raw = result.iterations_per_megacycle
+            overhead = (base.cycles and (result.cycles - base.cycles) / base.cycles)
+            rows.append(
+                {
+                    "core": core.value,
+                    "config": config,
+                    "cycles": result.cycles,
+                    "instructions": result.instructions,
+                    "score_raw": raw,
+                    "score_scaled": raw * scale,
+                    "overhead_pct": 100.0 * overhead,
+                    "paper_score": PAPER_TABLE3[(core, config)],
+                    "crc": result.crc,
+                }
+            )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Per-kernel profiling
+# ---------------------------------------------------------------------------
+
 
 def run_kernel_profile(
     core: CoreKind, config: str, iterations: int = 2
@@ -591,55 +653,9 @@ def run_kernel_profile(
     matrix code suffers the folding bug); this breakdown makes that
     attribution measurable.
     """
-    if config not in ("rv32e", "cheriot", "cheriot+filter"):
-        raise ValueError(f"unknown config {config!r}")
-    cheriot = config != "rv32e"
-    results = {}
-    for kernel, driver in _KERNEL_DRIVERS.items():
-        mm = default_memory_map()
-        bus = SystemBus()
-        bus.attach_sram(TaggedMemory(mm.code.base, mm.sram_bytes))
-        rmap = RevocationMap(mm.heap.base, mm.heap.size)
-        module = build_coremark_module(8 if cheriot else 4)
-        compiled = compile_module(
-            module,
-            Target.CHERIOT if cheriot else Target.RV32E,
-            data_base=mm.globals_.base,
-        )
-        program = assemble(
-            compiled.assembly + driver.format(iterations=iterations),
-            name=f"coremark-{kernel}-{config}",
-        )
-        core_model = make_core_model(
-            core, load_filter_enabled=(config == "cheriot+filter")
-        )
-        cpu = CPU(
-            bus,
-            mode=ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E,
-            load_filter=LoadFilter(rmap) if config == "cheriot+filter" else None,
-            timing=core_model,
-        )
-        stack_top = mm.stacks.top
-        if cheriot:
-            roots = make_roots()
-            cpu.load_program(program, mm.code.base, pcc=roots.executable,
-                             entry="_start")
-            cpu.regs.write(
-                2,
-                roots.memory.set_address(mm.stacks.base)
-                .set_bounds(mm.stacks.size)
-                .set_address(stack_top - 8)
-                .clear_perms(Permission.GL),
-            )
-            cpu.regs.write(
-                3, roots.memory.set_address(mm.globals_.base).set_bounds(
-                    mm.globals_.size
-                )
-            )
-        else:
-            cpu.load_program(program, mm.code.base, entry="_start")
-            cpu.regs.write_int(2, stack_top - 8)
-            cpu.regs.write_int(3, mm.globals_.base)
-        cpu.run(max_steps=50_000_000)
-        results[kernel] = core_model.cycles
-    return results
+    return {
+        kernel: _run(
+            core, config, coremark_program(config, iterations, kernel), Tier.JIT
+        ).timing.cycles
+        for kernel in _KERNEL_DRIVERS
+    }

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
 from repro.cc import ir
 from repro.cc.lower import Target, compile_module
 from repro.isa import CPU, ExecutionMode, Trap, assemble
-from repro.memory import SystemBus, TaggedMemory
+from repro.memory import Region, SystemBus, TaggedMemory
+from repro.workloads.coremark import boot
 
 CODE_BASE = 0x2000_0000
 DATA_BASE = 0x2001_0000
-STACK_TOP = 0x2002_0000
+GLOBALS = Region("globals", DATA_BASE, 0x1000)
+STACK = Region("stack", DATA_BASE + 0x1000, 0xF000)
 
 V, C, B = ir.Var, ir.Const, ir.BinOp
 
@@ -29,21 +30,7 @@ def run_function(module, entry, args=(), target=Target.CHERIOT,
     bus.attach_sram(TaggedMemory(0x2000_0000, 0x2_0000))
     cheriot = target is Target.CHERIOT
     cpu = CPU(bus, mode=ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E)
-    if cheriot:
-        roots = make_roots()
-        cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
-        stack = (
-            roots.memory.set_address(DATA_BASE + 0x1000)
-            .set_bounds(STACK_TOP - DATA_BASE - 0x1000)
-            .set_address(STACK_TOP - 16)
-            .clear_perms(P.GL)
-        )
-        cpu.regs.write(2, stack)
-        cpu.regs.write(3, roots.memory.set_address(DATA_BASE).set_bounds(0x1000))
-    else:
-        cpu.load_program(program, CODE_BASE, entry="_start")
-        cpu.regs.write_int(2, STACK_TOP - 16)
-        cpu.regs.write_int(3, DATA_BASE)
+    boot(cpu, program, CODE_BASE, STACK, GLOBALS)
     cpu.run(max_steps=2_000_000)
     return cpu.regs.read_int(10), cpu
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cc.lower import Target, compile_module
 from repro.cc.opt import peephole
 from repro.workloads.kernels import ALL_KERNELS
-from tests.workloads.test_kernels import DATA_BASE, execute
+from tests.workloads.test_kernels import DATA_BASE, run_compiled
 
 
 class TestPatterns:
@@ -53,10 +53,7 @@ class TestSemanticsPreserved:
             module, target, data_base=DATA_BASE, optimize=True
         )
         # Run through the shared executor harness with optimized code.
-        from repro.cc.lower import CodeGen
-
-        result = _execute_compiled(compiled, entry, args, target)
-        assert result == oracle
+        assert run_compiled(compiled, entry, args) == oracle
 
     def test_optimizer_shrinks_code(self):
         module, entry, args, _ = ALL_KERNELS[0]()
@@ -65,37 +62,3 @@ class TestSemanticsPreserved:
             module, Target.CHERIOT, data_base=DATA_BASE, optimize=True
         )
         assert len(tight.assembly.splitlines()) < len(plain.assembly.splitlines())
-
-
-def _execute_compiled(compiled, entry, args, target):
-    from repro.capability import Permission as P, make_roots
-    from repro.isa import CPU, ExecutionMode, assemble
-    from repro.memory import SystemBus, TaggedMemory
-    from tests.workloads.test_kernels import CODE_BASE, STACK_TOP
-
-    setup = "\n".join(f"li a{i}, {v}" for i, v in enumerate(args))
-    program = assemble(compiled.assembly + f"_start:\n{setup}\njal ra, {entry}\nhalt\n")
-    bus = SystemBus()
-    bus.attach_sram(TaggedMemory(CODE_BASE, 0x4_0000))
-    for layout in compiled.globals_layout.values():
-        if layout.init:
-            bus.write_bytes(DATA_BASE + layout.offset, layout.init)
-    cheriot = target is Target.CHERIOT
-    cpu = CPU(bus, ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E)
-    if cheriot:
-        roots = make_roots()
-        cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
-        cpu.regs.write(
-            2,
-            roots.memory.set_address(STACK_TOP - 0x4000)
-            .set_bounds(0x4000)
-            .set_address(STACK_TOP - 16)
-            .clear_perms(P.GL),
-        )
-        cpu.regs.write(3, roots.memory.set_address(DATA_BASE).set_bounds(0x8000))
-    else:
-        cpu.load_program(program, CODE_BASE, entry="_start")
-        cpu.regs.write_int(2, STACK_TOP - 16)
-        cpu.regs.write_int(3, DATA_BASE)
-    cpu.run(max_steps=5_000_000)
-    return cpu.regs.read_int(10)

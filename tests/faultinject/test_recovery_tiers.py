@@ -1,10 +1,11 @@
-"""Recovery machinery is tier-blind: interpreter vs block cache vs JIT.
+"""Recovery machinery is tier-blind: every :class:`~repro.isa.Tier`.
 
 The fleet runs its devices with the trace-JIT enabled, so the recovery
 paths the paper's availability story depends on — compartment error
 handlers (UNWIND / RETRY / RESTART) and the executive's watchdog
 (kill / restart) — must behave *bit-identically* whether the faulting
-kernel ran interpreted, as fused superblocks, or as compiled traces.
+kernel ran interpreted, single-stepped pre-decoded, as fused
+superblocks, or as compiled traces.
 A fault raised from inside compiled code (a trace-JIT guard bail)
 must surface through the switcher exactly like one raised by the
 interpreter: same outcome, same stats, same registers, same simulated
@@ -22,7 +23,7 @@ from dataclasses import fields
 import pytest
 
 from repro.capability import make_roots
-from repro.isa import CPU, CSRFile, ExecutionMode, assemble
+from repro.isa import CPU, CSRFile, ExecutionMode, Tier, assemble
 from repro.memory import SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
 from repro.rtos import (
@@ -34,9 +35,6 @@ from repro.rtos import (
 )
 from repro.rtos.executive import Executive, Watchdog
 from repro.rtos.thread import ThreadState
-
-#: The three execution tiers the same kernel must traverse identically.
-TIERS = ("interp", "fused", "jit")
 
 #: Offsets inside the code region, clear of anything the loader places.
 _CODE_OFFSET = 0x2_0000
@@ -105,17 +103,11 @@ class _Stack:
         return thread
 
     def make_cpu(self, tier):
-        """A CPU at one execution tier, charging the shared core model."""
-        if tier == "interp":
-            kwargs = dict(block_cache=False, trace_jit=False)
-        elif tier == "fused":
-            kwargs = dict(block_cache=True, trace_jit=False)
-        elif tier == "jit":
-            kwargs = dict(block_cache=True, trace_jit=True, jit_threshold=2)
-        else:  # pragma: no cover - typo guard
-            raise ValueError(tier)
+        """A CPU at one execution tier, charging the shared core model;
+        ``jit_threshold=2`` makes the JIT tier compile mid-kernel."""
         return CPU(
-            self.bus, ExecutionMode.CHERIOT, timing=self.core, **kwargs
+            self.bus, ExecutionMode.CHERIOT, timing=self.core, tier=tier,
+            jit_threshold=2,
         )
 
     def load_kernel(self, cpu, source, buf_reg=8, buf_size=_BUF_SIZE):
@@ -140,10 +132,9 @@ def _cpu_state(cpu):
 
 def _assert_tier_blind(observations):
     """All tiers observed the same thing; name the divergence if not."""
-    ref_tier = TIERS[0]
-    for tier in TIERS[1:]:
-        assert observations[tier] == observations[ref_tier], (
-            f"tier {tier!r} diverged from {ref_tier!r}"
+    for tier in Tier:
+        assert observations[tier] == observations[Tier.INTERP], (
+            f"tier {tier.name} diverged from INTERP"
         )
 
 
@@ -183,7 +174,7 @@ class TestErrorHandlerTiers:
 
     def test_unwind_identical_across_tiers(self):
         observations = {}
-        for tier in TIERS:
+        for tier in Tier:
             stack = _Stack()
             thread = stack.make_thread()
             client, compute, cpus = _flaky_compartment(stack, tier, 1)
@@ -207,7 +198,7 @@ class TestErrorHandlerTiers:
                 _cpu_state(cpus[-1]),
                 stack.core.cycles,
             )
-            if tier == "jit":
+            if tier is Tier.JIT:
                 assert cpus[-1].jit_stats.guard_bails >= 1, (
                     "the fault must come from inside compiled code"
                 )
@@ -215,7 +206,7 @@ class TestErrorHandlerTiers:
 
     def test_retry_identical_across_tiers(self):
         observations = {}
-        for tier in TIERS:
+        for tier in Tier:
             stack = _Stack()
             thread = stack.make_thread()
             client, compute, cpus = _flaky_compartment(stack, tier, 1)
@@ -230,18 +221,18 @@ class TestErrorHandlerTiers:
                 _cpu_state(cpus[-1]),
                 stack.core.cycles,
             )
-            if tier == "jit":
+            if tier is Tier.JIT:
                 # The retry's clean kernel ran hot enough to compile.
                 assert cpus[-1].jit_stats.executions > 0
             else:
                 assert cpus[-1].jit_stats.executions == 0
         _assert_tier_blind(observations)
         # The retry actually happened: two entries, one contained fault.
-        assert observations["interp"][1] == 2
+        assert observations[Tier.INTERP][1] == 2
 
     def test_restart_identical_across_tiers(self):
         observations = {}
-        for tier in TIERS:
+        for tier in Tier:
             stack = _Stack()
             thread = stack.make_thread()
             client, compute, cpus = _flaky_compartment(stack, tier, 1)
@@ -267,7 +258,7 @@ class TestErrorHandlerTiers:
                 stack.core.cycles,
             )
         _assert_tier_blind(observations)
-        assert observations["interp"][1] == 1  # exactly one restart
+        assert observations[Tier.INTERP][1] == 1  # exactly one restart
 
 
 class TestWatchdogTiers:
@@ -314,7 +305,7 @@ class TestWatchdogTiers:
 
     def test_kill_identical_across_tiers(self):
         observations = {}
-        for tier in TIERS:
+        for tier in Tier:
             stack, stats, hog, good, cpus = self._run_fleet_of_two(
                 tier,
                 lambda stack, tier, cpus: Watchdog(thread_cycle_budget=3_000),
@@ -330,7 +321,7 @@ class TestWatchdogTiers:
                 stack.core.cycles,
             )
         _assert_tier_blind(observations)
-        events = observations["interp"][1]
+        events = observations[Tier.INTERP][1]
         assert any(
             name == "hog" and reason.startswith("kill:")
             for name, reason in events
@@ -338,7 +329,7 @@ class TestWatchdogTiers:
 
     def test_restart_identical_across_tiers(self):
         observations = {}
-        for tier in TIERS:
+        for tier in Tier:
             def factory(stack, tier, cpus):
                 return Watchdog(
                     thread_cycle_budget=3_000,
@@ -358,8 +349,8 @@ class TestWatchdogTiers:
                 tuple(stats.watchdog_events),
                 stack.core.cycles,
             )
-            if tier == "jit":
+            if tier is Tier.JIT:
                 # At least one sliced kernel crossed the JIT threshold.
                 assert any(c.jit_stats.executions > 0 for c in cpus)
         _assert_tier_blind(observations)
-        assert observations["interp"][0] == 1  # restarted, then reformed
+        assert observations[Tier.INTERP][0] == 1  # restarted, then reformed

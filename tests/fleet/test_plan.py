@@ -40,7 +40,7 @@ class TestValidation:
                 with pytest.raises(ValueError, match=f"^{name} must be "):
                     FleetPlan(**{"devices": 1, name: value})
         # A plan block left over from an older schema fails loudly.
-        stale = dict(FleetPlan(devices=8).to_dict(), trace_jit=True)
+        stale = {**FleetPlan(devices=8).to_dict(), "trace_jit": True}
         with pytest.raises(ValueError, match="trace_jit"):
             FleetPlan.from_dict(stale)
 

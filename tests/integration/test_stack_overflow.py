@@ -9,11 +9,11 @@ program marches straight into adjacent memory.
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
 from repro.cc import ir
 from repro.cc.lower import Target, compile_module
 from repro.isa import CPU, ExecutionMode, Trap, TrapCause, assemble
-from repro.memory import SystemBus, TaggedMemory
+from repro.memory import Region, SystemBus, TaggedMemory
+from repro.workloads.coremark import boot
 
 CODE_BASE = 0x2000_0000
 DATA_BASE = 0x2001_0000
@@ -48,7 +48,8 @@ def recursion_module():
     return module
 
 
-def run(target, depth):
+def booted(target, depth):
+    """A CPU at the entry of ``f(depth)``, with the canary planted."""
     module = recursion_module()
     compiled = compile_module(module, target, data_base=DATA_BASE)
     program = assemble(
@@ -59,21 +60,13 @@ def run(target, depth):
     bus.write_bytes(CANARY_AT, b"\xCC" * CANARY_LEN)
     cheriot = target is Target.CHERIOT
     cpu = CPU(bus, ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E)
-    if cheriot:
-        roots = make_roots()
-        cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
-        stack = (
-            roots.memory.set_address(STACK_BASE)
-            .set_bounds(STACK_SIZE)
-            .set_address(STACK_BASE + STACK_SIZE - 16)
-            .clear_perms(P.GL)
-        )
-        cpu.regs.write(2, stack)
-        cpu.regs.write(3, roots.memory.set_address(DATA_BASE).set_bounds(0x1000))
-    else:
-        cpu.load_program(program, CODE_BASE, entry="_start")
-        cpu.regs.write_int(2, STACK_BASE + STACK_SIZE - 16)
-        cpu.regs.write_int(3, DATA_BASE)
+    boot(cpu, program, CODE_BASE, Region("stack", STACK_BASE, STACK_SIZE),
+         Region("globals", DATA_BASE, 0x1000))
+    return cpu, bus
+
+
+def run(target, depth):
+    cpu, bus = booted(target, depth)
     cpu.run(max_steps=2_000_000)
     return cpu, bus
 
@@ -97,18 +90,7 @@ class TestStackOverflow:
 
         canary below the stack without any fault at the point of
         damage."""
-        module = recursion_module()
-        compiled = compile_module(module, Target.RV32E, data_base=DATA_BASE)
-        program = assemble(
-            compiled.assembly + "_start:\nli a0, 200\njal ra, f\nhalt\n"
-        )
-        bus = SystemBus()
-        bus.attach_sram(TaggedMemory(CODE_BASE, 0x2_0000))
-        bus.write_bytes(CANARY_AT, b"\xCC" * CANARY_LEN)
-        cpu = CPU(bus, ExecutionMode.RV32E)
-        cpu.load_program(program, CODE_BASE, entry="_start")
-        cpu.regs.write_int(2, STACK_BASE + STACK_SIZE - 16)
-        cpu.regs.write_int(3, DATA_BASE)
+        cpu, bus = booted(Target.RV32E, depth=200)
         try:
             cpu.run(max_steps=2_000_000)
         except Trap:

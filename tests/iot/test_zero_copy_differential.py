@@ -18,6 +18,7 @@ from repro.fleet.device import DeviceSpec, run_device
 from repro.iot.app import IoTApplication
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.sessions import NetPipeline
+from repro.isa import Tier
 from repro.machine import System
 from repro.pipeline import CoreKind
 
@@ -137,11 +138,11 @@ class TestTierDifferential:
         make_cpu = System.make_cpu
         monkeypatch.setattr(
             System, "make_cpu",
-            lambda system, **kw: make_cpu(system, **kw, trace_jit=False),
+            lambda system, **kw: make_cpu(system, **kw, tier=Tier.FUSED),
         )
-        interp = run_device(spec)
+        fused = run_device(spec)
         assert json.dumps(jit, sort_keys=True) == json.dumps(
-            interp, sort_keys=True
+            fused, sort_keys=True
         )
         assert jit["net"]["counters"]["packets_delivered"] > 0
 

@@ -17,8 +17,10 @@ cache-management machinery itself (invalidation on code-region stores,
 chained-block invalidation under self-modifying code, deoptimization
 under observers, exact step budgets).
 
-Every differential runs the full tier matrix in :data:`TIER_CONFIGS` —
-interpreter, block cache only, block cache + trace-JIT.
+Every differential runs the same scenario once per :class:`Tier` —
+interpreter, pre-decoded single step, fused blocks, fused blocks plus
+trace-JIT — and requires what every tier observed to equal what the
+interpreter observed.
 """
 
 from dataclasses import fields
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, assemble
 from repro.isa.timer import ClintTimer
 from repro.isa.trace import ExecutionTrace
 from repro.memory import SystemBus, TaggedMemory
@@ -39,29 +41,27 @@ DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-#: The three execution tiers, as CPU kwargs.  ``jit_threshold=2`` makes
-#: the trace-JIT engage within test-sized iteration counts (the default
-#: 50 would leave most of these programs on the fused tier).
-TIER_CONFIGS = (
-    ("interp", dict(block_cache=False)),
-    ("block", dict(block_cache=True, trace_jit=False)),
-    ("jit", dict(block_cache=True, trace_jit=True, jit_threshold=2)),
-)
+#: Makes the trace-JIT engage within test-sized iteration counts (the
+#: default 50 would leave most of these programs on the fused tier).
+JIT_THRESHOLD = 2
 
 
-def _fresh_cpu(block_cache=True, predecode=True, **tier_kwargs):
+def _fresh_cpu(tier):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
     cpu = CPU(
-        bus,
-        ExecutionMode.CHERIOT,
-        predecode=predecode,
-        block_cache=block_cache,
-        **tier_kwargs,
+        bus, ExecutionMode.CHERIOT, tier=tier, jit_threshold=JIT_THRESHOLD
     )
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
+
+
+def _assert_tier_blind(by_tier):
+    """Every tier observed what the interpreter did; name the first
+    tier that did not."""
+    for tier, seen in by_tier.items():
+        assert seen == by_tier[Tier.INTERP], f"{tier.name} diverged"
 
 
 def _load(cpu, roots, program):
@@ -82,16 +82,16 @@ def _state(cpu):
 
 
 def _run_all(source, max_steps=100_000):
-    """Run one program under every tier; return (states, cpus), in
-    :data:`TIER_CONFIGS` order (interpreter first)."""
+    """Run one program under every tier; return (states, cpus), both
+    keyed by :class:`Tier`."""
     program = assemble(source)
-    states, cpus = [], []
-    for _name, cfg in TIER_CONFIGS:
-        cpu, roots = _fresh_cpu(**cfg)
+    states, cpus = {}, {}
+    for tier in Tier:
+        cpu, roots = _fresh_cpu(tier)
         _load(cpu, roots, program)
         cpu.run(max_steps=max_steps)
-        states.append(_state(cpu))
-        cpus.append(cpu)
+        states[tier] = _state(cpu)
+        cpus[tier] = cpu
     return states, cpus
 
 
@@ -109,13 +109,12 @@ class TestStraightLineEquivalence:
             halt
         """
         states, cpus = _run_all(source)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+        _assert_tier_blind(states)
         # Each tier actually ran (this is not a vacuous pass).
-        assert cpus[1].block_stats.executions > 0
-        assert cpus[1].block_stats.instructions > 0
-        assert cpus[2].jit_stats.compiles > 0
-        assert cpus[2].jit_stats.executions > 0
+        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert cpus[Tier.FUSED].block_stats.instructions > 0
+        assert cpus[Tier.JIT].jit_stats.compiles > 0
+        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_cap_ops_and_cap_memory_bit_identical(self):
         source = """
@@ -131,10 +130,9 @@ class TestStraightLineEquivalence:
             halt
         """
         states, cpus = _run_all(source)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert cpus[1].block_stats.executions > 0
-        assert cpus[2].jit_stats.executions > 0
+        _assert_tier_blind(states)
+        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_load_use_hazard_window_identical(self):
         # Back-to-back load/consume pairs at the block entry, interior,
@@ -151,8 +149,7 @@ class TestStraightLineEquivalence:
             halt
         """
         states, _ = _run_all(source)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+        _assert_tier_blind(states)
 
     def test_division_and_multiply_costs_identical(self):
         source = """
@@ -167,8 +164,7 @@ class TestStraightLineEquivalence:
             halt
         """
         states, _ = _run_all(source)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+        _assert_tier_blind(states)
 
 
 class TestFaultEquivalence:
@@ -184,18 +180,15 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        outcomes = []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        outcomes = {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             with pytest.raises(Trap) as excinfo:
                 cpu.run()
             trap = excinfo.value
-            outcomes.append(
-                (trap.cause, trap.pc, str(trap), _state(cpu))
-            )
-        assert outcomes[1] == outcomes[0]
-        assert outcomes[2] == outcomes[0]
+            outcomes[tier] = (trap.cause, trap.pc, str(trap), _state(cpu))
+        _assert_tier_blind(outcomes)
 
     def test_vectored_mid_block_fault_identical(self):
         source = """
@@ -209,17 +202,16 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        states = []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        states = {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             handler_pc = CODE_BASE + 4 * program.entry("handler")
             cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
             cpu.run()
-            states.append(_state(cpu))
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        regs = states[1][0]
+            states[tier] = _state(cpu)
+        _assert_tier_blind(states)
+        regs = states[Tier.INTERP][0]
         assert regs[13].address == 7  # the handler ran
         assert regs[10].address == 42  # pre-fault value preserved
 
@@ -232,7 +224,7 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=False)
+        cpu, roots = _fresh_cpu(Tier.INTERP)
         _load(cpu, roots, program)
         cpu.run()
         retired = cpu.stats.instructions
@@ -241,18 +233,17 @@ class TestFaultEquivalence:
         # includes pc and retired count — pinning exact accounting);
         # exactly enough must halt with identical stats.
         for budget, expect_halt in ((retired - 1, False), (retired, True)):
-            outcomes = []
-            for _name, cfg in TIER_CONFIGS:
-                cpu, roots = _fresh_cpu(**cfg)
+            outcomes = {}
+            for tier in Tier:
+                cpu, roots = _fresh_cpu(tier)
                 _load(cpu, roots, program)
                 try:
                     cpu.run(max_steps=budget)
-                    outcomes.append(("halted", _state(cpu)))
+                    outcomes[tier] = ("halted", _state(cpu))
                 except RuntimeError as exc:
-                    outcomes.append(("exceeded", str(exc), _state(cpu)))
-            assert outcomes[1] == outcomes[0]
-            assert outcomes[2] == outcomes[0]
-            assert (outcomes[0][0] == "halted") is expect_halt
+                    outcomes[tier] = ("exceeded", str(exc), _state(cpu))
+            _assert_tier_blind(outcomes)
+            assert (outcomes[Tier.INTERP][0] == "halted") is expect_halt
 
 
 class TestDeoptimization:
@@ -269,25 +260,23 @@ class TestDeoptimization:
             halt
         """
         program = assemble(source)
-        traces, states = [], []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        traces, states = {}, {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
             cpu.run()
-            traces.append(trace.entries)
-            states.append(_state(cpu))
+            traces[tier] = trace.entries
+            states[tier] = _state(cpu)
             assert cpu.block_stats.executions == 0
             assert cpu.jit_stats.executions == 0
-        assert traces[1] == traces[0]
-        assert traces[2] == traces[0]
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+        _assert_tier_blind(traces)
+        _assert_tier_blind(states)
 
     def test_pre_step_hook_forces_single_stepping(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu(Tier.JIT)
         _load(cpu, roots, program)
         seen = []
         cpu.pre_step_hook = lambda c: seen.append(c.pc)
@@ -299,11 +288,12 @@ class TestDeoptimization:
     def test_block_cache_disabled_never_fuses(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=False)
-        _load(cpu, roots, program)
-        cpu.run()
-        assert cpu.block_stats.executions == 0
-        assert cpu.block_stats.translations == 0
+        for tier in (Tier.INTERP, Tier.STEP):
+            cpu, roots = _fresh_cpu(tier)
+            _load(cpu, roots, program)
+            cpu.run()
+            assert cpu.block_stats.executions == 0
+            assert cpu.block_stats.translations == 0
 
 
 class TestInvalidation:
@@ -317,7 +307,7 @@ class TestInvalidation:
 
     def test_store_into_code_region_invalidates_and_retranslates(self):
         program = assemble(self.SOURCE)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu(Tier.JIT)
         _load(cpu, roots, program)
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -352,21 +342,21 @@ class TestInvalidation:
             halt
         """
         program = assemble(source)
-        states, counters = [], []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        states, counters = {}, {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             # s1: write authority over the code region (loop1's range).
             cpu.regs.write(
                 9, roots.memory.set_address(CODE_BASE).set_bounds(0x100)
             )
             cpu.run()
-            states.append(_state(cpu))
-            counters.append(cpu.block_stats.invalidations)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert counters[1] >= 1  # the cached runs saw the dirty store
-        assert counters[2] >= 1
+            states[tier] = _state(cpu)
+            counters[tier] = cpu.block_stats.invalidations
+        _assert_tier_blind(states)
+        # The cached runs saw the dirty store.
+        assert counters[Tier.FUSED] >= 1
+        assert counters[Tier.JIT] >= 1
 
     def test_store_outside_code_region_does_not_invalidate(self):
         source = """
@@ -378,7 +368,7 @@ class TestInvalidation:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu(Tier.JIT)
         _load(cpu, roots, program)
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -430,9 +420,9 @@ class TestSuccessorBlockInvalidation:
         """
         program = assemble(source)
         succ_pc = CODE_BASE + 4 * program.entry("succ")
-        states, counters = [], []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        states, counters = {}, {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             # s1: write authority aimed at the victim word of succ.
             cpu.regs.write(
@@ -441,15 +431,12 @@ class TestSuccessorBlockInvalidation:
                 .set_bounds(4),
             )
             cpu.run()
-            states.append(_state(cpu))
-            counters.append(
-                (cpu.block_stats.invalidations, cpu.jit_stats.invalidations)
-            )
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+            states[tier] = _state(cpu)
+            counters[tier] = cpu.block_stats.invalidations
+        _assert_tier_blind(states)
         # Both cached tiers saw the successor's range go dirty.
-        assert counters[1][0] >= 1
-        assert counters[2][0] >= 1
+        assert counters[Tier.FUSED] >= 1
+        assert counters[Tier.JIT] >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -478,21 +465,20 @@ class TestSuccessorBlockInvalidation:
         """
         program = assemble(source)
         victim_pc = CODE_BASE + 4 * program.entry("blockB")
-        states, counters = [], []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        states, counters = {}, {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             cpu.regs.write(
                 9, roots.memory.set_address(victim_pc).set_bounds(4)
             )
             cpu.run()
-            states.append(_state(cpu))
-            counters.append(cpu.block_stats.invalidations)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
+            states[tier] = _state(cpu)
+            counters[tier] = cpu.block_stats.invalidations
+        _assert_tier_blind(states)
         # Every store dropped the successor: one invalidation per round.
-        assert counters[1] >= loops - 1
-        assert counters[2] >= loops - 1
+        assert counters[Tier.FUSED] >= loops - 1
+        assert counters[Tier.JIT] >= loops - 1
 
 
 class TestMMIOCycleExactness:
@@ -512,32 +498,31 @@ class TestMMIOCycleExactness:
         """
         program = assemble(source)
         timer_base = 0x4000_0000
-        sums, states = [], []
-        for name, cfg in TIER_CONFIGS:
+        sums, states = {}, {}
+        for tier in Tier:
             bus = SystemBus()
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
             core_model = make_core_model(CoreKind.IBEX)
             bus.attach_device(timer_base, 0x100, ClintTimer(core_model))
-            cpu = CPU(bus, ExecutionMode.RV32E, **cfg)
+            cpu = CPU(
+                bus, ExecutionMode.RV32E, tier=tier,
+                jit_threshold=JIT_THRESHOLD,
+            )
             cpu.timing = core_model
             cpu.load_program(program, CODE_BASE)
             cpu.regs.write_int(8, timer_base)
             cpu.run()
-            sums.append(cpu.regs.read_int(12))
-            states.append(
-                (
-                    tuple(getattr(cpu.stats, f.name) for f in fields(cpu.stats)),
-                    core_model.cycles,
-                    bus.stats.mmio_reads,
-                )
+            sums[tier] = cpu.regs.read_int(12)
+            states[tier] = (
+                tuple(getattr(cpu.stats, f.name) for f in fields(cpu.stats)),
+                core_model.cycles,
+                bus.stats.mmio_reads,
             )
-            if name != "interp":
+            if tier in (Tier.FUSED, Tier.JIT):
                 assert cpu.block_stats.executions > 0
-        assert sums[1] == sums[0]
-        assert sums[2] == sums[0]
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert sums[0] > 0  # mtime actually advanced during the run
+        _assert_tier_blind(sums)
+        _assert_tier_blind(states)
+        assert sums[Tier.INTERP] > 0  # mtime actually advanced during the run
 
 
 class TestWorkloadEquivalence:
@@ -548,15 +533,11 @@ class TestWorkloadEquivalence:
     def test_coremark_bit_identical(self, core, config):
         from repro.workloads.coremark import run_coremark
 
-        ref = run_coremark(core, config, iterations=1, block_cache=False)
-        mid = run_coremark(core, config, iterations=1, trace_jit=False)
-        new = run_coremark(core, config, iterations=1)
-        for result in (mid, new):
-            assert (result.cycles, result.instructions, result.crc) == (
-                ref.cycles,
-                ref.instructions,
-                ref.crc,
-            )
+        outcomes = {}
+        for tier in Tier:
+            result = run_coremark(core, config, iterations=1, tier=tier)
+            outcomes[tier] = (result.cycles, result.instructions, result.crc)
+        _assert_tier_blind(outcomes)
 
     def test_asm_switcher_bit_identical(self):
         # The assembly compartment switcher: sentries, trusted-stack
@@ -566,15 +547,17 @@ class TestWorkloadEquivalence:
 
         from tests.integration.test_asm_switcher import CALLEE, CALLER
 
-        states = []
-        for _name, cfg in TIER_CONFIGS:
-            image = build_image(CALLEE, CALLER, **cfg)
+        states = {}
+        for tier in Tier:
+            image = build_image(
+                CALLEE, CALLER, tier=tier, jit_threshold=JIT_THRESHOLD
+            )
             image.cpu.run()
-            states.append(_state_no_timing(image.cpu))
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert states[1][1][0] > 50  # the full call/return path ran
-        assert states[1][0][10].address == 42  # callee's result in a0
+            states[tier] = _state_no_timing(image.cpu)
+        _assert_tier_blind(states)
+        regs, stats = states[Tier.INTERP][:2]
+        assert stats[0] > 50  # the full call/return path ran
+        assert regs[10].address == 42  # callee's result in a0
 
     def test_fleet_kernel_bit_identical(self):
         # The fleet device's CPU kernel: a device's report numbers must
@@ -586,32 +569,30 @@ class TestWorkloadEquivalence:
             iters=100, buf_top=DATA_BASE + DATA_SIZE, buf_size=DATA_SIZE
         )
         states, cpus = _run_all(source)
-        assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert cpus[1].block_stats.executions > 0
-        assert cpus[2].jit_stats.executions > 0
+        _assert_tier_blind(states)
+        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_fault_campaign_slice_bit_identical(self, monkeypatch):
         # 1000 seeded injections: every scenario, outcome, detail and
-        # wrong-result flag must match across all three tiers.
+        # wrong-result flag must match across all four tiers.
         # (Injection hooks deoptimize per-step; hook-free phases run
         # fused/compiled.)
         from repro.faultinject import engine as engine_mod
         from repro.faultinject.campaign import run_campaign
 
         real_cpu = engine_mod.CPU
-        records = []
-        for _name, cfg in TIER_CONFIGS:
+        records = {}
+        for tier in Tier:
 
-            def tiered_cpu(*args, _cfg=cfg, **kwargs):
-                for key, value in _cfg.items():
-                    kwargs.setdefault(key, value)
-                return real_cpu(*args, **kwargs)
+            def tiered_cpu(*args, _tier=tier, **kwargs):
+                return real_cpu(
+                    *args, tier=_tier, jit_threshold=JIT_THRESHOLD, **kwargs
+                )
 
             monkeypatch.setattr(engine_mod, "CPU", tiered_cpu)
-            records.append(run_campaign(1000).records)
-        assert records[1] == records[0]
-        assert records[2] == records[0]
+            records[tier] = run_campaign(1000).records
+        _assert_tier_blind(records)
 
 
 def _state_no_timing(cpu):
@@ -666,18 +647,17 @@ class TestRandomizedEquivalence:
         # drives cpu.run() so fused blocks, mid-block faults and the
         # fall-back paths all engage.
         program = assemble(source)
-        outcomes = []
-        for _name, cfg in TIER_CONFIGS:
-            cpu, roots = _fresh_cpu(**cfg)
+        outcomes = {}
+        for tier in Tier:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             try:
                 cpu.run(max_steps=500)
-                outcomes.append(("halted", _state(cpu)))
+                outcomes[tier] = ("halted", _state(cpu))
             except Trap as trap:
-                outcomes.append(
-                    ("trap", trap.cause, trap.pc, str(trap), _state(cpu))
+                outcomes[tier] = (
+                    "trap", trap.cause, trap.pc, str(trap), _state(cpu)
                 )
             except RuntimeError as exc:
-                outcomes.append(("exceeded", str(exc), _state(cpu)))
-        assert outcomes[1] == outcomes[0]
-        assert outcomes[2] == outcomes[0]
+                outcomes[tier] = ("exceeded", str(exc), _state(cpu))
+        _assert_tier_blind(outcomes)

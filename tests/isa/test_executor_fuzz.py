@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Trap, TrapCause, assemble
+from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, TrapCause, assemble
 from repro.isa.instructions import Instruction
 from repro.memory import SystemBus, TaggedMemory
 
@@ -156,21 +156,14 @@ class TestUnmappedAccess:
     enough for every execution tier to be running it when the access
     faults."""
 
-    TIERS = {
-        "interpreter": dict(predecode=False),
-        "predecoded": dict(block_cache=False),
-        "fused": dict(trace_jit=False),
-        "jit": dict(),
-    }
-
     @pytest.mark.parametrize("access", ["lb zero, 0(a1)", "sb zero, 0(a1)"])
     def test_every_tier_traps_at_the_same_point(self, access):
         program = assemble(_WALK_OFF_SRAM.format(access=access))
         outcomes = set()
-        for tier, options in self.TIERS.items():
+        for tier in Tier:
             bus = SystemBus()
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-            cpu = CPU(bus, ExecutionMode.CHERIOT, **options)
+            cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
             cpu.load_program(program, CODE_BASE, pcc=make_roots().executable)
             cpu.regs.write(11, make_roots().memory.set_address(CODE_BASE + 512))
             with pytest.raises(Trap) as info:

@@ -1,11 +1,12 @@
 """Differential golden-trace tests: pre-decoded vs interpretive stepping.
 
 The executor's hot path resolves handlers and operand metadata once at
-``load_program`` time (``predecode=True``, the default) and authorizes
-fetches against a cached PCC window.  These tests pin that fast path to
-the seed's interpretive semantics (``predecode=False``): over randomized
-programs — ALU, memory, branches, capability manipulation, traps — the
-two must produce an *identical* architectural trace: same per-step PCs,
+``load_program`` time (every tier above ``Tier.INTERP``) and authorizes
+fetches against a cached PCC window.  These tests pin that fast path
+(``Tier.STEP``) to the seed's interpretive semantics (``Tier.INTERP``):
+over randomized programs — ALU, memory, branches, capability
+manipulation, traps — the two must produce an *identical*
+architectural trace: same per-step PCs,
 same register file (full capabilities, not just addresses), same traps,
 same retired-instruction statistics, and same modelled cycles.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, assemble
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
 
@@ -77,11 +78,15 @@ def mixed_program(draw):
     return "\n".join(lines) + "\ndone: halt\n"
 
 
-def _fresh_cpu(predecode):
+#: The reference and the pre-decoded single step, in that order.
+TIERS = (Tier.INTERP, Tier.STEP)
+
+
+def _fresh_cpu(tier):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(bus, ExecutionMode.CHERIOT, predecode=predecode)
+    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
 
@@ -122,8 +127,8 @@ class TestPredecodeDifferential:
     def test_golden_trace_identical(self, source):
         program = assemble(source)
         traces, states = [], []
-        for predecode in (False, True):
-            cpu, roots = _fresh_cpu(predecode)
+        for tier in TIERS:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             traces.append(_golden_trace(cpu))
             states.append(_state(cpu))
@@ -150,8 +155,8 @@ class TestPredecodeDifferential:
         """
         program = assemble(source)
         finals = []
-        for predecode in (False, True):
-            cpu, roots = _fresh_cpu(predecode)
+        for tier in TIERS:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             handler_pc = CODE_BASE + 4 * program.entry("handler")
             cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
@@ -167,8 +172,8 @@ class TestPredecodeDifferential:
         source = "li a0, 1\nlw a1, 0x7FC(s0)\nhalt\n"
         program = assemble(source)
         results = []
-        for predecode in (False, True):
-            cpu, roots = _fresh_cpu(predecode)
+        for tier in TIERS:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             events = _golden_trace(cpu)
             results.append((events, _state(cpu)))
@@ -187,8 +192,8 @@ class TestPredecodeDifferential:
             labels={},
         )
         results = []
-        for predecode in (False, True):
-            cpu, roots = _fresh_cpu(predecode)
+        for tier in TIERS:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             results.append(_golden_trace(cpu))
         assert results[0] == results[1]
@@ -199,8 +204,8 @@ class TestPredecodeDifferential:
     def test_running_off_the_end_identical(self):
         program = assemble("li a0, 5\nnop\n")  # no halt
         results = []
-        for predecode in (False, True):
-            cpu, roots = _fresh_cpu(predecode)
+        for tier in TIERS:
+            cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             results.append(_golden_trace(cpu))
         assert results[0] == results[1]

@@ -1,6 +1,6 @@
 """Tests for the execution trace recorder."""
 
-from repro.isa import CPU, ExecutionMode, ExecutionTrace, assemble
+from repro.isa import CPU, ExecutionMode, ExecutionTrace, Tier, assemble
 from repro.pipeline import CoreKind, make_core_model
 from .conftest import CODE_BASE, make_cpu
 
@@ -83,7 +83,7 @@ class TestTraceUnderPredecode:
         "ret\n"
     )
 
-    def _render(self, predecode):
+    def _render(self, tier):
         from repro.capability import make_roots
         from repro.isa import assemble
         from repro.memory import SystemBus, TaggedMemory
@@ -92,7 +92,7 @@ class TestTraceUnderPredecode:
         bus = SystemBus()
         bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
         roots = make_roots()
-        cpu = CPU(bus, ExecutionMode.CHERIOT, predecode=predecode)
+        cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
         cpu.load_program(assemble(self.SOURCE), CODE_BASE, pcc=roots.executable)
         cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
         trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
@@ -100,8 +100,8 @@ class TestTraceUnderPredecode:
         return trace
 
     def test_render_identical_across_paths(self):
-        interp = self._render(predecode=False)
-        fast = self._render(predecode=True)
+        interp = self._render(Tier.INTERP)
+        fast = self._render(Tier.JIT)
         assert fast.render() == interp.render()
         assert fast.mnemonic_histogram() == interp.mnemonic_histogram()
         assert [ (e.pc, e.text, e.timing_class, e.branch_taken)

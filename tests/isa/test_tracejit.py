@@ -13,7 +13,7 @@ from dataclasses import fields
 import pytest
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Tier, Trap, assemble
 from repro.isa import tracejit
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
@@ -23,13 +23,13 @@ DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-def _make_cpu(source, jit_threshold=2, trace_jit=True, timing=True,
+def _make_cpu(source, jit_threshold=2, tier=Tier.JIT, timing=True,
               mode=ExecutionMode.CHERIOT):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
     cpu = CPU(
-        bus, mode, trace_jit=trace_jit, jit_threshold=jit_threshold
+        bus, mode, tier=tier, jit_threshold=jit_threshold
     )
     if timing:
         cpu.timing = make_core_model(CoreKind.IBEX)
@@ -96,7 +96,7 @@ class TestPromotion:
     def test_disabled_never_compiles(self):
         cpu = _make_cpu(
             "li a0, 60\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n",
-            trace_jit=False,
+            tier=Tier.FUSED,
         )
         cpu.run()
         assert cpu.jit_stats.compiles == 0
@@ -126,9 +126,7 @@ class TestExecutionEquivalence:
         return cpu.regs.snapshot(), stats, cycles, cpu.pc
 
     def test_jit_bit_identical_to_interpreter(self):
-        ref = _make_cpu(self.SOURCE, trace_jit=False)
-        ref._block_cache_enabled = False
-        ref._update_fast_path()
+        ref = _make_cpu(self.SOURCE, tier=Tier.STEP)
         ref.run()
         jit = _make_cpu(self.SOURCE, jit_threshold=2)
         jit.run()
@@ -178,7 +176,7 @@ class TestGuardBail:
                      stats, cpu.timing.cycles)
 
     def test_mid_trace_fault_replays_exactly(self):
-        ref_cpu, ref = self._run(trace_jit=False)
+        ref_cpu, ref = self._run(tier=Tier.FUSED)
         jit_cpu, jit = self._run(jit_threshold=2)
         assert jit_cpu.jit_stats.guard_bails >= 1
         assert jit_cpu.jit_stats.executions > 0
@@ -215,7 +213,7 @@ class TestRecoveryResume:
         return cpu, (cpu.regs.snapshot(), stats, cpu.pc, cpu.timing.cycles)
 
     def test_resume_after_mid_trace_fault_matches_interpreter(self):
-        ref_cpu, ref = self._fault_repair_resume(trace_jit=False)
+        ref_cpu, ref = self._fault_repair_resume(tier=Tier.FUSED)
         jit_cpu, jit = self._fault_repair_resume(jit_threshold=2)
         assert jit_cpu.jit_stats.guard_bails >= 1
         assert jit_cpu.halted and ref_cpu.halted
@@ -272,18 +270,18 @@ class TestUnsupportedFallback:
         # the generator refuses such blocks, which must stay on the
         # fused tier and raise the exact architectural fault.
         outcomes = []
-        for trace_jit in (False, True):
+        for tier in (Tier.FUSED, Tier.JIT):
             cpu = _make_cpu(
                 "li a0, 1\ncgetlen a1, s0\nhalt\n",
                 mode=ExecutionMode.RV32E,
-                trace_jit=trace_jit,
+                tier=tier,
                 jit_threshold=2,
             )
             with pytest.raises(Trap) as excinfo:
                 cpu.run()
             trap = excinfo.value
             outcomes.append((trap.cause, trap.pc, str(trap)))
-            if trace_jit:
+            if tier is Tier.JIT:
                 assert cpu.jit_stats.unsupported >= 1
                 assert cpu.jit_stats.compiles == 0
         assert outcomes[0] == outcomes[1]

@@ -5,8 +5,13 @@ differential — telemetry must never perturb the simulation.
 import pytest
 
 from repro.allocator import TemporalSafetyMode
+from repro.isa import CPU
 from repro.machine import CoreKind, System
-from repro.obs.workload import run_alloc_phase, run_traced_workload
+from repro.obs.workload import (
+    run_alloc_phase,
+    run_kernel_phase,
+    run_traced_workload,
+)
 
 
 def build(telemetry):
@@ -102,3 +107,19 @@ class TestTracedWorkload:
         totals = result["system"].obs.attributor.snapshot()
         assert totals["app"] >= result["kernel_cycles"]
         assert result["profiler"].total_cycles == result["kernel_cycles"]
+
+    def test_kernel_phase_globals_do_not_cover_its_stack(self, monkeypatch):
+        """``cgp`` must not reach the kernel's stack: code holding only
+        the globals capability could otherwise rewrite stack frames."""
+        entry = {}
+        run = CPU.run
+
+        def record_entry(cpu, *args, **kwargs):
+            entry["csp"], entry["cgp"] = cpu.regs.read(2), cpu.regs.read(3)
+            return run(cpu, *args, **kwargs)
+
+        monkeypatch.setattr(CPU, "run", record_entry)
+        run_kernel_phase(build(False))
+        csp, cgp = entry["csp"], entry["cgp"]
+        assert csp.tag and cgp.tag
+        assert csp.top <= cgp.base or cgp.top <= csp.base

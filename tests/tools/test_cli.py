@@ -18,11 +18,15 @@ REPO = os.path.dirname(
 )
 
 
-def _run(tmp_path, tool, *args):
-    proc = subprocess.run(
+def _spawn(tmp_path, tool, *args):
+    return subprocess.run(
         [sys.executable, os.path.join(REPO, "tools", tool), *args],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
+
+
+def _run(tmp_path, tool, *args):
+    proc = _spawn(tmp_path, tool, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -48,6 +52,15 @@ def test_trace_export_writes_one_process_per_device(tmp_path, args, processes):
     _run(tmp_path, "trace_export.py", *args, "-o", str(out))
     names = _processes(out)
     assert len(names) == len(set(names)) == processes
+
+
+def test_trace_export_refuses_a_negative_fleet(tmp_path):
+    proc = _spawn(tmp_path, "trace_export.py", "--fleet", "-1")
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("trace_export.py: error: argument --fleet")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_report_reconciles(tmp_path):

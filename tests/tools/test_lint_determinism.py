@@ -128,30 +128,19 @@ def test_the_declared_deterministic_paths_are_clean(lint):
     assert findings == [], [str(f) for f in findings]
 
 
-#: Packages the byte-gated artifacts run through: the §7.2.3 table rows
-#: come from ``iot``, the simulated cycles from the capability, memory,
-#: core-model, allocator, revoker and RTOS layers of a
-#: ``repro.machine`` System, and the fault, fleet, SLO, profile and audit
-#: reports from ``faultinject``, ``fleet``, ``obs`` and ``verify``.
-#: Whole packages are linted, not a hand-kept list, so a module added to
-#: one is linted too.
-_LINTED_PACKAGES = (
-    "allocator", "capability", "faultinject", "fleet", "iot", "memory", "obs",
-    "pipeline", "revoker", "rtos", "verify",
-)
-
-
 def test_every_module_of_a_linted_package_is_declared(lint):
+    """The whole ``repro`` package is linted, so a module added to it is
+    linted too; only the host-timed simspeed producer is left out."""
     src = os.path.join(os.path.dirname(_TOOLS), "src", "repro")
-    modules = {os.path.join(src, "machine.py")}
-    for package in _LINTED_PACKAGES:
-        directory = os.path.join(src, package)
-        modules.update(
-            os.path.join(directory, name)
-            for name in sorted(os.listdir(directory))
-            if name.endswith(".py")
-        )
-    assert modules <= set(lint.declared_files())
+    modules = {
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(src)
+        for name in names
+        if name.endswith(".py")
+    }
+    simspeed = os.path.join(src, "analysis", "simspeed.py")
+    assert simspeed in modules
+    assert set(lint.declared_files()) == modules - {simspeed}
 
 
 def test_every_artifact_producer_is_linted(lint, artifacts):

@@ -5,10 +5,10 @@ initialized global data actually reaches simulated memory."""
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
 from repro.cc.lower import Target, compile_module
 from repro.isa import CPU, ExecutionMode, assemble
-from repro.memory import SystemBus, TaggedMemory
+from repro.memory import Region, SystemBus, TaggedMemory
+from repro.workloads.coremark import boot
 from repro.workloads.kernels import (
     ALL_KERNELS,
     binary_search_kernel,
@@ -20,42 +20,29 @@ from repro.workloads.kernels import (
 
 CODE_BASE = 0x2000_0000
 DATA_BASE = 0x2002_0000
-STACK_TOP = 0x2004_0000
+GLOBALS = Region("globals", DATA_BASE, 0x8000)
+STACK = Region("stack", 0x2003_C000, 0x4000)
+
+
+def run_compiled(compiled, entry, args):
+    """Call ``entry(*args)`` in a compiled module; returns ``a0``."""
+    setup = "\n".join(f"li a{i}, {v}" for i, v in enumerate(args))
+    program = assemble(compiled.assembly + f"_start:\n{setup}\njal ra, {entry}\nhalt\n")
+    bus = SystemBus()
+    bus.attach_sram(TaggedMemory(CODE_BASE, 0x4_0000))
+    cheriot = compiled.target is Target.CHERIOT
+    cpu = CPU(bus, ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E)
+    boot(cpu, program, CODE_BASE, STACK, GLOBALS,
+         compiled.globals_layout.values())
+    cpu.run(max_steps=5_000_000)
+    return cpu.regs.read_int(10)
 
 
 def execute(module, entry, args, target, fixed_compiler=False):
     compiled = compile_module(
         module, target, fixed_compiler=fixed_compiler, data_base=DATA_BASE
     )
-    setup = "\n".join(f"li a{i}, {v}" for i, v in enumerate(args))
-    program = assemble(compiled.assembly + f"_start:\n{setup}\njal ra, {entry}\nhalt\n")
-
-    bus = SystemBus()
-    bus.attach_sram(TaggedMemory(CODE_BASE, 0x4_0000))
-    # Install initialized globals (the loader's .data copy).
-    for layout in compiled.globals_layout.values():
-        if layout.init:
-            bus.write_bytes(DATA_BASE + layout.offset, layout.init)
-
-    cheriot = target is Target.CHERIOT
-    cpu = CPU(bus, ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E)
-    if cheriot:
-        roots = make_roots()
-        cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
-        cpu.regs.write(
-            2,
-            roots.memory.set_address(STACK_TOP - 0x4000)
-            .set_bounds(0x4000)
-            .set_address(STACK_TOP - 16)
-            .clear_perms(P.GL),
-        )
-        cpu.regs.write(3, roots.memory.set_address(DATA_BASE).set_bounds(0x8000))
-    else:
-        cpu.load_program(program, CODE_BASE, entry="_start")
-        cpu.regs.write_int(2, STACK_TOP - 16)
-        cpu.regs.write_int(3, DATA_BASE)
-    cpu.run(max_steps=5_000_000)
-    return cpu.regs.read_int(10)
+    return run_compiled(compiled, entry, args)
 
 
 @pytest.mark.parametrize("builder", ALL_KERNELS, ids=lambda b: b.__name__)

@@ -29,8 +29,8 @@ review time, in every module that holds a producer or feeds one:
 
 The gate loop itself (its per-artifact timing line) legitimately reads
 the clock, as does the host-timed ``BENCH_simspeed.json`` producer, so
-the lint applies only to the declared deterministic-path modules below,
-not the whole tree.  A true positive that is actually
+the lint covers every module under ``src/repro`` except that producer,
+and none of ``tools/``.  A true positive that is actually
 fine (e.g. a seeded draw the lint cannot see) can be suppressed by
 putting ``det: allow`` in a comment on the offending line.
 
@@ -47,28 +47,12 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The modules whose output must be byte-reproducible.  Every module
-#: holding an ``ARTIFACTS`` producer, and everything feeding one,
-#: belongs here; wall-time measurement code (simspeed, the gate loop)
-#: does not.
-DETERMINISTIC_PATHS = [
-    "src/repro/allocator/*.py",
-    "src/repro/artifact.py",
-    "src/repro/analysis/reporting.py",
-    "src/repro/analysis/tables.py",
-    "src/repro/capability/*.py",
-    "src/repro/faultinject/*.py",
-    "src/repro/fleet/*.py",
-    "src/repro/iot/*.py",
-    "src/repro/machine.py",
-    "src/repro/memory/*.py",
-    "src/repro/obs/*.py",
-    "src/repro/pipeline/*.py",
-    "src/repro/revoker/*.py",
-    "src/repro/rtos/*.py",
-    "src/repro/verify/*.py",
-    "src/repro/workloads/alloc_bench.py",
-]
+#: The modules whose output must be byte-reproducible: the whole
+#: package, so a new module is linted too ...
+DETERMINISTIC_GLOB = "src/repro/**/*.py"
+#: ... except the host-timed ``BENCH_simspeed.json`` producer, which
+#: reads the clock by design.
+HOST_TIMED = "src/repro/analysis/simspeed.py"
 
 SUPPRESS_MARKER = "det: allow"
 
@@ -287,18 +271,8 @@ def lint_file(path: str) -> "list[Finding]":
 
 
 def declared_files() -> "list[str]":
-    files = []
-    for pattern in DETERMINISTIC_PATHS:
-        matches = sorted(globmod.glob(os.path.join(REPO, pattern)))
-        if not matches:
-            print(
-                f"lint_determinism: declared path {pattern!r} matches "
-                "nothing — update DETERMINISTIC_PATHS",
-                file=sys.stderr,
-            )
-            sys.exit(2)
-        files.extend(matches)
-    return files
+    paths = globmod.glob(os.path.join(REPO, DETERMINISTIC_GLOB), recursive=True)
+    return sorted(set(paths) - {os.path.join(REPO, HOST_TIMED)})
 
 
 def main(argv=None) -> int:

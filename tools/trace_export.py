@@ -42,6 +42,13 @@ from repro.obs.workload import (  # noqa: E402
 )
 
 
+def _device_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -66,7 +73,7 @@ def main(argv=None) -> int:
         "--iterations", type=int, default=1, help="kernel iterations (default: 1)"
     )
     parser.add_argument(
-        "--fleet", type=int, nargs="?", default=0,
+        "--fleet", type=_device_count, nargs="?", default=0,
         const=FLEET_PROFILE_DEVICES, metavar="N",
         help="merge N devices into one fleet trace (0: single device; "
         f"bare --fleet: {FLEET_PROFILE_DEVICES})",
