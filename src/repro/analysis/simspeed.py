@@ -1,17 +1,16 @@
 """Simulator-speed measurement: how fast the ISA simulator itself runs.
 
 The paper's numbers are *architectural* (cycles, scores); this module
-measures the *host* wall-clock the simulator spends producing them, so
-the decode-once/execute-many executor can be tracked for regressions.
-Shared by ``benchmarks/bench_simspeed.py`` (pytest harness) and the
-``simspeed`` entry of ``tools/artifacts.py``: :func:`speed_report`
-writes ``BENCH_simspeed.json`` and :func:`check_speed` is its gate.
-Host seconds are not byte-reproducible, so instead of comparing bytes
-the gate allows each workload 20 % over the committed time, scaled by
-a host-speed probe.
+measures the *host* wall-clock the simulator spends producing them, at
+the executor's default tier, so the executor can be tracked for
+regressions.  It backs the ``simspeed`` entry of ``tools/artifacts.py``:
+:func:`speed_report` writes ``BENCH_simspeed.json`` and
+:func:`check_speed` is its gate.  Host seconds are not
+byte-reproducible, so instead of comparing bytes the gate allows each
+workload 20 % over the committed time, scaled by a host-speed probe.
 
 All workloads run the same *architectural* work regardless of executor
-configuration — only host time differs — so speed numbers are directly
+tier — only host time differs — so speed numbers are directly
 comparable across simulator revisions.
 """
 
@@ -23,7 +22,7 @@ import time
 from typing import Dict, List
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Tier, assemble
+from repro.isa import CPU, ExecutionMode, assemble
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
 
@@ -63,12 +62,12 @@ loop:
 """
 
 
-def _run_source(source: str, tier: Tier = Tier.JIT) -> Dict[str, float]:
+def _run_source(source: str) -> Dict[str, float]:
     """Time one program end-to-end; returns seconds / instructions / MIPS."""
     roots = make_roots()
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+    cpu = CPU(bus, ExecutionMode.CHERIOT)
     cpu.timing = make_core_model(CoreKind.IBEX)
     cpu.load_program(assemble(source), CODE_BASE, pcc=roots.executable)
     cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
@@ -83,11 +82,9 @@ def _run_source(source: str, tier: Tier = Tier.JIT) -> Dict[str, float]:
     }
 
 
-def measure_alu_loop(
-    count: int = 200_000, tier: Tier = Tier.JIT
-) -> Dict[str, float]:
+def measure_alu_loop(count: int = 200_000) -> Dict[str, float]:
     """A tight countdown loop: pure fetch/dispatch/ALU throughput."""
-    return _run_source(_ALU_SOURCE.format(count=count), tier)
+    return _run_source(_ALU_SOURCE.format(count=count))
 
 
 def measure_mem_loop(count: int = 50_000) -> Dict[str, float]:
@@ -111,11 +108,10 @@ def measure_coremark_1k(iterations: int = 57) -> Dict[str, float]:
 
     The default 57 iterations retire just over one million simulated
     instructions (~17.6k per iteration) on the Ibex CHERIoT
-    configuration — long enough that the run is dominated by JIT-warm
-    steady state (the trace-JIT's real workload profile: list walks,
-    matrix loops and the CRC state machine, with interpreted
-    call/return terminators between them), short enough for the CI
-    regression gate.
+    configuration: compiled code's mix of list walks, matrix loops and
+    the CRC state machine, with call/return terminators between fused
+    blocks, long enough that set-up is noise and short enough for the
+    CI regression gate.
     """
     from repro.workloads.coremark import run_coremark
     from repro.pipeline import CoreKind

@@ -9,11 +9,9 @@ four phases, every one clocked in simulated cycles (never wall time):
    device's throughput.
 2. **Tiered CPU kernel** — a seeded store/load loop on a real
    :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` at the
-   default ``Tier.JIT``.  Cycle counts are bit-identical across every
+   default ``Tier.FUSED``.  Cycle counts are bit-identical across every
    :class:`~repro.isa.Tier` (the differential suite's guarantee, which
-   runs this kernel too), so tier promotion — which may differ from
-   one device to the next as the in-process code cache warms — can
-   never leak into the report.
+   runs this kernel too), so the tier can never leak into the report.
 3. **Revocation** — frees push chunks through quarantine, then a
    forced sweep measures the revoker's share of the device's cycles
    (the duty-cycle column).
@@ -201,7 +199,7 @@ def run_device(spec: DeviceSpec) -> dict:
             buf_size=_KERNEL_BUF_SIZE,
         )
     )
-    cpu = system.make_cpu(jit_threshold=16)
+    cpu = system.make_cpu()
     from repro.capability import make_roots
 
     roots = make_roots()

@@ -16,7 +16,6 @@ from .load_filter import LoadFilter, LoadFilterStats
 from .pmp import PMP_ENTRIES, PMPEntry, PMPUnit, PMPViolation
 from .timer import ClintTimer
 from .trace import ExecutionTrace, TraceEntry
-from .tracejit import TraceJITStats
 from .registers import (
     ABI_NAMES,
     NUM_REGS,
@@ -51,7 +50,6 @@ __all__ = [
     "RegisterFile",
     "Tier",
     "TraceEntry",
-    "TraceJITStats",
     "Trap",
     "TrapCause",
     "assemble",

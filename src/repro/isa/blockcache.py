@@ -118,10 +118,6 @@ class Block:
         "term_bails",
         "charge",
         "timing",
-        "hits",
-        "jit",
-        "jit_failed",
-        "jit_source",
     )
 
     def __init__(
@@ -164,20 +160,6 @@ class Block:
         #: The timing model the charge was classified for; the executor
         #: re-translates if the CPU's model is swapped out.
         self.timing = timing
-        #: Fused executions since translation — the trace-JIT promotion
-        #: counter.  Reset naturally on re-translation (invalidation or
-        #: timing swap), so compiled code is always rebuilt from the
-        #: current decoded table and cost vector.
-        self.hits = 0
-        #: :class:`repro.isa.tracejit.CompiledBlock` once promoted.
-        self.jit = None
-        #: True when the code generator refused this block (unsupported
-        #: construct); it stays on the fused tier permanently.
-        self.jit_failed = False
-        #: Generated source remembered by the first-execution cache
-        #: probe, so later heat checkpoints can accumulate cross-CPU
-        #: hotness without regenerating it.
-        self.jit_source = None
 
 
 def translate_block(cpu, index: int) -> Optional[Block]:

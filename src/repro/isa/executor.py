@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 from repro.capability import (
@@ -41,12 +42,6 @@ from repro.memory.bus import SystemBus
 from repro.memory.tagged_memory import MemoryError_
 from .assembler import Program
 from .blockcache import BlockCacheStats, translate_block
-from .tracejit import (
-    HEAT_CHECKPOINT,
-    TraceJITStats,
-    compile_block,
-    note_block_heat,
-)
 from .csr import CSRFile
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
 from .instructions import Instruction
@@ -76,7 +71,7 @@ class Tier(enum.Enum):
     """How the executor runs a program, slowest first.
 
     Every tier is observationally identical to :attr:`INTERP`; the
-    differential suites loop over all four to hold them to that.
+    differential suites loop over all three to hold them to that.
     """
 
     #: The seed's interpretive step: string-keyed dispatch and a full
@@ -85,10 +80,9 @@ class Tier(enum.Enum):
     #: Pre-decoded single step: handlers and operands resolved once at
     #: :meth:`CPU.load_program` time.
     STEP = "step"
-    #: Pre-decoded superblocks (:mod:`repro.isa.blockcache`).
+    #: Pre-decoded superblocks (:mod:`repro.isa.blockcache`), the
+    #: default.
     FUSED = "fused"
-    #: Superblocks plus the trace-JIT (:mod:`repro.isa.tracejit`).
-    JIT = "jit"
 
 
 #: Hot-path alias: dereferencing the enum member once per module load
@@ -147,11 +141,7 @@ def _signed(value: int) -> int:
 
 
 def _div_impl(a: int, b: int) -> int:
-    """RV32M ``div`` semantics (round toward zero, div-by-zero → -1).
-
-    Module-level so the trace-JIT's generated code shares the exact
-    implementation the dispatch table uses.
-    """
+    """RV32M ``div`` semantics (round toward zero, div-by-zero → -1)."""
     if b == 0:
         return _WORD
     q = abs(_signed(a)) // abs(_signed(b))
@@ -169,9 +159,11 @@ class CPU:
     """A single CHERIoT (or plain RV32E) hart attached to a bus.
 
     ``tier`` picks how programs run (:class:`Tier`; the default is the
-    fastest, :attr:`Tier.JIT`).  ``jit_threshold`` is how many fused
-    executions promote a block to compiled code on the JIT tier.
+    fastest, :attr:`Tier.FUSED`).
     """
+
+    #: Zero; perfbench reads it; ROADMAP's "One host-time harness" deletes it.
+    jit_stats = SimpleNamespace(instructions=0, compiles=0, guard_bails=0)
 
     def __init__(
         self,
@@ -182,8 +174,7 @@ class CPU:
         timing=None,
         hwm_enabled: bool = True,
         cfi_strict: bool = False,
-        tier: Tier = Tier.JIT,
-        jit_threshold: int = 50,
+        tier: Tier = Tier.FUSED,
     ) -> None:
         self.bus = bus
         self.mode = mode
@@ -201,21 +192,10 @@ class CPU:
         #: per step while any observer is attached (``pre_step_hook``,
         #: retire hooks, a polled timer), so telemetry and fault
         #: injection always see the ordinary per-instruction stream.
-        self._block_cache_enabled = tier in (Tier.FUSED, Tier.JIT)
+        self._block_cache_enabled = tier is Tier.FUSED
         self._blocks: dict = {}
         self.block_stats = BlockCacheStats()
         self._code_watch = None
-        #: Trace-JIT (:mod:`repro.isa.tracejit`): blocks that execute
-        #: fused ``jit_threshold`` times are compiled into specialised
-        #: Python functions.  Rides on the block cache, so it inherits
-        #: its deopt predicate and dirty-range invalidation.
-        self._jit_enabled = tier is Tier.JIT
-        self._jit_threshold = jit_threshold
-        self.jit_stats = TraceJITStats()
-        #: Completed iterations a faulting trace-loop recorded before it
-        #: re-raised (the generated ``except`` block writes it), so the
-        #: step-budget accounting stays exact across the bail-out.
-        self._jit_loop_iters = 0
         #: Cached executable window of the current PCC: instruction fetch
         #: is a two-comparison check while the PC stays inside
         #: ``[_fetch_lo, _fetch_hi]``; any PCC replacement recomputes it
@@ -408,8 +388,7 @@ class CPU:
         With the superblock cache enabled and no observer attached
         (``pre_step_hook``, retire hooks, polled timer), straight-line
         runs execute as fused blocks — one dispatch, batch-charged
-        stats and cycles, architecturally identical to single-stepping —
-        and hot blocks are further promoted to compiled trace-JIT code.
+        stats and cycles, architecturally identical to single-stepping.
         Eligibility is the cached ``_fast_loop_ok`` flag, recomputed by
         every observer install/remove site, so a hook installed mid-run
         (say, by an ``ecall`` handler) deoptimizes from the very next
@@ -551,17 +530,6 @@ class CPU:
         device reads like the CLINT's ``mtime``, store snoopers — sees
         the exact cycle count single-stepping would have shown it; the
         final ``charge_block`` adds only the unstreamed remainder.
-
-        Blocks that execute fused ``jit_threshold`` times are promoted
-        to the trace-JIT tier (:mod:`repro.isa.tracejit`): the compiled
-        function replaces the fused entry loop (and, for branch/jump
-        terminators, the terminator dispatch too).  A compiled function
-        that cannot handle its own terminator returns ``-1`` and the
-        interpreted terminator path below runs exactly as for a fused
-        block.  A fault inside compiled code re-raises with the
-        architectural state materialized at the faulting instruction,
-        and is delivered through the same :meth:`_block_fault`
-        prefix-replay path the fused loop uses.
         """
         consumed = 0
         blocks = self._blocks
@@ -572,9 +540,6 @@ class CPU:
         tstats = timing.stats if timing is not None else None
         stats = self.stats
         block_stats = self.block_stats
-        jit_enabled = self._jit_enabled
-        jit_threshold = self._jit_threshold
-        jstats = self.jit_stats
         while True:
             if (
                 self.interrupt_pending is not None
@@ -614,125 +579,42 @@ class CPU:
                 self._step_fast()
                 return consumed + 1
             n = block.length
-            jb = block.jit
-            if jb is None and jit_enabled and not block.jit_failed:
-                hits = block.hits + 1
-                block.hits = hits
-                if hits >= jit_threshold:
-                    jb = compile_block(self, block)
-                elif hits == 1:
-                    # First execution: adopt already-hot code for free.
-                    # The generated source is deterministic in (decoded
-                    # block, cost vector), so a code-cache hit means an
-                    # earlier CPU ran this exact block past the
-                    # threshold — no need to warm up again.
-                    jb = compile_block(self, block, cached_only=True)
-                elif not hits & (HEAT_CHECKPOINT - 1):
-                    # Below-threshold checkpoint: pool this block's
-                    # warmth with every earlier CPU instance that ran
-                    # the same code, so moderately-hot blocks still
-                    # compile across benchmark repetitions and fleets.
-                    jb = note_block_heat(self, block)
-            if jb is not None and jb.self_loop:
-                # Trace-loop shape: the function iterates the block
-                # internally (entry loads and write-back per iteration)
-                # and returns ``(next_pc, iterations)``.  It stops at
-                # every back-edge the chained dispatch would have: the
-                # iteration budget below, a deliverable interrupt, or
-                # mid-loop invalidation by the block's own stores.
-                self._jit_loop_iters = 0
-                try:
-                    next_pc, iters = jb.fn(
-                        self, (remaining - consumed) // block.steps
-                    )
-                except _BLOCK_FAULTS as fault:
-                    iters = self._jit_loop_iters
-                    jstats.executions += iters + 1
-                    jstats.instructions += iters * jb.consumed
-                    jstats.guard_bails += 1
-                    consumed += iters * block.steps
-                    return consumed + self._block_fault(
-                        block, (self.pc - pc) >> 2, fault
-                    )
-                except BaseException:
-                    iters = self._jit_loop_iters
-                    jstats.executions += iters + 1
-                    jstats.instructions += iters * jb.consumed
-                    jstats.guard_bails += 1
-                    consumed += iters * block.steps
-                    self._commit_block_prefix(block, (self.pc - pc) >> 2)
-                    raise
-                jstats.executions += iters
-                jstats.instructions += iters * jb.consumed
-                self.pc = next_pc
-                consumed += iters * block.steps
+            block_stats.executions += 1
+            flushed = 0
+            try:
+                for handler, operands, ipc, info, pre in block.entries:
+                    self.pc = ipc
+                    if pre:
+                        tstats.cycles += pre
+                        flushed += pre
+                    handler(self, operands, 0, info)
+            except _BLOCK_FAULTS as fault:
+                if flushed:
+                    tstats.cycles -= flushed
+                return consumed + self._block_fault(
+                    block, (self.pc - pc) >> 2, fault
+                )
+            except BaseException:
+                # Non-architectural failure (a simulator bug): commit
+                # the retired prefix so diagnostics match
+                # single-stepping, then let it propagate.
+                if flushed:
+                    tstats.cycles -= flushed
+                self._commit_block_prefix(block, (self.pc - pc) >> 2)
+                raise
+            # Straight-line run retired: batch-charge counts/cycles.
+            stats.instructions += n
+            block_stats.instructions += n
+            if timing is not None:
+                timing.charge_block(block.charge, flushed)
+            term = block.term
+            if term is None:
+                self.pc = pc + 4 * n
+                consumed += n
                 if consumed >= remaining:
                     return consumed
                 continue
-            if jb is not None:
-                jstats.executions += 1
-                try:
-                    next_pc = jb.fn(self)
-                except _BLOCK_FAULTS as fault:
-                    # The generated except block already reverted any
-                    # streamed cycles and wrote back the locals valid at
-                    # the faulting guard ordinal; ``cpu.pc`` points at
-                    # the faulting instruction.
-                    jstats.guard_bails += 1
-                    return consumed + self._block_fault(
-                        block, (self.pc - pc) >> 2, fault
-                    )
-                except BaseException:
-                    jstats.guard_bails += 1
-                    self._commit_block_prefix(block, (self.pc - pc) >> 2)
-                    raise
-                jstats.instructions += jb.consumed
-                if jb.handles_term:
-                    self.pc = next_pc
-                    consumed += jb.consumed
-                    if consumed >= remaining:
-                        return consumed
-                    continue
-                # Terminator stays interpreted: fall through to the
-                # shared terminator dispatch below (the compiled body
-                # has already retired and charged the straight line).
-            else:
-                block_stats.executions += 1
-                flushed = 0
-                try:
-                    for handler, operands, ipc, info, pre in block.entries:
-                        self.pc = ipc
-                        if pre:
-                            tstats.cycles += pre
-                            flushed += pre
-                        handler(self, operands, 0, info)
-                except _BLOCK_FAULTS as fault:
-                    if flushed:
-                        tstats.cycles -= flushed
-                    return consumed + self._block_fault(
-                        block, (self.pc - pc) >> 2, fault
-                    )
-                except BaseException:
-                    # Non-architectural failure (a simulator bug):
-                    # commit the retired prefix so diagnostics match
-                    # single-stepping, then let it propagate.
-                    if flushed:
-                        tstats.cycles -= flushed
-                    self._commit_block_prefix(block, (self.pc - pc) >> 2)
-                    raise
-                # Straight-line run retired: batch-charge counts/cycles.
-                stats.instructions += n
-                block_stats.instructions += n
-                if timing is not None:
-                    timing.charge_block(block.charge, flushed)
-                term = block.term
-                if term is None:
-                    self.pc = pc + 4 * n
-                    consumed += n
-                    if consumed >= remaining:
-                        return consumed
-                    continue
-            t_handler, t_operands, t_instr, t_info, t_pc = block.term
+            t_handler, t_operands, t_instr, t_info, t_pc = term
             self.pc = t_pc
             t_info.branch_taken = False
             next_pc = t_pc + 4
@@ -812,14 +694,9 @@ class CPU:
             for i, b in self._blocks.items()
             if b is not None and b.start_index <= hi and lo <= b.end_index
         ]
-        dead_jit = 0
         for i in dead:
-            if self._blocks[i].jit is not None:
-                dead_jit += 1
             del self._blocks[i]
         self.block_stats.invalidations += len(dead)
-        if dead_jit:
-            self.jit_stats.invalidations += dead_jit
 
     def _step_interp(self) -> None:
         """The seed's interpretive step: string-keyed dispatch and a full

@@ -32,7 +32,6 @@ from repro.isa import (
     LoadFilter,
     PMPUnit,
     Tier,
-    TraceJITStats,
 )
 from repro.memory import (
     MemoryMap,
@@ -130,12 +129,10 @@ class System:
         )
         self.registry.register_source("load_filter", self.load_filter.stats)
         # Execution-tier counters: every CPU this system creates
-        # (``make_cpu``) shares these holders, so the summary aggregates
-        # translation/compilation activity across all harts.
+        # (``make_cpu``) shares this holder, so the summary aggregates
+        # translation activity across all harts.
         self.block_cache_stats = BlockCacheStats()
-        self.trace_jit_stats = TraceJITStats()
         self.registry.register_source("block_cache", self.block_cache_stats)
-        self.registry.register_source("trace_jit", self.trace_jit_stats)
         self.registry.register_scalar("epoch", lambda: self.epoch.value)
         self.registry.register_scalar(
             "quarantined_bytes", lambda: self.allocator.quarantined_bytes
@@ -156,7 +153,6 @@ class System:
         "hardware_revoker",
         "load_filter",
         "block_cache",
-        "trace_jit",
         "epoch",
         "quarantined_bytes",
         "live_allocations",
@@ -320,14 +316,12 @@ class System:
 
     def make_cpu(self, mode: ExecutionMode = ExecutionMode.CHERIOT,
                  pmp: Optional[PMPUnit] = None,
-                 tier: Tier = Tier.JIT,
-                 jit_threshold: int = 50) -> CPU:
+                 tier: Tier = Tier.FUSED) -> CPU:
         """An ISA-level CPU sharing this system's bus and devices.
 
-        ``tier`` and ``jit_threshold`` pick the execution tier exactly
-        as on :class:`~repro.isa.CPU`: the fleet device runner sets its
-        JIT threshold through this seam, and the zero-copy differential
-        varies the tier of a device's CPU.
+        ``tier`` picks the execution tier exactly as on
+        :class:`~repro.isa.CPU`; the zero-copy differential varies the
+        tier of a device's CPU through this seam.
         """
         cpu = CPU(
             self.bus,
@@ -337,11 +331,9 @@ class System:
             timing=self.core_model,
             hwm_enabled=self.csr.hwm_enabled,
             tier=tier,
-            jit_threshold=jit_threshold,
         )
         # Aggregate this hart's tier counters into the system registry.
         cpu.block_stats = self.block_cache_stats
-        cpu.jit_stats = self.trace_jit_stats
         return cpu
 
     def reset_cycles(self) -> None:

@@ -159,16 +159,15 @@ def build_image(
     stack_size: int = 0x200,
     trusted_stack_at: int = 0x2000_9000,
     export_table_at: int = 0x2000_9800,
-    tier: Tier = Tier.JIT,
-    jit_threshold: int = 50,
+    tier: Tier = Tier.FUSED,
 ) -> AsmSwitcherImage:
     """Assemble switcher + callee + caller into one bootable image.
 
     ``caller_asm`` must define ``_start`` and jump via ``jalr ra, s0``
     where s0 holds the switcher sentry and t0 the export token (both
     pre-loaded in registers by this builder).  ``callee_asm`` must
-    define ``callee_entry`` and end with ``ret``.  ``tier`` and
-    ``jit_threshold`` pick the CPU's execution tier (:class:`~repro.isa.Tier`).
+    define ``callee_entry`` and end with ``ret``.  ``tier`` picks the
+    CPU's execution tier (:class:`~repro.isa.Tier`).
     """
     roots = make_roots()
     source = SWITCHER_ASM + callee_asm + caller_asm
@@ -176,7 +175,7 @@ def build_image(
 
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(code_base, 0x1_0000))
-    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier, jit_threshold=jit_threshold)
+    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
     cpu.load_program(program, code_base, pcc=roots.executable, entry="_start")
 
     # The switcher's entry sentry: disable interrupts, keep SR.

@@ -467,6 +467,9 @@ def coremark_program(
         raise ValueError(f"unknown config {config!r}")
     if kernel is not None and kernel not in _KERNEL_DRIVERS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    if iterations < 1:
+        # The driver's count-down loop would wrap past zero.
+        raise ValueError(f"iterations must be 1 or more, not {iterations}")
     cheriot = config != "rv32e"
     target = Target.CHERIOT if cheriot else Target.RV32E
     module = build_coremark_module(8 if cheriot else 4)
@@ -569,7 +572,7 @@ def run_coremark(
     iterations: int = 2,
     fixed_compiler: bool = False,
     optimize: bool = False,
-    tier: Tier = Tier.JIT,
+    tier: Tier = Tier.FUSED,
 ) -> CoreMarkResult:
     """Run the workalike under one of Table 3's configurations.
 
@@ -655,7 +658,10 @@ def run_kernel_profile(
     """
     return {
         kernel: _run(
-            core, config, coremark_program(config, iterations, kernel), Tier.JIT
+            core,
+            config,
+            coremark_program(config, iterations, kernel),
+            Tier.FUSED,
         ).timing.cycles
         for kernel in _KERNEL_DRIVERS
     }

@@ -1,21 +1,17 @@
 """Recovery machinery is tier-blind: every :class:`~repro.isa.Tier`.
 
-The fleet runs its devices with the trace-JIT enabled, so the recovery
+The fleet runs its devices at the default fused tier, so the recovery
 paths the paper's availability story depends on — compartment error
 handlers (UNWIND / RETRY / RESTART) and the executive's watchdog
 (kill / restart) — must behave *bit-identically* whether the faulting
-kernel ran interpreted, single-stepped pre-decoded, as fused
-superblocks, or as compiled traces.
-A fault raised from inside compiled code (a trace-JIT guard bail)
-must surface through the switcher exactly like one raised by the
-interpreter: same outcome, same stats, same registers, same simulated
-cycles.
+kernel ran interpreted, single-stepped pre-decoded, or as fused
+superblocks.  A fault raised from inside a fused block must surface
+through the switcher exactly like one raised by the interpreter: same
+outcome, same stats, same registers, same simulated cycles.
 
 Every test here runs the identical scenario once per execution tier
-and compares the complete observable state.  A cycle count that drifts
-by even one would let shard placement (which warms the in-process JIT
-differently) leak into the fleet report — the determinism contract of
-:mod:`repro.fleet` rests on these asserts.
+and compares the complete observable state; the determinism contract
+of :mod:`repro.fleet` rests on these asserts.
 """
 
 from dataclasses import fields
@@ -41,7 +37,7 @@ _CODE_OFFSET = 0x2_0000
 _BUF_OFFSET = 0x3_0000
 _BUF_SIZE = 256
 
-#: Enough back-edge executions to cross the JIT threshold mid-run.
+#: A store/load loop whose body runs as one fused block.
 _CLEAN_KERNEL = """\
     li a0, 40
     li a1, 0
@@ -55,9 +51,9 @@ loop:
     halt
 """
 
-#: Walks s1 one word past its bounds on iteration 17 — by which point
-#: the JIT tier is executing compiled code, so the fault is a mid-trace
-#: guard bail, not an interpreter exception.
+#: Walks s1 one word past its bounds on iteration 17; at the fused
+#: tier the faulting load sits inside a fused block, so the fault takes
+#: the block's prefix-replay path, not a single step.
 _FAULTING_KERNEL = """\
     li a0, 40
 loop:
@@ -103,11 +99,9 @@ class _Stack:
         return thread
 
     def make_cpu(self, tier):
-        """A CPU at one execution tier, charging the shared core model;
-        ``jit_threshold=2`` makes the JIT tier compile mid-kernel."""
+        """A CPU at one execution tier, charging the shared core model."""
         return CPU(
-            self.bus, ExecutionMode.CHERIOT, timing=self.core, tier=tier,
-            jit_threshold=2,
+            self.bus, ExecutionMode.CHERIOT, timing=self.core, tier=tier
         )
 
     def load_kernel(self, cpu, source, buf_reg=8, buf_size=_BUF_SIZE):
@@ -198,10 +192,12 @@ class TestErrorHandlerTiers:
                 _cpu_state(cpus[-1]),
                 stack.core.cycles,
             )
-            if tier is Tier.JIT:
-                assert cpus[-1].jit_stats.guard_bails >= 1, (
-                    "the fault must come from inside compiled code"
-                )
+            if tier is Tier.FUSED:
+                # The fault came from inside a fused block: every
+                # instruction retired through one, none single-stepped.
+                blocks = cpus[-1].block_stats
+                assert blocks.single_steps == 0
+                assert blocks.instructions == cpus[-1].stats.instructions > 0
         _assert_tier_blind(observations)
 
     def test_retry_identical_across_tiers(self):
@@ -221,11 +217,11 @@ class TestErrorHandlerTiers:
                 _cpu_state(cpus[-1]),
                 stack.core.cycles,
             )
-            if tier is Tier.JIT:
-                # The retry's clean kernel ran hot enough to compile.
-                assert cpus[-1].jit_stats.executions > 0
+            if tier is Tier.FUSED:
+                # The retry's clean kernel ran fused too.
+                assert cpus[-1].block_stats.executions > 0
             else:
-                assert cpus[-1].jit_stats.executions == 0
+                assert cpus[-1].block_stats.executions == 0
         _assert_tier_blind(observations)
         # The retry actually happened: two entries, one contained fault.
         assert observations[Tier.INTERP][1] == 2
@@ -349,8 +345,8 @@ class TestWatchdogTiers:
                 tuple(stats.watchdog_events),
                 stack.core.cycles,
             )
-            if tier is Tier.JIT:
-                # At least one sliced kernel crossed the JIT threshold.
-                assert any(c.jit_stats.executions > 0 for c in cpus)
+            if tier is Tier.FUSED:
+                # The sliced kernels ran fused between preemptions.
+                assert any(c.block_stats.executions > 0 for c in cpus)
         _assert_tier_blind(observations)
         assert observations[Tier.INTERP][0] == 1  # restarted, then reformed

@@ -2,9 +2,7 @@
 
 The superblock translation cache (:mod:`repro.isa.blockcache`) fuses
 straight-line runs of pre-decoded instructions into one dispatch and
-batch-charges their cycle costs; the trace-JIT tier
-(:mod:`repro.isa.tracejit`) compiles hot blocks into specialised Python
-functions on top of it.  The correctness contract of both is strict
+batch-charges their cycle costs.  Its correctness contract is strict
 *observational equivalence*: with any tier enabled, every architectural
 outcome — golden traces, register files, retired-instruction stats, bus
 counters, modelled cycles, trap causes and messages, even the cycle
@@ -18,9 +16,8 @@ chained-block invalidation under self-modifying code, deoptimization
 under observers, exact step budgets).
 
 Every differential runs the same scenario once per :class:`Tier` —
-interpreter, pre-decoded single step, fused blocks, fused blocks plus
-trace-JIT — and requires what every tier observed to equal what the
-interpreter observed.
+interpreter, pre-decoded single step, fused blocks — and requires what
+every tier observed to equal what the interpreter observed.
 """
 
 from dataclasses import fields
@@ -30,7 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, assemble
+from repro.isa import (
+    CPU,
+    BlockCacheStats,
+    ExecutionMode,
+    Halted,
+    Tier,
+    Trap,
+    assemble,
+)
 from repro.isa.timer import ClintTimer
 from repro.isa.trace import ExecutionTrace
 from repro.memory import SystemBus, TaggedMemory
@@ -41,18 +46,11 @@ DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-#: Makes the trace-JIT engage within test-sized iteration counts (the
-#: default 50 would leave most of these programs on the fused tier).
-JIT_THRESHOLD = 2
-
-
 def _fresh_cpu(tier):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(
-        bus, ExecutionMode.CHERIOT, tier=tier, jit_threshold=JIT_THRESHOLD
-    )
+    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
 
@@ -113,8 +111,6 @@ class TestStraightLineEquivalence:
         # Each tier actually ran (this is not a vacuous pass).
         assert cpus[Tier.FUSED].block_stats.executions > 0
         assert cpus[Tier.FUSED].block_stats.instructions > 0
-        assert cpus[Tier.JIT].jit_stats.compiles > 0
-        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_cap_ops_and_cap_memory_bit_identical(self):
         source = """
@@ -132,7 +128,6 @@ class TestStraightLineEquivalence:
         states, cpus = _run_all(source)
         _assert_tier_blind(states)
         assert cpus[Tier.FUSED].block_stats.executions > 0
-        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_load_use_hazard_window_identical(self):
         # Back-to-back load/consume pairs at the block entry, interior,
@@ -165,6 +160,23 @@ class TestStraightLineEquivalence:
         """
         states, _ = _run_all(source)
         _assert_tier_blind(states)
+
+    def test_csr_read_loop_identical(self):
+        # csrr is not fusable: it ends the cached run and goes through
+        # the single-step path on every iteration, around fused blocks.
+        source = """
+            li a0, 30
+        loop:
+            csrr t1, mcycle
+            addi a0, a0, -1
+            bnez a0, loop
+            halt
+        """
+        states, cpus = _run_all(source)
+        _assert_tier_blind(states)
+        assert states[Tier.INTERP][0][10].address == 0
+        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert cpus[Tier.FUSED].block_stats.single_steps > 0
 
 
 class TestFaultEquivalence:
@@ -245,6 +257,27 @@ class TestFaultEquivalence:
             _assert_tier_blind(outcomes)
             assert (outcomes[Tier.INTERP][0] == "halted") is expect_halt
 
+    def test_rv32e_capability_instruction_trap_identical(self):
+        # The instruction table fuses capability mnemonics whatever the
+        # mode; in RV32E they execute to an illegal-instruction trap,
+        # which every tier must raise identically from inside a block.
+        program = assemble("li a0, 1\ncgetlen a1, s0\nhalt\n")
+        outcomes = {}
+        for tier in Tier:
+            bus = SystemBus()
+            bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
+            cpu = CPU(bus, ExecutionMode.RV32E, tier=tier)
+            cpu.timing = make_core_model(CoreKind.IBEX)
+            cpu.load_program(program, CODE_BASE)
+            cpu.regs.write_int(8, DATA_BASE)
+            with pytest.raises(Trap) as excinfo:
+                cpu.run()
+            trap = excinfo.value
+            outcomes[tier] = (trap.cause, trap.pc, str(trap), _state(cpu))
+        _assert_tier_blind(outcomes)
+        message = outcomes[Tier.INTERP][2]
+        assert "capability instruction in RV32E mode" in message
+
 
 class TestDeoptimization:
     def test_retire_hooks_force_single_stepping(self):
@@ -269,14 +302,13 @@ class TestDeoptimization:
             traces[tier] = trace.entries
             states[tier] = _state(cpu)
             assert cpu.block_stats.executions == 0
-            assert cpu.jit_stats.executions == 0
         _assert_tier_blind(traces)
         _assert_tier_blind(states)
 
     def test_pre_step_hook_forces_single_stepping(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(Tier.JIT)
+        cpu, roots = _fresh_cpu(Tier.FUSED)
         _load(cpu, roots, program)
         seen = []
         cpu.pre_step_hook = lambda c: seen.append(c.pc)
@@ -307,7 +339,7 @@ class TestInvalidation:
 
     def test_store_into_code_region_invalidates_and_retranslates(self):
         program = assemble(self.SOURCE)
-        cpu, roots = _fresh_cpu(Tier.JIT)
+        cpu, roots = _fresh_cpu(Tier.FUSED)
         _load(cpu, roots, program)
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -354,9 +386,8 @@ class TestInvalidation:
             states[tier] = _state(cpu)
             counters[tier] = cpu.block_stats.invalidations
         _assert_tier_blind(states)
-        # The cached runs saw the dirty store.
+        # The cached run saw the dirty store.
         assert counters[Tier.FUSED] >= 1
-        assert counters[Tier.JIT] >= 1
 
     def test_store_outside_code_region_does_not_invalidate(self):
         source = """
@@ -368,7 +399,7 @@ class TestInvalidation:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(Tier.JIT)
+        cpu, roots = _fresh_cpu(Tier.FUSED)
         _load(cpu, roots, program)
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -377,14 +408,14 @@ class TestInvalidation:
 
 class TestSuccessorBlockInvalidation:
     """Self-modifying code rewriting a *successor* block while its
-    predecessor's compiled trace is mid-execution.
+    predecessor is mid-loop.
 
-    The predecessor is a hot self-loop (a compiled trace at
-    ``jit_threshold=2``) whose body stores into the code range of the
-    block that executes after the loop exits.  The dirty-range hooks
-    must drop the successor's translation (and compiled code) on every
-    such store — while the predecessor keeps looping — and the
-    architectural outcome must stay bit-identical to single-stepping.
+    The predecessor is a hot self-loop (one fused block chained back to
+    itself) whose body stores into the code range of the block that
+    executes after the loop exits.  The dirty-range hooks must drop the
+    successor's translation on every such store — while the
+    predecessor keeps looping — and the architectural outcome must
+    stay bit-identical to single-stepping.
     The decoded program image is fixed at load time (the simulator's
     predecode contract), so the observable effects are the bus/stat
     stream and the invalidation counters, not new instruction bytes.
@@ -398,9 +429,9 @@ class TestSuccessorBlockInvalidation:
     )
     def test_trace_loop_rewrites_successor(self, loops, victim_word, value):
         # Two rounds: round 1 executes (and caches) the successor block
-        # at label succ, and heats loop1 past the JIT threshold; in
-        # round 2 the compiled trace's store drops succ's translation
-        # mid-loop.  The store hits the victim word inside succ.
+        # at label succ; in round 2 loop1's fused store drops succ's
+        # translation mid-loop.  The store hits the victim word inside
+        # succ.
         source = f"""
             li a5, 2
             li a3, {value}
@@ -434,9 +465,8 @@ class TestSuccessorBlockInvalidation:
             states[tier] = _state(cpu)
             counters[tier] = cpu.block_stats.invalidations
         _assert_tier_blind(states)
-        # Both cached tiers saw the successor's range go dirty.
+        # The cached tier saw the successor's range go dirty.
         assert counters[Tier.FUSED] >= 1
-        assert counters[Tier.JIT] >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -444,10 +474,10 @@ class TestSuccessorBlockInvalidation:
         value=st.integers(min_value=0, max_value=0xFFFF_FFFF),
     )
     def test_chained_blocks_rewrite_each_other(self, loops, value):
-        # Two blocks chained by compiled ``j`` terminators: A stores
-        # into B's range every round while the executor's chained
-        # dispatch alternates A -> B -> A.  B must be dropped and
-        # re-translated (and re-compiled once hot again) every round.
+        # Two blocks chained by ``j`` terminators: A stores into B's
+        # range every round while the executor's chained dispatch
+        # alternates A -> B -> A.  B must be dropped and re-translated
+        # every round.
         source = f"""
             li t0, {loops}
             li a3, {value}
@@ -478,7 +508,22 @@ class TestSuccessorBlockInvalidation:
         _assert_tier_blind(states)
         # Every store dropped the successor: one invalidation per round.
         assert counters[Tier.FUSED] >= loops - 1
-        assert counters[Tier.JIT] >= loops - 1
+
+
+class TestSystemCounters:
+    def test_make_cpu_shares_the_system_block_cache_stats(self):
+        # Every hart a System builds counts into one registry group.
+        from repro.machine import System
+
+        system = System.build()
+        summary = system.stats_summary()
+        assert set(summary["block_cache"]) == {
+            f.name for f in fields(BlockCacheStats)
+        }
+        for tier in Tier:
+            cpu = system.make_cpu(tier=tier)
+            assert cpu.tier is tier
+            assert cpu.block_stats is system.block_cache_stats
 
 
 class TestMMIOCycleExactness:
@@ -504,10 +549,7 @@ class TestMMIOCycleExactness:
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
             core_model = make_core_model(CoreKind.IBEX)
             bus.attach_device(timer_base, 0x100, ClintTimer(core_model))
-            cpu = CPU(
-                bus, ExecutionMode.RV32E, tier=tier,
-                jit_threshold=JIT_THRESHOLD,
-            )
+            cpu = CPU(bus, ExecutionMode.RV32E, tier=tier)
             cpu.timing = core_model
             cpu.load_program(program, CODE_BASE)
             cpu.regs.write_int(8, timer_base)
@@ -518,7 +560,7 @@ class TestMMIOCycleExactness:
                 core_model.cycles,
                 bus.stats.mmio_reads,
             )
-            if tier in (Tier.FUSED, Tier.JIT):
+            if tier is Tier.FUSED:
                 assert cpu.block_stats.executions > 0
         _assert_tier_blind(sums)
         _assert_tier_blind(states)
@@ -549,9 +591,7 @@ class TestWorkloadEquivalence:
 
         states = {}
         for tier in Tier:
-            image = build_image(
-                CALLEE, CALLER, tier=tier, jit_threshold=JIT_THRESHOLD
-            )
+            image = build_image(CALLEE, CALLER, tier=tier)
             image.cpu.run()
             states[tier] = _state_no_timing(image.cpu)
         _assert_tier_blind(states)
@@ -561,8 +601,7 @@ class TestWorkloadEquivalence:
 
     def test_fleet_kernel_bit_identical(self):
         # The fleet device's CPU kernel: a device's report numbers must
-        # not depend on which tier its kernel reached as the in-process
-        # code cache warmed.
+        # not depend on the tier its kernel ran at.
         from repro.fleet.device import _KERNEL_SOURCE
 
         source = _KERNEL_SOURCE.format(
@@ -571,13 +610,12 @@ class TestWorkloadEquivalence:
         states, cpus = _run_all(source)
         _assert_tier_blind(states)
         assert cpus[Tier.FUSED].block_stats.executions > 0
-        assert cpus[Tier.JIT].jit_stats.executions > 0
 
     def test_fault_campaign_slice_bit_identical(self, monkeypatch):
         # 1000 seeded injections: every scenario, outcome, detail and
-        # wrong-result flag must match across all four tiers.
+        # wrong-result flag must match across all three tiers.
         # (Injection hooks deoptimize per-step; hook-free phases run
-        # fused/compiled.)
+        # fused.)
         from repro.faultinject import engine as engine_mod
         from repro.faultinject.campaign import run_campaign
 
@@ -586,9 +624,7 @@ class TestWorkloadEquivalence:
         for tier in Tier:
 
             def tiered_cpu(*args, _tier=tier, **kwargs):
-                return real_cpu(
-                    *args, tier=_tier, jit_threshold=JIT_THRESHOLD, **kwargs
-                )
+                return real_cpu(*args, tier=_tier, **kwargs)
 
             monkeypatch.setattr(engine_mod, "CPU", tiered_cpu)
             records[tier] = run_campaign(1000).records

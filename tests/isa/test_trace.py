@@ -101,7 +101,7 @@ class TestTraceUnderPredecode:
 
     def test_render_identical_across_paths(self):
         interp = self._render(Tier.INTERP)
-        fast = self._render(Tier.JIT)
+        fast = self._render(Tier.FUSED)
         assert fast.render() == interp.render()
         assert fast.mnemonic_histogram() == interp.mnemonic_histogram()
         assert [ (e.pc, e.text, e.timing_class, e.branch_taken)

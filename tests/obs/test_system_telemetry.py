@@ -70,12 +70,12 @@ class TestTelemetryOffDifferential:
         sys_on, sys_off = on["system"], off["system"]
         assert sys_on.core_model.cycles == sys_off.core_model.cycles
         s_on, s_off = sys_on.stats_summary(), sys_off.stats_summary()
-        # The execution-tier groups are host-side counters: telemetry
-        # attaches retire hooks, which deoptimize the fused block/JIT
-        # tiers, so translation/compilation activity differs by design.
-        # Every *architectural* group must still match exactly — which
-        # is the tier-transparency claim seen from the other side.
-        host_side = {"block_cache", "trace_jit"}
+        # The execution-tier group is host-side counters: telemetry
+        # attaches retire hooks, which deoptimize the fused tier, so
+        # translation activity differs by design.  Every
+        # *architectural* group must still match exactly — which is the
+        # tier-transparency claim seen from the other side.
+        host_side = {"block_cache"}
         assert list(s_on) == list(s_off)
         for group in s_on:
             if group not in host_side:

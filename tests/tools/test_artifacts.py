@@ -84,6 +84,18 @@ def _dropped_workload(doc):
     del doc["workloads"]["coremark_1k"]
 
 
+def _slow_alu_loop(doc):
+    doc["workloads"]["alu_loop"]["mips"] = 0.03
+
+
+def _slow_table3(doc):
+    doc["workloads"]["table3_iter1"]["seconds"] = 30.0
+
+
+def _seed_speed_alu_loop(doc):
+    doc["speedup_vs_seed"]["alu_loop"] = 1.5
+
+
 def _edit(text, title, old, new):
     """``text`` with one value in section ``title`` replaced, in place."""
     body = read_sections(text)[title]
@@ -361,6 +373,22 @@ class TestLoop:
     def test_refresh_needs_a_name(self, artifacts, capsys):
         assert artifacts.main(["refresh"]) == 2
         assert "refresh needs a NAME" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper, problem",
+    [
+        (_slow_alu_loop, "alu_loop runs at 0.03 MIPS (floor: 0.03)"),
+        (_slow_table3, "table3_iter1 takes 30.0 s (ceiling: 30.0)"),
+        (_seed_speed_alu_loop,
+         "alu_loop is 1.5x the seed's interpretive MIPS (floor: 1.5)"),
+    ],
+    ids=["alu_mips", "table3_seconds", "alu_speedup_vs_seed"],
+)
+def test_simspeed_floor_rejects_its_tamper(entry, tamper, problem):
+    doc = copy.deepcopy(_committed(entry("simspeed")))
+    tamper(doc)
+    assert entry("simspeed").claims(doc) == [problem]
 
 
 def test_simspeed_gate_allows_20_percent_after_probe_scaling(monkeypatch):

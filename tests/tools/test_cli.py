@@ -63,6 +63,17 @@ def test_trace_export_refuses_a_negative_fleet(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_profile_report_refuses_zero_iterations(tmp_path):
+    # Zero kernel iterations would count down past zero and run ~2^32
+    # loops; the tool must refuse it up front (the spawn's timeout
+    # fails the test instead of hanging it).
+    proc = _spawn(tmp_path, "profile_report.py", "--iterations", "0")
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("profile_report.py: error: argument --iterations")
+    assert "Traceback" not in proc.stderr
+
+
 def test_profile_report_reconciles(tmp_path):
     out = _run(tmp_path, "profile_report.py")
     assert "per-context cycle attribution:" in out

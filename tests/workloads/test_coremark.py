@@ -5,6 +5,7 @@ import pytest
 from repro.pipeline import CoreKind
 from repro.workloads.coremark import (
     build_coremark_module,
+    coremark_program,
     run_coremark,
     table3,
 )
@@ -79,6 +80,12 @@ class TestHarness:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             run_coremark(CoreKind.IBEX, "mystery")
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterations_below_one_rejected(self, iterations):
+        # The driver counts down to zero, so these would loop ~2^32 times.
+        with pytest.raises(ValueError, match="iterations must be 1 or more"):
+            coremark_program("cheriot", iterations)
 
     def test_module_layouts_differ_by_pointer_size(self):
         m4 = build_coremark_module(4)

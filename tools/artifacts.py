@@ -252,14 +252,40 @@ def profile_diagnosis(committed: dict, fresh: dict) -> Lines:
     ]
 
 
+#: Speed floors, an order of magnitude below the committed numbers, so
+#: only a collapse fails them, never host noise.  The seed's ALU-loop
+#: MIPS was taken on the interpretive path (``Tier.INTERP``).
+MIN_ALU_MIPS = 0.03
+MAX_TABLE3_SECONDS = 30.0
+MIN_ALU_SPEEDUP_VS_SEED = 1.5
+
+
 def simspeed_claims(doc: dict) -> Lines:
-    """The baseline times every workload the gate must cover."""
+    """The baseline times every workload the gate must cover, and no
+    workload has collapsed below its floor."""
     workloads = doc.get("workloads", {})
-    return [
+    problems = [
         f"workload {name} is missing (the speed gate must cover it)"
         for name in REQUIRED_WORKLOADS
         if name not in workloads
     ]
+    mips = workloads.get("alu_loop", {}).get("mips", 0.0)
+    if mips <= MIN_ALU_MIPS:
+        problems.append(
+            f"alu_loop runs at {mips} MIPS (floor: {MIN_ALU_MIPS})"
+        )
+    seconds = workloads.get("table3_iter1", {}).get("seconds", float("inf"))
+    if seconds >= MAX_TABLE3_SECONDS:
+        problems.append(
+            f"table3_iter1 takes {seconds} s (ceiling: {MAX_TABLE3_SECONDS})"
+        )
+    speedup = doc.get("speedup_vs_seed", {}).get("alu_loop", 0.0)
+    if speedup <= MIN_ALU_SPEEDUP_VS_SEED:
+        problems.append(
+            f"alu_loop is {speedup}x the seed's interpretive MIPS "
+            f"(floor: {MIN_ALU_SPEEDUP_VS_SEED})"
+        )
+    return problems
 
 
 #: In check order.  The host-timed simspeed entry goes first, so it

@@ -37,6 +37,13 @@ from repro.obs import render_attribution, render_hot_pcs  # noqa: E402
 from repro.obs.workload import run_traced_workload  # noqa: E402
 
 
+def _iterations(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, not {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -55,7 +62,8 @@ def main(argv=None) -> int:
         "--rounds", type=int, default=40, help="malloc/free rounds (default: 40)"
     )
     parser.add_argument(
-        "--iterations", type=int, default=1, help="kernel iterations (default: 1)"
+        "--iterations", type=_iterations, default=1,
+        help="kernel iterations (default: 1)",
     )
     parser.add_argument(
         "--top", type=int, default=10, help="hot PCs to show (default: 10)"

@@ -49,6 +49,13 @@ def _device_count(text: str) -> int:
     return count
 
 
+def _iterations(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, not {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -70,7 +77,8 @@ def main(argv=None) -> int:
         "--rounds", type=int, default=40, help="malloc/free rounds (default: 40)"
     )
     parser.add_argument(
-        "--iterations", type=int, default=1, help="kernel iterations (default: 1)"
+        "--iterations", type=_iterations, default=1,
+        help="kernel iterations (default: 1)",
     )
     parser.add_argument(
         "--fleet", type=_device_count, nargs="?", default=0,
