@@ -413,14 +413,15 @@ class CheriHeap:
         self._maybe_complete_pass()
         if not cap.tag:
             raise InvalidFree("free of untagged capability")
-        chunk = self._live.get(cap.base)
+        base = cap.base
+        chunk = self._live.get(base)
         if chunk is None:
-            if self.revocation_map.is_revoked(cap.base):
-                raise DoubleFree(f"free of already-freed memory at {cap.base:#x}")
-            if any(c.address < cap.base < c.end for c in self._live.values()):
-                raise InvalidFree(f"free of interior pointer {cap.base:#x}")
-            raise InvalidFree(f"no live allocation at {cap.base:#x}")
-        del self._live[cap.base]
+            if self.revocation_map.is_revoked(base):
+                raise DoubleFree(f"free of already-freed memory at {base:#x}")
+            if any(c.address < base < c.end for c in self._live.values()):
+                raise InvalidFree(f"free of interior pointer {base:#x}")
+            raise InvalidFree(f"no live allocation at {base:#x}")
+        del self._live[base]
         self.stats.frees += 1
         self.stats.bytes_freed += chunk.payload_size
         self._charge_allocator_work(FREE_BASE_INSTRS)
@@ -431,17 +432,20 @@ class CheriHeap:
             return
 
         # Paint the revocation bits, then zero the freed memory.
+        core = self.core_model
         self.revocation_map.paint(chunk.address, chunk.size)
-        self._charge(self._paint_cycles(chunk.size))
+        if core is not None:
+            core.charge(self._paint_cycles(chunk.size))
         self.bus.fill(chunk.payload_address, chunk.payload_size, 0)
-        if self.core_model is not None:
-            self._charge(self.core_model.zero_bytes_cycles(chunk.payload_size))
+        if core is not None:
+            core.charge(core.zero_bytes_cycles(chunk.payload_size))
 
         if self.mode is TemporalSafetyMode.METADATA:
             # Measurement mode: metadata costs without sweeping — the
             # bits come straight back off and memory is reused.
             self.revocation_map.clear(chunk.address, chunk.size)
-            self._charge(self._paint_cycles(chunk.size))
+            if core is not None:
+                core.charge(self._paint_cycles(chunk.size))
             self.dl.release(chunk)
             self._charge_allocator_work(0)
             return

@@ -163,12 +163,12 @@ class Capability:
     @property
     def base(self) -> int:
         """Decoded inclusive lower bound."""
-        return self._decoded_bounds[0]
+        return (self._dec or self._decoded_bounds)[0]
 
     @property
     def top(self) -> int:
         """Decoded exclusive upper bound (may be ``2**32``)."""
-        return self._decoded_bounds[1]
+        return (self._dec or self._decoded_bounds)[1]
 
     @property
     def perm_bits(self) -> int:
@@ -214,7 +214,8 @@ class Capability:
     def in_bounds(self, address: Optional[int] = None, size: int = 1) -> bool:
         """True when ``[address, address+size)`` lies within bounds."""
         addr = self.address if address is None else address
-        return self.base <= addr and addr + size <= self.top
+        base, top = self._dec or self._decoded_bounds
+        return base <= addr and addr + size <= top
 
     # ------------------------------------------------------------------
     # Guarded manipulation (all monotone)
@@ -354,13 +355,14 @@ class Capability:
         """``cunseal``: remove the seal using a US authority."""
         if not self.tag:
             raise TagFault("unseal of untagged capability")
-        if not self.is_sealed:
+        otype = self.otype
+        if otype == _UNSEALED:
             raise OTypeFault("capability is not sealed")
         _check_seal_authority(authority, Permission.US)
-        if authority.address != self.otype:
+        if authority.address != otype:
             raise OTypeFault(
                 f"unseal otype mismatch: authority names {authority.address}, "
-                f"capability sealed with {self.otype}"
+                f"capability sealed with {otype}"
             )
         return _make(
             self.address, self.bounds, self.perms, _UNSEALED, True,
@@ -410,18 +412,19 @@ class Capability:
         """
         if not self.tag:
             raise TagFault(f"access via untagged capability at {address:#x}")
-        if self.is_sealed:
+        if self.otype != _UNSEALED:
             raise SealedFault(f"access via sealed capability at {address:#x}")
+        perms = self.perms
         for perm in required:
-            if perm not in self.perms:
+            if perm not in perms:
                 raise PermissionFault(
                     f"access at {address:#x} requires {perm}, held: "
-                    f"{sorted(p.name for p in self.perms)}"
+                    f"{sorted(p.name for p in perms)}"
                 )
-        if not self.in_bounds(address, size):
+        base, top = self._dec or self._decoded_bounds
+        if not (base <= address and address + size <= top):
             raise BoundsFault(
-                f"access [{address:#x}, +{size}) outside "
-                f"[{self.base:#x}, {self.top:#x})"
+                f"access [{address:#x}, +{size}) outside [{base:#x}, {top:#x})"
             )
 
     def _require_unsealed_tagged(self) -> None:
@@ -518,14 +521,14 @@ _SMALL_NULLS = tuple(
 def _check_seal_authority(authority: Capability, needed: Permission) -> None:
     if not authority.tag:
         raise TagFault("sealing authority is untagged")
-    if authority.is_sealed:
+    if authority.otype != _UNSEALED:
         raise SealedFault("sealing authority is itself sealed")
     if needed not in authority.perms:
         raise PermissionFault(f"sealing authority lacks {needed}")
-    if not authority.in_bounds(authority.address, 1):
-        raise BoundsFault(
-            f"otype {authority.address} outside sealing authority bounds"
-        )
+    otype = authority.address
+    base, top = authority._dec or authority._decoded_bounds
+    if not (base <= otype and otype + 1 <= top):
+        raise BoundsFault(f"otype {otype} outside sealing authority bounds")
 
 
 def _check_otype_for(target: Capability, otype: int) -> None:

@@ -58,6 +58,7 @@ covers this module).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -122,7 +123,7 @@ class BoundedQueue:
         self.name = name
         self.capacity = capacity
         self.stats = QueueStats()
-        self._items: List = []
+        self._items: deque = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -144,7 +145,7 @@ class BoundedQueue:
 
     def take(self):
         self.stats.dequeued += 1
-        return self._items.pop(0)
+        return self._items.popleft()
 
     def snapshot(self) -> dict:
         return {

@@ -200,15 +200,37 @@ class SystemBus:
         return self.bank_for(address, size).read_bytes(address, size)
 
     def write_bytes(self, address: int, data: bytes) -> None:
+        """Data store; an empty one is decoded but not counted or snooped."""
+        size = len(data)
+        if not size:
+            self.bank_for(address, 0)  # still faults outside every bank
+            return
         self.stats.data_writes += 1
-        self.bank_for(address, len(data)).write_bytes(address, data)
-        self._snoop_store(address, len(data))
+        self.bank_for(address, size).write_bytes(address, data)
+        self._snoop_store(address, size)
 
     def fill(self, address: int, size: int, value: int = 0) -> None:
-        """Region zeroing (stack clearing); snooped like a store."""
+        """Region zeroing (stack clearing); snooped like a store.
+
+        The stack and free-path zeroing run through here on every
+        crossing, so the last-bank decode and the snoop loop are inline.
+        An empty (non-positive) fill still faults outside every bank, but
+        it is not counted or snooped.
+        """
+        if size <= 0:
+            self.bank_for(address, size).fill(address, size, value)
+            return
         self.stats.data_writes += 1
-        self.bank_for(address, size).fill(address, size, value)
-        self._snoop_store(address, size)
+        bank = self._last_bank
+        if (
+            bank is None
+            or address < bank.base
+            or address + size > bank.base + bank.size
+        ):
+            bank = self.bank_for(address, size)
+        bank.fill(address, size, value)
+        for snooper in self._store_snoopers:
+            snooper(address, size)
 
     # ------------------------------------------------------------------
     # Capability access

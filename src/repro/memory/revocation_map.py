@@ -60,11 +60,6 @@ class RevocationMap:
         """True when ``address`` falls in the revocable region."""
         return self.heap_base <= address < self.heap_base + self.heap_size
 
-    def _index(self, address: int) -> int:
-        if not self.covers(address):
-            raise ValueError(f"address {address:#x} outside revocable region")
-        return (address - self.heap_base) // self.granule_bytes
-
     def is_revoked(self, address: int) -> bool:
         """The load filter's lookup: is the granule at ``address`` freed?
 
@@ -73,23 +68,33 @@ class RevocationMap:
         """
         if not self.covers(address):
             return False
-        return bool(self._bits[self._index(address)])
+        return bool(self._bits[(address - self.heap_base) // self.granule_bytes])
 
     def paint(self, address: int, size: int) -> None:
         """Set revocation bits over a freed chunk (``free()`` path)."""
-        if size <= 0:
-            return
-        first = self._index(address)
-        last = self._index(address + size - 1)
-        self._bits[first : last + 1] = b"\x01" * (last + 1 - first)
+        self._set_run(address, size, b"\x01")
 
     def clear(self, address: int, size: int) -> None:
         """Clear bits when quarantined memory is released for reuse."""
+        self._set_run(address, size, b"\x00")
+
+    def _set_run(self, address: int, size: int, bit: bytes) -> None:
+        """Set every bit over ``[address, address + size)`` to ``bit``.
+
+        The run is checked once; a run leaving the region raises
+        ``ValueError`` naming its first byte when that is outside, else
+        its last.  A non-positive ``size`` changes nothing.
+        """
         if size <= 0:
             return
-        first = self._index(address)
-        last = self._index(address + size - 1)
-        self._bits[first : last + 1] = bytes(last + 1 - first)
+        off = address - self.heap_base
+        end = off + size - 1
+        if off < 0 or end >= self.heap_size:
+            bad = address if not 0 <= off < self.heap_size else address + size - 1
+            raise ValueError(f"address {bad:#x} outside revocable region")
+        first = off // self.granule_bytes
+        last = end // self.granule_bytes
+        self._bits[first : last + 1] = bit * (last + 1 - first)
 
     def any_revoked(self) -> bool:
         return any(self._bits)

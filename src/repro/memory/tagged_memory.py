@@ -85,6 +85,15 @@ class TaggedMemory:
         if not size:
             return
         self._data[off : off + size] = data
+        self._data_written(address, off, size)
+
+    def _data_written(self, address: int, off: int, size: int) -> None:
+        """After a data write of ``size > 0`` bytes at ``off``: clear the
+        tag of every granule it touched, then notify the dirty hooks.
+
+        The one copy of the data-write tag rule (``write_bytes`` and
+        ``fill`` both end here).
+        """
         first = off // CAP_SIZE_BYTES
         last = (off + size - 1) // CAP_SIZE_BYTES
         if first == last:
@@ -114,8 +123,21 @@ class TaggedMemory:
         self.write_bytes(address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     def fill(self, address: int, size: int, value: int = 0) -> None:
-        """Zero (or pattern-fill) a region, clearing tags — stack clearing."""
-        self.write_bytes(address, bytes([value & 0xFF]) * size)
+        """Zero (or pattern-fill) a region, clearing tags — stack clearing.
+
+        Exactly ``write_bytes`` of ``size`` copies of the low byte of
+        ``value``, checked once: a non-positive ``size`` is an empty
+        write, which only checks that ``address`` lies in the bank.
+        """
+        off = address - self.base
+        if size <= 0:
+            if off < 0 or off > self.size:
+                self._offset(address, 0)  # raises with the standard message
+            return
+        if off < 0 or off + size > self.size:
+            self._offset(address, size)  # raises with the standard message
+        self._data[off : off + size] = bytes([value & 0xFF]) * size
+        self._data_written(address, off, size)
 
     # ------------------------------------------------------------------
     # Capability access

@@ -133,7 +133,7 @@ class BackgroundRevoker:
         if not self._running:
             return
         lo = address & ~0x7
-        hi = (address + max(size, 1) + 7) & ~0x7
+        hi = (address + size + 7) & ~0x7
         for entry in self._pipeline:
             if lo <= entry.address < hi:
                 entry.dirty = True

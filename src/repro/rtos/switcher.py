@@ -24,7 +24,7 @@ of every byte zeroed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.capability import Capability, Permission
@@ -103,7 +103,7 @@ class SwitcherStats:
     compartments_restarted: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """One entry on the switcher's trusted stack."""
 
@@ -120,6 +120,8 @@ class CallContext:
     capability stores to stack versus globals (SL enforcement), and
     nested cross-compartment calls.
     """
+
+    __slots__ = ("switcher", "compartment", "thread", "stack_cap", "args", "sp")
 
     def __init__(
         self,
@@ -144,16 +146,16 @@ class CallContext:
         if nbytes <= 0:
             return
         new_sp = self.sp - nbytes
-        if new_sp < self.thread.stack_region.base:
+        thread = self.thread
+        if new_sp < thread.stack_region.base:
             raise PermissionFault("stack overflow")
-        self.switcher.bus.fill(new_sp, nbytes, 0xAA)
-        self.switcher.csr.note_store(new_sp)
-        if self.switcher.core_model is not None:
-            self.switcher.core_model.charge(
-                self.switcher.core_model.zero_bytes_cycles(nbytes)
-            )
-        self.sp = new_sp
-        self.thread.sp = new_sp
+        switcher = self.switcher
+        switcher.bus.fill(new_sp, nbytes, 0xAA)
+        switcher.csr.note_store(new_sp)
+        core = switcher.core_model
+        if core is not None:
+            core.charge(core.zero_bytes_cycles(nbytes))
+        self.sp = thread.sp = new_sp
 
     def _stack_slot(self, offset: int) -> int:
         """Address of 8-byte stack slot ``offset`` (slot 0 just below SP)."""
@@ -274,41 +276,41 @@ class CompartmentSwitcher:
         if core is not None:
             core.charge(core.mixed_instr_cycles(count, SWITCHER_MEM_FRACTION))
 
-    def _zero(self, base: int, top: int) -> None:
-        """Zero ``[base, top)`` of stack, functionally and in cycles."""
-        if top <= base:
-            return
-        self.bus.fill(base, top - base, 0)
-        self.stats.bytes_zeroed += top - base
-        if self.core_model is not None:
-            self.core_model.charge(self.core_model.zero_bytes_cycles(top - base))
-
     def _zero_below_sp(self, thread: Thread) -> None:
         """Clear the stack the next compartment must not see.
 
         With the high-water-mark hardware this is ``[mshwm, sp)`` — only
         what has actually been dirtied below the current pointer.
         Without it, the switcher cannot know and must clear the entire
-        unused portion ``[stack_base, sp)`` (section 5.2.1).
+        unused portion ``[stack_base, sp)`` (section 5.2.1).  The range
+        is zeroed functionally and in cycles; an empty one costs nothing,
+        but the mark is pulled back up to ``sp`` either way.
         """
         sp = thread.sp
-        if self.csr.hwm_enabled:
-            low = max(self.csr.high_water_mark, thread.stack_region.base)
-            low = min(low, sp)
-        else:
-            low = thread.stack_region.base
-        self._zero(low, sp)
-        self.csr.reset_high_water_mark(sp)
+        csr = self.csr
+        low = thread.stack_region.base
+        if csr.hwm_enabled:
+            mark = csr.high_water_mark
+            if mark > low:
+                low = mark
+        if low < sp:
+            size = sp - low
+            self.bus.fill(low, size, 0)
+            self.stats.bytes_zeroed += size
+            core = self.core_model
+            if core is not None:
+                core.charge(core.zero_bytes_cycles(size))
+        csr.reset_high_water_mark(sp)
 
     # ------------------------------------------------------------------
     # The call path
     # ------------------------------------------------------------------
 
-    def _resolve_token(self, token: ImportToken) -> Export:
+    def _resolve_token(self, token: ImportToken) -> "tuple[Compartment, Export]":
         sealed = token.sealed_cap
         if not sealed.tag:
             raise TagFault("import token is untagged (forged?)")
-        if not sealed.is_sealed or sealed.otype != _EXPORT_OTYPE:
+        if sealed.otype != _EXPORT_OTYPE:  # unsealed is otype 0
             raise SealedFault("import token not sealed as a compartment export")
         # Architectural unseal: faults if the authority does not cover
         # the export otype.
@@ -327,7 +329,7 @@ class CompartmentSwitcher:
         target = self._compartments.get(token.compartment_name)
         if target is None:
             raise KeyError(f"unknown compartment {token.compartment_name!r}")
-        return target.get_export(token.export_name)
+        return target, target.get_export(token.export_name)
 
     def call(self, thread: Thread, token: ImportToken, *args):
         """Cross-compartment call: the full trusted sequence.
@@ -339,8 +341,7 @@ class CompartmentSwitcher:
         fault surfaces: unwind to the caller, retry the entry, or
         restart the compartment first (section 5.2).
         """
-        export = self._resolve_token(token)
-        target = self._compartments[token.compartment_name]
+        target, export = self._resolve_token(token)
         retries = 0
         while True:
             try:
@@ -410,13 +411,20 @@ class CompartmentSwitcher:
                 depth=len(self._trusted_stack) + 1,
             )
             obs.attributor.push("switcher")
-        self._charge_instrs(CROSS_CALL_INSTRS + export.veneer_instructions)
+        core = self.core_model
+        if core is not None:
+            core.charge(core.mixed_instr_cycles(
+                CROSS_CALL_INSTRS + export.veneer_instructions,
+                SWITCHER_MEM_FRACTION,
+            ))
 
-        saved_posture = self.csr.interrupts_enabled
-        if export.posture == InterruptPosture.DISABLED:
-            self.csr.interrupts_enabled = False
-        elif export.posture == InterruptPosture.ENABLED:
-            self.csr.interrupts_enabled = True
+        csr = self.csr
+        saved_posture = csr.interrupts_enabled
+        posture = export.posture
+        if posture == InterruptPosture.DISABLED:
+            csr.interrupts_enabled = False
+        elif posture == InterruptPosture.ENABLED:
+            csr.interrupts_enabled = True
 
         # Clear anything dirty below the caller's SP, then chop the stack.
         self._zero_below_sp(thread)
@@ -445,9 +453,12 @@ class CompartmentSwitcher:
             # the whole handed-over region (no HWM), restore SP/posture.
             thread.sp = frame.sp_at_entry
             self._zero_below_sp(thread)
-            self.csr.interrupts_enabled = frame.interrupts_enabled
+            csr.interrupts_enabled = frame.interrupts_enabled
             self.stats.returns += 1
-            self._charge_instrs(CROSS_RETURN_INSTRS)
+            if core is not None:
+                core.charge(core.mixed_instr_cycles(
+                    CROSS_RETURN_INSTRS, SWITCHER_MEM_FRACTION
+                ))
             if obs is not None:
                 obs.attributor.pop()
                 obs.tracer.end(xcall_span)

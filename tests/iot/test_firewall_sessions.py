@@ -69,6 +69,21 @@ class TestBoundedQueue:
         assert snap["high_watermark"] == 3
         assert snap["depth"] == 1
 
+    def test_interleaved_offers_and_takes_stay_fifo(self):
+        q = BoundedQueue("q", 3)
+        taken = []
+        for item in range(10):
+            if not q.has_room:
+                taken.append(q.take())
+            assert q.offer(item)
+        while len(q):
+            taken.append(q.take())
+        assert taken == list(range(10))
+        assert q.snapshot() == {
+            "capacity": 3, "depth": 0, "enqueued": 10, "dequeued": 10,
+            "high_watermark": 3,
+        }
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             BoundedQueue("q", 0)

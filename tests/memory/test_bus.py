@@ -6,6 +6,7 @@ from repro.capability import Capability, Permission as P
 from repro.memory.bus import SystemBus
 from repro.memory.revocation_map import RevocationMap
 from repro.memory.tagged_memory import MemoryError_, TaggedMemory
+from repro.revoker.hardware import REG_END, REG_KICK, REG_START, BackgroundRevoker
 
 RW = {P.GL, P.LD, P.SD, P.MC, P.SL, P.LM, P.LG}
 SRAM_BASE = 0x2000_0000
@@ -61,7 +62,8 @@ class TestRouting:
 
 
 class TestEmptyWrites:
-    """The bus passes zero-length writes to the bank, which ignores them."""
+    """A zero-length store is decoded like any store (outside every bank
+    it faults), but it writes, counts and snoops nothing."""
 
     def test_empty_write_keeps_tag(self, bus):
         cap = Capability.from_bounds(SRAM_BASE, 64, RW)
@@ -76,6 +78,39 @@ class TestEmptyWrites:
         bus.write_bytes(SRAM_BASE + 4096, b"")
         bus.fill(SRAM_BASE + 4096, 0)
         assert bus.read_capability(SRAM_BASE + 4088).tag
+
+    def test_empty_store_is_neither_counted_nor_snooped(self, bus):
+        seen = []
+        bus.add_store_snooper(lambda addr, size: seen.append((addr, size)))
+        bus.write_bytes(SRAM_BASE + 16, b"")
+        bus.fill(SRAM_BASE + 16, 0)
+        bus.fill(SRAM_BASE + 4096, 0)
+        assert seen == []
+        assert bus.stats.data_writes == 0
+
+    def test_empty_store_outside_every_bank_faults(self, bus):
+        with pytest.raises(MemoryError_):
+            bus.write_bytes(SRAM_BASE + 4097, b"")
+        with pytest.raises(MemoryError_):
+            bus.fill(SRAM_BASE - 8, 0)
+        assert bus.stats.data_writes == 0
+
+    def test_empty_store_leaves_the_revokers_in_flight_word_clean(self, bus):
+        """A pass is running with one word in flight: an empty store at
+        that word must not force a reload of a word nobody wrote."""
+        revoker = BackgroundRevoker(bus, RevocationMap(SRAM_BASE, 4096))
+        revoker.mmio_write(REG_START, SRAM_BASE)
+        revoker.mmio_write(REG_END, SRAM_BASE + 4096)
+        revoker.mmio_write(REG_KICK, 1)
+        revoker.step()
+        (in_flight,) = revoker._pipeline
+        bus.fill(in_flight.address, 0)
+        bus.write_bytes(in_flight.address, b"")
+        assert not in_flight.dirty
+        assert revoker.stats.reloads == 0
+        assert bus.stats.data_writes == 0
+        bus.write_bytes(in_flight.address, b"x")
+        assert in_flight.dirty and revoker.stats.reloads == 1
 
 
 class TestStats:

@@ -4,8 +4,15 @@ import pytest
 
 from repro.capability import Capability, Permission as P
 from repro.capability.errors import PermissionFault, SealedFault, TagFault
+from repro.memory.bus import BusStats
 from repro.rtos.compartment import ImportToken, InterruptPosture
-from repro.rtos.switcher import CROSS_CALL_INSTRS, CompartmentFault
+from repro.rtos.switcher import (
+    CROSS_CALL_INSTRS,
+    CROSS_RETURN_INSTRS,
+    FAULT_UNWIND_INSTRS,
+    SWITCHER_MEM_FRACTION,
+    CompartmentFault,
+)
 
 
 class TestBasicCalls:
@@ -302,3 +309,134 @@ class TestInterruptPosture:
             switcher.call(thread, comp.get_import("thrower", "entry"))
         assert csr.interrupts_enabled
         assert switcher.call_depth == 0
+
+
+class TestCrossingLedger:
+    """Every store, snoop, zeroed byte, HWM move and cycle of a crossing.
+
+    The expected values are written out by hand from the switcher's
+    sequence for the ``thread`` fixture's stack, ``[0x20050000,
+    0x20050400)`` with SP at its top, on Ibex: a crossing charges the
+    call mix of ``CROSS_CALL_INSTRS`` plus the 6-instruction entry
+    veneer, zeroes below SP, runs the callee (each ``use_stack`` is one
+    0xAA fill), zeroes what the callee dirtied on the way back and
+    charges the return mix; a fault adds ``FAULT_UNWIND_INSTRS``.
+    """
+
+    BASE, TOP = 0x2005_0000, 0x2005_0400
+    #: The Ibex charges used below: 35 of the 101 call instructions,
+    #: 29 of the 85 return and 19 of the 55 unwind instructions are
+    #: 2-cycle stores; zeroing costs 3 cycles per 8-byte word plus one
+    #: per two words.
+    CALL, RETURN, UNWIND = 136, 114, 74
+    ZERO = {32: 14, 160: 70, 864: 378, 1024: 448}
+
+    def test_ledger_charges_agree_with_the_core_model(self, core):
+        assert core.mixed_instr_cycles(
+            CROSS_CALL_INSTRS + 6, SWITCHER_MEM_FRACTION
+        ) == self.CALL
+        assert core.mixed_instr_cycles(
+            CROSS_RETURN_INSTRS, SWITCHER_MEM_FRACTION
+        ) == self.RETURN
+        assert core.mixed_instr_cycles(
+            FAULT_UNWIND_INSTRS, SWITCHER_MEM_FRACTION
+        ) == self.UNWIND
+        for nbytes, cycles in self.ZERO.items():
+            assert core.zero_bytes_cycles(nbytes) == cycles
+
+    def _record(self, bus):
+        seen = []
+        bus.add_store_snooper(lambda address, size: seen.append((address, size)))
+        return seen
+
+    def _nested(self, loader):
+        client = loader.add_compartment("client")
+        outer = loader.add_compartment("outer")
+        inner = loader.add_compartment("inner")
+
+        def run(ctx):
+            ctx.use_stack(160)
+            return ctx.call("inner", "run") + 1
+
+        def run_inner(ctx):
+            ctx.use_stack(32)
+            return 41
+
+        outer.export("run", run)
+        inner.export("run", run_inner)
+        loader.link("client", "outer", "run")
+        loader.link("outer", "inner", "run")
+        return client.get_import("outer", "run")
+
+    @pytest.mark.parametrize("hwm", [True, False], ids=["hwm", "no-hwm"])
+    def test_nested_call(self, loader, switcher, thread, bus, csr, core, hwm):
+        csr.hwm_enabled = hwm
+        token = self._nested(loader)
+        seen = self._record(bus)
+        before = core.cycles
+        assert switcher.call(thread, token) == 42
+
+        outer_frame, inner_frame = 0x2005_0360, 0x2005_0340
+        C, R, Z = self.CALL, self.RETURN, self.ZERO
+        if hwm:
+            # Entry: the mark sits at SP, so nothing is zeroed.  Each
+            # return zeroes exactly the frame its callee pushed.
+            snoops = [
+                (outer_frame, 160),  # outer's use_stack(160)
+                (inner_frame, 32),   # inner's use_stack(32)
+                (inner_frame, 32),   # inner's return: [mshwm, SP)
+                (outer_frame, 160),  # outer's return: [mshwm, SP)
+            ]
+            zeroed = 32 + 160
+            cycles = C + Z[160] + C + Z[32] + Z[32] + R + Z[160] + R
+        else:
+            # No mark: every entry and return zeroes [stack base, SP).
+            below_outer = outer_frame - self.BASE  # 864 bytes
+            snoops = [
+                (self.BASE, 1024),       # outer's entry
+                (outer_frame, 160),      # outer's use_stack(160)
+                (self.BASE, below_outer),  # inner's entry
+                (inner_frame, 32),       # inner's use_stack(32)
+                (self.BASE, below_outer),  # inner's return
+                (self.BASE, 1024),       # outer's return
+            ]
+            zeroed = 1024 + 864 + 864 + 1024
+            cycles = (
+                C + Z[1024] + Z[160] + C + Z[864] + Z[32] + Z[864] + R
+                + Z[1024] + R
+            )
+        assert seen == snoops
+        assert bus.stats == BusStats(data_writes=len(snoops))
+        assert switcher.stats.bytes_zeroed == zeroed
+        assert (switcher.stats.calls, switcher.stats.returns) == (2, 2)
+        assert csr.high_water_mark == self.TOP
+        assert thread.sp == self.TOP
+        assert core.cycles - before == cycles
+
+    def test_faulting_callee(self, loader, switcher, thread, bus, csr, core):
+        client = loader.add_compartment("client")
+        victim = loader.add_compartment("victim")
+
+        def run(ctx):
+            ctx.use_stack(160)
+            # One load past the chopped stack's top: a bounds fault.
+            ctx.stack_cap.check_access(ctx.stack_cap.top, 8, (P.LD,))
+
+        victim.export("run", run)
+        loader.link("client", "victim", "run")
+        seen = self._record(bus)
+        before = core.cycles
+        with pytest.raises(CompartmentFault, match="BoundsFault"):
+            switcher.call(thread, client.get_import("victim", "run"))
+
+        frame = 0x2005_0360
+        assert seen == [(frame, 160), (frame, 160)]
+        assert bus.stats == BusStats(data_writes=2)
+        assert switcher.stats.bytes_zeroed == 160
+        assert switcher.stats.faults_contained == 1
+        assert csr.high_water_mark == self.TOP
+        assert thread.sp == self.TOP
+        assert core.cycles - before == (
+            self.CALL + self.ZERO[160] + self.ZERO[160] + self.RETURN
+            + self.UNWIND
+        )

@@ -8,6 +8,8 @@ three outcomes (0 match, 1 drift or broken claim, 2 unreadable file).
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -265,6 +267,35 @@ def test_fleet_drift_names_a_command_reproducing_the_device(entry, capsys):
     exec(code, {})
     reproduced = json.loads(capsys.readouterr().out)
     assert reproduced == committed["devices"][2]
+
+
+def test_net_drift_names_a_command_reproducing_the_point(entry):
+    """One counter of the 1-connection copy point moved by one: the
+    diagnosis names that point, and its command, run alone, prints the
+    point as a fresh run computes it."""
+    fresh = _committed(entry("net"))
+    committed = copy.deepcopy(fresh)
+    committed["sweep"][0]["counters"]["allocs"] += 1
+    (line,) = entry("net").diagnose(committed, fresh)
+    assert line.startswith("sweep point copy @ 1 connections")
+    code = line.split('python -c "', 1)[1].rstrip('"')
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    assert json.loads(out) == fresh["sweep"][0]
+
+
+def test_net_diagnosis_is_silent_when_no_point_moved(entry):
+    committed = _committed(entry("net"))
+    fresh = copy.deepcopy(committed)
+    fresh["comparison"][0]["stack_cycles_ratio"] += 1
+    assert entry("net").diagnose(committed, fresh) == []
 
 
 def test_fault_drift_names_the_class_that_moved(entry):

@@ -203,6 +203,28 @@ def net_claims(doc: dict) -> Lines:
     ]
 
 
+def net_diagnosis(committed: dict, fresh: dict) -> Lines:
+    """The command that reruns the first diverging sweep point alone.
+
+    It prints the point as the sweep records it, through
+    ``run_point(zero_copy, connections, rounds)``.
+    """
+    for before, now in zip(committed.get("sweep", []), fresh["sweep"]):
+        if before != now:
+            args = (
+                f"{now['mode'] == 'zerocopy'}, {now['connections']}, "
+                f"{now['rounds']}"
+            )
+            return [
+                f"sweep point {now['mode']} @ {now['connections']} "
+                "connections, single-point reproduction: PYTHONPATH=src "
+                "python -c \"from repro.artifact import render_json; "
+                "from repro.iot.loadgen import run_point; "
+                f"print(render_json(run_point({args})))\""
+            ]
+    return []
+
+
 def audit_claims(doc: dict) -> Lines:
     """Zero violations, a clean policy, and a consistent crosscheck."""
     problems = []
@@ -299,7 +321,8 @@ ARTIFACTS = (
     Artifact("fleet", "BENCH_fleet.json", fleet_report, fleet_claims,
              diagnose=fleet_diagnosis),
     Artifact("slo", "OBS_slo.json", slo_document, slo_claims),
-    Artifact("net", "BENCH_net.json", net_sweep, net_claims, parallel=True),
+    Artifact("net", "BENCH_net.json", net_sweep, net_claims, parallel=True,
+             diagnose=net_diagnosis),
     Artifact("audit", "AUDIT_baseline.json", audit_document, audit_claims),
     Artifact("profile", "OBS_fleet_profile.json", fleet_profile,
              profile_claims, diagnose=profile_diagnosis),
