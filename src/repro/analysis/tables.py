@@ -451,14 +451,28 @@ def table4(sweep) -> List[Block]:
     ]
 
 
-#: Every section producer, in file order.
-SECTIONS = (
-    compiler_fixes, revocation_granule, quarantine_threshold,
-    revoker_batch_size, peephole_optimizer, encoding_precision,
-    figure5, figure6, iot_endtoend, temporal_safety_cost, net_scale,
-    worst_case_latency, batch_bound, table2, coremark_table3,
-    kernel_attribution, table4,
-)
+#: Every section producer, in file order, and the titles it renders
+#: (so one drifted section can be re-rendered through its producer).
+TITLES = {
+    compiler_fixes: (COMPILER_FIXES,),
+    revocation_granule: (GRANULE,),
+    quarantine_threshold: (QUARANTINE,),
+    revoker_batch_size: (BATCH_WINDOW,),
+    peephole_optimizer: (PEEPHOLE,),
+    encoding_precision: (ENCODING,),
+    figure5: (FIGURE[CoreKind.FLUTE],),
+    figure6: (FIGURE[CoreKind.IBEX],),
+    iot_endtoend: (IOT, ENERGY),
+    temporal_safety_cost: (TEMPORAL_COST,),
+    net_scale: (NET_SCALE, NET_LATENCY),
+    worst_case_latency: (WORST_WINDOW,),
+    batch_bound: (BATCH_BOUND,),
+    table2: (TABLE2, TIMING),
+    coremark_table3: (TABLE3,),
+    kernel_attribution: (ATTRIBUTION,),
+    table4: tuple(TABLE4[core] for core in CORES),
+}
+SECTIONS = tuple(TITLES)
 #: The producers that render the allocator sweep instead of measuring.
 FROM_SWEEP = (figure5, figure6, table4)
 

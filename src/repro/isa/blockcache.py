@@ -19,13 +19,13 @@ single dispatch from the run loop:
   branch-taken cost, trap conversion, sentry handling).
 
 Blocks never change observable architectural behaviour: translation is
-driven off the same decoded table, mid-block faults replay the retired
-prefix through the ordinary ``retire()`` path before converting the
-fault exactly like a single step would, and the executor refuses the
-fused path entirely (per step) whenever an observer is attached — a
-``pre_step_hook`` (fault injection), retire hooks (tracing/profiling)
-or a polled timer — so those consumers see the same per-instruction
-stream as always.
+driven off the same decoded table (which no store can change, so no
+block goes stale), mid-block faults replay the retired prefix through
+the ordinary ``retire()`` path before converting the fault exactly like
+a single step would, and the executor refuses the fused path entirely
+(per step) whenever an observer is attached — a ``pre_step_hook``
+(fault injection), retire hooks (tracing/profiling) or a polled timer —
+so those consumers see the same per-instruction stream as always.
 
 A *fusable* instruction is one that cannot redirect control flow, never
 reads the program counter outside of fault construction, and cannot
@@ -77,14 +77,13 @@ MAX_BLOCK_INSTRUCTIONS = 128
 class BlockCacheStats:
     """Translation-cache observability counters (host-side only)."""
 
-    #: Blocks translated (including re-translations after invalidation).
+    #: Blocks translated (including re-translations for a swapped
+    #: timing model).
     translations: int = 0
     #: Fused block dispatches executed to completion or fault.
     executions: int = 0
     #: Instructions retired through fused dispatches (incl. terminators).
     instructions: int = 0
-    #: Cached blocks dropped by stores into their code range.
-    invalidations: int = 0
     #: Steps the block run loop routed through the ordinary single-step
     #: path (non-fusable start, window miss, or exhausted step budget).
     single_steps: int = 0
@@ -103,11 +102,13 @@ class Block:
     cost vector and for single-step replay after a mid-block fault);
     ``term`` is the optional terminator executed with full
     per-instruction semantics.
+
+    A block stays valid for as long as its program is loaded: it is
+    translated from the pre-decoded table, which no store can change.
+    Only a swapped timing model (``timing``) re-translates it.
     """
 
     __slots__ = (
-        "start_index",
-        "end_index",
         "start_pc",
         "last_pc",
         "length",
@@ -122,8 +123,6 @@ class Block:
 
     def __init__(
         self,
-        start_index: int,
-        end_index: int,
         start_pc: int,
         last_pc: int,
         entries: Tuple[tuple, ...],
@@ -133,10 +132,6 @@ class Block:
         charge,
         timing,
     ) -> None:
-        self.start_index = start_index
-        #: Last decoded index covered (terminator included) — the
-        #: invalidation overlap test spans ``[start_index, end_index]``.
-        self.end_index = end_index
         self.start_pc = start_pc
         #: PC of the last covered instruction: the whole block fetches
         #: legally iff ``start_pc`` and ``last_pc`` sit in the window.
@@ -199,15 +194,13 @@ def translate_block(cpu, index: int) -> Optional[Block]:
         return None
     term = None
     term_bails = False
-    end_index = i - 1
-    last_pc = code_base + 4 * end_index
+    last_pc = code_base + 4 * (i - 1)
     if i < len(decoded):
         handler, operands, instr, dest, srcs = decoded[i]
         term_pc = code_base + 4 * i
         tinfo = _RetireInfo(instr, term_pc, dest_reg=dest, source_regs=srcs)
         term = (handler, operands, instr, tinfo, term_pc)
         term_bails = instr.mnemonic == "ecall"
-        end_index = i
         last_pc = term_pc
     timing = cpu.timing
     charge = timing.precompute_block(pairs) if timing is not None else None
@@ -226,8 +219,6 @@ def translate_block(cpu, index: int) -> Optional[Block]:
                 pres[k] = prefix[k - 1] - streamed
                 streamed += pres[k]
     return Block(
-        start_index=index,
-        end_index=end_index,
         start_pc=code_base + 4 * index,
         last_pc=last_pc,
         entries=tuple(

@@ -68,20 +68,20 @@ class ExecutionMode(enum.Enum):
 
 
 class Tier(enum.Enum):
-    """How the executor runs a program, slowest first.
+    """How the executor runs a program: the reference, then the fast tier.
 
-    Every tier is observationally identical to :attr:`INTERP`; the
-    differential suites loop over all three to hold them to that.
+    :attr:`FUSED` is observationally identical to :attr:`INTERP`; the
+    differential suites loop over both to hold it to that.
     """
 
     #: The seed's interpretive step: string-keyed dispatch and a full
     #: PCC authorization per fetch — the reference semantics.
     INTERP = "interp"
-    #: Pre-decoded single step: handlers and operands resolved once at
-    #: :meth:`CPU.load_program` time.
-    STEP = "step"
-    #: Pre-decoded superblocks (:mod:`repro.isa.blockcache`), the
-    #: default.
+    #: Handlers and operands resolved once at :meth:`CPU.load_program`
+    #: time, straight-line runs fused into superblocks
+    #: (:mod:`repro.isa.blockcache`); the default.  Where a run cannot
+    #: fuse, and for every :meth:`CPU.step`, it single-steps the
+    #: pre-decoded table.
     FUSED = "fused"
 
 
@@ -159,7 +159,14 @@ class CPU:
     """A single CHERIoT (or plain RV32E) hart attached to a bus.
 
     ``tier`` picks how programs run (:class:`Tier`; the default is the
-    fastest, :attr:`Tier.FUSED`).
+    fast tier, :attr:`Tier.FUSED`).  ``timing`` is a plain attribute
+    holding the core timing model (a :class:`~repro.pipeline.CoreModel`)
+    or None.
+
+    Programs are structural (a mnemonic and decoded operands per
+    instruction, never bytes in SRAM), so no store, even one into the
+    code range, changes what a loaded program executes: cached blocks
+    are never invalidated.
     """
 
     #: Zero; perfbench reads it; ROADMAP's "One host-time harness" deletes it.
@@ -180,22 +187,21 @@ class CPU:
         self.mode = mode
         self.load_filter = load_filter
         self.pmp = pmp
-        self._timing = timing
+        self.timing = timing
         self.tier = tier
-        #: Decode-once, execute-many: above :attr:`Tier.INTERP` the
-        #: handler and operand metadata of every instruction are
-        #: resolved at :meth:`load_program` time.
+        #: Decode-once, execute-many: at :attr:`Tier.FUSED` the handler
+        #: and operand metadata of every instruction are resolved at
+        #: :meth:`load_program` time.
         self._decoded: Optional[List[tuple]] = None
-        #: Superblock translation cache (:mod:`repro.isa.blockcache`):
-        #: from :attr:`Tier.FUSED` up the run loop fuses straight-line
-        #: runs into single-dispatch blocks.  The fused path is refused
-        #: per step while any observer is attached (``pre_step_hook``,
-        #: retire hooks, a polled timer), so telemetry and fault
-        #: injection always see the ordinary per-instruction stream.
-        self._block_cache_enabled = tier is Tier.FUSED
+        #: Superblock translation cache (:mod:`repro.isa.blockcache`),
+        #: keyed by decoded index: the run loop fuses straight-line runs
+        #: of the decoded table into single-dispatch blocks.  The fused
+        #: path is refused per step while any observer is attached
+        #: (``pre_step_hook``, retire hooks, a polled timer), so
+        #: telemetry and fault injection always see the ordinary
+        #: per-instruction stream.
         self._blocks: dict = {}
         self.block_stats = BlockCacheStats()
-        self._code_watch = None
         #: Cached executable window of the current PCC: instruction fetch
         #: is a two-comparison check while the PC stays inside
         #: ``[_fetch_lo, _fetch_hi]``; any PCC replacement recomputes it
@@ -245,40 +251,21 @@ class CPU:
     # Observer attachment and the cached deopt predicate
     # ------------------------------------------------------------------
     #
-    # The run loop's fused-dispatch eligibility ("no observer attached,
-    # timing model batchable") is a single cached flag instead of a
-    # five-clause predicate re-evaluated every dispatch.  Every site
-    # that can change eligibility — the ``timing``/``timer``/
-    # ``pre_step_hook`` property setters, retire-hook install/remove,
-    # and ``load_program`` — recomputes it, so a hook installed mid-run
-    # (say, by an ``ecall`` handler) still deoptimizes from the very
-    # next run-loop iteration.
+    # The run loop's fused-dispatch eligibility ("pre-decoded and
+    # unobserved") is a single cached flag instead of a four-clause
+    # predicate re-evaluated every dispatch.  Every site that can change
+    # eligibility — the ``timer``/``pre_step_hook`` property setters,
+    # retire-hook install/remove, and ``load_program`` — recomputes it,
+    # so a hook installed mid-run (say, by an ``ecall`` handler) still
+    # deoptimizes from the very next run-loop iteration.
 
     def _update_fast_path(self) -> None:
-        timing = self._timing
         self._fast_loop_ok = (
-            self._block_cache_enabled
-            and self._decoded is not None
+            self._decoded is not None
             and self._timer is None
             and self._pre_step_hook is None
             and self._retire_hooks is None
-            and (
-                timing is None
-                or (
-                    hasattr(timing, "precompute_block")
-                    and hasattr(timing, "charge_block")
-                )
-            )
         )
-
-    @property
-    def timing(self):
-        return self._timing
-
-    @timing.setter
-    def timing(self, value) -> None:
-        self._timing = value
-        self._update_fast_path()
 
     @property
     def timer(self):
@@ -366,15 +353,6 @@ class CPU:
             None if self.tier is Tier.INTERP else _decode_program(program)
         )
         self._blocks.clear()
-        if self._block_cache_enabled and self._decoded:
-            lo, hi = code_base, code_base + 4 * len(program.instructions)
-            if self._code_watch is None:
-                self._code_watch = self.bus.watch_dirty(
-                    lo, hi, self._on_code_dirty
-                )
-            else:
-                self._code_watch.lo = lo
-                self._code_watch.hi = hi
         self._halted = False
         self._update_fast_path()
 
@@ -385,7 +363,7 @@ class CPU:
     def run(self, max_steps: int = 10_000_000) -> ExecStats:
         """Execute until ``halt`` or the step budget is exhausted.
 
-        With the superblock cache enabled and no observer attached
+        At :attr:`Tier.FUSED`, with no observer attached
         (``pre_step_hook``, retire hooks, polled timer), straight-line
         runs execute as fused blocks — one dispatch, batch-charged
         stats and cycles, architecturally identical to single-stepping.
@@ -536,7 +514,7 @@ class CPU:
         decoded = self._decoded
         code_base = self.code_base
         cheriot = self.mode is ExecutionMode.CHERIOT
-        timing = self._timing
+        timing = self.timing
         tstats = timing.stats if timing is not None else None
         stats = self.stats
         block_stats = self.block_stats
@@ -674,29 +652,6 @@ class CPU:
             retire = self.timing.retire
             for instr, info in block.pairs[:k]:
                 retire(instr, info)
-
-    def _on_code_dirty(self, address: int, size: int) -> None:
-        """Dirty-range hook: a store landed inside the code region.
-
-        Drops every cached block overlapping the written range so the
-        next execution re-translates — the cache-coherency protocol a
-        hardware translation cache needs for self-modifying code, even
-        though programs here are structural and the re-translation
-        reproduces the same block.
-        """
-        if not self._blocks:
-            return
-        base = self.code_base
-        lo = (address - base) >> 2
-        hi = (address + size - 1 - base) >> 2
-        dead = [
-            i
-            for i, b in self._blocks.items()
-            if b is not None and b.start_index <= hi and lo <= b.end_index
-        ]
-        for i in dead:
-            del self._blocks[i]
-        self.block_stats.invalidations += len(dead)
 
     def _step_interp(self) -> None:
         """The seed's interpretive step: string-keyed dispatch and a full

@@ -12,7 +12,7 @@ the revoker can detect races with its in-flight capability words
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.capability import Capability
@@ -47,22 +47,6 @@ class BusStats:
             setattr(self, f.name, 0)
 
 
-class DirtyWatch:
-    """One registered dirty-range subscription (see ``watch_dirty``).
-
-    ``lo``/``hi`` are mutable so a long-lived watcher (the executor's
-    translation cache) can re-aim its range when a new program is
-    loaded instead of piling up stale registrations.
-    """
-
-    __slots__ = ("lo", "hi", "callback")
-
-    def __init__(self, lo: int, hi: int, callback: Callable[[int, int], None]):
-        self.lo = lo
-        self.hi = hi
-        self.callback = callback
-
-
 class SystemBus:
     """Routes accesses to SRAM banks and MMIO devices; snoops stores."""
 
@@ -76,7 +60,6 @@ class SystemBus:
         self._dev_lo = 0
         self._dev_hi = 0
         self._store_snoopers: List[Callable[[int, int], None]] = []
-        self._dirty_watches: List[DirtyWatch] = []
         #: Most-recently-hit bank: accesses cluster heavily (code in one
         #: bank, a working set in another), so one contains() check
         #: usually replaces the decode scan.
@@ -90,8 +73,6 @@ class SystemBus:
     def attach_sram(self, bank: TaggedMemory) -> TaggedMemory:
         self._check_overlap(bank.base, bank.size)
         self._banks.append(bank)
-        if self._dirty_watches:
-            bank.add_dirty_hook(self._dispatch_dirty)
         return bank
 
     def attach_device(self, base: int, size: int, device: MMIODevice) -> None:
@@ -140,34 +121,6 @@ class SystemBus:
     def _snoop_store(self, address: int, size: int) -> None:
         for snooper in self._store_snoopers:
             snooper(address, size)
-
-    def watch_dirty(
-        self, lo: int, hi: int, callback: Callable[[int, int], None]
-    ) -> DirtyWatch:
-        """Observe mutations overlapping ``[lo, hi)`` on any bank.
-
-        Unlike store snoopers (which see only *bus* stores, the
-        semantics the background revoker needs), dirty watches ride the
-        banks' dirty-range hooks, so direct bank writes — the loader
-        placing an image, tests poking memory — are seen too.  The
-        executor's superblock cache uses this to invalidate translated
-        blocks when anything writes into their code range.  Returns the
-        (range-mutable) :class:`DirtyWatch` registration.
-        """
-        if not self._dirty_watches:
-            # First watch: wire the dispatch hook into existing banks
-            # (later banks are wired by attach_sram); until then, banks
-            # pay nothing on the write path.
-            for bank in self._banks:
-                bank.add_dirty_hook(self._dispatch_dirty)
-        watch = DirtyWatch(lo, hi, callback)
-        self._dirty_watches.append(watch)
-        return watch
-
-    def _dispatch_dirty(self, address: int, size: int) -> None:
-        for watch in self._dirty_watches:
-            if address < watch.hi and address + size > watch.lo:
-                watch.callback(address, size)
 
     # ------------------------------------------------------------------
     # Data access

@@ -35,16 +35,6 @@ class TaggedMemory:
         self.size = size
         self._data = bytearray(size)
         self._tags = bytearray(size // CAP_SIZE_BYTES)
-        #: Dirty-range hooks, ``hook(address, size)``, fired on every
-        #: mutation (data write, capability write, tag clear).  Stored
-        #: as tuple-or-None so the hot write paths pay exactly one
-        #: ``is None`` comparison when nothing is watching — the bus
-        #: wires these up for the executor's translation cache.
-        self._dirty_hooks: Optional[tuple] = None
-
-    def add_dirty_hook(self, hook) -> None:
-        """Observe every mutation of this bank as ``hook(address, size)``."""
-        self._dirty_hooks = (self._dirty_hooks or ()) + (hook,)
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -76,23 +66,22 @@ class TaggedMemory:
     def write_bytes(self, address: int, data: bytes) -> None:
         """Data write: clears the tag of every granule touched.
 
-        An empty write touches no granule, so it changes nothing and
-        notifies no dirty hook (even at the bank's exact end, where no
-        granule follows).
+        An empty write touches no granule, so it changes nothing (even
+        at the bank's exact end, where no granule follows).
         """
         size = len(data)
         off = self._offset(address, size)
         if not size:
             return
         self._data[off : off + size] = data
-        self._data_written(address, off, size)
+        self._data_written(off, size)
 
-    def _data_written(self, address: int, off: int, size: int) -> None:
+    def _data_written(self, off: int, size: int) -> None:
         """After a data write of ``size > 0`` bytes at ``off``: clear the
-        tag of every granule it touched, then notify the dirty hooks.
+        tag of every granule it touched.
 
-        The one copy of the data-write tag rule (``write_bytes`` and
-        ``fill`` both end here).
+        The one copy of the data-write tag rule (``write_bytes``,
+        ``write_word`` and ``fill`` all end here).
         """
         first = off // CAP_SIZE_BYTES
         last = (off + size - 1) // CAP_SIZE_BYTES
@@ -101,9 +90,6 @@ class TaggedMemory:
             self._tags[first] = 0
         else:
             self._tags[first : last + 1] = bytes(last + 1 - first)
-        if self._dirty_hooks is not None:
-            for hook in self._dirty_hooks:
-                hook(address, size)
 
     def read_word(self, address: int, size: int = 4) -> int:
         """Little-endian unsigned read of 1, 2 or 4 bytes."""
@@ -120,7 +106,15 @@ class TaggedMemory:
         """Little-endian unsigned write of 1, 2 or 4 bytes."""
         if address % size != 0:
             raise MemoryError_(f"misaligned {size}-byte write at {address:#x}")
-        self.write_bytes(address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        # Inlined write_bytes and bounds check, as in read_word: every
+        # guest word store comes through here.
+        off = address - self.base
+        if off < 0 or off + size > self.size:
+            self._offset(address, size)  # raises with the standard message
+        self._data[off : off + size] = (
+            value & ((1 << (8 * size)) - 1)
+        ).to_bytes(size, "little")
+        self._data_written(off, size)
 
     def fill(self, address: int, size: int, value: int = 0) -> None:
         """Zero (or pattern-fill) a region, clearing tags — stack clearing.
@@ -137,7 +131,7 @@ class TaggedMemory:
         if off < 0 or off + size > self.size:
             self._offset(address, size)  # raises with the standard message
         self._data[off : off + size] = bytes([value & 0xFF]) * size
-        self._data_written(address, off, size)
+        self._data_written(off, size)
 
     # ------------------------------------------------------------------
     # Capability access
@@ -165,9 +159,6 @@ class TaggedMemory:
             CAP_SIZE_BYTES, "little"
         )
         self._tags[self._granule(off)] = 1 if cap.tag else 0
-        if self._dirty_hooks is not None:
-            for hook in self._dirty_hooks:
-                hook(address, CAP_SIZE_BYTES)
 
     def tag_at(self, address: int) -> bool:
         """Inspect the tag of the granule containing ``address``."""
@@ -178,9 +169,6 @@ class TaggedMemory:
         """Clear one granule's tag (the revoker's invalidation write)."""
         off = self._offset(address, 1)
         self._tags[self._granule(off)] = 0
-        if self._dirty_hooks is not None:
-            for hook in self._dirty_hooks:
-                hook(address, 1)
 
     def tagged_granules(self, start: Optional[int] = None, end: Optional[int] = None):
         """Yield addresses of tagged granules in ``[start, end)``.

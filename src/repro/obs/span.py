@@ -98,9 +98,12 @@ class SpanTracer:
             if not stack:
                 return None
             span = stack[-1]
+        # By identity: two open spans can compare equal as dataclasses.
         stack = self._open.get(span.track, [])
-        if span in stack:
-            stack.remove(span)
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth] is span:
+                del stack[depth]
+                break
         span.end = self.clock()
         if args:
             span.args.update(args)

@@ -4,10 +4,10 @@ The fleet runs its devices at the default fused tier, so the recovery
 paths the paper's availability story depends on — compartment error
 handlers (UNWIND / RETRY / RESTART) and the executive's watchdog
 (kill / restart) — must behave *bit-identically* whether the faulting
-kernel ran interpreted, single-stepped pre-decoded, or as fused
-superblocks.  A fault raised from inside a fused block must surface
-through the switcher exactly like one raised by the interpreter: same
-outcome, same stats, same registers, same simulated cycles.
+kernel ran interpreted or as fused superblocks.  A fault raised from
+inside a fused block must surface through the switcher exactly like
+one raised by the interpreter: same outcome, same stats, same
+registers, same simulated cycles.
 
 Every test here runs the identical scenario once per execution tier
 and compares the complete observable state; the determinism contract

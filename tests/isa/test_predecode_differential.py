@@ -1,14 +1,14 @@
 """Differential golden-trace tests: pre-decoded vs interpretive stepping.
 
-The executor's hot path resolves handlers and operand metadata once at
-``load_program`` time (every tier above ``Tier.INTERP``) and authorizes
-fetches against a cached PCC window.  These tests pin that fast path
-(``Tier.STEP``) to the seed's interpretive semantics (``Tier.INTERP``):
-over randomized programs — ALU, memory, branches, capability
-manipulation, traps — the two must produce an *identical*
-architectural trace: same per-step PCs,
-same register file (full capabilities, not just addresses), same traps,
-same retired-instruction statistics, and same modelled cycles.
+The fast tier (``Tier.FUSED``) resolves handlers and operand metadata
+once at ``load_program`` time and authorizes fetches against a cached
+PCC window.  ``cpu.step()`` never fuses, so these tests drive it one
+instruction at a time and pin every step to the seed's interpretive
+semantics (``Tier.INTERP``): over randomized programs — ALU, memory,
+branches, capability manipulation, traps — the two must produce an
+*identical* architectural trace: same per-step PCs, same register file
+(full capabilities, not just addresses), same traps, same
+retired-instruction statistics, and same modelled cycles.
 """
 
 from dataclasses import fields
@@ -78,8 +78,8 @@ def mixed_program(draw):
     return "\n".join(lines) + "\ndone: halt\n"
 
 
-#: The reference and the pre-decoded single step, in that order.
-TIERS = (Tier.INTERP, Tier.STEP)
+#: The reference and the pre-decoded tier, in that order.
+TIERS = (Tier.INTERP, Tier.FUSED)
 
 
 def _fresh_cpu(tier):
@@ -154,14 +154,16 @@ class TestPredecodeDifferential:
             halt
         """
         program = assemble(source)
-        finals = []
+        traces, finals = [], []
         for tier in TIERS:
             cpu, roots = _fresh_cpu(tier)
             _load(cpu, roots, program)
             handler_pc = CODE_BASE + 4 * program.entry("handler")
             cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
-            cpu.run()
+            traces.append(_golden_trace(cpu))
             finals.append(_state(cpu))
+        assert traces[0] == traces[1]
+        assert traces[1][-1][0] == "halt"
         assert finals[0] == finals[1]
         # The handler actually ran: a2 == 7, and a0 kept its pre-fault value.
         regs = finals[1][0]

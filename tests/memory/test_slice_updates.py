@@ -3,8 +3,8 @@ be exactly what a per-granule loop over the same byte range leaves.
 
 Covers unaligned starts and ends, writes inside one granule, and runs
 that end on the region's last granule, from arbitrary starting bits;
-then the error and edge spans, which must fail (or do nothing) exactly
-as a reference model says.
+then the error and edge spans, and word stores at the bank's edges,
+which must fail (or do nothing) exactly as a reference model says.
 """
 
 import pytest
@@ -235,4 +235,52 @@ def test_revocation_edge_spans_match_reference(granule, data):
     assert bits() == [
         paint if length > 0 and touched(i, granule, offset, length) else revoked
         for i, revoked in enumerate(initial)
+    ]
+
+
+def word_outcome(mem: TaggedMemory, address: int, size: int):
+    """The reference: the message a ``size``-byte word store at
+    ``address`` raises (alignment is checked first), or None."""
+    if address % size:
+        return f"misaligned {size}-byte write at {address:#x}"
+    return bank_outcome(mem, address, size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.booleans(), min_size=GRANULES, max_size=GRANULES),
+    st.sampled_from([1, 2, 4]),
+    st.one_of(
+        st.integers(-8, 8),
+        st.integers(GRANULES * CAP_SIZE_BYTES - 8, GRANULES * CAP_SIZE_BYTES + 8),
+        st.integers(0, GRANULES * CAP_SIZE_BYTES - 1),
+    ),
+    st.integers(0, 0xFFFF_FFFF),
+)
+def test_word_store_edges_match_reference(initial, size, offset, value):
+    """1-, 2- and 4-byte stores at, across and past either end of the
+    bank, aligned or not: the same error as the reference, nothing
+    changed by a refused store, and only the stored granule's tag
+    cleared by an accepted one."""
+    address = BASE + offset
+    mem = tagged_memory(initial)
+    data_before, tags_before = mem.read_bytes(BASE, mem.size), tags_of(mem)
+    expected_error = word_outcome(mem, address, size)
+    if expected_error is not None:
+        with pytest.raises(MemoryError_) as caught:
+            mem.write_word(address, value, size)
+        assert type(caught.value) is MemoryError_
+        assert str(caught.value) == expected_error
+        assert mem.read_bytes(BASE, mem.size) == data_before
+        assert tags_of(mem) == tags_before
+        return
+    mem.write_word(address, value, size)
+    stored = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    after = bytearray(data_before)
+    after[offset : offset + size] = stored
+    assert mem.read_bytes(BASE, mem.size) == bytes(after)
+    assert mem.read_word(address, size) == int.from_bytes(stored, "little")
+    assert tags_of(mem) == [
+        tagged and i != offset // CAP_SIZE_BYTES
+        for i, tagged in enumerate(initial)
     ]

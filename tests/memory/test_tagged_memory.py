@@ -121,13 +121,6 @@ class TestEmptyWrites:
         mem.fill(BASE + 4096, 0)
         assert mem.read_capability(BASE + 4088).tag
 
-    def test_empty_write_fires_no_dirty_hook(self, mem):
-        seen = []
-        mem.add_dirty_hook(lambda address, size: seen.append((address, size)))
-        mem.write_bytes(BASE, b"")
-        mem.fill(BASE + 4096, 0)
-        assert seen == []
-
     def test_empty_write_outside_bank_still_faults(self, mem):
         with pytest.raises(MemoryError_):
             mem.write_bytes(BASE + 4097, b"")

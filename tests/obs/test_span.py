@@ -43,6 +43,33 @@ class TestSpans:
         assert names == ["inner", "outer"]  # commit order = close order
         assert tracer.open_depth() == 0
 
+    def test_end_closes_the_span_it_is_given(self):
+        # Two open spans equal as dataclasses: ending the inner one must
+        # not close the outer one in its place.
+        clock = FakeClock()
+        tracer = SpanTracer(clock)
+        outer = tracer.begin("x")
+        inner = tracer.begin("x")
+        clock.now = 5
+        tracer.end(inner)
+        clock.now = 9
+        tracer.end(outer)
+        assert tracer.open_depth() == 0
+        assert tracer.end() is None
+        events = tracer.events()
+        assert [(s.begin, s.end) for s in events] == [(0, 5), (0, 9)]
+        assert events[0] is inner and events[1] is outer
+
+    def test_end_closes_an_equal_outer_span_first(self):
+        # Closing the outer of two equal spans first leaves the inner
+        # one open, as the innermost span a bare end() closes.
+        tracer = SpanTracer(FakeClock())
+        outer = tracer.begin("x")
+        inner = tracer.begin("x")
+        tracer.end(outer)
+        assert tracer.end() is inner
+        assert tracer.open_depth() == 0
+
     def test_tracks_nest_independently(self):
         clock = FakeClock()
         tracer = SpanTracer(clock)

@@ -28,17 +28,20 @@ from repro.analysis.tables import (
     NET_SCALE,
     PEEPHOLE,
     QUARANTINE,
+    SECTIONS,
     TABLE2,
     TABLE3,
     TABLE4,
     TEMPORAL_COST,
     TIMING,
+    TITLES,
     WORST_WINDOW,
     read_sections,
     tables_claims,
 )
 from repro.artifact import Inputs, render_json
 from repro.pipeline import CoreKind
+from repro.workloads.alloc_bench import read_table4
 
 REPO = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -269,6 +272,21 @@ def test_fleet_drift_names_a_command_reproducing_the_device(entry, capsys):
     assert reproduced == committed["devices"][2]
 
 
+def _reproduce(line):
+    """What the ``python -c`` command a diagnosis prints writes, run
+    alone from the repository root."""
+    code = line.split('python -c "', 1)[1].rstrip('"')
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+
+
 def test_net_drift_names_a_command_reproducing_the_point(entry):
     """One counter of the 1-connection copy point moved by one: the
     diagnosis names that point, and its command, run alone, prints the
@@ -278,17 +296,7 @@ def test_net_drift_names_a_command_reproducing_the_point(entry):
     committed["sweep"][0]["counters"]["allocs"] += 1
     (line,) = entry("net").diagnose(committed, fresh)
     assert line.startswith("sweep point copy @ 1 connections")
-    code = line.split('python -c "', 1)[1].rstrip('"')
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=REPO,
-        env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    ).stdout
-    assert json.loads(out) == fresh["sweep"][0]
+    assert json.loads(_reproduce(line)) == fresh["sweep"][0]
 
 
 def test_net_diagnosis_is_silent_when_no_point_moved(entry):
@@ -296,6 +304,58 @@ def test_net_diagnosis_is_silent_when_no_point_moved(entry):
     fresh = copy.deepcopy(committed)
     fresh["comparison"][0]["stack_cycles_ratio"] += 1
     assert entry("net").diagnose(committed, fresh) == []
+
+
+def test_tables_titles_are_the_committed_sections_in_order(entry):
+    titles = [title for fn in SECTIONS for title in TITLES[fn]]
+    assert titles == list(read_sections(_committed(entry("tables"))))
+
+
+@pytest.mark.parametrize("title, old, new", [
+    (TABLE2, "26988", "26989"),
+    (ENCODING, "8.91%", "8.92%"),
+], ids=["table2", "encoding"])
+def test_tables_drift_names_a_command_rendering_the_section(
+    entry, title, old, new
+):
+    """One number of a measurement section moved: the diagnosis names
+    the section, and its command, run alone, renders the section as a
+    fresh run does."""
+    fresh = _committed(entry("tables"))
+    committed = _edit(fresh, title, old, new)
+    (line,) = entry("tables").diagnose(committed, fresh)
+    assert line.startswith(f"section {title!r}")
+    rendered = read_sections(_reproduce(line))
+    assert rendered[title] == read_sections(fresh)[title]
+
+
+@pytest.mark.parametrize("title, old, new", [
+    (IBEX_TABLE4, "9,810", "9,811"),
+    (IBEX_FIGURE, "128KiB 240.029x", "128KiB 240.030x"),
+], ids=["table4", "figure6"])
+def test_tables_sweep_drift_names_a_command_running_the_size(
+    entry, title, old, new
+):
+    """One number of Ibex's 128 KiB row moved: the diagnosis names the
+    core and size, and its command runs that size's eight cells and
+    prints the cycles a fresh run puts in Table 4."""
+    fresh = _committed(entry("tables"))
+    committed = _edit(fresh, title, old, new)
+    (line,) = entry("tables").diagnose(committed, fresh)
+    assert line.startswith("ibex allocator sweep at 128KiB")
+    fresh_row = {
+        key: cycles
+        for key, cycles in read_table4(read_sections(fresh)[IBEX_TABLE4]).items()
+        if key[1] == 128 * 1024
+    }
+    assert len(fresh_row) == 8
+    assert read_table4(_reproduce(line)) == fresh_row
+
+
+def test_tables_diagnosis_is_silent_when_no_section_moved(entry):
+    committed = _committed(entry("tables"))
+    fresh = committed.replace("Regenerate with", "Regenerate from", 1)
+    assert entry("tables").diagnose(committed, fresh) == []
 
 
 def test_fault_drift_names_the_class_that_moved(entry):

@@ -74,6 +74,30 @@ def test_profile_report_refuses_zero_iterations(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "tool, option, value",
+    [
+        ("profile_report.py", "--top", "0"),
+        ("profile_report.py", "--top", "-1"),
+        ("profile_report.py", "--rounds", "-1"),
+        ("trace_export.py", "--rounds", "-1"),
+    ],
+    ids=["top-zero", "top-negative", "profile-rounds", "trace-rounds"],
+)
+def test_tools_refuse_counts_that_print_wrong_output(
+    tmp_path, tool, option, value
+):
+    # --top 0 printed "(no samples)" under thousands of retired
+    # instructions, --top -1 all but the coldest PC, and a negative
+    # --rounds silently ran no allocation churn.
+    proc = _spawn(tmp_path, tool, option, value)
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith(f"{tool}: error: argument {option}")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_profile_report_reconciles(tmp_path):
     out = _run(tmp_path, "profile_report.py")
     assert "per-context cycle attribution:" in out

@@ -47,7 +47,16 @@ from repro.analysis.simspeed import (  # noqa: E402
     check_speed,
     speed_report,
 )
-from repro.analysis.tables import bench_tables, tables_claims  # noqa: E402
+from repro.analysis.reporting import parse_size, size_label  # noqa: E402
+from repro.analysis.tables import (  # noqa: E402
+    BANNER,
+    CORES,
+    FIGURE,
+    TABLE4,
+    TITLES,
+    bench_tables,
+    tables_claims,
+)
 from repro.artifact import Inputs, render_json  # noqa: E402
 from repro.faultinject.campaign import campaign_document  # noqa: E402
 from repro.fleet import fleet_report, slo_document  # noqa: E402
@@ -55,6 +64,7 @@ from repro.iot.loadgen import net_sweep  # noqa: E402
 from repro.obs.profile import diff_hot  # noqa: E402
 from repro.obs.workload import fleet_profile  # noqa: E402
 from repro.verify import audit_document  # noqa: E402
+from repro.workloads.alloc_bench import ALLOCATION_SIZES  # noqa: E402
 
 Lines = List[str]
 
@@ -274,6 +284,54 @@ def profile_diagnosis(committed: dict, fresh: dict) -> Lines:
     ]
 
 
+def _size_of(line: str) -> Optional[int]:
+    """The allocation size a Table 4 or Figure 5/6 line starts with."""
+    try:
+        return parse_size(line.split("|")[0].split()[0])
+    except (IndexError, ValueError):
+        return None
+
+
+def tables_diagnosis(committed: str, fresh: str) -> Lines:
+    """The command that reruns the first diverging section alone.
+
+    A measurement section re-renders through ``render`` with its one
+    producer.  A line of Table 4 or Figure 5/6 names its core and
+    allocation size instead, and the command runs that size's eight
+    sweep cells and prints their cycles as Table 4 does.
+    """
+    before, now = committed.splitlines(), fresh.splitlines()
+    line = next(
+        (n for n, (old, new) in enumerate(zip(before, now)) if old != new),
+        min(len(before), len(now)),
+    )
+    # A section starts at the blank line above its opening banner.
+    titles = [
+        now[n] for n in range(1, len(now) - 1)
+        if now[n - 1] == now[n + 1] == BANNER and n - 2 <= line
+    ]
+    if not titles:
+        return []  # the header moved, not a section
+    title = titles[-1]
+    core = next((c for c in CORES if title in (TABLE4[c], FIGURE[c])), None)
+    size = _size_of(now[line]) if core and line < len(now) else None
+    if size in ALLOCATION_SIZES:
+        return [
+            f"{core.value} allocator sweep at {size_label(size)}, eight-cell "
+            "reproduction: PYTHONPATH=src python -c \"from repro.pipeline "
+            "import CoreKind; from repro.workloads.alloc_bench import "
+            "format_table4, run_cell, sweep_cells; print(format_table4("
+            f"[run_cell(c) for c in sweep_cells(CoreKind.{core.name}) "
+            f"if c[3] == {size}]))\""
+        ]
+    producer = next(fn for fn, names in TITLES.items() if title in names)
+    return [
+        f"section {title!r} (producer {producer.__name__}), reproduction: "
+        "PYTHONPATH=src python -c \"from repro.analysis import tables as "
+        f"t; print(t.render((t.{producer.__name__},)), end='')\""
+    ]
+
+
 #: Speed floors, an order of magnitude below the committed numbers, so
 #: only a collapse fails them, never host noise.  The seed's ALU-loop
 #: MIPS was taken on the interpretive path (``Tier.INTERP``).
@@ -327,7 +385,7 @@ ARTIFACTS = (
     Artifact("profile", "OBS_fleet_profile.json", fleet_profile,
              profile_claims, diagnose=profile_diagnosis),
     Artifact("tables", "bench_output_tables.txt", bench_tables,
-             tables_claims, parallel=True),
+             tables_claims, parallel=True, diagnose=tables_diagnosis),
 )
 
 

@@ -37,10 +37,17 @@ from repro.obs import render_attribution, render_hot_pcs  # noqa: E402
 from repro.obs.workload import run_traced_workload  # noqa: E402
 
 
-def _iterations(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be 1 or more, not {count}")
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be {minimum} or more, not {value}"
+            )
+        return value
+
     return count
 
 
@@ -59,14 +66,16 @@ def main(argv=None) -> int:
         help="CoreMark kernel for the profiled phase (default: list)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=40, help="malloc/free rounds (default: 40)"
+        "--rounds", type=_at_least(0), default=40,
+        help="malloc/free rounds (default: 40)",
     )
     parser.add_argument(
-        "--iterations", type=_iterations, default=1,
+        "--iterations", type=_at_least(1), default=1,
         help="kernel iterations (default: 1)",
     )
     parser.add_argument(
-        "--top", type=int, default=10, help="hot PCs to show (default: 10)"
+        "--top", type=_at_least(1), default=10,
+        help="hot PCs to show (default: 10)",
     )
     args = parser.parse_args(argv)
 

@@ -42,17 +42,17 @@ from repro.obs.workload import (  # noqa: E402
 )
 
 
-def _device_count(text: str) -> int:
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, not {count}")
-    return count
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
 
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be {minimum} or more, not {value}"
+            )
+        return value
 
-def _iterations(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be 1 or more, not {count}")
     return count
 
 
@@ -74,14 +74,15 @@ def main(argv=None) -> int:
         help="CoreMark kernel for the profiled phase (default: list)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=40, help="malloc/free rounds (default: 40)"
+        "--rounds", type=_at_least(0), default=40,
+        help="malloc/free rounds (default: 40)",
     )
     parser.add_argument(
-        "--iterations", type=_iterations, default=1,
+        "--iterations", type=_at_least(1), default=1,
         help="kernel iterations (default: 1)",
     )
     parser.add_argument(
-        "--fleet", type=_device_count, nargs="?", default=0,
+        "--fleet", type=_at_least(0), nargs="?", default=0,
         const=FLEET_PROFILE_DEVICES, metavar="N",
         help="merge N devices into one fleet trace (0: single device; "
         f"bare --fleet: {FLEET_PROFILE_DEVICES})",
