@@ -14,7 +14,9 @@ free-list links) so the cycle model can charge mechanistic costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 #: Size of a chunk header (boundary tag) in bytes.
@@ -35,9 +37,13 @@ class HeapCorruption(Exception):
     """Inconsistent chunk metadata (double free, bad pointer...)."""
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Chunk:
-    """One chunk: ``[address, address + size)`` with an 8-byte header."""
+    """One chunk: ``[address, address + size)`` with an 8-byte header.
+
+    Chunks compare by identity: every bin lookup and removal is for one
+    exact chunk object, never for an equal-looking one.
+    """
 
     address: int
     size: int  # total size including header
@@ -56,7 +62,7 @@ class Chunk:
         return self.address + self.size
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocatorOps:
     """Elementary-operation counters for the cycle model."""
 
@@ -72,6 +78,10 @@ class AllocatorOps:
 
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
+
+
+#: Sort key of the large bin.
+_size = attrgetter("size")
 
 
 class DlMalloc:
@@ -132,10 +142,6 @@ class DlMalloc:
         total = sum(c.size for c in self._chunks.values() if c.free)
         return total
 
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(c.size for c in self._chunks.values() if not c.free)
-
     def check_invariants(self) -> None:
         """Walk the heap verifying boundary-tag consistency (tests)."""
         address = self.base
@@ -170,17 +176,21 @@ class DlMalloc:
         if chunk is None:
             raise HeapExhausted(f"no chunk of {needed} bytes available")
         # Split the remainder back to the free structures.
-        remainder = chunk.size - needed
+        ops = self.ops
+        address = chunk.address
+        size = chunk.size
+        remainder = size - needed
         if remainder >= max(MIN_CHUNK_SIZE, self.chunk_granularity):
-            rest = Chunk(chunk.address + needed, remainder, free=True)
+            split = address + needed
+            rest = Chunk(split, remainder, True)
             chunk.size = needed
-            self._by_end[chunk.end] = chunk
-            self._chunks[rest.address] = rest
-            self._by_end[rest.end] = rest
+            self._by_end[split] = chunk
+            self._chunks[split] = rest
+            self._by_end[address + size] = rest
             self._insert_free(rest)
-            self.ops.header_writes += 2
+            ops.header_writes += 2
         chunk.free = False
-        self.ops.header_writes += 1
+        ops.header_writes += 1
         return chunk
 
     def _take_small(self, needed: int) -> Optional[Chunk]:
@@ -205,14 +215,20 @@ class DlMalloc:
         return chunk
 
     def _take_large(self, needed: int) -> Optional[Chunk]:
-        # Best fit over the sorted large list.
-        for index, chunk in enumerate(self._large_bin):
-            self.ops.list_ops += 1
-            if chunk.size >= needed:
-                if chunk is self._top:
-                    self._top = None
-                return self._large_bin.pop(index)
-        return None
+        # Best fit over the size-sorted large list: the first chunk at
+        # least as large as the request.  The ops still count a scan of
+        # the list: one per chunk visited, so index + 1 on a hit and the
+        # whole list on a miss.
+        large = self._large_bin
+        index = bisect_left(large, needed, key=_size)
+        if index == len(large):
+            self.ops.list_ops += index
+            return None
+        self.ops.list_ops += index + 1
+        chunk = large.pop(index)
+        if chunk is self._top:
+            self._top = None
+        return chunk
 
     # ------------------------------------------------------------------
     # Release (after any quarantine period)
@@ -220,63 +236,62 @@ class DlMalloc:
 
     def release(self, chunk: Chunk) -> None:
         """Return a chunk to the free structures, coalescing neighbours."""
+        address = chunk.address
         if chunk.free:
-            raise HeapCorruption(f"double release of chunk at {chunk.address:#x}")
-        if self._chunks.get(chunk.address) is not chunk:
-            raise HeapCorruption(f"unknown chunk at {chunk.address:#x}")
+            raise HeapCorruption(f"double release of chunk at {address:#x}")
+        chunks = self._chunks
+        if chunks.get(address) is not chunk:
+            raise HeapCorruption(f"unknown chunk at {address:#x}")
         chunk.free = True
-        self.ops.header_writes += 1
+        ops = self.ops
+        ops.header_writes += 1
+        by_end = self._by_end
+        end = address + chunk.size
 
         # Coalesce with the following chunk.
-        nxt = self._chunks.get(chunk.end)
-        self.ops.header_reads += 1
+        nxt = chunks.get(end)
+        ops.header_reads += 1
         if nxt is not None and nxt.free:
             self._remove_free(nxt)
-            del self._chunks[nxt.address]
-            del self._by_end[nxt.end]
-            del self._by_end[chunk.end]
-            chunk.size += nxt.size
-            self._by_end[chunk.end] = chunk
-            self.ops.header_writes += 1
+            merged_end = end + nxt.size
+            del chunks[end]
+            del by_end[merged_end]
+            del by_end[end]
+            chunk.size = merged_end - address
+            end = merged_end
+            by_end[end] = chunk
+            ops.header_writes += 1
 
-        # Coalesce with the preceding chunk (found via boundary tag).
-        prev = self._chunk_before(chunk.address)
+        # Coalesce with the preceding chunk: its boundary tag is the
+        # chunk whose end is this chunk's address.
+        ops.header_reads += 1
+        prev = by_end.get(address) if address != self.base else None
         if prev is not None and prev.free:
             self._remove_free(prev)
-            del self._chunks[chunk.address]
-            del self._by_end[prev.end]
-            del self._by_end[chunk.end]
-            prev.size += chunk.size
+            del chunks[address]
+            del by_end[address]
+            del by_end[end]
+            prev.size = end - prev.address
             chunk = prev
-            self._by_end[chunk.end] = chunk
-            self.ops.header_writes += 1
+            by_end[end] = chunk
+            ops.header_writes += 1
 
         self._insert_free(chunk)
 
-    def _chunk_before(self, address: int) -> Optional[Chunk]:
-        """The chunk whose end is ``address`` (prev-size boundary tag)."""
-        self.ops.header_reads += 1
-        if address == self.base:
-            return None
-        return self._by_end.get(address)
-
     def _insert_free(self, chunk: Chunk) -> None:
         self.ops.list_ops += 1
-        if chunk.size <= SMALL_BIN_MAX + HEADER_SIZE:
-            self._small_bins.setdefault(chunk.size, []).append(chunk)
-            self._smallmap |= 1 << (chunk.size // ALIGNMENT)
+        size = chunk.size
+        if size <= SMALL_BIN_MAX + HEADER_SIZE:
+            self._small_bins.setdefault(size, []).append(chunk)
+            self._smallmap |= 1 << (size // ALIGNMENT)
         else:
-            # Keep the large list sorted by size (insertion point scan).
-            index = 0
-            for index, existing in enumerate(self._large_bin):
-                if existing.size >= chunk.size:
-                    break
-            else:
-                index = len(self._large_bin)
-            self._large_bin.insert(index, chunk)
-            if self._top is None or chunk.end == self.base + self.size:
-                if chunk.end == self.base + self.size:
-                    self._top = chunk
+            # Keep the large list sorted by size: a new chunk goes in
+            # before the chunks of its own size, where a scan for the
+            # first chunk at least as large would stop.
+            large = self._large_bin
+            large.insert(bisect_left(large, size, key=_size), chunk)
+            if chunk.address + size == self.base + self.size:
+                self._top = chunk
 
     def _remove_free(self, chunk: Chunk) -> None:
         self.ops.list_ops += 1

@@ -270,28 +270,40 @@ class CheriHeap:
                 obs.tracer.end(span)
 
     def _malloc(self, size: int) -> Capability:
-        self._maybe_complete_pass()
+        if self._pass_completion_cycle:
+            self._maybe_complete_pass()
         rounded, align = self._padded_request(size)
         # Over-allocate so an aligned payload base fits inside the chunk.
         slack = align - ALIGNMENT if align > ALIGNMENT else 0
-        chunk = self._allocate_with_revocation(rounded + slack)
-        payload = _round_up(chunk.payload_address, align)
-        assert payload + rounded <= chunk.end, "alignment slack miscomputed"
-        self.stats.fragmentation_padding += chunk.payload_size - size
+        request = rounded + slack
+        try:
+            chunk = self.dl.allocate(request)
+        except HeapExhausted:
+            chunk = self._allocate_with_revocation(request)
+        address = chunk.address
+        chunk_size = chunk.size
+        payload = _round_up(address + HEADER_SIZE, align)
+        assert payload + rounded <= address + chunk_size, (
+            "alignment slack miscomputed"
+        )
+        stats = self.stats
+        stats.fragmentation_padding += chunk_size - HEADER_SIZE - size
 
-        if self.mode is not TemporalSafetyMode.BASELINE:
+        baseline = self.mode is TemporalSafetyMode.BASELINE
+        if not baseline:
             # Reused memory must present clear revocation bits.
-            self.revocation_map.clear(chunk.address, chunk.size)
+            self.revocation_map.clear(address, chunk_size)
 
         cap = self._payload_root.set_address(payload).set_bounds(
             rounded, exact=True
         )
         self._live[payload] = chunk
-        self.stats.mallocs += 1
-        self.stats.bytes_allocated += rounded
+        stats.mallocs += 1
+        stats.bytes_allocated += rounded
         self._charge_allocator_work(MALLOC_BASE_INSTRS + CAP_DERIVE_INSTRS)
-        if self.mode is not TemporalSafetyMode.BASELINE:
-            self._charge(self._paint_cycles(chunk.size))
+        core = self.core_model
+        if not baseline and core is not None:
+            core.charge(self._paint_cycles(chunk_size))
         return cap
 
     def _now(self) -> int:
@@ -307,10 +319,10 @@ class CheriHeap:
             self._reap()
 
     def _allocate_with_revocation(self, size: int) -> Chunk:
-        try:
-            return self.dl.allocate(size)
-        except HeapExhausted:
-            pass
+        """Retry a failed ``dl.allocate(size)`` after revoking.
+
+        The caller has made, and counted, the first attempt.
+        """
         if self.mode is TemporalSafetyMode.HARDWARE:
             # A background pass may already be sweeping: block until it
             # completes (the paper's 128 KiB case — "spends most of its
@@ -410,54 +422,59 @@ class CheriHeap:
                 obs.tracer.end(span)
 
     def _free(self, cap: Capability) -> None:
-        self._maybe_complete_pass()
+        if self._pass_completion_cycle:
+            self._maybe_complete_pass()
         if not cap.tag:
             raise InvalidFree("free of untagged capability")
         base = cap.base
-        chunk = self._live.get(base)
+        chunk = self._live.pop(base, None)
         if chunk is None:
             if self.revocation_map.is_revoked(base):
                 raise DoubleFree(f"free of already-freed memory at {base:#x}")
             if any(c.address < base < c.end for c in self._live.values()):
                 raise InvalidFree(f"free of interior pointer {base:#x}")
             raise InvalidFree(f"no live allocation at {base:#x}")
-        del self._live[base]
+        address = chunk.address
+        chunk_size = chunk.size
+        payload_size = chunk_size - HEADER_SIZE
         self.stats.frees += 1
-        self.stats.bytes_freed += chunk.payload_size
+        self.stats.bytes_freed += payload_size
         self._charge_allocator_work(FREE_BASE_INSTRS)
 
-        if self.mode is TemporalSafetyMode.BASELINE:
+        mode = self.mode
+        if mode is TemporalSafetyMode.BASELINE:
             self.dl.release(chunk)
             self._charge_allocator_work(0)
             return
 
         # Paint the revocation bits, then zero the freed memory.
         core = self.core_model
-        self.revocation_map.paint(chunk.address, chunk.size)
+        self.revocation_map.paint(address, chunk_size)
         if core is not None:
-            core.charge(self._paint_cycles(chunk.size))
-        self.bus.fill(chunk.payload_address, chunk.payload_size, 0)
+            core.charge(self._paint_cycles(chunk_size))
+        self.bus.fill(address + HEADER_SIZE, payload_size, 0)
         if core is not None:
-            core.charge(core.zero_bytes_cycles(chunk.payload_size))
+            core.charge(core.zero_bytes_cycles(payload_size))
 
-        if self.mode is TemporalSafetyMode.METADATA:
+        if mode is TemporalSafetyMode.METADATA:
             # Measurement mode: metadata costs without sweeping — the
             # bits come straight back off and memory is reused.
-            self.revocation_map.clear(chunk.address, chunk.size)
+            self.revocation_map.clear(address, chunk_size)
             if core is not None:
-                core.charge(self._paint_cycles(chunk.size))
+                core.charge(self._paint_cycles(chunk_size))
             self.dl.release(chunk)
             self._charge_allocator_work(0)
             return
 
-        self.quarantine.add(chunk, self.epoch.value)
-        if self.quarantine.total_bytes >= self.quarantine_threshold:
+        quarantine = self.quarantine
+        quarantine.add(chunk, self.epoch.value)
+        if quarantine.total_bytes >= self.quarantine_threshold:
             # Enough freed memory has accumulated: start a pass.  With
             # the background engine this does NOT block — the revoker
             # advances in the load-store unit's idle slots while the
             # allocator continues servicing requests (section 3.3.3);
             # only allocation failure forces a blocking wait.
-            if self.mode is TemporalSafetyMode.HARDWARE:
+            if mode is TemporalSafetyMode.HARDWARE:
                 if self._pass_completion_cycle == 0:
                     self._run_hardware_pass(blocking=False)
                     self.stats.revocation_passes += 1

@@ -33,10 +33,9 @@ class Quarantine:
 
     def __init__(self) -> None:
         self._lists: List[_QuarantineList] = []
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(entry.bytes for entry in self._lists)
+        #: Bytes held across every list: a running total that ``add``,
+        #: ``reap`` and ``drain`` keep equal to the sum of the lists'.
+        self.total_bytes = 0
 
     @property
     def list_count(self) -> int:
@@ -62,6 +61,7 @@ class Quarantine:
                 self._lists.pop(0)
         entry.chunks.append(chunk)
         entry.bytes += chunk.size
+        self.total_bytes += chunk.size
 
     def reap(self, current_epoch: int) -> List[Chunk]:
         """Pop every chunk that has survived a full revocation sweep."""
@@ -70,6 +70,7 @@ class Quarantine:
         for entry in self._lists:
             if fully_swept(entry.open_epoch, current_epoch):
                 ready.extend(entry.chunks)
+                self.total_bytes -= entry.bytes
             else:
                 remaining.append(entry)
         self._lists = remaining
@@ -84,4 +85,5 @@ class Quarantine:
         """Unconditionally empty the quarantine (metadata-only mode)."""
         chunks = [c for entry in self._lists for c in entry.chunks]
         self._lists = []
+        self.total_bytes = 0
         return chunks

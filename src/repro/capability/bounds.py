@@ -80,6 +80,16 @@ class EncodedBounds:
         return self.exponent_field
 
 
+#: ``object.__new__`` and the ``__set__`` of each ``EncodedBounds`` slot,
+#: bound once: ``encode`` writes the fields it has already validated
+#: without the frozen class's ``__init__`` and ``__post_init__``.
+_new = object.__new__
+_set_exponent_field, _set_base_field, _set_top_field = (
+    EncodedBounds.__dict__[name].__set__
+    for name in ("exponent_field", "base_field", "top_field")
+)
+
+
 def decode(address: int, bounds: EncodedBounds) -> "tuple[int, int]":
     """Decode ``(base, top)`` for a capability at ``address``.
 
@@ -168,8 +178,6 @@ def encode(base: int, length: int, exact: bool = False) -> "tuple[EncodedBounds,
         )
 
     e_field = E_FIELD_MAX if e == EXPONENT_MAX else e
-    if e == EXPONENT_MAX and e_field != E_FIELD_MAX:
-        raise AssertionError("unreachable")
     # E field values 0xF..: exponent 24; values 14 and below are direct.
     # An exponent in (14, 24) cannot be stored: bump to 24.
     if E_FIELD_MAX <= e < EXPONENT_MAX:
@@ -183,9 +191,14 @@ def encode(base: int, length: int, exact: bool = False) -> "tuple[EncodedBounds,
                 f"bounds [{base:#x}, {top:#x}) not exactly representable (e=24)"
             )
 
-    b_field = (rounded_base >> e) & _MANTISSA_MASK
-    t_field = (rounded_top >> e) & _MANTISSA_MASK
-    encoded = EncodedBounds(e_field, b_field, t_field)
+    # Built through the slot descriptors, as ``capability._make`` builds
+    # capabilities: ``__post_init__`` has nothing to check, because
+    # ``e_field`` is at most 0xF by the mapping above and B and T are
+    # masked to 9 bits here.
+    encoded = _new(EncodedBounds)
+    _set_exponent_field(encoded, e_field)
+    _set_base_field(encoded, (rounded_base >> e) & _MANTISSA_MASK)
+    _set_top_field(encoded, (rounded_top >> e) & _MANTISSA_MASK)
     return encoded, rounded_base, rounded_top
 
 

@@ -239,19 +239,21 @@ class Capability:
         change the decoded bounds clears the tag (section 3.2.3).
         """
         address &= _ADDR_MASK
-        tag = False
-        verified = False  # representability actually checked and held
-        if self.tag and not self.is_sealed:
-            verified = bounds_mod.is_representable(
-                address, self.bounds, self.base, self.top
-            )
-            tag = verified
-        # A verified move keeps the decoded bounds by definition of
-        # representability; seed the cache so the derived capability
-        # never re-decodes.  Unverified moves may decode differently.
+        if self.tag and self.otype == _UNSEALED:
+            # Representable means the new address decodes to the same
+            # bounds (``bounds.is_representable``; the address is already
+            # in range).  A verified move keeps the decoded bounds, so
+            # seed the cache and the derived capability never re-decodes.
+            dec = self._dec or self._decoded_bounds
+            if bounds_mod.decode(address, self.bounds) == dec:
+                return _make(
+                    address, self.bounds, self.perms, _UNSEALED, True,
+                    self.reserved, dec, self._pbits,
+                )
+        # Unverified moves may decode differently.
         return _make(
-            address, self.bounds, self.perms, self.otype, tag, self.reserved,
-            self._dec if verified else None, self._pbits,
+            address, self.bounds, self.perms, self.otype, False,
+            self.reserved, None, self._pbits,
         )
 
     def inc_address(self, delta: int) -> "Capability":
@@ -267,17 +269,20 @@ class Capability:
         (negative length, top past the address space), and the usual
         faults for untagged / sealed sources.
         """
-        self._require_unsealed_tagged()
+        if not self.tag:
+            raise TagFault("operation on untagged capability")
+        if self.otype != _UNSEALED:
+            raise SealedFault("operation on sealed capability")
         try:
             encoded, new_base, new_top = bounds_mod.encode(
-                self.address, length, exact=exact
+                self.address, length, exact
             )
         except BoundsError as err:
             # Surface unencodable requests as the architectural fault so
             # a csetbounds from guest code traps instead of escaping the
             # simulator as a raw ValueError.
             raise BoundsFault(str(err)) from err
-        base, top = self._decoded_bounds
+        base, top = self._dec or self._decoded_bounds
         if new_base < base or new_top > top:
             raise MonotonicityFault(
                 f"setbounds [{new_base:#x}, {new_top:#x}) exceeds "
@@ -409,17 +414,22 @@ class Capability:
         """Authorize an access or raise the appropriate fault.
 
         Checks, in hardware order: tag, seal, permissions, then bounds.
+        Each required permission is one ``Permission`` member; its bit is
+        tested against :attr:`perm_bits` (``_value_`` is the member's
+        value without the ``value`` property's Python-level lookup).
         """
         if not self.tag:
             raise TagFault(f"access via untagged capability at {address:#x}")
         if self.otype != _UNSEALED:
             raise SealedFault(f"access via sealed capability at {address:#x}")
-        perms = self.perms
+        pbits = self._pbits
+        if pbits is None:
+            pbits = self.perm_bits
         for perm in required:
-            if perm not in perms:
+            if not pbits & perm._value_:
                 raise PermissionFault(
                     f"access at {address:#x} requires {perm}, held: "
-                    f"{sorted(p.name for p in perms)}"
+                    f"{sorted(p.name for p in self.perms)}"
                 )
         base, top = self._dec or self._decoded_bounds
         if not (base <= address and address + size <= top):
@@ -523,7 +533,10 @@ def _check_seal_authority(authority: Capability, needed: Permission) -> None:
         raise TagFault("sealing authority is untagged")
     if authority.otype != _UNSEALED:
         raise SealedFault("sealing authority is itself sealed")
-    if needed not in authority.perms:
+    pbits = authority._pbits
+    if pbits is None:
+        pbits = authority.perm_bits
+    if not pbits & needed._value_:
         raise PermissionFault(f"sealing authority lacks {needed}")
     otype = authority.address
     base, top = authority._dec or authority._decoded_bounds

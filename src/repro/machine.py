@@ -116,7 +116,10 @@ class System:
         # telemetry enabled the same registry also carries the obs
         # metrics (span counts, allocation-size histogram).
         self.registry = telemetry.registry if telemetry else MetricsRegistry()
-        self.registry.register_scalar("cycles", lambda: self.core_model.cycles)
+        # The scalar sources close over their components, not over the
+        # System: a registry that referred back to its System would keep
+        # a dropped one alive until the cyclic collector ran.
+        self.registry.register_scalar("cycles", lambda: core_model.cycles)
         self.registry.register_source("bus", self.bus.stats)
         self.registry.register_source("heap", self.allocator.stats)
         self.registry.register_source("switcher", self.switcher.stats)
@@ -133,12 +136,12 @@ class System:
         # translation activity across all harts.
         self.block_cache_stats = BlockCacheStats()
         self.registry.register_source("block_cache", self.block_cache_stats)
-        self.registry.register_scalar("epoch", lambda: self.epoch.value)
+        self.registry.register_scalar("epoch", lambda: epoch.value)
         self.registry.register_scalar(
-            "quarantined_bytes", lambda: self.allocator.quarantined_bytes
+            "quarantined_bytes", lambda: allocator.quarantined_bytes
         )
         self.registry.register_scalar(
-            "live_allocations", lambda: self.allocator.live_allocations
+            "live_allocations", lambda: allocator.live_allocations
         )
 
     #: The registry groups stats_summary() has always reported, in its

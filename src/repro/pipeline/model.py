@@ -305,10 +305,6 @@ class CoreModel:
         """Directly charge cycles for modelled (non-simulated) work."""
         self.stats.cycles += int(cycles)
 
-    def instruction_cycles(self, count: int) -> int:
-        """Cost of ``count`` straight-line single-cycle instructions."""
-        return count
-
     def mixed_instr_cycles(self, count: int, mem_fraction: float) -> int:
         """Cost of ``count`` hand-written instructions, ``mem_fraction``
 

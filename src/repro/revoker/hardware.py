@@ -26,6 +26,7 @@ hook delivers exactly this visibility.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -69,7 +70,11 @@ class BackgroundRevoker:
         epoch: Optional[EpochCounter] = None,
         core_model: Optional[CoreModel] = None,
     ) -> None:
-        self.bus = bus
+        # The bus holds the revoker from here on (its store snooper, and
+        # its MMIO device once attached), so the revoker refers back to
+        # the bus weakly: a strong back-reference would make every bus a
+        # reference cycle that only the cyclic collector frees.
+        self.bus = weakref.proxy(bus)
         self.revocation_map = revocation_map
         self.epoch = epoch if epoch is not None else EpochCounter()
         self.core_model = core_model

@@ -10,7 +10,12 @@ afresh by ``bounds.decode`` rather than through the capability's cache:
 * ``unseal``: the sealed capability's tag and seal, then the authority's
   tag, seal, ``US`` permission and bounds (its address is the otype),
   then the otype match.
+
+Exhaustive cases then pin the permission fault itself: which missing
+permission it names, and its message.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 from repro.capability import Capability, Permission as P
 from repro.capability import bounds as bounds_mod
 from repro.capability import compression
+from repro.capability.capability import _check_seal_authority
 from repro.capability.errors import (
     BoundsFault,
     OTypeFault,
@@ -184,3 +190,64 @@ def test_each_unseal_authority_failure_has_its_class(tamper, fault):
     with pytest.raises(fault) as caught:
         sealed.unseal(tamper(root))
     assert type(caught.value) is fault
+
+
+#: The largest permission set of each format, which every capability
+#: below starts from before it sheds the permissions under test.
+FORMATS = (
+    {P.GL, P.LD, P.SD, P.MC, P.SL, P.LM, P.LG},
+    {P.GL, P.EX, P.LD, P.MC, P.SR, P.LM, P.LG},
+    {P.GL, P.LD, P.SD},
+    {P.GL, P.SE, P.US, P.U0},
+)
+
+
+def _shedding(full, shed, warm):
+    held = compression.normalize(frozenset(full - set(shed)))
+    cap = capability(0x2000_0000, 64, 0x2000_0000, held, OTYPE_UNSEALED,
+                     True, warm)
+    if warm:
+        cap.perm_bits
+    assert not set(shed) & cap.perms
+    return cap
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_check_access_names_the_first_missing_permission(warm):
+    """Every ordered pair of permissions, with the first, the second or
+    both shed: the fault names the first one the capability lacks, in
+    the message ``check_access`` has always built."""
+    address = 0x2000_0010
+    for full in FORMATS:
+        for a, b in itertools.permutations(ALL_PERMS, 2):
+            for shed in ((a,), (b,), (a, b)):
+                cap = _shedding(full, shed, warm)
+                missing = a if a not in cap.perms else b
+                with pytest.raises(PermissionFault) as caught:
+                    cap.check_access(address, 4, (a, b))
+                assert type(caught.value) is PermissionFault
+                assert str(caught.value) == (
+                    f"access at {address:#x} requires {missing}, held: "
+                    f"{sorted(p.name for p in cap.perms)}"
+                )
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("needed", [P.SE, P.US], ids=["SE", "US"])
+def test_seal_authority_without_its_permission(needed, warm):
+    """An authority without SE cannot seal and one without US cannot
+    unseal, whatever else it holds; one that holds it passes on to the
+    bounds check."""
+    for full in FORMATS:
+        for shed in ((P.SE,), (P.US,), (P.SE, P.US), ()):
+            held = compression.normalize(frozenset(full - set(shed)))
+            authority = capability(0, 8, 3, held, OTYPE_UNSEALED, True, warm)
+            if warm:
+                authority.perm_bits
+            if needed in authority.perms:
+                _check_seal_authority(authority, needed)
+                continue
+            with pytest.raises(PermissionFault) as caught:
+                _check_seal_authority(authority, needed)
+            assert type(caught.value) is PermissionFault
+            assert str(caught.value) == f"sealing authority lacks {needed}"

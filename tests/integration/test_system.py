@@ -1,5 +1,8 @@
 """Tests for the System facade: construction across every configuration."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.allocator import TemporalSafetyMode as M
@@ -80,6 +83,31 @@ class TestWiring:
             system.free(blob)
         assert flute.allocator.stats.revocation_passes >= 1
         assert ibex.allocator.stats.revocation_passes >= 1
+
+
+class TestFreedWithoutTheCollector:
+    def test_dropped_system_freed_by_refcount(self):
+        """The registry's scalar sources close over components, not over
+        the System, and the background revoker refers to its bus weakly,
+        so dropping a System frees it, its allocator, its bus and its
+        SRAM without the cyclic collector."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = System.build()
+            system.free(system.malloc(64))
+            refs = [
+                weakref.ref(part)
+                for part in (
+                    system, system.allocator, system.bus, system.sram,
+                    system.hardware_revoker,
+                )
+            ]
+            del system
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestIntrospection:

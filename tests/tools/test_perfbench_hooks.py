@@ -99,13 +99,19 @@ def test_no_second_name_for_a_traced_method(tracing):
 
 
 def test_installed_tracer_counts_every_crossing():
-    """Install the tracer in a fresh process and make one malloc/free
-    pair through the switcher: every layer it crosses is counted."""
+    """Install the tracer in a fresh process and make two malloc/free
+    pairs through the switcher: every layer they cross is counted.
+
+    After the first pair has warmed the switcher's stack chop, a pair
+    derives exactly two capabilities (``malloc``'s ``set_address`` and
+    ``set_bounds``) and checks none: inlining a traced entry point would
+    shrink these per-layer counts."""
     code = (
         "import sys; sys.path.insert(0, 'perfbench'); "
         "import tracing; t = tracing.Tracer(); builds = []; "
         "tracing.install(t, builds); t.start(); "
         "from repro.machine import System; s = System.build(); "
+        "s.free(s.malloc(64)); print(sorted(t.calls.items())); "
         "s.free(s.malloc(64)); t.stop(); "
         "print(sorted(t.calls.items()))"
     )
@@ -118,11 +124,17 @@ def test_installed_tracer_counts_every_crossing():
         timeout=120,
         check=True,
     ).stdout
-    calls = dict(ast.literal_eval(out))
-    assert calls["switcher.call"] == 2
-    assert calls["alloc.malloc"] == calls["alloc.free"] == 1
-    assert calls["machine.build"] == 1
-    # Two handler frames, two return-path zeroings, one free-path zeroing.
-    assert calls["mem.fill"] == 5
-    # malloc clears the chunk's bits, free paints them.
-    assert calls["mem.revmap"] == 2
+    first, both = (dict(ast.literal_eval(line)) for line in out.splitlines())
+    second = {key: both[key] - first.get(key, 0) for key in both}
+    for calls in (first, second):
+        assert calls["switcher.call"] == 2
+        assert calls["alloc.malloc"] == calls["alloc.free"] == 1
+        # Two handler frames, two return-path zeroings, one free-path
+        # zeroing.
+        assert calls["mem.fill"] == 5
+        # malloc clears the chunk's bits, free paints them.
+        assert calls["mem.revmap"] == 2
+    assert first["machine.build"] == 1
+    assert second["machine.build"] == 0
+    assert second["cap.derive"] == 2
+    assert second.get("cap.check", 0) == 0
