@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Bare-metal CHERIoT assembly on the ISA simulator.
 
-Writes a small capability-aware program, runs it on the functional
-simulator under the Ibex timing model, and shows a use-after-free dying
-in "hardware" at the load filter.
+Runs a small capability-aware program (the ``baremetal`` image that
+the static verifier audits, ``repro.verify.images.BAREMETAL_TOUR``) on
+the functional simulator under the Ibex timing model, and shows a
+use-after-free dying in "hardware" at the load filter.
 
 Run with::
 
@@ -14,31 +15,7 @@ from repro.capability import Permission, make_roots
 from repro.isa import CPU, ExecutionMode, LoadFilter, Trap, assemble
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
-
-PROGRAM = """
-# a0 <- s0 narrowed to [addr, addr+16) with write permission shed later
-_start:
-    cincaddrimm t0, s0, 32        # move into the buffer
-    csetboundsimm t0, t0, 16      # narrow: monotone, irreversible
-    li t1, 0xBEEF
-    sw t1, 0(t0)                  # in-bounds store: fine
-    lw a0, 0(t0)                  # read it back
-
-    # Stash the narrowed capability in memory and reload it (clc goes
-    # through the load filter).
-    csc t0, 0(s1)
-    clc t2, 0(s1)
-    cgettag a1, t2                # 1: still tagged, nothing freed yet
-    halt
-"""
-
-UAF = """
-_uaf:
-    clc t0, 0(s1)                 # reload the stashed capability
-    cgettag a1, t0                # 0: the load filter stripped the tag
-    lw a2, 0(t0)                  # -> traps: cheri-tag-violation
-    halt
-"""
+from repro.verify.images import BAREMETAL_TOUR, BAREMETAL_UAF
 
 
 def main() -> None:
@@ -50,7 +27,7 @@ def main() -> None:
     core = make_core_model(CoreKind.IBEX, load_filter_enabled=True)
 
     cpu = CPU(bus, ExecutionMode.CHERIOT, load_filter=LoadFilter(rmap), timing=core)
-    program = assemble(PROGRAM + UAF)
+    program = assemble(BAREMETAL_TOUR + BAREMETAL_UAF)
     cpu.load_program(program, mm.code.base, pcc=roots.executable, entry="_start")
 
     heap_obj = roots.memory.set_address(mm.heap.base).set_bounds(256)

@@ -3,10 +3,10 @@
 The paper builds its allocator on dlmalloc: boundary tags and in-band
 metadata are preferred on embedded devices over size-class or buddy
 allocators because of memory constraints.  This module implements the
-chunk layer: 8-byte headers, binned free lists, address-ordered
-coalescing, and a wilderness (top) chunk.  The temporal-safety layers
-(revocation painting, quarantine) live above it in
-:mod:`repro.allocator.heap`.
+chunk layer: 8-byte headers, binned free lists and address-ordered
+coalescing, over a region that starts as one free chunk.  The
+temporal-safety layers (revocation painting, quarantine) live above it
+in :mod:`repro.allocator.heap`.
 
 The allocator counts its elementary operations (header touches and
 free-list links) so the cycle model can charge mechanistic costs.
@@ -117,11 +117,10 @@ class DlMalloc:
         # Large chunks: a single size-sorted list (dlmalloc's tree bins,
         # collapsed — search cost is still counted per visited node).
         self._large_bin: List[Chunk] = []
-        top = Chunk(base, size, free=True)
-        self._chunks[base] = top
-        self._by_end[top.end] = top
-        self._top: Optional[Chunk] = top
-        self._insert_free(top)
+        whole = Chunk(base, size, free=True)
+        self._chunks[base] = whole
+        self._by_end[whole.end] = whole
+        self._insert_free(whole)
 
     # ------------------------------------------------------------------
     # Queries
@@ -225,10 +224,7 @@ class DlMalloc:
             self.ops.list_ops += index
             return None
         self.ops.list_ops += index + 1
-        chunk = large.pop(index)
-        if chunk is self._top:
-            self._top = None
-        return chunk
+        return large.pop(index)
 
     # ------------------------------------------------------------------
     # Release (after any quarantine period)
@@ -290,8 +286,6 @@ class DlMalloc:
             # first chunk at least as large would stop.
             large = self._large_bin
             large.insert(bisect_left(large, size, key=_size), chunk)
-            if chunk.address + size == self.base + self.size:
-                self._top = chunk
 
     def _remove_free(self, chunk: Chunk) -> None:
         self.ops.list_ops += 1
@@ -305,7 +299,5 @@ class DlMalloc:
             raise HeapCorruption(f"free chunk missing from small bin: {chunk}")
         if chunk in self._large_bin:
             self._large_bin.remove(chunk)
-            if self._top is chunk:
-                self._top = None
             return
         raise HeapCorruption(f"free chunk missing from large bin: {chunk}")

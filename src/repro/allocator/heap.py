@@ -42,10 +42,7 @@ from repro.allocator.dlmalloc import (
 )
 from repro.allocator.quarantine import Quarantine
 from repro.capability import Capability, Permission
-from repro.capability.bounds import (
-    representable_alignment_mask,
-    representable_length,
-)
+from repro.capability.bounds import representable_granule
 from repro.memory.bus import SystemBus
 from repro.memory.layout import Region
 from repro.memory.revocation_map import GRANULE_BYTES, RevocationMap
@@ -239,12 +236,11 @@ class CheriHeap:
 
         Returns ``(rounded_size, alignment)``: lengths above 511 bytes
         need ``2**e``-aligned bounds, so both the length and the payload
-        base are rounded to the encoding granule (section 3.2.3).
+        base are rounded to the encoding granule (section 3.2.3) — what
+        ``crrl`` and ``cram`` give, from one exponent computation.
         """
-        rounded = representable_length(size)
-        mask = representable_alignment_mask(size)
-        align = ((~mask) & 0xFFFFFFFF) + 1
-        return rounded, max(align, ALIGNMENT)
+        granule = representable_granule(size)
+        return (size + granule - 1) & -granule, max(granule, ALIGNMENT)
 
     def malloc(self, size: int) -> Capability:
         """Allocate ``size`` bytes; returns a bounded, owned capability.

@@ -220,28 +220,26 @@ def _storable_exponent(e: int) -> int:
     return e if e < E_FIELD_MAX else EXPONENT_MAX
 
 
-def representable_alignment_mask(length: int) -> int:
-    """``cram``: alignment mask for a precisely-representable region.
+def representable_granule(length: int) -> int:
+    """``2**e`` for the *storable* exponent the encoder picks for a
+    region of ``length`` bytes: the region is exactly encodable iff its
+    base is aligned to, and its length padded to, this granule.
 
-    A region of ``length`` bytes is exactly encodable iff its base is
-    aligned to (and its length padded to) ``2**e`` for the *storable*
-    exponent the encoder would pick; the mask is ``~(2**e - 1)`` over
-    32 bits.
+    Padding never needs a larger exponent: for the smallest ``e`` with
+    ``length <= 511 * 2**e``, ``length`` rounded up to a multiple of
+    ``2**e`` is still at most ``511 * 2**e``, and the storable exponent
+    is never smaller than that ``e``.
     """
-    e = _storable_exponent(exponent_for_length(length))
-    return (~((1 << e) - 1)) & _ADDR_MASK
+    return 1 << _storable_exponent(exponent_for_length(length))
+
+
+def representable_alignment_mask(length: int) -> int:
+    """``cram``: alignment mask for a precisely-representable region,
+    ``~(granule - 1)`` over 32 bits (see :func:`representable_granule`)."""
+    return -representable_granule(length) & _ADDR_MASK
 
 
 def representable_length(length: int) -> int:
     """``crrl``: ``length`` rounded up to the encoder's granule."""
-    if length == 0:
-        return 0
-    e = _storable_exponent(exponent_for_length(length))
-    granule = 1 << e
-    rounded = (length + granule - 1) & ~(granule - 1)
-    # Rounding can push past the mantissa span; bump the exponent once.
-    if rounded > (_MANTISSA_MASK << e) and e < EXPONENT_MAX:
-        e = _storable_exponent(e + 1)
-        granule = 1 << e
-        rounded = (length + granule - 1) & ~(granule - 1)
-    return rounded
+    granule = representable_granule(length)
+    return (length + granule - 1) & -granule

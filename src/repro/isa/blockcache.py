@@ -10,9 +10,9 @@ single dispatch from the run loop:
 * the run's handlers fire back-to-back from a pre-built entry tuple
   (no per-instruction fetch, bounds or window checks — the window is
   checked once for the whole block);
-* retired-instruction counts are batch-added, and cycle/stall/bus-beat
-  accounting is one :meth:`repro.pipeline.CoreModel.charge_block` call
-  against a cost vector pre-classified at translation time;
+* retired-instruction counts are batch-added, and cycle accounting is
+  one :meth:`repro.pipeline.CoreModel.charge_block` call against a cost
+  vector pre-classified at translation time;
 * the block's *terminator* — the branch, jump, compartment call, CSR
   access or system instruction that ends the run — executes inside the
   same dispatch with the ordinary per-instruction semantics (dynamic
@@ -109,7 +109,6 @@ class Block:
     """
 
     __slots__ = (
-        "start_pc",
         "last_pc",
         "length",
         "steps",
@@ -123,7 +122,6 @@ class Block:
 
     def __init__(
         self,
-        start_pc: int,
         last_pc: int,
         entries: Tuple[tuple, ...],
         pairs: Tuple[tuple, ...],
@@ -132,9 +130,8 @@ class Block:
         charge,
         timing,
     ) -> None:
-        self.start_pc = start_pc
         #: PC of the last covered instruction: the whole block fetches
-        #: legally iff ``start_pc`` and ``last_pc`` sit in the window.
+        #: legally iff its first PC and ``last_pc`` sit in the window.
         self.last_pc = last_pc
         self.length = len(entries)
         #: Step-budget debit of a full execution (straight line plus
@@ -161,9 +158,9 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     """Translate the straight-line run starting at ``index``, or return
     ``None`` when the instruction there is not fusable.
 
-    Builds static retire infos (destination/source registers, load
-    destinations) at translation time so the cost vector can be
-    pre-classified and fused execution never allocates per instruction.
+    Builds the retire infos at translation time so the cost vector can
+    be pre-classified and fused execution never allocates per
+    instruction.
     """
     from .executor import _RetireInfo  # circular at import time only
 
@@ -174,19 +171,11 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     entries: List[tuple] = []
     pairs: List[tuple] = []
     while i < limit:
-        handler, operands, instr, dest, srcs = decoded[i]
+        handler, operands, instr = decoded[i]
         if instr.mnemonic not in FUSABLE_MNEMONICS:
             break
         pc = code_base + 4 * i
-        info = _RetireInfo(instr, pc, dest_reg=dest, source_regs=srcs)
-        cls = instr.timing_class
-        if cls is LOAD or cls is CLOAD:
-            # What the handler would record at retire time, known
-            # statically: the load's destination register arms the
-            # hazard window the cost vector models.
-            info.mem_dest = operands[0]
-            if cls is CLOAD:
-                info.cap_load = True
+        info = _RetireInfo(pc)
         entries.append([handler, operands, pc, info])
         pairs.append((instr, info))
         i += 1
@@ -196,9 +185,9 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     term_bails = False
     last_pc = code_base + 4 * (i - 1)
     if i < len(decoded):
-        handler, operands, instr, dest, srcs = decoded[i]
+        handler, operands, instr = decoded[i]
         term_pc = code_base + 4 * i
-        tinfo = _RetireInfo(instr, term_pc, dest_reg=dest, source_regs=srcs)
+        tinfo = _RetireInfo(term_pc)
         term = (handler, operands, instr, tinfo, term_pc)
         term_bails = instr.mnemonic == "ecall"
         last_pc = term_pc
@@ -219,7 +208,6 @@ def translate_block(cpu, index: int) -> Optional[Block]:
                 pres[k] = prefix[k - 1] - streamed
                 streamed += pres[k]
     return Block(
-        start_pc=code_base + 4 * index,
         last_pc=last_pc,
         entries=tuple(
             (e[0], e[1], e[2], e[3], pres[j]) for j, e in enumerate(entries)

@@ -14,9 +14,9 @@ execution modes so the evaluation can compare like the paper does:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.capability import (
     Capability,
@@ -114,18 +114,13 @@ class Halted(Exception):
 
 @dataclass(slots=True)
 class ExecStats:
-    """Retired-instruction event counts (input to the timing models)."""
+    """Instructions retired and synchronous traps raised by the core.
+
+    Cycles are the timing model's (``cpu.timing.cycles``); the bus
+    counts its own memory traffic (``cpu.bus.stats``).
+    """
 
     instructions: int = 0
-    loads: int = 0
-    stores: int = 0
-    cap_loads: int = 0
-    cap_stores: int = 0
-    branches: int = 0
-    branches_taken: int = 0
-    jumps: int = 0
-    muls: int = 0
-    divs: int = 0
     traps: int = 0
 
     def reset(self) -> None:
@@ -449,11 +444,9 @@ class CPU:
                 self._fetch_lo <= pc <= self._fetch_hi
             ):
                 self._fetch_pcc_check(pc)
-            handler, operands, instr, dest, srcs = decoded[index]
+            handler, operands, instr = decoded[index]
             next_pc = pc + 4
-            info = _RetireInfo(
-                instr, pc, dest_reg=dest, source_regs=srcs
-            )
+            info = _RetireInfo(pc)
             try:
                 next_pc = handler(self, operands, next_pc, info)
             except _INSTRUCTION_FAULTS as fault:
@@ -502,7 +495,7 @@ class CPU:
         cannot be used (non-fusable start, PCC window miss, or a budget
         too small for the whole block).
 
-        While a block runs, ``stats.cycles`` is streamed forward ahead
+        While a block runs, ``timing.cycles`` is streamed forward ahead
         of every memory operation (the translation-time pre-flush in
         each entry) so host code reachable from inside the block — MMIO
         device reads like the CLINT's ``mtime``, store snoopers — sees
@@ -515,7 +508,6 @@ class CPU:
         code_base = self.code_base
         cheriot = self.mode is ExecutionMode.CHERIOT
         timing = self.timing
-        tstats = timing.stats if timing is not None else None
         stats = self.stats
         block_stats = self.block_stats
         while True:
@@ -535,8 +527,8 @@ class CPU:
                 # vectors) the architectural trap.
                 self._step_fast()
                 return consumed + 1
-            block = blocks.get(index, _UNSET)
-            if block is _UNSET or (
+            block = blocks.get(index, _UNTRANSLATED)
+            if block is _UNTRANSLATED or (
                 block is not None and block.timing is not timing
             ):
                 block = translate_block(self, index)
@@ -563,12 +555,12 @@ class CPU:
                 for handler, operands, ipc, info, pre in block.entries:
                     self.pc = ipc
                     if pre:
-                        tstats.cycles += pre
+                        timing.cycles += pre
                         flushed += pre
                     handler(self, operands, 0, info)
             except _BLOCK_FAULTS as fault:
                 if flushed:
-                    tstats.cycles -= flushed
+                    timing.cycles -= flushed
                 return consumed + self._block_fault(
                     block, (self.pc - pc) >> 2, fault
                 )
@@ -577,7 +569,7 @@ class CPU:
                 # the retired prefix so diagnostics match
                 # single-stepping, then let it propagate.
                 if flushed:
-                    tstats.cycles -= flushed
+                    timing.cycles -= flushed
                 self._commit_block_prefix(block, (self.pc - pc) >> 2)
                 raise
             # Straight-line run retired: batch-charge counts/cycles.
@@ -671,7 +663,7 @@ class CPU:
         try:
             instr = self._fetch()
             next_pc = self.pc + 4
-            info = _RetireInfo(instr, pc=self.pc)
+            info = _RetireInfo(self.pc)
             try:
                 next_pc = self._execute(instr, next_pc, info)
             except _INSTRUCTION_FAULTS as fault:
@@ -786,9 +778,7 @@ class CPU:
         else:  # beqz / bnez
             rs, target = ops
             a, b = self.regs.read_int(rs), 0
-        self.stats.branches += 1
         if fn(a, b):
-            self.stats.branches_taken += 1
             info.branch_taken = True
             return self.code_base + 4 * target
         return next_pc
@@ -802,8 +792,6 @@ class CPU:
             if value & bit:
                 value |= ~((1 << (8 * size)) - 1) & _WORD
         self.regs.write_int(rd, value)
-        self.stats.loads += 1
-        info.mem_dest = rd
         return next_pc
 
     def _store(self, ops, next_pc, info, size):
@@ -811,7 +799,6 @@ class CPU:
         address, _ = self._mem_address(mem, size, "w")
         self.bus.write_word(address, self.regs.read_int(rs), size)
         self.csr.note_store(address)
-        self.stats.stores += 1
         return next_pc
 
     def _clc(self, ops, next_pc, info):
@@ -823,9 +810,6 @@ class CPU:
         if self.load_filter is not None:
             loaded = self.load_filter.filter(loaded)
         self.regs.write(rd, loaded)
-        self.stats.cap_loads += 1
-        info.mem_dest = rd
-        info.cap_load = True
         return next_pc
 
     def _csc(self, ops, next_pc, info):
@@ -839,7 +823,6 @@ class CPU:
             )
         self.bus.write_capability(address, value)
         self.csr.note_store(address)
-        self.stats.cap_stores += 1
         return next_pc
 
     def _jump_link(self, rd: int, next_pc: int) -> None:
@@ -856,13 +839,11 @@ class CPU:
     def _jal(self, ops, next_pc, info):
         rd, target = ops
         self._jump_link(rd, next_pc)
-        self.stats.jumps += 1
         info.branch_taken = True
         return self.code_base + 4 * target
 
     def _jalr(self, ops, next_pc, info):
         rd, rs = ops
-        self.stats.jumps += 1
         info.branch_taken = True
         if self.mode is ExecutionMode.CHERIOT:
             target = self.regs.read(rs)
@@ -925,57 +906,22 @@ class CPU:
         raise Trap(TrapCause.ECALL, self.pc)
 
 
-#: Sentinel distinguishing "not supplied" from a legitimate ``None``
-#: destination register in :class:`_RetireInfo`.
-_UNSET = object()
-
-
-def _operand_regs(instr: Instruction) -> "Tuple[Optional[int], tuple]":
-    """``(dest_reg, source_regs)`` derived from the operand signature.
-
-    Computed once per instruction at decode time; the per-retire path
-    reads the precomputed tuples instead of re-splitting the signature.
-    """
-    spec = instr._spec
-    if spec is None:
-        return None, ()
-    dest: Optional[int] = None
-    sources = []
-    for kind, operand in zip(spec.kinds, instr.operands):
-        if kind == "rd":
-            if dest is None:
-                dest = operand
-        elif kind in ("rs", "rt"):
-            sources.append(operand)
-        elif kind == "mem":
-            sources.append(operand[1])
-    return dest, tuple(sources)
+#: ``CPU._blocks`` value of an index not yet translated (``None`` marks
+#: one whose instruction cannot start a block).
+_UNTRANSLATED = object()
 
 
 @dataclass(slots=True)
 class _RetireInfo:
-    """Per-instruction facts handed to the timing model.
+    """What only execution decides about a retired instruction.
 
-    ``dest_reg`` and ``source_regs`` are normally supplied from the
-    pre-decoded table; when constructed bare (tests, interpretive mode)
-    they are derived from the instruction's operand signature.
+    Handed with the instruction to the timing model and the retire
+    hooks; the static hazard facts are fields of the
+    :class:`~repro.isa.instructions.Instruction` itself.
     """
 
-    instr: Instruction
     pc: int = 0
     branch_taken: bool = False
-    mem_dest: Optional[int] = None  # destination register of a load
-    cap_load: bool = False
-    dest_reg: object = _UNSET
-    source_regs: object = _UNSET
-
-    def __post_init__(self) -> None:
-        if self.dest_reg is _UNSET or self.source_regs is _UNSET:
-            dest, srcs = _operand_regs(self.instr)
-            if self.dest_reg is _UNSET:
-                self.dest_reg = dest
-            if self.source_regs is _UNSET:
-                self.source_regs = srcs
 
 
 def _build_dispatch():
@@ -1336,15 +1282,14 @@ def _illegal_instruction_handler(mnemonic: str):
 def _decode_program(program: Program) -> "List[tuple]":
     """Decode once, execute many: bind handlers and operand metadata.
 
-    Each entry is ``(handler, operands, instr, dest_reg, source_regs)``,
-    indexed by instruction position — everything the hot step loop needs
-    without a string-keyed dispatch lookup or signature re-parse.
+    Each entry is ``(handler, operands, instr)``, indexed by instruction
+    position — everything the hot step loop needs without a string-keyed
+    dispatch lookup.
     """
     decoded = []
     for instr in program.instructions:
         handler = _DISPATCH.get(instr.mnemonic)
         if handler is None:
             handler = _illegal_instruction_handler(instr.mnemonic)
-        dest, srcs = _operand_regs(instr)
-        decoded.append((handler, instr.operands, instr, dest, srcs))
+        decoded.append((handler, instr.operands, instr))
     return decoded

@@ -195,9 +195,31 @@ class Instruction:
     _spec: Optional[InstructionSpec] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The static hazard facts the timing model reads on every retire,
+    #: derived once here from the operand signature: the registers the
+    #: instruction reads (``rs``/``rt`` and the base of ``imm(rs)``) and,
+    #: for a load, the register it writes.
+    source_regs: Tuple[int, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    load_dest: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_spec", INSTRUCTION_SPECS.get(self.mnemonic))
+        spec = INSTRUCTION_SPECS.get(self.mnemonic)
+        object.__setattr__(self, "_spec", spec)
+        if spec is None:
+            return
+        sources = []
+        for kind, operand in zip(spec.kinds, self.operands):
+            if kind == "rs" or kind == "rt":
+                sources.append(operand)
+            elif kind == "mem":
+                sources.append(operand[1])
+        object.__setattr__(self, "source_regs", tuple(sources))
+        if spec.timing_class in (LOAD, CLOAD) and self.operands:
+            object.__setattr__(self, "load_dest", self.operands[0])
 
     @property
     def spec(self) -> InstructionSpec:

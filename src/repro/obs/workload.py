@@ -17,7 +17,8 @@ One recipe, two phases, every span category the exporter knows about:
    untouched.
 
 ``tools/trace_export.py`` and ``tools/profile_report.py`` both run this
-recipe, and :func:`fleet_profile` merges it across devices into the
+recipe (and take its knobs through :func:`add_workload_arguments`),
+and :func:`fleet_profile` merges it across devices into the
 committed ``OBS_fleet_profile.json``; the telemetry-off differential
 test runs it twice (telemetry on and off) and asserts bit-identical
 cycle/stat outcomes.
@@ -25,6 +26,7 @@ cycle/stat outcomes.
 
 from __future__ import annotations
 
+import argparse
 from typing import Optional
 
 from repro.allocator import TemporalSafetyMode
@@ -166,6 +168,45 @@ def run_traced_workload(
         "kernel": kernel,
         "kernel_cycles": kernel_cycles,
     }
+
+
+def at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be {minimum} or more, not {value}"
+            )
+        return value
+
+    return count
+
+
+def add_workload_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add :func:`run_traced_workload`'s knobs to a tool's parser:
+    ``--core``, ``--kernel``, ``--rounds`` and ``--iterations``."""
+    parser.add_argument(
+        "--core",
+        choices=[kind.value for kind in CoreKind],
+        default=CoreKind.IBEX.value,
+        help="core timing model (default: ibex)",
+    )
+    parser.add_argument(
+        "--kernel",
+        choices=["list", "matrix", "state"],
+        default="list",
+        help="CoreMark kernel for the profiled phase (default: list)",
+    )
+    parser.add_argument(
+        "--rounds", type=at_least(0), default=40,
+        help="malloc/free rounds (default: 40)",
+    )
+    parser.add_argument(
+        "--iterations", type=at_least(1), default=1,
+        help="kernel iterations (default: 1)",
+    )
 
 
 def fleet_profile(inputs=None) -> dict:

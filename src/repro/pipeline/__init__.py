@@ -6,7 +6,6 @@ from .model import (
     BlockCharge,
     CoreModel,
     CoreTimingParams,
-    TimingStats,
     flute_params,
     ibex_params,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "CoreKind",
     "CoreModel",
     "CoreTimingParams",
-    "TimingStats",
     "flute_params",
     "ibex_params",
     "make_core_model",

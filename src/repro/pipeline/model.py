@@ -21,7 +21,7 @@ cycles from one consistent cost base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.isa.instructions import (
@@ -73,27 +73,15 @@ class CoreTimingParams:
     load_filter_port_conflict: bool = False
 
 
-@dataclass(slots=True)
-class TimingStats:
-    """Cycle breakdown for analysis and tests."""
-
-    cycles: int = 0
-    stall_cycles: int = 0
-    bus_beats: int = 0
-
-    def reset(self) -> None:
-        # Field-derived so adding a counter can never miss the reset.
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-
 class CoreModel:
     """Retire-stream cycle accounting for one core configuration."""
 
     def __init__(self, params: CoreTimingParams, load_filter_enabled: bool = False):
         self.params = params
         self.load_filter_enabled = load_filter_enabled
-        self.stats = TimingStats()
+        #: Cycles elapsed on this core: retired instructions plus every
+        #: modelled charge.
+        self.cycles = 0
         # Hazard tracking: destination register of the most recent load
         # and the cycle at which its value becomes forwardable.
         self._pending_load_reg: Optional[int] = None
@@ -103,14 +91,18 @@ class CoreModel:
         # no other core's result can ever be returned.
         self._zero_cycles: Dict[int, int] = {}
         self._mix_cycles: Dict[Tuple[int, float], int] = {}
-        # Pre-classified charge tables: base cost and bus beats per
-        # timing class, folded from the params (and the load-filter
-        # configuration) once here so retire() never re-derives them.
+        # Pre-classified charges, folded from the params (and the
+        # load-filter configuration) once here so retire() never
+        # re-derives them: the base cost per timing class, and how many
+        # cycles after a load retires its value becomes forwardable.
         p = params
         filter_conflict = (
             1 if load_filter_enabled and p.load_filter_port_conflict else 0
         )
-        self._cload_extra = p.load_filter_penalty if load_filter_enabled else 0
+        self._load_ready = p.load_use_penalty
+        self._cload_ready = p.load_use_penalty + (
+            p.load_filter_penalty if load_filter_enabled else 0
+        )
         self._base_cost = {
             ALU: 1,
             CAP: 1,
@@ -125,31 +117,13 @@ class CoreModel:
             CSR: p.csr_cycles,
             SYSTEM: 1,
         }
-        self._base_beats = {
-            ALU: 0,
-            CAP: 0,
-            MUL: 0,
-            DIV: 0,
-            LOAD: 1,
-            CLOAD: p.cap_access_beats + filter_conflict,
-            STORE: 1,
-            CSTORE: p.cap_access_beats,
-            BRANCH: 0,
-            JUMP: 0,
-            CSR: 0,
-            SYSTEM: 0,
-        }
 
     @property
     def name(self) -> str:
         return self.params.name
 
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
-
     def reset(self) -> None:
-        self.stats.reset()
+        self.cycles = 0
         self._pending_load_reg = None
         self._pending_ready_at = 0
 
@@ -160,54 +134,42 @@ class CoreModel:
     def retire(self, instr, info) -> None:
         """Charge one retired instruction.
 
-        Base cost and bus beats come from the tables pre-classified in
-        ``__init__``; only the dynamic parts (load-to-use stalls, taken
-        branches, the load hazard window) are computed here.  The charge
-        is bit-identical to the seed's re-classifying if-chain —
-        including its quirk that a stall only survives into the cycle
-        count for single-cycle (ALU/CAP) consumers, while other classes
-        overwrite it with their class cost.
+        The base cost comes from the table pre-classified in
+        ``__init__`` and the hazard registers from the instruction
+        (``source_regs``, ``load_dest``); only the dynamic parts
+        (load-to-use stalls, taken branches, the load hazard window) are
+        computed here.  The charge is bit-identical to the seed's
+        re-classifying if-chain — including its quirk that a stall only
+        survives into the cycle count for single-cycle (ALU/CAP)
+        consumers, while other classes overwrite it with their class
+        cost.  Only known mnemonics retire: an unknown one traps first.
         """
-        stats = self.stats
         cls = instr.timing_class
 
         # Load-to-use hazard: stall if this instruction consumes the
         # register a previous load is still producing.
         stall = 0
         if self._pending_load_reg is not None:
-            if self._pending_load_reg in info.source_regs:
-                stall = self._pending_ready_at - stats.cycles
+            if self._pending_load_reg in instr.source_regs:
+                stall = self._pending_ready_at - self.cycles
                 if stall < 0:
                     stall = 0
-                stats.stall_cycles += stall
             self._pending_load_reg = None
 
-        pending_dest: Optional[int] = None
-        pending_extra = 0
-        cost = self._base_cost.get(cls)
-        if cost is None:
-            cost = 1 + stall  # unknown class: the seed's fall-through
-        else:
-            beats = self._base_beats[cls]
-            if beats:
-                stats.bus_beats += beats
-            if cls == ALU or cls == CAP:
-                cost += stall
-            elif cls == BRANCH:
-                if info.branch_taken:
-                    cost += self.params.branch_taken_penalty
-            elif cls == LOAD:
-                pending_dest = info.mem_dest
-            elif cls == CLOAD:
-                pending_dest = info.mem_dest
-                pending_extra = self._cload_extra
-        stats.cycles += cost
-        if pending_dest is not None:
+        cost = self._base_cost[cls]
+        if cls == ALU or cls == CAP:
+            cost += stall
+        elif cls == BRANCH:
+            if info.branch_taken:
+                cost += self.params.branch_taken_penalty
+        self.cycles += cost
+        load_dest = instr.load_dest
+        if load_dest is not None:
             # The loaded value becomes forwardable load_use_penalty (plus
             # any load-filter latency) cycles after the load *retires*.
-            self._pending_load_reg = pending_dest
-            self._pending_ready_at = (
-                stats.cycles + self.params.load_use_penalty + pending_extra
+            self._pending_load_reg = load_dest
+            self._pending_ready_at = self.cycles + (
+                self._cload_ready if cls == CLOAD else self._load_ready
             )
 
     # ------------------------------------------------------------------
@@ -217,12 +179,12 @@ class CoreModel:
     def precompute_block(self, pairs) -> "BlockCharge":
         """Pre-classify a straight-line block into one :class:`BlockCharge`.
 
-        ``pairs`` is the block's ``(instr, info)`` retire stream with
-        *static* info (no branches inside a block, load destinations
-        known at decode time).  The aggregate is computed by replaying
-        the stream through :meth:`retire` on a scratch model, so it is
-        bit-identical to single-stepping by construction rather than by
-        a parallel re-implementation of the cost rules.
+        ``pairs`` is the block's ``(instr, info)`` retire stream, all of
+        it static (no branches inside a block; load destinations are
+        fields of the instruction).  The aggregate is computed by
+        replaying the stream through :meth:`retire` on a scratch model,
+        so it is bit-identical to single-stepping by construction rather
+        than by a parallel re-implementation of the cost rules.
 
         Two things cannot be pre-resolved and stay symbolic:
 
@@ -243,21 +205,16 @@ class CoreModel:
         prefix = []
         for instr, info in pairs:
             scratch.retire(instr, info)
-            prefix.append(scratch.stats.cycles)
-        first_instr, first_info = pairs[0]
-        first_cls = first_instr.timing_class
-        # retire() folds a stall into the cycle count only for
-        # single-cycle consumers — and for unknown classes, whose
-        # fall-through cost is ``1 + stall``.
-        entry_absorbs = first_cls not in self._base_cost or first_cls in (ALU, CAP)
+            prefix.append(scratch.cycles)
+        first = pairs[0][0]
         return BlockCharge(
-            cycles=scratch.stats.cycles,
-            stall_cycles=scratch.stats.stall_cycles,
-            bus_beats=scratch.stats.bus_beats,
-            entry_sources=first_info.source_regs,
-            entry_absorbs_stall=entry_absorbs,
+            cycles=scratch.cycles,
+            entry_sources=first.source_regs,
+            # retire() folds a stall into the cycle count only for
+            # single-cycle consumers.
+            entry_absorbs_stall=first.timing_class in (ALU, CAP),
             exit_pending_reg=scratch._pending_load_reg,
-            exit_ready_offset=scratch._pending_ready_at - scratch.stats.cycles,
+            exit_ready_offset=scratch._pending_ready_at - scratch.cycles,
             prefix_cycles=tuple(prefix),
         )
 
@@ -270,32 +227,28 @@ class CoreModel:
         addition each, and the exit pending-load state is re-armed.
 
         ``already_charged`` is the portion of ``bc.cycles`` the executor
-        streamed into ``stats.cycles`` ahead of the block's memory
-        operations (so MMIO devices and store snoopers invoked from
-        inside the block observe the same cycle count single-stepping
-        would have shown them); only the remainder is added here.
+        streamed into ``cycles`` ahead of the block's memory operations
+        (so MMIO devices and store snoopers invoked from inside the
+        block observe the same cycle count single-stepping would have
+        shown them); only the remainder is added here.
         """
-        stats = self.stats
         entry_stall = 0
         if self._pending_load_reg is not None:
             if self._pending_load_reg in bc.entry_sources:
                 entry_stall = self._pending_ready_at - (
-                    stats.cycles - already_charged
+                    self.cycles - already_charged
                 )
                 if entry_stall < 0:
                     entry_stall = 0
-                stats.stall_cycles += entry_stall
             self._pending_load_reg = None
-        stats.stall_cycles += bc.stall_cycles
-        stats.bus_beats += bc.bus_beats
-        stats.cycles += (
+        self.cycles += (
             bc.cycles
             - already_charged
             + (entry_stall if bc.entry_absorbs_stall else 0)
         )
         if bc.exit_pending_reg is not None:
             self._pending_load_reg = bc.exit_pending_reg
-            self._pending_ready_at = stats.cycles + bc.exit_ready_offset
+            self._pending_ready_at = self.cycles + bc.exit_ready_offset
 
     # ------------------------------------------------------------------
     # Bulk cost helpers (used by the RTOS / allocator / revokers)
@@ -303,7 +256,7 @@ class CoreModel:
 
     def charge(self, cycles: int) -> None:
         """Directly charge cycles for modelled (non-simulated) work."""
-        self.stats.cycles += int(cycles)
+        self.cycles += int(cycles)
 
     def mixed_instr_cycles(self, count: int, mem_fraction: float) -> int:
         """Cost of ``count`` hand-written instructions, ``mem_fraction``
@@ -385,16 +338,13 @@ class BlockCharge:
     """One straight-line block's pre-classified cost vector.
 
     Produced by :meth:`CoreModel.precompute_block`, consumed by
-    :meth:`CoreModel.charge_block`.  ``cycles``/``stall_cycles``/
-    ``bus_beats`` are the block's static totals (interior hazards
-    included); the remaining fields parameterize the only two
-    runtime-dependent effects, the entry stall and the exit
+    :meth:`CoreModel.charge_block`.  ``cycles`` is the block's static
+    total (interior hazards included); the remaining fields parameterize
+    the only two runtime-dependent effects, the entry stall and the exit
     pending-load window.
     """
 
     cycles: int
-    stall_cycles: int
-    bus_beats: int
     entry_sources: tuple
     entry_absorbs_stall: bool
     exit_pending_reg: Optional[int]

@@ -135,6 +135,40 @@ ret_zero_done:
     jalr c0, s0                    # back to the caller (posture restored)
 """
 
+#: The callee of the reference image (``tests/integration/
+#: test_asm_switcher.py`` runs it, the ``switcher`` audit image verifies
+#: it): it uses its stack, computes ``a0 + a1`` and records what it can
+#: see of the caller's registers.
+CALLEE_ASM = """
+callee_entry:
+    # Use some stack (drives the HWM), read the arguments, try to spy.
+    cincaddrimm csp, csp, -32
+    csc c0, 0(csp)                 # dirty the frame
+    sw a0, 8(csp)
+    add a0, a0, a1                 # result = a0 + a1
+    cgettag a4, s1                 # spy: is anything left in s1?
+    cgettag a5, ra                 # (ra is the switcher return sentry: tagged)
+    cincaddrimm csp, csp, 32
+    ret
+"""
+
+#: The caller of the reference image: it dirties its own frame, calls
+#: the callee through the switcher and records its interrupt posture.
+CALLER_ASM = """
+_start:
+    # The caller dirties its stack above SP, then calls out.
+    cincaddrimm csp, csp, -64
+    li t1, 0x5EC9E7
+    sw t1, 0(csp)
+    sw t1, 32(csp)
+    li a0, 30
+    li a1, 12
+    jalr ra, s0                    # through the switcher sentry
+    # back: a0 holds the result; record posture for the test
+    csrr a2, mstatus_mie
+    halt
+"""
+
 
 @dataclass
 class AsmSwitcherImage:
@@ -167,7 +201,9 @@ def build_image(
     where s0 holds the switcher sentry and t0 the export token (both
     pre-loaded in registers by this builder).  ``callee_asm`` must
     define ``callee_entry`` and end with ``ret``.  ``tier`` picks the
-    CPU's execution tier (:class:`~repro.isa.Tier`).
+    CPU's execution tier (:class:`~repro.isa.Tier`).  The capabilities
+    derived here are the image's only copy: the ``switcher`` audit
+    image (:mod:`repro.verify.images`) reads them back from the result.
     """
     roots = make_roots()
     source = SWITCHER_ASM + callee_asm + caller_asm
@@ -200,7 +236,7 @@ def build_image(
     export_token = export_entry.seal(seal_authority)
 
     # Special registers: unseal authority and trusted stack.
-    cpu.regs.write_scr("mtdc", roots.sealing.set_address(export_otype))
+    cpu.regs.write_scr("mtdc", seal_authority)
     trusted = roots.memory.set_address(trusted_stack_at).set_bounds(256)
     cpu.regs.write_scr("mscratchc", trusted)
 

@@ -1,19 +1,20 @@
 """The audited image set: every example/workload image as a spec.
 
-Each entry mirrors how the corresponding runner actually boots the
-image — same program text, same code base, same entry registers — so
+Each entry boots the image its runner boots — the runner's own program
+text, code base and entry registers, imported rather than retyped — so
 the static verdicts are about the images the dynamic campaigns and
 benchmarks run, not about synthetic look-alikes.
 
-* ``baremetal`` — the bare-metal capability tour of
-  ``examples/baremetal_assembly.py`` (narrowing, stash/reload through
-  the load filter, the UAF probe);
+* ``baremetal`` — the bare-metal capability tour that
+  ``examples/baremetal_assembly.py`` runs (narrowing, stash/reload
+  through the load filter, the UAF probe), defined here;
 * ``regwalk`` — the register-corruption workload the fault-injection
   engine drives (:mod:`repro.faultinject.engine`);
 * ``switcher`` — the hand-written assembly switcher plus the
-  caller/callee scaffolding of the integration suite: three compartment
-  spans (caller, trusted switcher, callee) with the sealed export token
-  and the trusted-stack/export-table slotted regions;
+  caller/callee scaffolding of the integration suite, as
+  :func:`repro.rtos.asm_switcher.build_image` boots them: three
+  compartment spans (caller, trusted switcher, callee) with the sealed
+  export token and the trusted-stack/export-table slotted regions;
 * ``coremark`` — the compiled CoreMark workalike under the CHERIoT
   target (:mod:`repro.workloads.coremark`).
 """
@@ -23,57 +24,39 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict
 
-from repro.capability import Permission as P, SentryType, make_roots
-from repro.capability.otypes import RTOS_DATA_OTYPES, RETURN_SENTRY_OTYPES
+from repro.capability import Permission as P, make_roots
+from repro.capability.otypes import RETURN_SENTRY_OTYPES
 from repro.isa import ExecutionMode, assemble
 from repro.memory import default_memory_map
 
 from .absint import CompartmentSpan, ImageSpec
 from .domain import ALL_PERMS, AbstractCap, Tri
 
-#: The bare-metal tour (mirrors ``examples/baremetal_assembly.py``).
-_BAREMETAL = """
+#: The bare-metal tour's first entry, ``_start`` (s0: a heap object,
+#: s1: a globals stash; ``examples/baremetal_assembly.py`` runs it).
+BAREMETAL_TOUR = """
+# a0 <- s0 narrowed to [addr, addr+16) with write permission shed later
 _start:
-    cincaddrimm t0, s0, 32
-    csetboundsimm t0, t0, 16
+    cincaddrimm t0, s0, 32        # move into the buffer
+    csetboundsimm t0, t0, 16      # narrow: monotone, irreversible
     li t1, 0xBEEF
-    sw t1, 0(t0)
-    lw a0, 0(t0)
+    sw t1, 0(t0)                  # in-bounds store: fine
+    lw a0, 0(t0)                  # read it back
+
+    # Stash the narrowed capability in memory and reload it (clc goes
+    # through the load filter).
     csc t0, 0(s1)
     clc t2, 0(s1)
-    cgettag a1, t2
+    cgettag a1, t2                # 1: still tagged, nothing freed yet
     halt
+"""
+
+#: The tour's second entry, ``_uaf``: run after the object is freed.
+BAREMETAL_UAF = """
 _uaf:
-    clc t0, 0(s1)
-    cgettag a1, t0
-    lw a2, 0(t0)
-    halt
-"""
-
-#: Caller/callee scaffolding around the switcher (mirrors
-#: ``tests/integration/test_asm_switcher.py``).
-_SWITCHER_CALLEE = """
-callee_entry:
-    cincaddrimm csp, csp, -32
-    csc c0, 0(csp)
-    sw a0, 8(csp)
-    add a0, a0, a1
-    cgettag a4, s1
-    cgettag a5, ra
-    cincaddrimm csp, csp, 32
-    ret
-"""
-
-_SWITCHER_CALLER = """
-_start:
-    cincaddrimm csp, csp, -64
-    li t1, 0x5EC9E7
-    sw t1, 0(csp)
-    sw t1, 32(csp)
-    li a0, 30
-    li a1, 12
-    jalr ra, s0
-    csrr a2, mstatus_mie
+    clc t0, 0(s1)                 # reload the stashed capability
+    cgettag a1, t0                # 0: the load filter stripped the tag
+    lw a2, 0(t0)                  # -> traps: cheri-tag-violation
     halt
 """
 
@@ -97,7 +80,7 @@ def _return_sentry(has_sr: bool = False) -> AbstractCap:
 def baremetal_image() -> ImageSpec:
     mm = default_memory_map()
     roots = make_roots()
-    program = assemble(_BAREMETAL, name="baremetal-tour")
+    program = assemble(BAREMETAL_TOUR + BAREMETAL_UAF, name="baremetal-tour")
     heap_obj = roots.memory.set_address(mm.heap.base).set_bounds(256)
     stash = roots.memory.set_address(mm.globals_.base).set_bounds(64)
     span = CompartmentSpan(
@@ -146,40 +129,18 @@ def regwalk_image() -> ImageSpec:
 
 
 def switcher_image() -> ImageSpec:
-    from repro.rtos.asm_switcher import SWITCHER_ASM
+    from repro.rtos.asm_switcher import CALLEE_ASM, CALLER_ASM, build_image
 
-    code_base = 0x2000_0000
-    stack_base, stack_size = 0x2000_8000, 0x200
-    trusted_stack_at, export_table_at = 0x2000_9000, 0x2000_9800
-    stack_top = stack_base + stack_size
-
-    roots = make_roots()
-    program = assemble(
-        SWITCHER_ASM + _SWITCHER_CALLEE + _SWITCHER_CALLER,
-        name="asm-switcher-image",
-    )
-    export_otype = RTOS_DATA_OTYPES["compartment-export"]
-
-    switcher_pc = code_base + 4 * program.entry("switcher_call")
-    switcher_token = roots.executable.set_address(switcher_pc).seal_sentry(
-        SentryType.DISABLE_INTERRUPTS
-    )
-    callee_pc = code_base + 4 * program.entry("callee_entry")
-    callee_code = (
-        roots.executable.set_address(callee_pc)
-        .clear_perms(P.SR)
-        .seal_sentry(SentryType.INHERIT)
-    )
-    seal_authority = roots.sealing.set_address(export_otype)
-    export_entry = roots.memory.set_address(export_table_at).set_bounds(8)
-    export_token = export_entry.seal(seal_authority)
-    trusted = roots.memory.set_address(trusted_stack_at).set_bounds(256)
-    stack_cap = (
-        roots.memory.set_address(stack_base)
-        .set_bounds(stack_size)
-        .and_perms({P.LD, P.SD, P.MC, P.SL, P.LM, P.LG})
-        .set_address(stack_top)
-    )
+    # Every capability comes from the booted image: the switcher
+    # sentry (s0), the export token (t0), the stack (csp), the two
+    # special registers and the export-table entry the token seals.
+    image = build_image(CALLEE_ASM, CALLER_ASM)
+    program = image.program
+    stack_base, stack_top = image.stack_base, image.stack_top
+    stack_cap, export_token = image.stack_cap, image.export_token
+    seal_authority = image.cpu.regs.read_scr("mtdc")
+    trusted = image.cpu.regs.read_scr("mscratchc")
+    callee_code = image.bus.read_capability(export_token.address)
 
     # The caller's stack capability as the switcher sees it: same
     # authority, any legal SP.
@@ -187,7 +148,7 @@ def switcher_image() -> ImageSpec:
         AbstractCap.from_capability(stack_cap, "stack"),
         addr=(stack_base, stack_top),
     )
-    exec_bounds = (roots.executable.base, roots.executable.top)
+    exec_bounds = (image.cpu.pcc.base, image.cpu.pcc.top)
 
     switcher_span = CompartmentSpan(
         name="switcher",
@@ -206,7 +167,7 @@ def switcher_image() -> ImageSpec:
             "mtdc": AbstractCap.from_capability(seal_authority, "sealing"),
             "mscratchc": replace(
                 AbstractCap.from_capability(trusted, "trusted-stack"),
-                addr=(trusted_stack_at, trusted_stack_at + 256),
+                addr=(trusted.base, trusted.top),
             ),
         },
         entry_csrs={"mshwm": (stack_base, stack_top)},
@@ -214,7 +175,9 @@ def switcher_image() -> ImageSpec:
         pcc_bounds=exec_bounds,
     )
     # The callee enters through the SR-stripped INHERIT sentry with the
-    # chopped stack (bounds unknown statically — set per call).
+    # chopped stack: the caller's stack permissions, bounds unknown
+    # statically (set per call).
+    stack_perms = frozenset(stack_cap.perms)
     callee_span = CompartmentSpan(
         name="callee",
         span=(program.entry("callee_entry"), program.entry("_start")),
@@ -224,8 +187,8 @@ def switcher_image() -> ImageSpec:
             2: AbstractCap(
                 tag=Tri.YES,
                 otypes=frozenset({0}),
-                perms_must=frozenset({P.LD, P.SD, P.MC, P.SL, P.LM, P.LG}),
-                perms_may=frozenset({P.LD, P.SD, P.MC, P.SL, P.LM, P.LG}),
+                perms_must=stack_perms,
+                perms_may=stack_perms,
                 bounds=None,
                 addr=(stack_base, stack_top),
                 prov=frozenset({"stack"}),
@@ -243,7 +206,7 @@ def switcher_image() -> ImageSpec:
         entry_regs={
             2: AbstractCap.from_capability(stack_cap, "stack"),
             5: AbstractCap.from_capability(export_token, "export-table"),
-            8: AbstractCap.from_capability(switcher_token, "code"),
+            8: AbstractCap.from_capability(image.switcher_token, "code"),
         },
         entry_csrs={"mshwm": (stack_base, stack_top)},
         pcc_has_sr=True,
@@ -252,7 +215,7 @@ def switcher_image() -> ImageSpec:
     return ImageSpec(
         name="switcher",
         program=program,
-        code_base=code_base,
+        code_base=image.code_base,
         compartments=(switcher_span, callee_span, caller_span),
         memory={
             "export-table#0": AbstractCap.from_capability(callee_code, "code"),

@@ -18,6 +18,11 @@ from repro.allocator.dlmalloc import (
 
 BASE = 0x1000
 SIZE = 0x10000
+#: The property tests' heap: small enough that a script's live set runs
+#: it out, so their scripts (50 steps or more, as the scan-reference
+#: suite draws) reach ``HeapExhausted`` as well as bin reuse and
+#: coalescing.
+SCRIPT_SIZE = 0x1000
 
 
 @pytest.fixture
@@ -126,12 +131,12 @@ class TestPropertyBased:
     @given(
         st.lists(
             st.tuples(st.booleans(), st.integers(min_value=1, max_value=2048)),
-            min_size=1,
+            min_size=50,
             max_size=120,
         )
     )
     def test_random_workload_preserves_invariants(self, script):
-        heap = DlMalloc(BASE, SIZE)
+        heap = DlMalloc(BASE, SCRIPT_SIZE)
         live = []
         for do_free, size in script:
             if do_free and live:
@@ -149,7 +154,7 @@ class TestPropertyBased:
         for chunk in live:
             heap.release(chunk)
         heap.check_invariants()
-        assert heap.free_bytes == SIZE
+        assert heap.free_bytes == SCRIPT_SIZE
 
 
 class _LinearWalk(DlMalloc):
@@ -208,14 +213,14 @@ class TestSmallmap:
                 st.integers(min_value=1, max_value=600),
                 st.integers(min_value=0, max_value=1 << 16),
             ),
-            min_size=1,
+            min_size=50,
             max_size=150,
         ),
     )
     def test_matches_linear_walk(self, granularity, script):
         """Same chunk and same op counts as the walk, after every step."""
-        fast = DlMalloc(BASE, SIZE, granularity)
-        slow = _LinearWalk(BASE, SIZE, granularity)
+        fast = DlMalloc(BASE, SCRIPT_SIZE, granularity)
+        slow = _LinearWalk(BASE, SCRIPT_SIZE, granularity)
         live_fast, live_slow = [], []
         for do_free, size, pick in script:
             if do_free and live_fast:

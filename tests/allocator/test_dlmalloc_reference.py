@@ -7,8 +7,8 @@ fails.  ``_ScanDlMalloc`` below is the allocator before that change,
 trimmed to ``allocate``, ``release`` and their helpers, with its linear
 scans and its property reads kept.  Random allocate/release sequences
 drive both, and after every step the chunk map, the end index, the
-order of every bin, the top chunk, the smallmap and the operation
-counters must be equal, and ``HeapExhausted`` must come at the same step.
+order of every bin, the smallmap and the operation counters must be
+equal, and ``HeapExhausted`` must come at the same step.
 """
 
 import copy
@@ -59,8 +59,8 @@ def _round_up(value: int, align: int) -> int:
 
 
 class _ScanDlMalloc:
-    """The reference: the large bin is scanned, chunk fields are read
-    through the properties, and the top chunk is kept as it was."""
+    """The reference: the large bin is scanned and chunk fields are read
+    through the properties."""
 
     def __init__(self, base: int, size: int, chunk_granularity: int) -> None:
         self.base = base
@@ -72,11 +72,10 @@ class _ScanDlMalloc:
         self._small_bins: Dict[int, List[_ScanChunk]] = {}
         self._smallmap = 0
         self._large_bin: List[_ScanChunk] = []
-        top = _ScanChunk(base, size, free=True)
-        self._chunks[base] = top
-        self._by_end[top.end] = top
-        self._top: Optional[_ScanChunk] = top
-        self._insert_free(top)
+        whole = _ScanChunk(base, size, free=True)
+        self._chunks[base] = whole
+        self._by_end[whole.end] = whole
+        self._insert_free(whole)
 
     def allocate(self, payload_size: int) -> _ScanChunk:
         if payload_size <= 0:
@@ -122,8 +121,6 @@ class _ScanDlMalloc:
         for index, chunk in enumerate(self._large_bin):
             self.ops.list_ops += 1
             if chunk.size >= needed:
-                if chunk is self._top:
-                    self._top = None
                 return self._large_bin.pop(index)
         return None
 
@@ -178,9 +175,6 @@ class _ScanDlMalloc:
             else:
                 index = len(self._large_bin)
             self._large_bin.insert(index, chunk)
-            if self._top is None or chunk.end == self.base + self.size:
-                if chunk.end == self.base + self.size:
-                    self._top = chunk
 
     def _remove_free(self, chunk: _ScanChunk) -> None:
         self.ops.list_ops += 1
@@ -194,8 +188,6 @@ class _ScanDlMalloc:
             raise HeapCorruption(f"free chunk missing from small bin: {chunk}")
         if chunk in self._large_bin:
             self._large_bin.remove(chunk)
-            if self._top is chunk:
-                self._top = None
             return
         raise HeapCorruption(f"free chunk missing from large bin: {chunk}")
 
@@ -221,7 +213,6 @@ def _state(heap):
             for size, bin_ in sorted(heap._small_bins.items())
         },
         "large_bin": [_span(c) for c in heap._large_bin],
-        "top": _span(heap._top),
         "smallmap": heap._smallmap,
         "ops": (ops.header_reads, ops.header_writes, ops.list_ops),
     }

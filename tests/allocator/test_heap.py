@@ -12,8 +12,14 @@ from repro.allocator import (
     OutOfMemory,
     TemporalSafetyMode,
 )
+from repro.allocator.dlmalloc import ALIGNMENT
 from repro.allocator.heap import HEAP_PERMS
 from repro.capability import Permission as P, make_roots
+from repro.capability.bounds import (
+    encode,
+    representable_alignment_mask,
+    representable_length,
+)
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
 from repro.revoker import BackgroundRevoker, EpochCounter, SoftwareRevoker
@@ -81,6 +87,22 @@ class TestSpatialSafety:
             assert cap.base % granule == 0
             assert cap.length % granule == 0
             heap.free(cap)
+
+    def test_padded_request_is_crrl_and_cram(self):
+        """``malloc`` computes one exponent per request; it must pad and
+        align exactly as ``crrl`` and ``cram`` would, and the padded
+        length must encode exactly at that alignment.  Every size below
+        2**13, then each side of every exponent step (511 * 2**e)."""
+        heap, *_ = build_heap()
+        steps = [(511 << e) + d for e in range(25) for d in (-2, -1, 0, 1, 2)]
+        sizes = list(range(1, 1 << 13)) + [s for s in steps if s <= 1 << 32]
+        for size in sizes:
+            rounded, align = heap._padded_request(size)
+            cram = (~representable_alignment_mask(size) & 0xFFFFFFFF) + 1
+            assert (rounded, align) == (
+                representable_length(size), max(cram, ALIGNMENT)
+            ), size
+            assert encode(0, rounded, exact=True)[2] == rounded, size
 
     def test_rejects_nonpositive(self):
         heap, *_ = build_heap()

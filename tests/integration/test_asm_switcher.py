@@ -10,40 +10,17 @@ instructions" figure against the measured dynamic count.
 import pytest
 
 from repro.isa import Trap, TrapCause
-from repro.rtos.asm_switcher import SWITCHER_ASM, build_image
-
-CALLEE = """
-callee_entry:
-    # Use some stack (drives the HWM), read the arguments, try to spy.
-    cincaddrimm csp, csp, -32
-    csc c0, 0(csp)                 # dirty the frame
-    sw a0, 8(csp)
-    add a0, a0, a1                 # result = a0 + a1
-    cgettag a4, s1                 # spy: is anything left in s1?
-    cgettag a5, ra                 # (ra is the switcher return sentry: tagged)
-    cincaddrimm csp, csp, 32
-    ret
-"""
-
-CALLER = """
-_start:
-    # The caller dirties its stack above SP, then calls out.
-    cincaddrimm csp, csp, -64
-    li t1, 0x5EC9E7
-    sw t1, 0(csp)
-    sw t1, 32(csp)
-    li a0, 30
-    li a1, 12
-    jalr ra, s0                    # through the switcher sentry
-    # back: a0 holds the result; record posture for the test
-    csrr a2, mstatus_mie
-    halt
-"""
+from repro.rtos.asm_switcher import (
+    CALLEE_ASM,
+    CALLER_ASM,
+    SWITCHER_ASM,
+    build_image,
+)
 
 
 @pytest.fixture
 def image():
-    return build_image(CALLEE, CALLER)
+    return build_image(CALLEE_ASM, CALLER_ASM)
 
 
 class TestCallPath:

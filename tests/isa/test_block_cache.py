@@ -77,9 +77,7 @@ def _state(cpu):
     bus_stats = tuple(
         getattr(cpu.bus.stats, f.name) for f in fields(cpu.bus.stats)
     )
-    timing = cpu.timing
-    cycles = (timing.cycles, timing.stats.stall_cycles, timing.stats.bus_beats)
-    return cpu.regs.snapshot(), stats, bus_stats, cpu.pc, cycles
+    return cpu.regs.snapshot(), stats, bus_stats, cpu.pc, cpu.timing.cycles
 
 
 def _run_all(source, max_steps=100_000):
@@ -611,13 +609,11 @@ class TestWorkloadEquivalence:
         # The assembly compartment switcher: sentries, trusted-stack
         # manipulation, stack zeroing, CSR access — the machinery the
         # allocation benchmark's cross-compartment calls model.
-        from repro.rtos.asm_switcher import build_image
-
-        from tests.integration.test_asm_switcher import CALLEE, CALLER
+        from repro.rtos.asm_switcher import CALLEE_ASM, CALLER_ASM, build_image
 
         states = {}
         for tier in Tier:
-            image = build_image(CALLEE, CALLER, tier=tier)
+            image = build_image(CALLEE_ASM, CALLER_ASM, tier=tier)
             image.cpu.run()
             states[tier] = _state_no_timing(image.cpu)
         _assert_tier_blind(states)

@@ -93,7 +93,7 @@ class TestBranches:
             """,
         )
         assert cpu.regs.read_int(10) == 15
-        assert cpu.stats.branches_taken == 4
+        assert cpu.stats.instructions == 2 + 3 * 5 + 1  # five trips, halt
 
     @pytest.mark.parametrize(
         "op,a,b,taken",

@@ -88,7 +88,7 @@ class TestCapabilityLoadsStores:
         cpu.regs.write(9, data_cap.set_bounds(16))
         cpu.run()
         assert cpu.regs.read(10) == data_cap.set_bounds(16)
-        assert cpu.stats.cap_loads == 1 and cpu.stats.cap_stores == 1
+        assert cpu.bus.stats.cap_reads == 1 and cpu.bus.stats.cap_writes == 1
 
     def test_clc_requires_mc(self, bus, roots, data_cap):
         cpu = make_cpu(bus, roots, "clc a0, 0(s0)\nhalt")

@@ -34,47 +34,18 @@ sys.path.insert(
 
 from repro.machine import CoreKind  # noqa: E402
 from repro.obs import render_attribution, render_hot_pcs  # noqa: E402
-from repro.obs.workload import run_traced_workload  # noqa: E402
-
-
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
-
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be {minimum} or more, not {value}"
-            )
-        return value
-
-    return count
+from repro.obs.workload import (  # noqa: E402
+    add_workload_arguments,
+    at_least,
+    run_traced_workload,
+)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    add_workload_arguments(parser)
     parser.add_argument(
-        "--core",
-        choices=[kind.value for kind in CoreKind],
-        default=CoreKind.IBEX.value,
-        help="core timing model (default: ibex)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["list", "matrix", "state"],
-        default="list",
-        help="CoreMark kernel for the profiled phase (default: list)",
-    )
-    parser.add_argument(
-        "--rounds", type=_at_least(0), default=40,
-        help="malloc/free rounds (default: 40)",
-    )
-    parser.add_argument(
-        "--iterations", type=_at_least(1), default=1,
-        help="kernel iterations (default: 1)",
-    )
-    parser.add_argument(
-        "--top", type=_at_least(1), default=10,
+        "--top", type=at_least(1), default=10,
         help="hot PCs to show (default: 10)",
     )
     args = parser.parse_args(argv)

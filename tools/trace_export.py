@@ -37,23 +37,11 @@ from repro.machine import CoreKind  # noqa: E402
 from repro.obs.export import write_fleet_trace  # noqa: E402
 from repro.obs.workload import (  # noqa: E402
     FLEET_PROFILE_DEVICES,
+    add_workload_arguments,
+    at_least,
     run_fleet_workloads,
     run_traced_workload,
 )
-
-
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
-
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be {minimum} or more, not {value}"
-            )
-        return value
-
-    return count
 
 
 def main(argv=None) -> int:
@@ -61,28 +49,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "-o", "--output", default="trace.json", help="output path (trace_event JSON)"
     )
+    add_workload_arguments(parser)
     parser.add_argument(
-        "--core",
-        choices=[kind.value for kind in CoreKind],
-        default=CoreKind.IBEX.value,
-        help="core timing model (default: ibex)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["list", "matrix", "state"],
-        default="list",
-        help="CoreMark kernel for the profiled phase (default: list)",
-    )
-    parser.add_argument(
-        "--rounds", type=_at_least(0), default=40,
-        help="malloc/free rounds (default: 40)",
-    )
-    parser.add_argument(
-        "--iterations", type=_at_least(1), default=1,
-        help="kernel iterations (default: 1)",
-    )
-    parser.add_argument(
-        "--fleet", type=_at_least(0), nargs="?", default=0,
+        "--fleet", type=at_least(0), nargs="?", default=0,
         const=FLEET_PROFILE_DEVICES, metavar="N",
         help="merge N devices into one fleet trace (0: single device; "
         f"bare --fleet: {FLEET_PROFILE_DEVICES})",
