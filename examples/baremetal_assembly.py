@@ -15,7 +15,11 @@ from repro.capability import Permission, make_roots
 from repro.isa import CPU, ExecutionMode, LoadFilter, Trap, assemble
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
-from repro.verify.images import BAREMETAL_TOUR, BAREMETAL_UAF
+from repro.verify.images import (
+    BAREMETAL_TOUR,
+    BAREMETAL_UAF,
+    baremetal_entry_registers,
+)
 
 
 def main() -> None:
@@ -30,8 +34,7 @@ def main() -> None:
     program = assemble(BAREMETAL_TOUR + BAREMETAL_UAF)
     cpu.load_program(program, mm.code.base, pcc=roots.executable, entry="_start")
 
-    heap_obj = roots.memory.set_address(mm.heap.base).set_bounds(256)
-    stash = roots.memory.set_address(mm.globals_.base).set_bounds(64)
+    heap_obj, stash = baremetal_entry_registers()
     cpu.regs.write(8, heap_obj)   # s0
     cpu.regs.write(9, stash)      # s1
 

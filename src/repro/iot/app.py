@@ -133,6 +133,7 @@ class IoTApplication:
 
     def _on_code_done(self, payload: bytes) -> None:
         self.vm.load_bytecode(bytes(self._code_buffer))
+        self._code_buffer.clear()  # the next delivery starts a new program
 
     # ------------------------------------------------------------------
     # The run loop

@@ -22,9 +22,9 @@ benchmarks run, not about synthetic look-alikes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
-from repro.capability import Permission as P, make_roots
+from repro.capability import Capability, Permission as P, make_roots
 from repro.capability.otypes import RETURN_SENTRY_OTYPES
 from repro.isa import ExecutionMode, assemble
 from repro.memory import default_memory_map
@@ -32,8 +32,9 @@ from repro.memory import default_memory_map
 from .absint import CompartmentSpan, ImageSpec
 from .domain import ALL_PERMS, AbstractCap, Tri
 
-#: The bare-metal tour's first entry, ``_start`` (s0: a heap object,
-#: s1: a globals stash; ``examples/baremetal_assembly.py`` runs it).
+#: The bare-metal tour's first entry, ``_start`` (s0 and s1 from
+#: :func:`baremetal_entry_registers`; ``examples/baremetal_assembly.py``
+#: runs it).
 BAREMETAL_TOUR = """
 # a0 <- s0 narrowed to [addr, addr+16) with write permission shed later
 _start:
@@ -61,6 +62,20 @@ _uaf:
 """
 
 
+def baremetal_entry_registers() -> Tuple[Capability, Capability]:
+    """``(s0, s1)``: what the tour finds in registers 8 and 9.
+
+    ``s0`` is a 256-byte object at the heap's base and ``s1`` a 64-byte
+    stash at the globals' base, both derived from the memory root.
+    """
+    mm = default_memory_map()
+    memory = make_roots().memory
+    return (
+        memory.set_address(mm.heap.base).set_bounds(256),
+        memory.set_address(mm.globals_.base).set_bounds(64),
+    )
+
+
 def _return_sentry(has_sr: bool = False) -> AbstractCap:
     """Any caller's return sentry: sealed, executable, otype RET_*."""
     must = {P.EX, P.GL}
@@ -81,8 +96,7 @@ def baremetal_image() -> ImageSpec:
     mm = default_memory_map()
     roots = make_roots()
     program = assemble(BAREMETAL_TOUR + BAREMETAL_UAF, name="baremetal-tour")
-    heap_obj = roots.memory.set_address(mm.heap.base).set_bounds(256)
-    stash = roots.memory.set_address(mm.globals_.base).set_bounds(64)
+    heap_obj, stash = baremetal_entry_registers()
     span = CompartmentSpan(
         name="main",
         span=(0, len(program.instructions)),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.allocator import TemporalSafetyMode
 from repro.iot.app import IoTApplication
+from repro.iot.jsvm import led_animation_bytecode
 from repro.pipeline import CoreKind
 
 _POLICY = pathlib.Path(__file__).resolve().parents[2] / "AUDIT_policy.json"
@@ -64,6 +65,16 @@ class TestEndToEnd:
     def test_compartment_calls_went_through_switcher(self, short_run):
         app, _ = short_run
         assert app.system.switcher.stats.calls > 100
+
+
+class TestBytecodeDelivery:
+    def test_redelivery_replaces_the_program(self):
+        """Every connect() delivers the program again; the VM must then
+        hold that program, not the old one with the new one appended."""
+        app = IoTApplication(core=CoreKind.IBEX, mode=TemporalSafetyMode.HARDWARE)
+        app.connect()
+        app.connect()
+        assert app.vm.bytecode == led_animation_bytecode()
 
 
 class TestSecurityPosture:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.iot.jsvm import (
+    CYCLES_PER_OP,
     NUM_LEDS,
     OP_ADD,
     OP_DROP,
@@ -123,6 +124,16 @@ class TestOpcodes:
     def test_runaway_loop_bounded(self, vm):
         with pytest.raises(VMError):
             run(vm, OP_JMP, 0xFE)  # jump-to-self forever
+
+    def test_jump_before_pc_zero_faults(self, vm):
+        """pc -1 must not index the program from its end (its HALT)."""
+        with pytest.raises(VMError, match=r"^pc -1 before start of bytecode$"):
+            run(vm, OP_PUSH, 1, OP_LED, 2, OP_JMP, 0xF9, OP_PUSH, 5, OP_HALT)
+        assert vm.stats.ops_executed == 3
+
+    def test_jump_onto_an_operand_byte_runs_it(self, vm):
+        # JMP -3 lands on PUSH's operand, 0x00: HALT.
+        assert run(vm, OP_PUSH, OP_HALT, OP_JMP, 0xFD, OP_PUSH, 9) == 3 * CYCLES_PER_OP
 
 
 class TestGC:

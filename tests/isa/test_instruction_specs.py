@@ -1,5 +1,6 @@
 """Meta-tests: the spec table, dispatch table and assembler agree."""
 
+from repro.isa.assembler import assemble
 from repro.isa.executor import _DISPATCH
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.registers import ABI_NAMES, REGISTER_NAMES, register_index
@@ -45,3 +46,15 @@ class TestRegisterNames:
 
     def test_case_insensitive(self):
         assert register_index("A0") == 10
+
+
+class TestHazardFacts:
+    def test_equal_register_lists_share_one_tuple(self):
+        first = assemble("add a0, a1, a2\nsw a1, 4(a2)\nhalt\n")
+        second = assemble("sub t0, a1, a2\naddi t1, a1, 1\nhalt\n")
+        add, sw, _ = first.instructions
+        sub, addi, _ = second.instructions
+        assert add.source_regs == (11, 12)
+        assert add.source_regs is sw.source_regs is sub.source_regs
+        assert addi.source_regs == (11,)
+        assert addi.source_regs is not add.source_regs
