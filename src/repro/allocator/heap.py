@@ -348,50 +348,6 @@ class CheriHeap:
                     continue
         raise OutOfMemory(f"cannot allocate {size} bytes (heap {self.region.size})")
 
-    def calloc(self, count: int, size: int) -> Capability:
-        """Allocate ``count * size`` zeroed bytes.
-
-        Fresh memory from this allocator is already zero (free() zeroes
-        and the region starts zeroed), but calloc still writes the
-        zeros — C semantics do not depend on allocator internals — and
-        charges the loop.
-        """
-        if count <= 0 or size <= 0:
-            raise ValueError("calloc dimensions must be positive")
-        total = count * size
-        cap = self.malloc(total)
-        self.bus.fill(cap.base, cap.length, 0)
-        if self.core_model is not None:
-            self._charge(self.core_model.zero_bytes_cycles(cap.length))
-        return cap
-
-    def realloc(self, cap: Capability, new_size: int) -> Capability:
-        """Resize an allocation, preserving its contents.
-
-        Always moves (allocate + copy + free): in-place growth would
-        require *widening* the old capability's bounds, which
-        monotonicity forbids — every resize hands out a fresh
-        capability and revokes the old one, so stale pre-realloc
-        pointers die like any other UAF.
-        """
-        if new_size <= 0:
-            raise ValueError("realloc size must be positive")
-        if not cap.tag:
-            raise InvalidFree("realloc of untagged capability")
-        if cap.base not in self._live:
-            raise InvalidFree(f"realloc of unknown allocation {cap.base:#x}")
-        fresh = self.malloc(new_size)
-        copy_len = min(cap.length, fresh.length)
-        self.bus.write_bytes(fresh.base, self.bus.read_bytes(cap.base, copy_len))
-        if self.core_model is not None:
-            # Capability-width copy loop: load + store per 8 bytes.
-            words = (copy_len + 7) // 8
-            p = self.core_model.params
-            beats = p.cap_access_beats
-            self._charge(words * (p.load_cycles + p.store_cycles + 2 * (beats - 1)))
-        self.free(cap)
-        return fresh
-
     # ------------------------------------------------------------------
     # Free
     # ------------------------------------------------------------------
@@ -554,10 +510,6 @@ class CheriHeap:
     @property
     def quarantined_bytes(self) -> int:
         return self.quarantine.total_bytes
-
-    def iter_live(self):
-        """Yield ``(payload_base, chunk)`` for every live allocation."""
-        yield from self._live.items()
 
     def iter_quarantined(self):
         """Yield every chunk currently held in quarantine."""

@@ -14,7 +14,6 @@ from .energy import (
     estimate_energy,
     security_battery_cost,
 )
-from .encoding_tables import enumerate_formats, format_figure1, format_figure2
 from .reporting import format_series, format_table, size_label
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "EnergyEstimate",
     "estimate_energy",
     "security_battery_cost",
-    "enumerate_formats",
-    "format_figure1",
-    "format_figure2",
     "format_series",
     "format_table",
     "fragmentation_sweep",

@@ -35,7 +35,7 @@ from repro.analysis.reporting import (
     size_label,
 )
 from repro.artifact import Inputs, parallel_map
-from repro.capability import make_roots
+from repro.capability import compression, make_roots
 from repro.hw.area_power import area_power_table, format_table2, read_table2
 from repro.hw.critical_path import format_timing
 from repro.iot.app import IoTApplication
@@ -86,6 +86,7 @@ BATCH_WINDOW = (
 )
 PEEPHOLE = "Ablation: peephole optimizer (register reuse of just-stored values)"
 ENCODING = "Section 3.2.3 / 3.3.1: encoding precision and overheads"
+FIGURE2 = "Figure 2: the compressed permission formats (all 64 6-bit words)"
 FIGURE = {
     CoreKind.FLUTE: "Figure 5: allocator benchmark results on Flute "
     "(overhead vs Baseline)",
@@ -243,6 +244,28 @@ def encoding_precision() -> List[Block]:
             ("revocation bitmap SRAM overhead", f"{SRAM_OVERHEAD * 100:.2f}%",
              "1.56%"),
         ],
+    ))]
+
+
+def figure2() -> List[Block]:
+    """Figure 2 from the implementation: every 6-bit permission word
+    decoded, grouped by the format it decodes into."""
+    groups: Dict[str, list] = {fmt: [] for fmt in compression.ALL_FORMATS}
+    for word in range(64):
+        perms = compression.decompress(word)
+        groups[compression.classify(perms)].append(perms)
+    rows = []
+    for fmt, decoded in groups.items():
+        implied = frozenset.intersection(*decoded) if decoded else frozenset()
+        optional = frozenset().union(*decoded) - implied
+        rows.append((
+            fmt,
+            len(decoded),
+            " ".join(sorted(p.name for p in implied)) or "-",
+            " ".join(sorted(p.name for p in optional)) or "-",
+        ))
+    return [(FIGURE2, format_table(
+        ["format", "encodings", "implied perms", "optional perms"], rows
     ))]
 
 
@@ -460,6 +483,7 @@ TITLES = {
     revoker_batch_size: (BATCH_WINDOW,),
     peephole_optimizer: (PEEPHOLE,),
     encoding_precision: (ENCODING,),
+    figure2: (FIGURE2,),
     figure5: (FIGURE[CoreKind.FLUTE],),
     figure6: (FIGURE[CoreKind.IBEX],),
     iot_endtoend: (IOT, ENERGY),
@@ -644,6 +668,10 @@ CLAIMS = (
     Claim((ENCODING,), "the revocation bitmap costs 1/64 of the heap",
           lambda rows: _by_row(rows, "revocation bitmap SRAM overhead")[1]
           == f"{100 / 64:.2f}%"),
+    # Figure 2
+    Claim((FIGURE2,),
+          "the 64 words decode into six formats of 16, 8, 2, 6, 16 and 16",
+          lambda rows: _column(rows, 1) == [16, 8, 2, 6, 16, 16]),
     # Figure 5 (Flute)
     Claim((FLUTE_FIGURE,), "Software overhead grows from 32 B to 128 KiB",
           lambda s: s["Software"][128 * KIB] > s["Software"][32]),

@@ -257,16 +257,6 @@ class CodeGen:
     # Expressions
     # ------------------------------------------------------------------
 
-    def _type_of(self, expr: ir.Expr) -> str:
-        if isinstance(expr, (ir.GlobalRef, ir.LocalArrayRef, ir.PtrAdd)):
-            return ir.PTR
-        if isinstance(expr, ir.Load):
-            return ir.PTR if expr.as_ptr else ir.INT
-        if isinstance(expr, ir.Var):
-            assert self._fn is not None
-            return self._fn.type_of(expr.name)
-        return ir.INT
-
     def _expr(self, expr: ir.Expr) -> str:
         """Evaluate ``expr`` into a fresh scratch register."""
         if isinstance(expr, ir.Const):

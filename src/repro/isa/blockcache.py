@@ -24,8 +24,8 @@ block goes stale), mid-block faults replay the retired prefix through
 the ordinary ``retire()`` path before converting the fault exactly like
 a single step would, and the executor refuses the fused path entirely
 (per step) whenever an observer is attached — a ``pre_step_hook``
-(fault injection), retire hooks (tracing/profiling) or a polled timer —
-so those consumers see the same per-instruction stream as always.
+(fault injection) or retire hooks (profiling) — so those consumers see
+the same per-instruction stream as always.
 
 A *fusable* instruction is one that cannot redirect control flow, never
 reads the program counter outside of fault construction, and cannot

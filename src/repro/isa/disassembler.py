@@ -1,18 +1,10 @@
-"""Disassembly of structural programs back to readable text.
+"""Disassembly of structural programs back to assembler source.
 
-The assembler keeps the original source text per instruction; the
-disassembler is still useful for programs produced *programmatically*
-(the mini compiler) and for rendering with resolved addresses — every
-label operand prints both the instruction index and its absolute PC.
-
-Two renderings are offered:
-
-* :func:`disassemble` — a human listing with addresses and resolved
-  label targets (not valid assembler input);
-* :func:`to_source` — reassemblable text: feeding it back through
-  :func:`repro.isa.assembler.assemble` yields a program with identical
-  mnemonics and operand fields.  This is the round-trip seam the
-  property tests exercise.
+:func:`to_source` renders a program — including one produced
+*programmatically*, like the mini compiler's — as text that feeds back
+through :func:`repro.isa.assembler.assemble` to a program with
+identical mnemonics and operand fields.  That round trip is the
+assembler's oracle in the property tests.
 """
 
 from __future__ import annotations
@@ -22,29 +14,6 @@ from typing import Dict, List
 from .assembler import Program
 from .instructions import Instruction
 from .registers import ABI_NAMES
-
-
-def format_operand(kind: str, operand, code_base: int) -> str:
-    if kind in ("rd", "rs", "rt"):
-        return ABI_NAMES[operand]
-    if kind == "imm":
-        return str(operand)
-    if kind == "mem":
-        offset, reg = operand
-        return f"{offset}({ABI_NAMES[reg]})"
-    if kind == "label":
-        return f".+{operand} <{code_base + 4 * operand:#x}>"
-    return str(operand)
-
-
-def format_instruction(instr: Instruction, code_base: int = 0) -> str:
-    """One instruction as text (resolved labels shown as addresses)."""
-    kinds = [k for k in instr.spec.signature.split(",") if k]
-    operands = ", ".join(
-        format_operand(kind, operand, code_base)
-        for kind, operand in zip(kinds, instr.operands)
-    )
-    return f"{instr.mnemonic} {operands}".strip()
 
 
 def operand_to_source(kind: str, operand, labels_by_index: Dict[int, str]) -> str:
@@ -112,17 +81,3 @@ def to_source(program: Program) -> str:
     if end in labels_by_index:
         lines.append(f"{labels_by_index[end]}:")
     return "\n".join(lines) + "\n"
-
-
-def disassemble(program: Program, code_base: int = 0) -> str:
-    """Render a whole program with addresses and label definitions."""
-    by_index = {}
-    for label, index in program.labels.items():
-        by_index.setdefault(index, []).append(label)
-    lines: List[str] = []
-    for index, instr in enumerate(program.instructions):
-        for label in sorted(by_index.get(index, [])):
-            lines.append(f"{label}:")
-        pc = code_base + 4 * index
-        lines.append(f"  {pc:#010x}:  {format_instruction(instr, code_base)}")
-    return "\n".join(lines)

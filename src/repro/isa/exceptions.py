@@ -33,7 +33,6 @@ class TrapCause(enum.Enum):
     MISALIGNED = "misaligned-access"
     ILLEGAL_INSTRUCTION = "illegal-instruction"
     ECALL = "environment-call"
-    PMP_FAULT = "pmp-access-fault"
     BUS_FAULT = "bus-access-fault"
     TIMER_INTERRUPT = "machine-timer-interrupt"
     EXTERNAL_INTERRUPT = "machine-external-interrupt"
@@ -43,17 +42,12 @@ class TrapCause(enum.Enum):
         """The numeric value written to ``mcause`` when vectoring."""
         return _MCAUSE_CODES[self]
 
-    @property
-    def is_interrupt(self) -> bool:
-        return self in (TrapCause.TIMER_INTERRUPT, TrapCause.EXTERNAL_INTERRUPT)
-
 
 #: mcause encodings: interrupts carry the RISC-V interrupt bit (1<<31).
 _MCAUSE_CODES = {
     TrapCause.MISALIGNED: 4,
     TrapCause.ILLEGAL_INSTRUCTION: 2,
     TrapCause.ECALL: 11,
-    TrapCause.PMP_FAULT: 5,
     TrapCause.BUS_FAULT: 5,
     TrapCause.CHERI_TAG: 0x1C0 | 2,
     TrapCause.CHERI_SEAL: 0x1C0 | 3,

@@ -6,7 +6,9 @@ stack-high-water-mark tracking — while delegating *cycle* accounting to
 a pluggable core timing model (:mod:`repro.pipeline`).  It supports two
 execution modes so the evaluation can compare like the paper does:
 
-* ``RV32E`` — plain integer addressing, optionally checked by a PMP;
+* ``RV32E`` — plain integer addressing, unchecked (the baseline's PMP
+  is modelled as gates and power in :mod:`repro.hw`, not as an access
+  check);
 * ``CHERIOT`` — every access authorized by a capability register, with
   an optional load filter.
 """
@@ -46,7 +48,6 @@ from .csr import CSRFile
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
 from .instructions import Instruction
 from .load_filter import LoadFilter
-from .pmp import PMPUnit, PMPViolation
 from .registers import RegisterFile
 
 _WORD = 0xFFFFFFFF
@@ -91,11 +92,10 @@ _CHERIOT = ExecutionMode.CHERIOT
 
 
 #: What an executing instruction can raise that becomes an
-#: architectural trap: a capability check, a PMP denial, or a physical
-#: access that no SRAM bank decodes (a bus error, delivered as an
-#: access fault the way a load or store to an unmapped address would be
-#: on the core).
-_INSTRUCTION_FAULTS = (CapabilityError, PMPViolation, MemoryError_)
+#: architectural trap: a capability check, or a physical access that no
+#: SRAM bank decodes (a bus error, delivered as an access fault the way
+#: a load or store to an unmapped address would be on the core).
+_INSTRUCTION_FAULTS = (CapabilityError, MemoryError_)
 _BLOCK_FAULTS = (Trap,) + _INSTRUCTION_FAULTS
 
 
@@ -103,8 +103,6 @@ def _fault_trap(fault: Exception, pc: int) -> Trap:
     """The trap for one of :data:`_INSTRUCTION_FAULTS` raised at ``pc``."""
     if isinstance(fault, CapabilityError):
         return trap_from_capability_fault(fault, pc)
-    if isinstance(fault, PMPViolation):
-        return Trap(TrapCause.PMP_FAULT, pc, str(fault))
     return Trap(TrapCause.BUS_FAULT, pc, str(fault))
 
 
@@ -172,7 +170,6 @@ class CPU:
         bus: SystemBus,
         mode: ExecutionMode = ExecutionMode.CHERIOT,
         load_filter: Optional[LoadFilter] = None,
-        pmp: Optional[PMPUnit] = None,
         timing=None,
         hwm_enabled: bool = True,
         cfi_strict: bool = False,
@@ -181,7 +178,6 @@ class CPU:
         self.bus = bus
         self.mode = mode
         self.load_filter = load_filter
-        self.pmp = pmp
         self.timing = timing
         self.tier = tier
         #: Decode-once, execute-many: at :attr:`Tier.FUSED` the handler
@@ -192,9 +188,8 @@ class CPU:
         #: keyed by decoded index: the run loop fuses straight-line runs
         #: of the decoded table into single-dispatch blocks.  The fused
         #: path is refused per step while any observer is attached
-        #: (``pre_step_hook``, retire hooks, a polled timer), so
-        #: telemetry and fault injection always see the ordinary
-        #: per-instruction stream.
+        #: (``pre_step_hook`` or retire hooks), so telemetry and fault
+        #: injection always see the ordinary per-instruction stream.
         self._blocks: dict = {}
         self.block_stats = BlockCacheStats()
         #: Cached executable window of the current PCC: instruction fetch
@@ -220,15 +215,12 @@ class CPU:
         #: Optional hook invoked by ``ecall`` with the CPU; when None an
         #: ECALL trap is raised instead.
         self.ecall_handler: Optional[Callable[["CPU"], None]] = None
-        #: Pending asynchronous interrupt (set by devices or tests);
+        #: Pending asynchronous interrupt (set by host code or tests);
         #: taken at the next instruction boundary when the interrupt
         #: posture allows — sentries make that posture auditable.
         self.interrupt_pending: Optional[TrapCause] = None
         #: The most recent trap taken through the vector (diagnostics).
         self.last_trap: Optional[Trap] = None
-        #: Optional :class:`repro.isa.timer.ClintTimer` polled per step
-        #: (property: installing one deoptimizes the fused loop).
-        self._timer = None
         #: Optional hook called with the CPU before each instruction is
         #: fetched (both execution modes).  Fault-injection campaigns use
         #: it to mutate architectural state at a precise instruction
@@ -247,29 +239,19 @@ class CPU:
     # ------------------------------------------------------------------
     #
     # The run loop's fused-dispatch eligibility ("pre-decoded and
-    # unobserved") is a single cached flag instead of a four-clause
+    # unobserved") is a single cached flag instead of a three-clause
     # predicate re-evaluated every dispatch.  Every site that can change
-    # eligibility — the ``timer``/``pre_step_hook`` property setters,
-    # retire-hook install/remove, and ``load_program`` — recomputes it,
-    # so a hook installed mid-run (say, by an ``ecall`` handler) still
-    # deoptimizes from the very next run-loop iteration.
+    # eligibility — the ``pre_step_hook`` property setter, retire-hook
+    # install/remove, and ``load_program`` — recomputes it, so a hook
+    # installed mid-run (say, by an ``ecall`` handler) still deoptimizes
+    # from the very next run-loop iteration.
 
     def _update_fast_path(self) -> None:
         self._fast_loop_ok = (
             self._decoded is not None
-            and self._timer is None
             and self._pre_step_hook is None
             and self._retire_hooks is None
         )
-
-    @property
-    def timer(self):
-        return self._timer
-
-    @timer.setter
-    def timer(self, value) -> None:
-        self._timer = value
-        self._update_fast_path()
 
     @property
     def pre_step_hook(self) -> Optional[Callable[["CPU"], None]]:
@@ -359,9 +341,9 @@ class CPU:
         """Execute until ``halt`` or the step budget is exhausted.
 
         At :attr:`Tier.FUSED`, with no observer attached
-        (``pre_step_hook``, retire hooks, polled timer), straight-line
-        runs execute as fused blocks — one dispatch, batch-charged
-        stats and cycles, architecturally identical to single-stepping.
+        (``pre_step_hook`` or retire hooks), straight-line runs execute
+        as fused blocks — one dispatch, batch-charged stats and cycles,
+        architecturally identical to single-stepping.
         Eligibility is the cached ``_fast_loop_ok`` flag, recomputed by
         every observer install/remove site, so a hook installed mid-run
         (say, by an ``ecall`` handler) deoptimizes from the very next
@@ -373,8 +355,6 @@ class CPU:
                 if self._fast_loop_ok:
                     remaining -= self._block_step(remaining)
                 else:
-                    if self._timer is not None:
-                        self._timer.tick(self)
                     if self._decoded is not None:
                         self._step_fast()
                     else:
@@ -498,9 +478,9 @@ class CPU:
         While a block runs, ``timing.cycles`` is streamed forward ahead
         of every memory operation (the translation-time pre-flush in
         each entry) so host code reachable from inside the block — MMIO
-        device reads like the CLINT's ``mtime``, store snoopers — sees
-        the exact cycle count single-stepping would have shown it; the
-        final ``charge_block`` adds only the unstreamed remainder.
+        device reads, store snoopers — sees the exact cycle count
+        single-stepping would have shown it; the final ``charge_block``
+        adds only the unstreamed remainder.
         """
         consumed = 0
         blocks = self._blocks
@@ -745,8 +725,6 @@ class CPU:
         if self.mode is _CHERIOT:
             if not authority.allows(address, size, _KIND_BITS[kind]):
                 authority.check_access(address, size, _KIND_PERMS[kind])
-        elif self.pmp is not None:
-            self.pmp.check(address, size, "r" if kind in ("r", "cr") else "w")
         if address & (size - 1):  # sizes are powers of two
             raise Trap(TrapCause.MISALIGNED, self.pc, f"{address:#x} % {size}")
         return address, authority

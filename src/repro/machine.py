@@ -30,7 +30,6 @@ from repro.isa import (
     CSRFile,
     ExecutionMode,
     LoadFilter,
-    PMPUnit,
     Tier,
 )
 from repro.memory import (
@@ -318,7 +317,6 @@ class System:
         self.switcher.call(self.main_thread, token, cap)
 
     def make_cpu(self, mode: ExecutionMode = ExecutionMode.CHERIOT,
-                 pmp: Optional[PMPUnit] = None,
                  tier: Tier = Tier.FUSED) -> CPU:
         """An ISA-level CPU sharing this system's bus and devices.
 
@@ -330,7 +328,6 @@ class System:
             self.bus,
             mode=mode,
             load_filter=self.load_filter if self.core_model.load_filter_enabled else None,
-            pmp=pmp,
             timing=self.core_model,
             hwm_enabled=self.csr.hwm_enabled,
             tier=tier,
@@ -368,9 +365,3 @@ class System:
             delta = system.stats_diff(before)
         """
         return self.registry.snapshot().diff(before).as_dict()
-
-    def audit(self):
-        """The section 3.1.2 image audit for this system."""
-        from repro.rtos.audit import audit_image
-
-        return audit_image(self.switcher)

@@ -4,7 +4,6 @@ from .bus import BusStats, MMIODevice, SystemBus
 from .layout import MemoryMap, Region, default_memory_map
 from .revocation_map import GRANULE_BYTES, SRAM_OVERHEAD, RevocationMap
 from .tagged_memory import MemoryError_, TaggedMemory
-from .uart import UART
 
 __all__ = [
     "BusStats",
@@ -17,6 +16,5 @@ __all__ = [
     "SRAM_OVERHEAD",
     "SystemBus",
     "TaggedMemory",
-    "UART",
     "default_memory_map",
 ]

@@ -103,7 +103,7 @@ class RevocationMap:
     # Memory-mapped view (one bit per granule, packed little-endian)
     # ------------------------------------------------------------------
 
-    def mmio_read_word(self, offset: int) -> int:
+    def mmio_read(self, offset: int) -> int:
         """Read 32 revocation bits as a word at byte ``offset``."""
         word = 0
         for bit in range(32):
@@ -112,13 +112,9 @@ class RevocationMap:
                 word |= 1 << bit
         return word
 
-    def mmio_write_word(self, offset: int, value: int) -> None:
+    def mmio_write(self, offset: int, value: int) -> None:
         """Write 32 revocation bits at byte ``offset`` (allocator only)."""
         for bit in range(32):
             idx = offset * 8 + bit
             if idx < len(self._bits):
                 self._bits[idx] = (value >> bit) & 1
-
-    # Aliases satisfying the bus's MMIODevice protocol.
-    mmio_read = mmio_read_word
-    mmio_write = mmio_write_word

@@ -25,7 +25,7 @@ images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.capability import Capability
 from repro.memory.layout import MemoryMap
@@ -165,27 +165,23 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _classify_grant(cap: Capability, memory_map: Optional[MemoryMap]) -> str:
-    if memory_map is not None:
-        for region in (
-            memory_map.revocation_mmio,
-            memory_map.revoker_mmio,
-            memory_map.uart_mmio,
-        ):
-            if region.contains(cap.base):
-                return region.name
+def _classify_grant(cap: Capability, memory_map: MemoryMap) -> str:
+    for region in (
+        memory_map.revocation_mmio,
+        memory_map.revoker_mmio,
+        memory_map.uart_mmio,
+    ):
+        if region.contains(cap.base):
+            return region.name
     return "data"
 
 
 def audit_image(
-    switcher: CompartmentSwitcher,
-    memory_map: Optional[MemoryMap] = None,
+    switcher: CompartmentSwitcher, memory_map: MemoryMap
 ) -> AuditReport:
-    """Walk the registered compartments and build the audit report.
-
-    Passing the SoC ``memory_map`` classifies each grant against the
-    device windows; without it every grant is reported as ``data``.
-    """
+    """Walk the registered compartments and build the audit report,
+    classifying each grant against the SoC ``memory_map``'s device
+    windows."""
     report = AuditReport()
     for name in sorted(switcher._compartments):
         compartment: Compartment = switcher._compartments[name]

@@ -16,7 +16,7 @@ the enqueue path — the ring is preallocated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.capability import Capability
 from repro.capability.errors import PermissionFault
@@ -96,16 +96,3 @@ class MessageQueue:
             raise QueueEmpty(self.name)
         self.stats.receives += 1
         return self._ring.pop(0)
-
-    def try_send(self, message: object) -> bool:
-        try:
-            self.send(message)
-            return True
-        except QueueFull:
-            return False
-
-    def try_receive(self) -> "Optional[object]":
-        try:
-            return self.receive()
-        except QueueEmpty:
-            return None

@@ -174,11 +174,6 @@ class CallContext:
         self.switcher.bus.write_capability(address, cap)
         self.switcher.csr.note_store(address)
 
-    def load_stack_cap(self, offset: int) -> Capability:
-        address = self._stack_slot(offset)
-        self.stack_cap.check_access(address, 8, (Permission.LD, Permission.MC))
-        return self.switcher.bus.read_capability(address)
-
     # -- globals (SL enforcement lives in Compartment) ------------------
 
     def store_global_cap(self, slot: str, cap: Capability) -> None:

@@ -1,24 +1,25 @@
-"""Tests for the Figure 1/2 renderers (enumerated from the code)."""
+"""Tests for the Figure 2 section (enumerated from the code)."""
 
-from repro.analysis.encoding_tables import (
-    enumerate_formats,
-    format_figure1,
-    format_figure2,
-)
-from repro.capability.permissions import Permission as P
+from repro.analysis.reporting import read_table
+from repro.analysis.tables import FIGURE2, figure2, render
+
+
+def _rows():
+    ((title, body),) = figure2()
+    assert title == FIGURE2
+    return {row[0]: row[1:] for row in read_table(body)[1]}
 
 
 class TestEnumeration:
     def test_all_64_words_covered(self):
-        groups = enumerate_formats()
-        assert sum(len(v) for v in groups.values()) == 64
+        assert sum(int(encodings) for encodings, _, _ in _rows().values()) == 64
 
     def test_paper_figure2_group_sizes(self):
         """mem-cap-rw: GL+SL+LM+LG optional -> 16 encodings; cap-ro: 8;
 
         cap-wo: 2 (GL only); no-cap: 6 (GL x (LD,SD) minus the 00
         collision with cap-wo); executable: 16; sealing: 16."""
-        groups = {k: len(v) for k, v in enumerate_formats().items()}
+        groups = {fmt: int(row[0]) for fmt, row in _rows().items()}
         assert groups == {
             "mem-cap-rw": 16,
             "mem-cap-ro": 8,
@@ -29,20 +30,15 @@ class TestEnumeration:
         }
 
     def test_implied_permissions_match_paper(self):
-        groups = enumerate_formats()
-        rw_common = frozenset.intersection(*(p for _, p in groups["mem-cap-rw"]))
-        assert {P.LD, P.MC, P.SD} <= rw_common
-        exec_common = frozenset.intersection(*(p for _, p in groups["executable"]))
-        assert {P.EX, P.LD, P.MC} <= exec_common
+        rows = _rows()
+        assert {"LD", "MC", "SD"} <= set(rows["mem-cap-rw"][1].split())
+        assert {"EX", "LD", "MC"} <= set(rows["executable"][1].split())
 
 
 class TestRendering:
     def test_figure2_text(self):
-        text = format_figure2()
+        text = render((figure2,))
+        assert FIGURE2 in text
         for fmt in ("mem-cap-rw", "executable", "sealing"):
             assert fmt in text
         assert "EX LD MC" in text
-
-    def test_figure1_text(self):
-        text = format_figure1()
-        assert "E'4" in text and "B'9" in text and "T'9" in text

@@ -121,9 +121,16 @@ class TestIntrospection:
         assert summary["live_allocations"] == 0
 
     def test_audit_accessible(self):
+        from repro.rtos import audit_image
+
         system = System.build()
-        report = system.audit()
+        report = audit_image(system.switcher, system.loader.memory_map)
         assert any(r.export == "malloc" for r in report.exports)
+        windows = {(g.slot, g.kind) for g in report.mmio_grants()}
+        assert windows == {
+            ("revocation-bitmap", "revocation_mmio"),
+            ("revoker-device", "revoker_mmio"),
+        }
 
 
 class TestMakeCpu:
@@ -141,15 +148,6 @@ class TestMakeCpu:
 
         system = System.build(load_filter_enabled=False)
         assert system.make_cpu(ExecutionMode.CHERIOT).load_filter is None
-
-    def test_rv32e_cpu_with_pmp(self):
-        from repro.isa import ExecutionMode, PMPEntry, PMPUnit
-
-        system = System.build()
-        pmp = PMPUnit()
-        pmp.set_entry(0, PMPEntry(0x2000_0000, 0x1000, read=True))
-        cpu = system.make_cpu(ExecutionMode.RV32E, pmp=pmp)
-        assert cpu.pmp is pmp
 
 
 class TestBackgroundPassVisibility:

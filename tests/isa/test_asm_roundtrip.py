@@ -5,7 +5,8 @@ For any instruction the assembler can produce, rendering it back with
 operand tuple — the disassembler is a faithful inverse, not just a
 pretty-printer.  Strategies draw mnemonics from the live
 ``INSTRUCTION_SPECS`` table, so a new instruction added with an operand
-kind the renderer mishandles fails here immediately.
+kind the renderer mishandles fails here immediately.  The compiled
+CoreMark workalike and every audited image round-trip whole.
 """
 
 import pytest
@@ -116,6 +117,36 @@ def test_label_indices_survive_even_when_names_differ(instrs):
         for kind, before, after in zip(kinds, original.operands, again.operands):
             if kind == "label":
                 assert before == after
+
+
+def _stock_programs():
+    """Every program a result runs or audits, by name: the CoreMark
+    workalike in each configuration, and the audited images (their
+    ``switcher`` is the assembly switcher image)."""
+    from repro.verify.images import AUDITED_IMAGES
+    from repro.workloads.coremark import CONFIGS, coremark_program
+
+    programs = {
+        f"coremark-{config}": (lambda config=config: coremark_program(config, 1))
+        for config in CONFIGS
+    }
+    programs.update({
+        f"audited-{name}": (lambda build=build: build().program)
+        for name, build in AUDITED_IMAGES.items()
+    })
+    return programs
+
+
+STOCK_PROGRAMS = _stock_programs()
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_PROGRAMS))
+def test_stock_program_round_trips(name):
+    program = STOCK_PROGRAMS[name]()
+    rebuilt = assemble(to_source(program))
+    assert [(i.mnemonic, i.operands) for i in rebuilt.instructions] == [
+        (i.mnemonic, i.operands) for i in program.instructions
+    ]
 
 
 def test_source_labels_prefers_program_names():

@@ -1,77 +1,31 @@
-"""Tests for the execution trace recorder."""
+"""The retire stream a trace recorder sees, across execution tiers.
 
-from repro.isa import CPU, ExecutionMode, ExecutionTrace, Tier, assemble
-from repro.pipeline import CoreKind, make_core_model
-from .conftest import CODE_BASE, make_cpu
+A retire hook receives the real :class:`~repro.isa.Instruction` and the
+per-retire info, so a trace built from it (one line per retired
+instruction: its pc and its reassemblable text) must read the same
+whichever tier runs the program.
+"""
+
+from collections import Counter
+
+from repro.capability import make_roots
+from repro.isa import CPU, ExecutionMode, Tier, assemble, instruction_to_source
+from repro.isa.disassembler import source_labels
+from repro.memory import SystemBus, TaggedMemory
+from .conftest import CODE_BASE, DATA_BASE
 
 
-class TestTrace:
-    def _traced_run(self, bus, roots, source, **kw):
-        cpu = make_cpu(bus, roots, source)
-        trace = ExecutionTrace(code_base=CODE_BASE, **kw).attach(cpu)
-        cpu.run()
-        return trace
+def _render(entries):
+    """One line per retired instruction: its pc and its text."""
+    return "\n".join(f"{pc:#010x}  {text}" for pc, text, *_ in entries)
 
-    def test_records_every_instruction(self, bus, roots):
-        trace = self._traced_run(bus, roots, "li a0, 1\nli a1, 2\nadd a2, a0, a1\nhalt")
-        assert len(trace) == 3  # halt raises before retire accounting
-        assert trace.entries[0].text == "li a0, 1"
-        assert trace.entries[0].pc == CODE_BASE
-        assert trace.entries[2].pc == CODE_BASE + 8
 
-    def test_branch_marking(self, bus, roots):
-        trace = self._traced_run(
-            bus, roots, "li a0, 1\nbnez a0, skip\nnop\nskip: halt"
-        )
-        assert any(e.branch_taken for e in trace.entries)
-
-    def test_limit_drops_excess(self, bus, roots):
-        trace = self._traced_run(
-            bus, roots,
-            "li a0, 100\nloop: addi a0, a0, -1\nbnez a0, loop\nhalt",
-            limit=10,
-        )
-        assert len(trace) == 10
-        assert trace.dropped > 0
-
-    def test_hook_coexists_with_timing_model(self, bus, roots):
-        """The hook style leaves the timing slot to the real model."""
-        core = make_core_model(CoreKind.IBEX)
-        cpu = make_cpu(bus, roots, "li a0, 1\nlw a1, 0(s0)\nhalt")
-        from .conftest import DATA_BASE
-
-        cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
-        cpu.timing = core
-        trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
-        cpu.run()
-        assert core.cycles > 0
-        assert len(trace) == 2
-
-    def test_detach_stops_recording(self, bus, roots):
-        cpu = make_cpu(bus, roots, "li a0, 1\nli a1, 2\nadd a2, a0, a1\nhalt")
-        trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
-        cpu.step()
-        trace.detach(cpu)
-        cpu.run()
-        assert len(trace) == 1
-        assert trace.entries[0].pc == CODE_BASE
-
-    def test_histogram_and_render(self, bus, roots):
-        trace = self._traced_run(
-            bus, roots, "li a0, 3\nloop: addi a0, a0, -1\nbnez a0, loop\nhalt"
-        )
-        histogram = trace.mnemonic_histogram()
-        assert histogram["addi"] == 3
-        assert histogram["bnez"] == 3
-        rendered = trace.render(last=2)
-        assert rendered.count("\n") == 1
+def _histogram(entries):
+    """Retired instructions counted by mnemonic."""
+    return Counter(text.split()[0] for _, text, *_ in entries)
 
 
 class TestTraceUnderPredecode:
-    """The trace recorder sees real Instruction objects and per-retire
-    info from the pre-decoded fast path, so its output must be identical
-    to the interpretive reference path."""
-
     SOURCE = (
         "li a0, 3\n"
         "loop: addi a0, a0, -1\n"
@@ -83,28 +37,37 @@ class TestTraceUnderPredecode:
         "ret\n"
     )
 
-    def _render(self, tier):
-        from repro.capability import make_roots
-        from repro.isa import assemble
-        from repro.memory import SystemBus, TaggedMemory
-        from .conftest import DATA_BASE
-
+    def _trace(self, tier):
+        """Run the program on ``tier``; one (pc, text, timing class,
+        branch taken) record per retired instruction."""
+        program = assemble(self.SOURCE)
+        labels = source_labels(program)
         bus = SystemBus()
         bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
         roots = make_roots()
         cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
-        cpu.load_program(assemble(self.SOURCE), CODE_BASE, pcc=roots.executable)
+        cpu.load_program(program, CODE_BASE, pcc=roots.executable)
         cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
-        trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
+        entries = []
+        cpu.add_retire_hook(
+            lambda instr, info: entries.append((
+                info.pc, instruction_to_source(instr, labels),
+                instr.timing_class, info.branch_taken,
+            ))
+        )
         cpu.run()
-        return trace
+        assert cpu.block_stats.executions == 0
+        # ``halt`` counts itself but reaches no hook.
+        assert len(entries) == cpu.stats.instructions - 1
+        return entries
 
     def test_render_identical_across_paths(self):
-        interp = self._render(Tier.INTERP)
-        fast = self._render(Tier.FUSED)
-        assert fast.render() == interp.render()
-        assert fast.mnemonic_histogram() == interp.mnemonic_histogram()
-        assert [ (e.pc, e.text, e.timing_class, e.branch_taken)
-                 for e in fast.entries ] == [
-               (e.pc, e.text, e.timing_class, e.branch_taken)
-                 for e in interp.entries ]
+        interp = self._trace(Tier.INTERP)
+        fast = self._trace(Tier.FUSED)
+        assert fast == interp
+        assert _render(fast) == _render(interp)
+        assert _histogram(fast) == _histogram(interp)
+        assert _histogram(interp)["addi"] == 3
+        assert _histogram(interp)["cgetaddr"] == 1
+        assert interp[0][0] == CODE_BASE
+        assert any(taken for *_, taken in interp)

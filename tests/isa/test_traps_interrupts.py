@@ -1,10 +1,11 @@
-"""Tests for trap vectoring, mret, and timer interrupts."""
+"""Tests for trap vectoring, mret, and interrupt delivery."""
 
 import pytest
 
-from repro.isa import ClintTimer, ExecutionMode, Trap, TrapCause
+from repro.isa import ExecutionMode, Tier, Trap, TrapCause, assemble
 from repro.pipeline import CoreKind, make_core_model
 from .conftest import CODE_BASE, make_cpu
+from .test_block_cache import _assert_tier_blind, _fresh_cpu
 
 HANDLER_SUFFIX = """
 _handler:
@@ -78,52 +79,86 @@ class TestSynchronousVectoring:
             cpu.run()
 
 
+#: A loop whose ``ecall`` lets the host post an interrupt mid-loop, with
+#: straight-line code after the ``ecall``; ``_irq`` counts entries in
+#: a4, records the loop counter in a5 and resumes at ``mepcc``.
+INTERRUPTED_LOOP = """
+_start:
+    {prologue}
+    li a0, 6
+loop:
+    addi a0, a0, -1
+    ecall
+    addi a1, a1, 1
+    addi a2, a2, 2
+    bnez a0, loop
+    halt
+_irq:
+    csrr a3, mcause
+    addi a4, a4, 1
+    mv a5, a0
+    mret
+"""
+
+
+def _interrupted_loop(tier, prologue=""):
+    """Run the loop at ``tier``; the ecall handler posts a machine-timer
+    interrupt when the counter reaches 3."""
+    program = assemble(INTERRUPTED_LOOP.format(prologue=prologue))
+    cpu, roots = _fresh_cpu(tier)
+    cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
+    irq = CODE_BASE + 4 * program.entry("_irq")
+    cpu.regs.write_scr("mtcc", roots.executable.set_address(irq))
+
+    def post(cpu):
+        if cpu.regs.read_int(10) == 3:
+            cpu.interrupt_pending = TrapCause.TIMER_INTERRUPT
+
+    cpu.ecall_handler = post
+    cpu.run()
+    return cpu
+
+
 class TestTimerInterrupts:
-    def _looping_cpu(self, bus, roots, extra=""):
-        return with_handler(
-            bus, roots,
-            f"""
-            _start:
-            li a0, 2000
-            {extra}
-            loop:
-            addi a0, a0, -1
-            bnez a0, loop
-            halt
-            """,
-        )
+    """The host posts ``interrupt_pending`` (what a timer device does);
+    every tier takes it at the same instruction boundary."""
 
-    def test_timer_preempts_loop(self, bus, roots):
-        core = make_core_model(CoreKind.IBEX)
-        cpu = self._looping_cpu(bus, roots)
-        cpu.timing = core
-        timer = ClintTimer(core, interval=500)
-        cpu.timer = timer
-        cpu.run()
-        assert timer.fired >= 2
-        assert cpu.regs.read_int(14) == timer.fired  # handler per fire
-        assert cpu.csr.read("mcause") == TrapCause.TIMER_INTERRUPT.code
+    def test_timer_preempts_loop(self):
+        seen = {}
+        for tier in Tier:
+            cpu = _interrupted_loop(tier)
+            seen[tier] = (
+                cpu.regs.read_int(14),  # handler entries
+                cpu.regs.read_int(15),  # loop counter when taken
+                cpu.csr.read("mcause"),
+                cpu.csr.read("mepc"),
+                cpu.stats.instructions,
+                cpu.stats.traps,
+                cpu.timing.cycles,
+            )
+            if tier is Tier.FUSED:
+                assert cpu.block_stats.executions > 0
+        _assert_tier_blind(seen)
+        entries, counter, mcause, mepc, *_ = seen[Tier.INTERP]
+        assert (entries, counter) == (1, 3)
+        assert mcause == TrapCause.TIMER_INTERRUPT.code
+        # Taken at the boundary right after the posting ecall.
+        assert mepc == CODE_BASE + 4 * 3
 
-    def test_interrupts_disabled_holds_timer_off(self, bus, roots):
-        core = make_core_model(CoreKind.IBEX)
-        cpu = self._looping_cpu(bus, roots, extra="csrci mstatus_mie, 1")
-        cpu.timing = core
-        timer = ClintTimer(core, interval=300)
-        cpu.timer = timer
-        cpu.run()
-        # The timer posts, but the CPU never takes it: posture wins.
-        assert cpu.regs.read_int(14) == 0
-        assert cpu.interrupt_pending is TrapCause.TIMER_INTERRUPT
-
-    def test_timer_mmio_interface(self):
-        core = make_core_model(CoreKind.IBEX)
-        timer = ClintTimer(core)
-        timer.mmio_write(0x0, 123)
-        timer.mmio_write(0x8, 50)
-        assert timer.mmio_read(0x0) == 123
-        assert timer.mmio_read(0x8) == 50
-        core.charge(200)
-        assert timer.mmio_read(0x4) == 200
+    def test_interrupts_disabled_holds_timer_off(self):
+        seen = {}
+        for tier in Tier:
+            cpu = _interrupted_loop(tier, prologue="csrci mstatus_mie, 1")
+            # The interrupt is posted, but the CPU never takes it:
+            # posture wins.
+            seen[tier] = (
+                cpu.regs.read_int(14),
+                cpu.interrupt_pending,
+                cpu.stats.instructions,
+                cpu.timing.cycles,
+            )
+        _assert_tier_blind(seen)
+        assert seen[Tier.INTERP][:2] == (0, TrapCause.TIMER_INTERRUPT)
 
 
 class TestVectoringCost:

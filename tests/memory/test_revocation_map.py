@@ -74,17 +74,17 @@ class TestMMIOView:
     def test_bits_visible_through_mmio(self, rmap):
         rmap.paint(HEAP_BASE, 8)  # granule 0 -> bit 0 of word 0
         rmap.paint(HEAP_BASE + 33 * 8, 8)  # granule 33 -> bit 1 of word 4
-        assert rmap.mmio_read_word(0) & 1 == 1
-        assert rmap.mmio_read_word(4) & 0b10 == 0b10
+        assert rmap.mmio_read(0) & 1 == 1
+        assert rmap.mmio_read(4) & 0b10 == 0b10
 
     def test_mmio_write_sets_and_clears(self, rmap):
-        rmap.mmio_write_word(0, 0xFFFF_FFFF)
+        rmap.mmio_write(0, 0xFFFF_FFFF)
         assert rmap.is_revoked(HEAP_BASE)
         assert rmap.is_revoked(HEAP_BASE + 31 * 8)
         assert not rmap.is_revoked(HEAP_BASE + 32 * 8)
-        rmap.mmio_write_word(0, 0)
+        rmap.mmio_write(0, 0)
         assert not rmap.any_revoked()
 
     def test_mmio_roundtrip(self, rmap):
-        rmap.mmio_write_word(8, 0xA5A5_5A5A)
-        assert rmap.mmio_read_word(8) == 0xA5A5_5A5A
+        rmap.mmio_write(8, 0xA5A5_5A5A)
+        assert rmap.mmio_read(8) == 0xA5A5_5A5A

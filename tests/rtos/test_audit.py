@@ -4,10 +4,14 @@ from repro.machine import System
 from repro.rtos import InterruptPosture, audit_image
 
 
+def _audit(system):
+    return audit_image(system.switcher, system.loader.memory_map)
+
+
 class TestAudit:
     def test_system_image_audits_clean(self):
         system = System.build()
-        report = audit_image(system.switcher)
+        report = _audit(system)
         names = {(r.compartment, r.export) for r in report.exports}
         assert ("alloc", "malloc") in names
         assert ("alloc", "free") in names
@@ -21,13 +25,13 @@ class TestAudit:
         critical.export("nmi_window", lambda ctx: None,
                         posture=InterruptPosture.DISABLED)
         system.loader.finalize()
-        report = audit_image(system.switcher)
+        report = _audit(system)
         disabled = {(r.compartment, r.export) for r in report.interrupts_disabled}
         assert disabled == {("critical", "nmi_window")}
 
     def test_render(self):
         system = System.build()
-        text = audit_image(system.switcher).render()
+        text = _audit(system).render()
         assert "image audit" in text
         assert "alloc" in text
         assert "total exports" in text
