@@ -30,7 +30,7 @@ context-switch state of the stack high-water mark.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.allocator.dlmalloc import (
@@ -257,7 +257,6 @@ class CheriHeap:
         if obs is not None:
             span = obs.tracer.begin("malloc", "alloc", bytes=size)
             obs.attributor.push("allocator")
-            obs.alloc_sizes.observe(size)
         try:
             return self._malloc(size)
         finally:

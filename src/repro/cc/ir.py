@@ -17,7 +17,7 @@ Types are just ``int`` (32-bit) and ``ptr`` (pointer/capability).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 INT = "int"
 PTR = "ptr"

@@ -24,7 +24,7 @@ fixes the authors expect before silicon — used by the ablation bench.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import ir

@@ -21,7 +21,7 @@ that every variant's deepest path is still a *baseline* path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .area_power import FMAX_MHZ
 

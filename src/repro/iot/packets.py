@@ -9,8 +9,8 @@ program the device runs — on a configurable schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,8 @@ class SessionState:
 
 @dataclass
 class NetPipelineStats:
-    """The ``net`` metric group: flat integers, registry-harvestable."""
+    """The pipeline's counters, all flat integers; ``BENCH_net.json``
+    and the fleet devices read them through :meth:`NetPipeline.counters`."""
 
     packets_in: int = 0
     bytes_in: int = 0
@@ -260,10 +261,6 @@ class NetPipeline:
             app_stack_size=4096,
             quarantine_threshold=quarantine_threshold,
         )
-        # The scaled path's metric group rides the system registry, so
-        # observability snapshots carry per-compartment attribution
-        # alongside the classic groups.
-        self.system.registry.register_source("net", self.stats)
         self._core = self.system.core_model
         self._bus = self.system.bus
         self.firewall = Firewall()

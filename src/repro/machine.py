@@ -23,15 +23,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.allocator import CheriHeap, TemporalSafetyMode
-from repro.capability import Capability, Permission, make_roots
-from repro.isa import (
-    CPU,
-    BlockCacheStats,
-    CSRFile,
-    ExecutionMode,
-    LoadFilter,
-    Tier,
-)
+from repro.capability import Capability, make_roots
+from repro.isa import CPU, CSRFile, ExecutionMode, LoadFilter, Tier
 from repro.memory import (
     MemoryMap,
     RevocationMap,
@@ -39,7 +32,7 @@ from repro.memory import (
     TaggedMemory,
     default_memory_map,
 )
-from repro.obs import MetricsRegistry, MetricsSnapshot, Telemetry
+from repro.obs import Telemetry
 from repro.pipeline import CoreKind, CoreModel, make_core_model
 from repro.revoker import BackgroundRevoker, EpochCounter, SoftwareRevoker
 from repro.rtos import (
@@ -51,7 +44,6 @@ from repro.rtos import (
     Thread,
     make_hardware_wait_policy,
 )
-from repro.rtos.compartment import InterruptPosture
 
 #: Stack bytes the benchmark application keeps resident below its frame
 #: pointer before making cross-compartment calls ("stack usage of
@@ -108,57 +100,6 @@ class System:
         self.main_thread = main_thread
         self.idle_thread = idle_thread
         self.obs = telemetry
-        # The metrics registry replaces the ad-hoc dict plumbing that
-        # stats_summary used to hand-build: every classic stat holder
-        # registers once, in the summary's historical key order, and
-        # summaries/diffs are registry snapshots from here on.  With
-        # telemetry enabled the same registry also carries the obs
-        # metrics (span counts, allocation-size histogram).
-        self.registry = telemetry.registry if telemetry else MetricsRegistry()
-        # The scalar sources close over their components, not over the
-        # System: a registry that referred back to its System would keep
-        # a dropped one alive until the cyclic collector ran.
-        self.registry.register_scalar("cycles", lambda: core_model.cycles)
-        self.registry.register_source("bus", self.bus.stats)
-        self.registry.register_source("heap", self.allocator.stats)
-        self.registry.register_source("switcher", self.switcher.stats)
-        self.registry.register_source("scheduler", self.scheduler.stats)
-        self.registry.register_source(
-            "software_revoker", self.software_revoker.stats
-        )
-        self.registry.register_source(
-            "hardware_revoker", self.hardware_revoker.stats
-        )
-        self.registry.register_source("load_filter", self.load_filter.stats)
-        # Execution-tier counters: every CPU this system creates
-        # (``make_cpu``) shares this holder, so the summary aggregates
-        # translation activity across all harts.
-        self.block_cache_stats = BlockCacheStats()
-        self.registry.register_source("block_cache", self.block_cache_stats)
-        self.registry.register_scalar("epoch", lambda: epoch.value)
-        self.registry.register_scalar(
-            "quarantined_bytes", lambda: allocator.quarantined_bytes
-        )
-        self.registry.register_scalar(
-            "live_allocations", lambda: allocator.live_allocations
-        )
-
-    #: The registry groups stats_summary() has always reported, in its
-    #: historical key order (tests and reports rely on the shape).
-    _CLASSIC_GROUPS = (
-        "cycles",
-        "bus",
-        "heap",
-        "switcher",
-        "scheduler",
-        "software_revoker",
-        "hardware_revoker",
-        "load_filter",
-        "block_cache",
-        "epoch",
-        "quarantined_bytes",
-        "live_allocations",
-    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -187,9 +128,9 @@ class System:
         before calling ``system.loader.finalize()`` itself.
 
         ``telemetry`` wires a :class:`repro.obs.Telemetry` (span tracer,
-        cycle attributor, obs metrics) into the switcher, scheduler,
-        allocator and revokers; disabled, those subsystems follow the
-        seed's exact code paths.
+        cycle attributor) into the switcher, scheduler, allocator and
+        revokers; disabled, those subsystems follow the seed's exact
+        code paths.
         """
         mm = memory_map if memory_map is not None else default_memory_map()
         bus = SystemBus()
@@ -324,7 +265,7 @@ class System:
         :class:`~repro.isa.CPU`; the zero-copy differential varies the
         tier of a device's CPU through this seam.
         """
-        cpu = CPU(
+        return CPU(
             self.bus,
             mode=mode,
             load_filter=self.load_filter if self.core_model.load_filter_enabled else None,
@@ -332,36 +273,10 @@ class System:
             hwm_enabled=self.csr.hwm_enabled,
             tier=tier,
         )
-        # Aggregate this hart's tier counters into the system registry.
-        cpu.block_stats = self.block_cache_stats
-        return cpu
 
     def reset_cycles(self) -> None:
-        """Zero the cycle counters (between benchmark phases)."""
+        """Zero the cycle counters (between benchmark phases) and, with
+        telemetry on, restart the cycle attribution with them."""
         self.core_model.reset()
         if self.obs is not None:
             self.obs.attributor.rebase()
-
-    def stats_summary(self) -> dict:
-        """One dict of every subsystem's counters (for reports/tests).
-
-        Delegates to the metrics registry, restricted to the classic
-        groups so the shape is identical whether or not telemetry is
-        enabled (obs-only metrics live in :meth:`stats_snapshot`).
-        """
-        return self.registry.snapshot(self._CLASSIC_GROUPS).as_dict()
-
-    def stats_snapshot(self) -> MetricsSnapshot:
-        """A full registry snapshot (classic groups plus obs metrics)."""
-        return self.registry.snapshot()
-
-    def stats_diff(self, before: MetricsSnapshot) -> dict:
-        """Numeric deltas of every registered metric since ``before``.
-
-        The before/after idiom for workloads::
-
-            before = system.stats_snapshot()
-            run_workload(system)
-            delta = system.stats_diff(before)
-        """
-        return self.registry.snapshot().diff(before).as_dict()

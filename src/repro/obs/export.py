@@ -7,8 +7,9 @@ The output is the JSON-object flavour understood by both
 
 Mapping from this repo's model:
 
-* one Perfetto *process* represents one simulated SoC (one *device* in
-  a fleet export — see :func:`fleet_trace_events`);
+* one Perfetto *process* represents one simulated SoC, a *device*;
+  ``make trace`` exports one device and ``make fleet-trace`` several,
+  through the same fold (:func:`trace_events`);
 * each :class:`~repro.obs.span.Span` ``track`` becomes a *thread* row
   (tids are assigned in first-seen order **within that process**, with
   metadata ``M`` events naming them);
@@ -25,10 +26,10 @@ revoker passes) would otherwise leave them out of order.
 Track identity in Perfetto is the *(pid, tid)* pair, so two devices
 both exporting an ``allocator`` track stay on separate rows precisely
 because each device owns a pid and allocates tids in its own
-namespace.  :func:`fleet_trace_events` enforces that: concatenating
-two single-device exports with the default pid would fold same-named
-compartment tracks from different devices onto one row — the
-collision this module exists to prevent.
+namespace.  :func:`trace_events` enforces that: concatenating two
+devices' events under one pid would fold same-named compartment
+tracks from different devices onto one row — the collision this
+module exists to prevent.
 """
 
 from __future__ import annotations
@@ -38,17 +39,18 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .span import Span
 
+#: The Perfetto process name of a single-device export.
 PROCESS_NAME = "cheriot-sim"
-DEFAULT_PID = 1
 
 
 def spans_to_trace_events(
     spans: Iterable[Span],
-    frequency_mhz: float = 100.0,
-    pid: int = DEFAULT_PID,
-    process_name: str = PROCESS_NAME,
+    frequency_mhz: float,
+    pid: int,
+    process_name: str,
 ) -> List[dict]:
-    """Convert spans to a sorted ``trace_event`` list with metadata."""
+    """One device's ``trace_event`` list: its process and thread
+    metadata, then one event per span in span order."""
     scale = 1.0 / frequency_mhz  # cycles -> microseconds
 
     tids: dict = {}
@@ -77,8 +79,6 @@ def spans_to_trace_events(
             event["args"] = dict(span.args)
         events.append(event)
 
-    events.sort(key=lambda e: (e["ts"], e.get("dur", 0)))
-
     meta: List[dict] = [
         {
             "name": "process_name",
@@ -100,85 +100,47 @@ def spans_to_trace_events(
     return meta + events
 
 
-def fleet_trace_events(
+def trace_events(
     devices: Sequence[Tuple[str, Iterable[Span]]],
-    frequency_mhz: float = 100.0,
+    frequency_mhz: float,
 ) -> List[dict]:
-    """Merge per-device span sets into one fleet ``trace_event`` list.
+    """Fold per-device span sets into one ``trace_event`` list.
 
     ``devices`` is a sequence of ``(process_name, spans)`` pairs in
-    fleet order.  Device *i* gets pid ``i + 1`` and allocates tids in
+    device order.  Device *i* gets pid ``i + 1`` and allocates tids in
     its own first-seen namespace, so two devices exporting the same
     compartment track land on distinct ``(pid, tid)`` rows instead of
     colliding.  Metadata events lead (grouped by device), then every
-    span event sorted by ``(ts, pid, tid)`` — a total order, so the
-    merged file is byte-deterministic for a fixed device order.
+    span event sorted by ``(ts, pid, tid, dur)``; the sort is stable,
+    so events with equal keys keep span order and the file is
+    byte-deterministic for a fixed device order.
     """
     meta: List[dict] = []
     events: List[dict] = []
     for index, (process_name, spans) in enumerate(devices):
         for event in spans_to_trace_events(
-            spans, frequency_mhz, pid=index + 1, process_name=process_name
+            spans, frequency_mhz, index + 1, process_name
         ):
             (meta if event["ph"] == "M" else events).append(event)
     events.sort(
-        key=lambda e: (e["ts"], e["pid"], e.get("tid", 0), e.get("dur", 0))
+        key=lambda e: (e["ts"], e["pid"], e["tid"], e.get("dur", 0))
     )
     return meta + events
 
 
-def export_fleet_trace(
-    devices: Sequence[Tuple[str, Iterable[Span]]],
-    frequency_mhz: float = 100.0,
-    metadata: Optional[dict] = None,
-) -> dict:
-    """The full JSON-object document for a merged fleet of span sets."""
-    document = {
-        "traceEvents": fleet_trace_events(devices, frequency_mhz),
-        "displayTimeUnit": "ms",
-    }
-    if metadata:
-        document["otherData"] = dict(metadata)
-    return document
-
-
-def write_fleet_trace(
-    path: str,
-    devices: Sequence[Tuple[str, Iterable[Span]]],
-    frequency_mhz: float = 100.0,
-    metadata: Optional[dict] = None,
-) -> int:
-    """Write the merged fleet trace to ``path``; returns event count."""
-    document = export_fleet_trace(devices, frequency_mhz, metadata)
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=1)
-        fh.write("\n")
-    return len(document["traceEvents"])
-
-
-def export_trace(
-    spans: Iterable[Span],
-    frequency_mhz: float = 100.0,
-    metadata: Optional[dict] = None,
-) -> dict:
-    """The full JSON-object document for a span list."""
-    document = {
-        "traceEvents": spans_to_trace_events(spans, frequency_mhz),
-        "displayTimeUnit": "ms",
-    }
-    if metadata:
-        document["otherData"] = dict(metadata)
-    return document
-
-
 def write_trace(
     path: str,
-    spans: Iterable[Span],
-    frequency_mhz: float = 100.0,
-    metadata: Optional[dict] = None,
+    devices: Sequence[Tuple[str, Iterable[Span]]],
+    frequency_mhz: float,
+    metadata: Optional[dict],
 ) -> int:
-    """Write the trace JSON to ``path``; returns the event count."""
-    document = export_trace(spans, frequency_mhz, metadata)
+    """Write the folded trace JSON to ``path``; returns the event count."""
+    document = {
+        "traceEvents": trace_events(devices, frequency_mhz),
+        "displayTimeUnit": "ms",
+    }
+    if metadata:
+        document["otherData"] = dict(metadata)
     with open(path, "w") as fh:
         json.dump(document, fh, indent=1)
         fh.write("\n")

@@ -64,8 +64,11 @@ class CycleAttributor:
             self._stack.pop()
 
     def rebase(self) -> None:
-        """Forget un-settled cycles — pairs with ``System.reset_cycles``."""
+        """Forget the totals and any un-settled cycles — pairs with
+        ``System.reset_cycles``, so attribution restarts with the core's
+        count."""
         self._mark = self.core.cycles
+        self.totals.clear()
 
     @property
     def current(self) -> str:

@@ -155,7 +155,6 @@ def run_traced_workload(
     """Build, run both phases, and return everything tools need."""
     system = build_system(telemetry, core)
     system.reset_cycles()
-    before = system.stats_snapshot()
     profiler = PCProfiler(system.core_model) if telemetry else None
     run_alloc_phase(system, rounds=rounds)
     kernel_cycles = run_kernel_phase(
@@ -164,7 +163,6 @@ def run_traced_workload(
     return {
         "system": system,
         "profiler": profiler,
-        "before": before,
         "kernel": kernel,
         "kernel_cycles": kernel_cycles,
     }

@@ -24,11 +24,11 @@ compartment (its globals reset to the loaded image).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.capability import Capability, Permission
-from repro.capability.errors import PermissionFault, TagFault
+from repro.capability.errors import PermissionFault
 from repro.memory.layout import Region
 
 

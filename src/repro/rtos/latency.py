@@ -21,7 +21,7 @@ checkable properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.isa.csr import CSRFile

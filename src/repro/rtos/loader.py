@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from repro.capability import Capability, Permission, RootSet
 from repro.capability.otypes import RTOS_DATA_OTYPES
 from repro.memory.layout import MemoryMap, Region
-from .compartment import Compartment, Export, ImportToken, InterruptPosture
+from .compartment import Compartment, ImportToken
 from .switcher import CompartmentSwitcher
 from .thread import Thread
 

@@ -15,7 +15,7 @@ the enqueue path — the ring is preallocated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.capability import Capability

@@ -10,7 +10,7 @@ its deepest store (section 5.2.1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.capability import Capability, Permission

@@ -34,7 +34,7 @@ campaign exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.capability import Permission
 from repro.capability import bounds as bounds_mod

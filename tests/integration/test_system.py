@@ -87,10 +87,9 @@ class TestWiring:
 
 class TestFreedWithoutTheCollector:
     def test_dropped_system_freed_by_refcount(self):
-        """The registry's scalar sources close over components, not over
-        the System, and the background revoker refers to its bus weakly,
-        so dropping a System frees it, its allocator, its bus and its
-        SRAM without the cyclic collector."""
+        """The background revoker refers to its bus weakly, so dropping
+        a System frees it, its allocator, its bus and its SRAM without
+        the cyclic collector."""
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -114,11 +113,10 @@ class TestIntrospection:
     def test_stats_summary_shape(self):
         system = System.build()
         system.free(system.malloc(32))
-        summary = system.stats_summary()
-        assert summary["heap"]["mallocs"] == 1
-        assert summary["switcher"]["calls"] == 2
-        assert summary["cycles"] > 0
-        assert summary["live_allocations"] == 0
+        assert system.allocator.stats.mallocs == 1
+        assert system.switcher.stats.calls == 2
+        assert system.core_model.cycles > 0
+        assert system.allocator.live_allocations == 0
 
     def test_audit_accessible(self):
         from repro.rtos import audit_image

@@ -191,9 +191,9 @@ class TestNetPipeline:
     def test_net_metric_group_on_registry(self, pipeline):
         pipeline.submit(7, _wire(7, 1, b"PUB:device/rpc:hello"))
         pipeline.drain()
-        snapshot = pipeline.system.registry.snapshot()
-        assert snapshot["net"]["packets_delivered"] == 1
-        assert snapshot["net"]["cycles_tls"] > 0
+        counters = pipeline.counters()
+        assert counters["packets_delivered"] == 1
+        assert counters["cycles_tls"] > 0
 
     def test_latency_sketch_populated(self, pipeline):
         pipeline.submit(7, _wire(7, 1, b"PUB:device/rpc:hello"))

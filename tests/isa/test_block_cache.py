@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from repro.capability import make_roots
 from repro.isa import (
     CPU,
-    BlockCacheStats,
     ExecutionMode,
     Halted,
     Tier,
@@ -545,19 +544,12 @@ class TestRefcountFreeing:
 
 
 class TestSystemCounters:
-    def test_make_cpu_shares_the_system_block_cache_stats(self):
-        # Every hart a System builds counts into one registry group.
+    def test_make_cpu_passes_the_tier_through(self):
         from repro.machine import System
 
         system = System.build()
-        summary = system.stats_summary()
-        assert set(summary["block_cache"]) == {
-            f.name for f in fields(BlockCacheStats)
-        }
         for tier in Tier:
-            cpu = system.make_cpu(tier=tier)
-            assert cpu.tier is tier
-            assert cpu.block_stats is system.block_cache_stats
+            assert system.make_cpu(tier=tier).tier is tier
 
 
 class _CycleCounter:

@@ -15,7 +15,7 @@ system and prints:
   ``CoreModel.cycles`` (the report says so, and exits non-zero if not);
 * the hot-PC histogram from the retire-hook
   :class:`~repro.obs.profile.PCProfiler`;
-* switcher/error-handler overhead counters from the metrics registry.
+* switcher/error-handler overhead counters from ``switcher.stats``.
 
 The merged three-device hot-PC profile is the committed
 ``OBS_fleet_profile.json`` (``make refresh NAME=profile``); its gate
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -69,8 +70,7 @@ def main(argv=None) -> int:
     print(f"hot PCs (kernel phase, {profiler.retired:,} instructions retired):")
     print(render_hot_pcs(profiler, n=args.top))
     print()
-    diff = system.stats_diff(result["before"])
-    switcher = diff.get("switcher", {})
+    switcher = asdict(system.switcher.stats)
     print("switcher overhead (this run):")
     for key in sorted(switcher):
         print(f"  {key:<28} {switcher[key]:>12,}")

@@ -13,14 +13,14 @@ sweep, background hardware-revoker passes, and one Table-3 CoreMark
 kernel — so compartment-switch, allocator and revoker spans all appear
 on their tracks.
 
-``--fleet N`` runs the workload once per device (kernel rotating
-through list/matrix/state; N defaults to the three devices of the
-committed ``OBS_fleet_profile.json``) and merges the N span sets into
-one trace:
-each device is its own Perfetto *process* (pid ``i+1``, process name
-``cheriot-sim/device-i``) with tids allocated per device, so two
-devices exporting the same compartment track land on separate rows —
-they can never collide.
+Without ``--fleet`` the trace is one device, the Perfetto *process*
+``cheriot-sim`` with pid 1.  ``--fleet N`` runs the workload once per
+device (kernel rotating through list/matrix/state; N defaults to the
+three devices of the committed ``OBS_fleet_profile.json``) and folds
+the N span sets into one trace: each device is its own process (pid
+``i+1``, process name ``cheriot-sim/device-i``) with tids allocated
+per device, so two devices exporting the same compartment track land
+on separate rows — they can never collide.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ sys.path.insert(
 )
 
 from repro.machine import CoreKind  # noqa: E402
-from repro.obs.export import write_fleet_trace  # noqa: E402
+from repro.obs.export import PROCESS_NAME, write_trace  # noqa: E402
 from repro.obs.workload import (  # noqa: E402
     FLEET_PROFILE_DEVICES,
     add_workload_arguments,
@@ -57,64 +57,47 @@ def main(argv=None) -> int:
         f"bare --fleet: {FLEET_PROFILE_DEVICES})",
     )
     args = parser.parse_args(argv)
+    core = CoreKind(args.core)
 
     if args.fleet:
-        return _fleet(args)
-
-    result = run_traced_workload(
-        core=CoreKind(args.core),
-        rounds=args.rounds,
-        kernel=args.kernel,
-        iterations=args.iterations,
-    )
-    system = result["system"]
-    count = system.obs.export_trace(
-        args.output,
-        metadata={
-            "core": args.core,
-            "kernel": args.kernel,
-            "cycles": system.core_model.cycles,
-            "spans_dropped": system.obs.tracer.dropped,
-        },
-    )
-    print(
-        f"wrote {count} events ({len(system.obs.tracer)} spans, "
-        f"{system.obs.tracer.dropped} dropped) to {args.output}"
-    )
-    print(f"open it at https://ui.perfetto.dev")
-    return 0
-
-
-def _fleet(args) -> int:
-    """The merged export: one Perfetto process per fleet device."""
-    workloads = run_fleet_workloads(
-        devices=args.fleet,
-        core=CoreKind(args.core),
-        rounds=args.rounds,
-        iterations=args.iterations,
-    )
-    devices = [
-        (name, result["system"].obs.tracer.events())
-        for name, result in workloads
-    ]
-    frequency = workloads[0][1]["system"].obs.frequency_mhz
-    spans = sum(len(result["system"].obs.tracer) for _, result in workloads)
-    dropped = sum(
-        result["system"].obs.tracer.dropped for _, result in workloads
-    )
-    count = write_fleet_trace(
-        args.output,
-        devices,
-        frequency,
-        metadata={
+        workloads = run_fleet_workloads(
+            devices=args.fleet,
+            core=core,
+            rounds=args.rounds,
+            iterations=args.iterations,
+        )
+        metadata = {
             "core": args.core,
             "devices": args.fleet,
             "kernels": [result["kernel"] for _, result in workloads],
-            "spans_dropped": dropped,
-        },
+        }
+        over = f" over {args.fleet} devices"
+    else:
+        result = run_traced_workload(
+            core=core,
+            rounds=args.rounds,
+            kernel=args.kernel,
+            iterations=args.iterations,
+        )
+        workloads = [(PROCESS_NAME, result)]
+        metadata = {
+            "core": args.core,
+            "kernel": args.kernel,
+            "cycles": result["system"].core_model.cycles,
+        }
+        over = ""
+    tracers = [(name, result["system"].obs.tracer) for name, result in workloads]
+    spans = sum(len(tracer) for _, tracer in tracers)
+    dropped = sum(tracer.dropped for _, tracer in tracers)
+    metadata["spans_dropped"] = dropped
+    count = write_trace(
+        args.output,
+        [(name, tracer.events()) for name, tracer in tracers],
+        workloads[0][1]["system"].core_model.params.frequency_mhz,
+        metadata,
     )
     print(
-        f"wrote {count} events ({spans} spans over {args.fleet} devices, "
+        f"wrote {count} events ({spans} spans{over}, "
         f"{dropped} dropped) to {args.output}"
     )
     print(f"open it at https://ui.perfetto.dev")
