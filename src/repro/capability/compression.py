@@ -121,8 +121,15 @@ def compress(perms: PermSet) -> int:
     Raises :class:`ValueError` when the set is not exactly representable;
     callers wanting hardware semantics should ``compress(normalize(p))``.
     """
-    fmt = classify(perms)
-    held = frozenset(perms)
+    return _compress_cached(frozenset(perms))
+
+
+# A pure function of at most 2**12 sets, met on every capability store.
+# ``lru_cache`` keeps only results, so a set that is not representable
+# raises every time.
+@lru_cache(maxsize=None)
+def _compress_cached(held: PermSet) -> int:
+    fmt = classify(held)
     word = _GL_BIT if P.GL in held else 0
     if fmt == FORMAT_MEM_CAP_RW:
         word |= 0b11000

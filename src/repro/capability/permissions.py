@@ -51,6 +51,11 @@ class Permission(enum.Flag):
     US = enum.auto()
     U0 = enum.auto()
 
+    #: Members are singletons and compare by identity, so the identity
+    #: hash agrees with equality; it runs in C, where ``Enum.__hash__``
+    #: hashes the member's name in Python on every ``P.X in perms``.
+    __hash__ = object.__hash__
+
 
 #: Architectural bit order, least-significant first.  GL, LG, LM and SD sit
 #: in the low bits so a single compressed-immediate AND can clear them

@@ -7,7 +7,7 @@ checks — on every instruction.  This module fuses *straight-line runs*
 of pre-decoded instructions into :class:`Block` objects executed with a
 single dispatch from the run loop:
 
-* the run's handlers fire back-to-back from a pre-built entry tuple
+* the run's bound steps fire back-to-back from a pre-built entry tuple
   (no per-instruction fetch, bounds or window checks — the window is
   checked once for the whole block);
 * retired-instruction counts are batch-added, and cycle accounting is
@@ -171,13 +171,12 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     entries: List[tuple] = []
     pairs: List[tuple] = []
     while i < limit:
-        handler, operands, instr = decoded[i]
+        step, instr = decoded[i]
         if instr.mnemonic not in FUSABLE_MNEMONICS:
             break
         pc = code_base + 4 * i
-        info = _RetireInfo(pc)
-        entries.append([handler, operands, pc, info])
-        pairs.append((instr, info))
+        entries.append((step, pc))
+        pairs.append((instr, _RetireInfo(pc)))
         i += 1
     if i == index:
         return None
@@ -185,10 +184,9 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     term_bails = False
     last_pc = code_base + 4 * (i - 1)
     if i < len(decoded):
-        handler, operands, instr = decoded[i]
+        step, instr = decoded[i]
         term_pc = code_base + 4 * i
-        tinfo = _RetireInfo(term_pc)
-        term = (handler, operands, instr, tinfo, term_pc)
+        term = (step, instr, _RetireInfo(term_pc), term_pc)
         term_bails = instr.mnemonic == "ecall"
         last_pc = term_pc
     timing = cpu.timing
@@ -210,7 +208,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     return Block(
         last_pc=last_pc,
         entries=tuple(
-            (e[0], e[1], e[2], e[3], pres[j]) for j, e in enumerate(entries)
+            (step, pc, pre) for (step, pc), pre in zip(entries, pres)
         ),
         pairs=tuple(pairs),
         term=term,

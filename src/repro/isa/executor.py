@@ -11,11 +11,15 @@ execution modes so the evaluation can compare like the paper does:
   check);
 * ``CHERIOT`` — every access authorized by a capability register, with
   an optional load filter.
+
+Each mnemonic's semantics live in one *binder*, which resolves an
+instruction's operands once and returns its step (see "Semantics" below).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable, List, Optional
@@ -26,6 +30,8 @@ from repro.capability import (
     SentryType,
     attenuate_loaded,
     from_architectural_word,
+    representable_alignment_mask,
+    representable_length,
     return_sentry_for_posture,
     to_architectural_word,
 )
@@ -48,9 +54,10 @@ from .csr import CSRFile
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
 from .instructions import Instruction
 from .load_filter import LoadFilter
-from .registers import RegisterFile
+from .registers import NUM_REGS, CheckedRegisters, RegisterFile
 
 _WORD = 0xFFFFFFFF
+_null = Capability.null
 
 _SENTRY_NAMES = {
     "inherit": SentryType.INHERIT,
@@ -75,11 +82,11 @@ class Tier(enum.Enum):
     differential suites loop over both to hold it to that.
     """
 
-    #: The seed's interpretive step: string-keyed dispatch and a full
-    #: PCC authorization per fetch — the reference semantics.
+    #: The interpretive step: each instruction bound when it runs and a
+    #: full PCC authorization per fetch — the reference.
     INTERP = "interp"
-    #: Handlers and operands resolved once at :meth:`CPU.load_program`
-    #: time, straight-line runs fused into superblocks
+    #: Every instruction bound once, at :meth:`CPU.load_program` time,
+    #: straight-line runs fused into superblocks
     #: (:mod:`repro.isa.blockcache`); the default.  Where a run cannot
     #: fuse, and for every :meth:`CPU.step`, it single-steps the
     #: pre-decoded table.
@@ -128,26 +135,6 @@ class ExecStats:
             setattr(self, f.name, 0)
 
 
-def _signed(value: int) -> int:
-    value &= _WORD
-    return value - (1 << 32) if value & 0x80000000 else value
-
-
-def _div_impl(a: int, b: int) -> int:
-    """RV32M ``div`` semantics (round toward zero, div-by-zero → -1)."""
-    if b == 0:
-        return _WORD
-    q = abs(_signed(a)) // abs(_signed(b))
-    return -q if (_signed(a) < 0) != (_signed(b) < 0) else q
-
-
-def _rem_impl(a: int, b: int) -> int:
-    """RV32M ``rem`` semantics (sign of the dividend)."""
-    if b == 0:
-        return a
-    return _signed(a) - _signed(b) * _signed(_div_impl(a, b) & _WORD)
-
-
 class CPU:
     """A single CHERIoT (or plain RV32E) hart attached to a bus.
 
@@ -180,9 +167,9 @@ class CPU:
         self.load_filter = load_filter
         self.timing = timing
         self.tier = tier
-        #: Decode-once, execute-many: at :attr:`Tier.FUSED` the handler
-        #: and operand metadata of every instruction are resolved at
-        #: :meth:`load_program` time.
+        #: Decode-once, execute-many: at :attr:`Tier.FUSED` every
+        #: instruction is bound to its step at :meth:`load_program` time
+        #: (``(step, instr)`` per instruction).
         self._decoded: Optional[List[tuple]] = None
         #: Superblock translation cache (:mod:`repro.isa.blockcache`),
         #: keyed by decoded index: the run loop fuses straight-line runs
@@ -327,7 +314,7 @@ class CPU:
                 raise ValueError("CHERIoT mode requires a PCC")
             self.pcc = pcc.set_address(self.pc)
         self._decoded = (
-            None if self.tier is Tier.INTERP else _decode_program(program)
+            None if self.tier is Tier.INTERP else _decode_program(self, program)
         )
         self._blocks.clear()
         self._halted = False
@@ -400,9 +387,9 @@ class CPU:
             self._step_interp()
 
     def _step_fast(self) -> None:
-        """Pre-decoded step: handler and operand metadata come from the
-        table built at load time; the PCC check is two comparisons while
-        the PC stays inside the cached executable window."""
+        """Pre-decoded step: the bound step comes from the table built
+        at load time; the PCC check is two comparisons while the PC
+        stays inside the cached executable window."""
         if self._pre_step_hook is not None:
             self._pre_step_hook(self)
         if (
@@ -424,11 +411,10 @@ class CPU:
                 self._fetch_lo <= pc <= self._fetch_hi
             ):
                 self._fetch_pcc_check(pc)
-            handler, operands, instr = decoded[index]
-            next_pc = pc + 4
+            step, instr = decoded[index]
             info = _RetireInfo(pc)
             try:
-                next_pc = handler(self, operands, next_pc, info)
+                next_pc = step(self, pc + 4, info)
             except _INSTRUCTION_FAULTS as fault:
                 self.stats.traps += 1
                 raise _fault_trap(fault, pc) from fault
@@ -532,12 +518,12 @@ class CPU:
             block_stats.executions += 1
             flushed = 0
             try:
-                for handler, operands, ipc, info, pre in block.entries:
+                for step, ipc, pre in block.entries:
                     self.pc = ipc
                     if pre:
                         timing.cycles += pre
                         flushed += pre
-                    handler(self, operands, 0, info)
+                    step(self, 0, None)
             except _BLOCK_FAULTS as fault:
                 if flushed:
                     timing.cycles -= flushed
@@ -564,13 +550,12 @@ class CPU:
                 if consumed >= remaining:
                     return consumed
                 continue
-            t_handler, t_operands, t_instr, t_info, t_pc = term
+            t_step, t_instr, t_info, t_pc = term
             self.pc = t_pc
             t_info.branch_taken = False
-            next_pc = t_pc + 4
             try:
                 try:
-                    next_pc = t_handler(self, t_operands, next_pc, t_info)
+                    next_pc = t_step(self, t_pc + 4, t_info)
                 except _INSTRUCTION_FAULTS as fault:
                     stats.traps += 1
                     raise _fault_trap(fault, t_pc) from fault
@@ -626,9 +611,10 @@ class CPU:
                 retire(instr, info)
 
     def _step_interp(self) -> None:
-        """The seed's interpretive step: string-keyed dispatch and a full
-        PCC authorization per fetch.  Kept as the reference semantics for
-        the differential golden-trace tests (:attr:`Tier.INTERP`)."""
+        """The interpretive step: a string-keyed binder lookup and bind
+        per step, and a full PCC authorization per fetch.  Kept as the
+        reference for the differential golden-trace tests
+        (:attr:`Tier.INTERP`); it runs the same steps as the fast tier."""
         if self._pre_step_hook is not None:
             self._pre_step_hook(self)
         if (
@@ -642,10 +628,9 @@ class CPU:
             return
         try:
             instr = self._fetch()
-            next_pc = self.pc + 4
             info = _RetireInfo(self.pc)
             try:
-                next_pc = self._execute(instr, next_pc, info)
+                next_pc = self._execute(instr, self.pc + 4, info)
             except _INSTRUCTION_FAULTS as fault:
                 self.stats.traps += 1
                 raise _fault_trap(fault, self.pc) from fault
@@ -661,6 +646,11 @@ class CPU:
             for hook in self._retire_hooks:
                 hook(instr, info)
         self.pc = next_pc
+
+    def _execute(self, instr: Instruction, next_pc: int, info: "_RetireInfo") -> int:
+        """Bind ``instr`` and run its step: the interpretive tier's
+        string-keyed dispatch."""
+        return _bind(self, instr)(self, next_pc, info)
 
     # ------------------------------------------------------------------
     # Trap vectoring
@@ -686,203 +676,6 @@ class CPU:
             # Pipeline flush + redirect into the handler.
             self.timing.charge(self.timing.params.branch_taken_penalty + 2)
 
-    # ------------------------------------------------------------------
-    # Semantics
-    # ------------------------------------------------------------------
-
-    def _execute(self, instr: Instruction, next_pc: int, info: "_RetireInfo") -> int:
-        handler = _DISPATCH.get(instr.mnemonic)
-        if handler is None:
-            raise Trap(
-                TrapCause.ILLEGAL_INSTRUCTION, self.pc, f"no handler: {instr.mnemonic}"
-            )
-        return handler(self, instr.operands, next_pc, info)
-
-    # --- helpers ---
-
-    def _require_cheriot(self) -> None:
-        if self.mode is not ExecutionMode.CHERIOT:
-            raise Trap(
-                TrapCause.ILLEGAL_INSTRUCTION,
-                self.pc,
-                "capability instruction in RV32E mode",
-            )
-
-    def _mem_address(self, operand, size: int, kind: str):
-        """Resolve an ``imm(reg)`` operand and authorize the access.
-
-        Returns the effective address.  ``kind`` is ``"r"`` or ``"w"``
-        for data, ``"cr"``/``"cw"`` for capability-width access.
-
-        The authorization runs an exception-free inlined bounds and
-        permission test first; only a failing access falls back to
-        :meth:`Capability.check_access`, which raises the architectural
-        fault in hardware order (tag, seal, permission, bounds).
-        """
-        offset, reg = operand
-        authority = self.regs.read(reg)
-        address = (authority.address + offset) & _WORD
-        if self.mode is _CHERIOT:
-            if not authority.allows(address, size, _KIND_BITS[kind]):
-                authority.check_access(address, size, _KIND_PERMS[kind])
-        if address & (size - 1):  # sizes are powers of two
-            raise Trap(TrapCause.MISALIGNED, self.pc, f"{address:#x} % {size}")
-        return address, authority
-
-    def _check_sr(self, what: str) -> None:
-        if self.mode is ExecutionMode.CHERIOT and Permission.SR not in self.pcc.perms:
-            raise PermissionFault(f"{what} requires SR on PCC")
-
-    # ------------------------------------------------------------------
-    # Instruction implementations (registered in _DISPATCH below)
-    # ------------------------------------------------------------------
-
-    def _alu_rr(self, ops, next_pc, info, fn):
-        rd, rs, rt = ops
-        a, b = self.regs.read_int(rs), self.regs.read_int(rt)
-        self.regs.write_int(rd, fn(a, b) & _WORD)
-        return next_pc
-
-    def _alu_ri(self, ops, next_pc, info, fn):
-        rd, rs, imm = ops
-        a = self.regs.read_int(rs)
-        self.regs.write_int(rd, fn(a, imm) & _WORD)
-        return next_pc
-
-    def _branch(self, ops, next_pc, info, fn):
-        if len(ops) == 3:
-            rs, rt, target = ops
-            a, b = self.regs.read_int(rs), self.regs.read_int(rt)
-        else:  # beqz / bnez
-            rs, target = ops
-            a, b = self.regs.read_int(rs), 0
-        if fn(a, b):
-            info.branch_taken = True
-            return self.code_base + 4 * target
-        return next_pc
-
-    def _load(self, ops, next_pc, info, size, signed):
-        rd, mem = ops
-        address, _ = self._mem_address(mem, size, "r")
-        value = self.bus.read_word(address, size)
-        if signed:
-            bit = 1 << (8 * size - 1)
-            if value & bit:
-                value |= ~((1 << (8 * size)) - 1) & _WORD
-        self.regs.write_int(rd, value)
-        return next_pc
-
-    def _store(self, ops, next_pc, info, size):
-        rs, mem = ops
-        address, _ = self._mem_address(mem, size, "w")
-        self.bus.write_word(address, self.regs.read_int(rs), size)
-        self.csr.note_store(address)
-        return next_pc
-
-    def _clc(self, ops, next_pc, info):
-        self._require_cheriot()
-        rd, mem = ops
-        address, authority = self._mem_address(mem, 8, "cr")
-        loaded = self.bus.read_capability(address)
-        loaded = attenuate_loaded(loaded, authority)
-        if self.load_filter is not None:
-            loaded = self.load_filter.filter(loaded)
-        self.regs.write(rd, loaded)
-        return next_pc
-
-    def _csc(self, ops, next_pc, info):
-        self._require_cheriot()
-        rs, mem = ops
-        address, authority = self._mem_address(mem, 8, "cw")
-        value = self.regs.read(rs)
-        if value.tag and value.is_local and Permission.SL not in authority.perms:
-            raise PermissionFault(
-                "store of local capability requires SL on the authority"
-            )
-        self.bus.write_capability(address, value)
-        self.csr.note_store(address)
-        return next_pc
-
-    def _jump_link(self, rd: int, next_pc: int) -> None:
-        """Write the link register: a return sentry in CHERIoT mode."""
-        if rd == 0:
-            return
-        if self.mode is ExecutionMode.CHERIOT:
-            link = self.pcc.set_address(next_pc)
-            sentry = return_sentry_for_posture(self.csr.interrupts_enabled)
-            self.regs.write(rd, link.seal_sentry(sentry))
-        else:
-            self.regs.write_int(rd, next_pc)
-
-    def _jal(self, ops, next_pc, info):
-        rd, target = ops
-        self._jump_link(rd, next_pc)
-        info.branch_taken = True
-        return self.code_base + 4 * target
-
-    def _jalr(self, ops, next_pc, info):
-        rd, rs = ops
-        info.branch_taken = True
-        if self.mode is ExecutionMode.CHERIOT:
-            target = self.regs.read(rs)
-            if not target.tag:
-                raise TagFault("jump target untagged")
-            # The link register must capture the *caller's* posture: it
-            # is written before any sentry changes it (section 3.1.2,
-            # "the sentry type that sets interrupt posture to its
-            # current value").
-            new_posture = self.csr.interrupts_enabled
-            if target.is_sealed:
-                if target.otype in FORWARD_SENTRY_OTYPES and target.is_executable:
-                    if self.cfi_strict and rd == 0:
-                        raise SealedFault(
-                            "strict CFI: return consumed a forward sentry"
-                        )
-                    if target.otype == SentryType.DISABLE_INTERRUPTS:
-                        new_posture = False
-                    elif target.otype == SentryType.ENABLE_INTERRUPTS:
-                        new_posture = True
-                    target = target.unseal_for_jump()
-                elif target.otype in RETURN_SENTRY_OTYPES and target.is_executable:
-                    if self.cfi_strict and rd != 0:
-                        raise SealedFault(
-                            "strict CFI: call consumed a return sentry"
-                        )
-                    new_posture = target.otype == SentryType.RETURN_ENABLED
-                    target = target.unseal_for_jump()
-                else:
-                    raise SealedFault("jump to sealed non-sentry capability")
-            if Permission.EX not in target.perms:
-                raise PermissionFault("jump target lacks EX")
-            self._jump_link(rd, next_pc)
-            self.csr.interrupts_enabled = new_posture
-            self.pcc = target
-            return target.address
-        self._jump_link(rd, next_pc)
-        return self.regs.read_int(rs)
-
-    # --- capability manipulation ---
-
-    def _cap_unop(self, ops, next_pc, info, fn):
-        self._require_cheriot()
-        rd, rs = ops
-        fn(rd, self.regs.read(rs))
-        return next_pc
-
-    def _csetbounds(self, ops, next_pc, info, exact):
-        self._require_cheriot()
-        rd, rs, rt = ops
-        length = self.regs.read_int(rt)
-        self.regs.write(rd, self.regs.read(rs).set_bounds(length, exact=exact))
-        return next_pc
-
-    def _ecall(self, ops, next_pc, info):
-        if self.ecall_handler is not None:
-            self.ecall_handler(self)
-            return next_pc
-        self.stats.traps += 1
-        raise Trap(TrapCause.ECALL, self.pc)
-
 
 #: ``CPU._blocks`` value of an index not yet translated (``None`` marks
 #: one whose instruction cannot start a block).
@@ -902,372 +695,951 @@ class _RetireInfo:
     branch_taken: bool = False
 
 
-def _build_dispatch():
-    import operator
-
-    def sra(a, b):
-        return (_signed(a) >> (b & 31)) & _WORD
-
-    div = _div_impl
-    rem = _rem_impl
-
-    d = {}
-
-    def rr(name, fn):
-        d[name] = lambda cpu, ops, npc, info: cpu._alu_rr(ops, npc, info, fn)
-
-    def ri(name, fn):
-        d[name] = lambda cpu, ops, npc, info: cpu._alu_ri(ops, npc, info, fn)
-
-    rr("add", operator.add)
-    rr("sub", operator.sub)
-    rr("and", operator.and_)
-    rr("or", operator.or_)
-    rr("xor", operator.xor)
-    rr("sll", lambda a, b: a << (b & 31))
-    rr("srl", lambda a, b: a >> (b & 31))
-    rr("sra", sra)
-    rr("slt", lambda a, b: int(_signed(a) < _signed(b)))
-    rr("sltu", lambda a, b: int(a < b))
-    rr("mul", lambda a, b: (_signed(a) * _signed(b)) & _WORD)
-    rr("mulh", lambda a, b: ((_signed(a) * _signed(b)) >> 32) & _WORD)
-    rr("mulhu", lambda a, b: ((a * b) >> 32) & _WORD)
-    rr("div", div)
-    rr("divu", lambda a, b: _WORD if b == 0 else a // b)
-    rr("rem", rem)
-    rr("remu", lambda a, b: a if b == 0 else a % b)
-    ri("addi", operator.add)
-    ri("andi", operator.and_)
-    ri("ori", operator.or_)
-    ri("xori", operator.xor)
-    ri("slli", lambda a, b: a << (b & 31))
-    ri("srli", lambda a, b: a >> (b & 31))
-    ri("srai", sra)
-    ri("slti", lambda a, b: int(_signed(a) < b))
-    ri("sltiu", lambda a, b: int(a < (b & _WORD)))
-
-    d["lui"] = lambda cpu, ops, npc, info: (
-        cpu.regs.write_int(ops[0], (ops[1] << 12) & _WORD),
-        npc,
-    )[1]
-    d["li"] = lambda cpu, ops, npc, info: (
-        cpu.regs.write_int(ops[0], ops[1] & _WORD),
-        npc,
-    )[1]
-    d["mv"] = lambda cpu, ops, npc, info: (
-        cpu.regs.write(ops[0], cpu.regs.read(ops[1])),
-        npc,
-    )[1]
-    d["nop"] = lambda cpu, ops, npc, info: npc
-
-    def br(name, fn):
-        d[name] = lambda cpu, ops, npc, info: cpu._branch(ops, npc, info, fn)
-
-    br("beq", lambda a, b: a == b)
-    br("bne", lambda a, b: a != b)
-    br("blt", lambda a, b: _signed(a) < _signed(b))
-    br("bge", lambda a, b: _signed(a) >= _signed(b))
-    br("bltu", lambda a, b: a < b)
-    br("bgeu", lambda a, b: a >= b)
-    br("beqz", lambda a, b: a == 0)
-    br("bnez", lambda a, b: a != 0)
-
-    d["jal"] = CPU._jal
-    d["j"] = lambda cpu, ops, npc, info: cpu._jal((0, ops[0]), npc, info)
-    d["jalr"] = CPU._jalr
-    d["ret"] = lambda cpu, ops, npc, info: cpu._jalr((0, 1), npc, info)
-
-    def ld(name, size, signed):
-        d[name] = lambda cpu, ops, npc, info: cpu._load(ops, npc, info, size, signed)
-
-    def st(name, size):
-        d[name] = lambda cpu, ops, npc, info: cpu._store(ops, npc, info, size)
-
-    ld("lb", 1, True)
-    ld("lbu", 1, False)
-    ld("lh", 2, True)
-    ld("lhu", 2, False)
-    ld("lw", 4, False)
-    st("sb", 1)
-    st("sh", 2)
-    st("sw", 4)
-    d["clc"] = CPU._clc
-    d["csc"] = CPU._csc
-
-    # --- capability manipulation ---
-
-    def cap(name, fn):
-        d[name] = lambda cpu, ops, npc, info: cpu._cap_unop(
-            ops, npc, info, lambda rd, cs: fn(cpu, rd, cs)
-        )
-
-    cap("cmove", lambda cpu, rd, cs: cpu.regs.write(rd, cs))
-    cap("cgetaddr", lambda cpu, rd, cs: cpu.regs.write_int(rd, cs.address))
-    cap("cgetbase", lambda cpu, rd, cs: cpu.regs.write_int(rd, cs.base))
-    cap("cgettop", lambda cpu, rd, cs: cpu.regs.write_int(rd, min(cs.top, _WORD)))
-    cap("cgetlen", lambda cpu, rd, cs: cpu.regs.write_int(rd, min(cs.length, _WORD)))
-    cap(
-        "cgetperm",
-        lambda cpu, rd, cs: cpu.regs.write_int(rd, to_architectural_word(cs.perms)),
-    )
-    cap("cgettag", lambda cpu, rd, cs: cpu.regs.write_int(rd, int(cs.tag)))
-    cap("cgettype", lambda cpu, rd, cs: cpu.regs.write_int(rd, cs.otype))
-    cap("ccleartag", lambda cpu, rd, cs: cpu.regs.write(rd, cs.untagged()))
-
-    def _csetaddr(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).set_address(cpu.regs.read_int(rt)))
-        return npc
-
-    def _cincaddr(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).inc_address(_signed(cpu.regs.read_int(rt))))
-        return npc
-
-    def _cincaddrimm(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, imm = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).inc_address(imm))
-        return npc
-
-    d["csetaddr"] = _csetaddr
-    d["cincaddr"] = _cincaddr
-    d["cincaddrimm"] = _cincaddrimm
-    d["csetbounds"] = lambda cpu, ops, npc, info: cpu._csetbounds(ops, npc, info, False)
-    d["csetboundsexact"] = lambda cpu, ops, npc, info: cpu._csetbounds(
-        ops, npc, info, True
-    )
-
-    def _csetboundsimm(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, imm = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).set_bounds(imm))
-        return npc
-
-    d["csetboundsimm"] = _csetboundsimm
-
-    def _candperm(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        mask = from_architectural_word(cpu.regs.read_int(rt) & 0xFFF)
-        cpu.regs.write(rd, cpu.regs.read(rs).and_perms(mask))
-        return npc
-
-    d["candperm"] = _candperm
-
-    def _cseal(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).seal(cpu.regs.read(rt)))
-        return npc
-
-    def _cunseal(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        cpu.regs.write(rd, cpu.regs.read(rs).unseal(cpu.regs.read(rt)))
-        return npc
-
-    d["cseal"] = _cseal
-    d["cunseal"] = _cunseal
-
-    def _csealentry(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, name = ops
-        try:
-            sentry = _SENTRY_NAMES[name.lower()]
-        except KeyError:
-            raise OTypeFault(f"unknown sentry type {name!r}") from None
-        cpu.regs.write(rd, cpu.regs.read(rs).seal_sentry(sentry))
-        return npc
-
-    d["csealentry"] = _csealentry
-
-    def _ctestsubset(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        big, small = cpu.regs.read(rs), cpu.regs.read(rt)
-        ok = (
-            big.tag == small.tag
-            and small.base >= big.base
-            and small.top <= big.top
-            and small.perms <= big.perms
-        )
-        cpu.regs.write_int(rd, int(ok))
-        return npc
-
-    d["ctestsubset"] = _ctestsubset
-
-    def _csub(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, rs, rt = ops
-        cpu.regs.write_int(
-            rd, (cpu.regs.read(rs).address - cpu.regs.read(rt).address) & _WORD
-        )
-        return npc
-
-    d["csub"] = _csub
-
-    def _cram(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        from repro.capability.bounds import representable_alignment_mask
-
-        rd, rs = ops
-        cpu.regs.write_int(rd, representable_alignment_mask(cpu.regs.read_int(rs)))
-        return npc
-
-    def _crrl(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        from repro.capability.bounds import representable_length
-
-        rd, rs = ops
-        cpu.regs.write_int(rd, representable_length(cpu.regs.read_int(rs)))
-        return npc
-
-    d["cram"] = _cram
-    d["crrl"] = _crrl
-
-    def _cspecialrw(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, scr, rs = ops
-        cpu._check_sr(f"cspecialrw {scr}")
-        old = cpu.regs.read_scr(scr)
-        if rs != 0:
-            cpu.regs.write_scr(scr, cpu.regs.read(rs))
-        cpu.regs.write(rd, old)
-        return npc
-
-    d["cspecialrw"] = _cspecialrw
-
-    def _auipcc(cpu, ops, npc, info):
-        cpu._require_cheriot()
-        rd, imm = ops
-        cpu.regs.write(rd, cpu.pcc.set_address((cpu.pc + (imm << 12)) & _WORD))
-        return npc
-
-    d["auipcc"] = _auipcc
-
-    # --- CSRs ---
-
-    _PROTECTED_CSRS = ("mshwm", "mshwmb", "mstatus_mie")
-
-    def _csr_guard(cpu, name):
-        if name in _PROTECTED_CSRS:
-            cpu._check_sr(f"csr {name}")
-
-    def _csrr(cpu, ops, npc, info):
-        rd, name = ops
-        _csr_guard(cpu, name)
-        cpu.regs.write_int(rd, cpu.csr.read(name))
-        return npc
-
-    def _csrw(cpu, ops, npc, info):
-        name, rs = ops
-        _csr_guard(cpu, name)
-        cpu.csr.write(name, cpu.regs.read_int(rs))
-        return npc
-
-    def _csrrw(cpu, ops, npc, info):
-        rd, name, rs = ops
-        _csr_guard(cpu, name)
-        old = cpu.csr.read(name)
-        cpu.csr.write(name, cpu.regs.read_int(rs))
-        cpu.regs.write_int(rd, old)
-        return npc
-
-    def _csrsi(cpu, ops, npc, info):
-        name, imm = ops
-        _csr_guard(cpu, name)
-        cpu.csr.write(name, cpu.csr.read(name) | imm)
-        return npc
-
-    def _csrci(cpu, ops, npc, info):
-        name, imm = ops
-        _csr_guard(cpu, name)
-        cpu.csr.write(name, cpu.csr.read(name) & ~imm)
-        return npc
-
-    d["csrr"] = _csrr
-    d["csrw"] = _csrw
-    d["csrrw"] = _csrrw
-    d["csrsi"] = _csrsi
-    d["csrci"] = _csrci
-
-    # --- system ---
-
-    d["ecall"] = CPU._ecall
-
-    def _mret(cpu, ops, npc, info):
-        cpu._check_sr("mret")
-        epcc = cpu.regs.read_scr("mepcc")
-        # Simplified mstatus handling: returning from machine mode
-        # re-enables interrupts (MPIE is modelled as always set).
-        cpu.csr.interrupts_enabled = True
-        if cpu.mode is ExecutionMode.CHERIOT:
-            cpu.pcc = epcc
-        return epcc.address
-
-    d["mret"] = _mret
-
-    def _wfi(cpu, ops, npc, info):
-        return npc
-
-    d["wfi"] = _wfi
-
-    def _halt(cpu, ops, npc, info):
-        cpu.stats.instructions += 1
-        raise Halted()
-
-    d["halt"] = _halt
-
-    return d
-
-
-_DISPATCH = _build_dispatch()
-
-#: Pre-combined ``Permission.value`` masks for the fast memory-access
-#: check, keyed by the ``_mem_address`` kind, and the architectural
-#: permission tuples for the fault-raising fallback (order matters: the
-#: fault names the first missing permission, like the seed did).
-_KIND_PERMS = {
-    "r": (Permission.LD,),
-    "w": (Permission.SD,),
-    "cr": (Permission.LD, Permission.MC),
-    "cw": (Permission.SD, Permission.MC),
-}
-_KIND_BITS = {
-    kind: sum(p.value for p in perms) for kind, perms in _KIND_PERMS.items()
-}
-
-
-def _illegal_instruction_handler(mnemonic: str):
-    """Handler bound at decode time for mnemonics without semantics.
+# ----------------------------------------------------------------------
+# Semantics: one binder per mnemonic
+# ----------------------------------------------------------------------
+#
+# A binder takes the CPU, an instruction's operands and the register
+# file's lists, resolves everything static once — register indices,
+# immediates, access size and sign, permission masks, the execution
+# mode — and returns the instruction's *step*:
+# ``step(cpu, next_pc, info) -> next_pc``.  :meth:`CPU.load_program`
+# binds every instruction of the decoded table; :attr:`Tier.INTERP`
+# binds on every step.  A step takes the CPU as an argument rather than
+# closing over it, so the decoded table holds no reference cycle and a
+# dropped CPU is freed by reference counting.
+#
+# Steps close over ``regs.ints`` and ``regs.caps`` and may capture the
+# CPU's bus, CSR file and mode, which are never replaced after
+# construction; the timing model is, so no step touches it.  Each step
+# keeps the order of operations of the handler table that
+# ``tests/isa/test_executor_reference.py`` holds it to, so a fault —
+# capability checks in hardware order (tag, seal, permission, bounds),
+# then misalignment — is raised at the same moment with the same
+# message.
+
+
+def _signed(value: int) -> int:
+    value &= _WORD
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+def _div_impl(a: int, b: int) -> int:
+    """RV32M ``div`` semantics (round toward zero, div-by-zero → -1)."""
+    if b == 0:
+        return _WORD
+    q = abs(_signed(a)) // abs(_signed(b))
+    return -q if (_signed(a) < 0) != (_signed(b) < 0) else q
+
+
+def _rem_impl(a: int, b: int) -> int:
+    """RV32M ``rem`` semantics (sign of the dividend)."""
+    if b == 0:
+        return a
+    return _signed(a) - _signed(b) * _signed(_div_impl(a, b) & _WORD)
+
+
+def _sra(a: int, b: int) -> int:
+    return (_signed(a) >> (b & 31)) & _WORD
+
+
+def _sll(a: int, b: int) -> int:
+    return a << (b & 31)
+
+
+def _srl(a: int, b: int) -> int:
+    return a >> (b & 31)
+
+
+#: Flipping the sign bit maps signed 32-bit order onto unsigned order.
+_SIGN = 0x80000000
+
+#: Register operand kinds of an instruction signature.
+_REG_KINDS = frozenset(("rd", "rs", "rt"))
+
+
+def _resolvable(kinds, ops) -> bool:
+    """True when every register operand is an index a step may use as is."""
+    if type(ops) is not tuple or len(ops) != len(kinds):
+        return False
+    for kind, op in zip(kinds, ops):
+        if kind == "mem":
+            if type(op) is not tuple or len(op) != 2:
+                return False
+            op = op[1]
+        elif kind not in _REG_KINDS:
+            continue
+        if type(op) is not int or not 0 <= op < NUM_REGS:
+            return False
+    return True
+
+
+def _bind(cpu: CPU, instr: Instruction):
+    """The step of ``instr`` on ``cpu``.
+
+    An instruction the binder cannot resolve still binds, and fails only
+    when it runs: an unknown mnemonic traps as an illegal instruction; a
+    register operand out of range or not an integer is checked by the
+    step when it touches it (:class:`CheckedRegisters`); an operand
+    tuple of the wrong shape raises its unpacking error.  Each is the
+    reference handler's error, at the same moment.
+    """
+    binder = _BINDERS.get(instr.mnemonic)
+    if binder is None:
+        return _illegal_instruction_step(instr.mnemonic)
+    ops = instr.operands
+    regs = cpu.regs
+    if not _resolvable(instr.spec.kinds, ops):
+        regs = CheckedRegisters(regs)
+    try:
+        return binder(cpu, ops, regs)
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        # An operand the reference rejects only when it runs.
+        return _raising_step(exc)
+
+
+def _raising_step(exc: Exception):
+    def step(cpu, npc, info):
+        raise exc.with_traceback(None)
+
+    return step
+
+
+def _illegal_instruction_step(mnemonic: str):
+    """Step of a mnemonic without semantics.
 
     The trap is raised at *execute* time (matching hardware decode — a
     program carrying an unknown instruction only faults if it reaches
     it), with the seed's exact message.
     """
 
-    def _illegal(cpu, ops, npc, info):
-        raise Trap(
-            TrapCause.ILLEGAL_INSTRUCTION, cpu.pc, f"no handler: {mnemonic}"
-        )
+    def step(cpu, npc, info):
+        raise Trap(TrapCause.ILLEGAL_INSTRUCTION, cpu.pc, f"no handler: {mnemonic}")
 
-    return _illegal
+    return step
 
 
-def _decode_program(program: Program) -> "List[tuple]":
-    """Decode once, execute many: bind handlers and operand metadata.
+def _decode_program(cpu: CPU, program: Program) -> "List[tuple]":
+    """Decode once, execute many: ``(step, instr)`` per instruction.
 
-    Each entry is ``(handler, operands, instr)``, indexed by instruction
-    position — everything the hot step loop needs without a string-keyed
-    dispatch lookup.
+    A step depends on its instruction's mnemonic and operands, never on
+    where the instruction sits, so equal instructions share one step (a
+    CoreMark image has 166 distinct instructions among 475).
     """
+    steps = {}
     decoded = []
     for instr in program.instructions:
-        handler = _DISPATCH.get(instr.mnemonic)
-        if handler is None:
-            handler = _illegal_instruction_handler(instr.mnemonic)
-        decoded.append((handler, instr.operands, instr))
+        key = _step_key(instr)
+        step = steps.get(key)
+        if step is None:
+            step = _bind(cpu, instr)
+            if key is not None:
+                steps[key] = step
+        decoded.append((step, instr))
     return decoded
+
+
+def _step_key(instr: Instruction):
+    """``(mnemonic, operands)`` when every operand is a plain ``int`` or
+    ``str``, or a tuple of ``int``s, so that equal keys bind equal
+    steps; None for anything else (``1 == 1.0 == True``)."""
+    if type(instr.operands) is not tuple:
+        return None
+    for op in instr.operands:
+        kind = type(op)
+        if kind is tuple:
+            if any(type(part) is not int for part in op):
+                return None
+        elif kind is not int and kind is not str:
+            return None
+    return instr.mnemonic, instr.operands
+
+
+def _cheriot_only(binder):
+    """Capability instructions trap in RV32E mode before their operands
+    are decoded."""
+
+    def bind(cpu, ops, regs):
+        if cpu.mode is not _CHERIOT:
+            return _rv32e_step
+        return binder(cpu, ops, regs)
+
+    return bind
+
+
+def _rv32e_step(cpu, npc, info):
+    raise Trap(
+        TrapCause.ILLEGAL_INSTRUCTION, cpu.pc, "capability instruction in RV32E mode"
+    )
+
+
+def _check_sr(cpu: CPU, what: str) -> None:
+    if cpu.mode is _CHERIOT and Permission.SR not in cpu.pcc.perms:
+        raise PermissionFault(f"{what} requires SR on PCC")
+
+
+def _nop_step(cpu, npc, info):
+    return npc
+
+
+# --- integer ALU ---
+
+
+def _alu_rr(fn):
+    def bind(cpu, ops, regs):
+        rd, rs, rt = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            ints[d] = fn(ints[rs], ints[rt]) & _WORD
+            caps[d] = None
+            return npc
+
+        return step
+
+    return bind
+
+
+def _alu_ri(fn):
+    def bind(cpu, ops, regs):
+        rd, rs, imm = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            ints[d] = fn(ints[rs], imm) & _WORD
+            caps[d] = None
+            return npc
+
+        return step
+
+    return bind
+
+
+def _signed_less(a: int, b: int) -> bool:
+    return (a ^ _SIGN) < (b ^ _SIGN)
+
+
+def _constant(value):
+    """``li``/``lui``: the value is resolved once, at bind time."""
+
+    def bind(cpu, ops, regs):
+        rd = ops[0]
+        word = value(ops[1])
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            ints[d] = word
+            caps[d] = None
+            return npc
+
+        return step
+
+    return bind
+
+
+def _bind_mv(cpu, ops, regs):
+    return _move(ops[0], ops[1], regs)
+
+
+@_cheriot_only
+def _bind_cmove(cpu, ops, regs):
+    rd, rs = ops
+    return _move(rd, rs, regs)
+
+
+def _move(rd, rs, regs):
+    """Copy a register, capability and all."""
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+    def step(cpu, npc, info):
+        cap = caps[rs]
+        value = ints[rs]
+        ints[d] = value
+        caps[d] = cap
+        return npc
+
+    return step
+
+
+# --- control flow ---
+
+
+def _branch(test, flip=0, unary=False):
+    """A conditional branch, taken when ``test(a, b)`` holds for the
+    operands with their sign bits flipped by ``flip``.  ``b`` is zero
+    for a ``unary`` branch and for any branch written with two operands:
+    the reference decides by operand count, so a three-operand unary
+    branch still reads ``rt``."""
+
+    def bind(cpu, ops, regs):
+        ints = regs.ints
+        if len(ops) == 3:
+            rs, rt, target = ops
+        else:
+            (rs, target), rt = ops, None
+        base = cpu.code_base
+        if rt is None:
+
+            def step(cpu, npc, info):
+                if test(ints[rs] ^ flip, flip):
+                    info.branch_taken = True
+                    return base + 4 * target
+                return npc
+
+        else:
+
+            def step(cpu, npc, info):
+                a = ints[rs] ^ flip
+                b = ints[rt] ^ flip
+                if test(a, flip if unary else b):
+                    info.branch_taken = True
+                    return base + 4 * target
+                return npc
+
+        return step
+
+    return bind
+
+
+def _linker(cpu, rd, regs):
+    """The link-register write of a jump, or None when ``rd`` is zero:
+    a return sentry in CHERIoT mode, the return address in RV32E."""
+    if rd == 0:
+        return None
+    ints, caps = regs.ints, regs.caps
+    if cpu.mode is _CHERIOT:
+        csr = cpu.csr
+
+        def link(cpu, next_pc):
+            cap = cpu.pcc.set_address(next_pc)
+            sentry = return_sentry_for_posture(csr.interrupts_enabled)
+            cap = cap.seal_sentry(sentry)
+            ints[rd] = cap.address
+            caps[rd] = cap
+
+    else:
+
+        def link(cpu, next_pc):
+            ints[rd] = next_pc & _WORD
+            caps[rd] = None
+
+    return link
+
+
+def _bind_jal(cpu, ops, regs):
+    rd, target = ops
+    return _jump(cpu, rd, target, regs)
+
+
+def _bind_j(cpu, ops, regs):
+    return _jump(cpu, 0, ops[0], regs)
+
+
+def _jump(cpu, rd, target, regs):
+    link = _linker(cpu, rd, regs)
+    base = cpu.code_base
+    if link is None:
+
+        def step(cpu, npc, info):
+            info.branch_taken = True
+            return base + 4 * target
+
+    else:
+
+        def step(cpu, npc, info):
+            link(cpu, npc)
+            info.branch_taken = True
+            return base + 4 * target
+
+    return step
+
+
+def _bind_jalr(cpu, ops, regs):
+    rd, rs = ops
+    return _jump_register(cpu, rd, rs, regs)
+
+
+def _bind_ret(cpu, ops, regs):
+    return _jump_register(cpu, 0, 1, regs)
+
+
+def _jump_register(cpu, rd, rs, regs):
+    """``jalr``: a capability jump (sentries, interrupt posture, strict
+    CFI) in CHERIoT mode, an integer jump in RV32E."""
+    ints, caps = regs.ints, regs.caps
+    link = _linker(cpu, rd, regs)
+    if cpu.mode is not _CHERIOT:
+
+        def step(cpu, npc, info):
+            info.branch_taken = True
+            if link is not None:
+                link(cpu, npc)
+            return ints[rs]
+
+        return step
+    csr = cpu.csr
+
+    def step(cpu, npc, info):
+        info.branch_taken = True
+        target = caps[rs]
+        if target is None or not target.tag:
+            raise TagFault("jump target untagged")
+        # The link register must capture the *caller's* posture: it is
+        # written before any sentry changes it (section 3.1.2, "the
+        # sentry type that sets interrupt posture to its current
+        # value").
+        new_posture = csr.interrupts_enabled
+        if target.is_sealed:
+            otype = target.otype
+            if otype in FORWARD_SENTRY_OTYPES and target.is_executable:
+                if cpu.cfi_strict and rd == 0:
+                    raise SealedFault("strict CFI: return consumed a forward sentry")
+                if otype == SentryType.DISABLE_INTERRUPTS:
+                    new_posture = False
+                elif otype == SentryType.ENABLE_INTERRUPTS:
+                    new_posture = True
+                target = target.unseal_for_jump()
+            elif otype in RETURN_SENTRY_OTYPES and target.is_executable:
+                if cpu.cfi_strict and rd != 0:
+                    raise SealedFault("strict CFI: call consumed a return sentry")
+                new_posture = otype == SentryType.RETURN_ENABLED
+                target = target.unseal_for_jump()
+            else:
+                raise SealedFault("jump to sealed non-sentry capability")
+        if Permission.EX not in target.perms:
+            raise PermissionFault("jump target lacks EX")
+        if link is not None:
+            link(cpu, npc)
+        csr.interrupts_enabled = new_posture
+        cpu.pcc = target
+        return target.address
+
+    return step
+
+
+# --- memory ---
+
+#: The permissions each kind of access needs, in the order the
+#: fault-raising fallback checks them (the fault names the first one
+#: missing); the fast test takes their combined mask (:func:`_bits`).
+_LD = (Permission.LD,)
+_SD = (Permission.SD,)
+_CR = (Permission.LD, Permission.MC)
+_CW = (Permission.SD, Permission.MC)
+
+
+def _bits(perms) -> int:
+    """The combined ``Permission.value`` mask of ``perms``."""
+    return sum(p.value for p in perms)
+
+
+def _deny(auth, value, address, size, perms):
+    """The access check of an ``imm(reg)`` operand, for a step whose
+    fast test failed: a NULL-derived integer, or a capability that
+    :meth:`Capability.allows` refused.  Raises the architectural fault in
+    hardware order (tag, seal, permission, bounds) through
+    :meth:`Capability.check_access`."""
+    (auth or _null(value)).check_access(address, size, perms)
+
+
+def _load(size: int, signed: bool):
+    sign_bit = 1 << (8 * size - 1) if signed else 0
+    extend = ~((1 << (8 * size)) - 1) & _WORD
+    align = size - 1
+    need = _bits(_LD)
+
+    def bind(cpu, ops, regs):
+        rd, (offset, base) = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+        read_word = cpu.bus.read_word
+        checked = cpu.mode is _CHERIOT
+
+        def step(cpu, npc, info):
+            auth = caps[base]
+            address = (ints[base] + offset) & _WORD
+            if checked and (auth is None or not auth.allows(address, size, need)):
+                _deny(auth, ints[base], address, size, _LD)
+            if address & align:
+                raise Trap(TrapCause.MISALIGNED, cpu.pc, f"{address:#x} % {size}")
+            value = read_word(address, size)
+            if value & sign_bit:
+                value |= extend
+            ints[d] = value
+            caps[d] = None
+            return npc
+
+        return step
+
+    return bind
+
+
+def _store(size: int):
+    align = size - 1
+    need = _bits(_SD)
+
+    def bind(cpu, ops, regs):
+        rs, (offset, base) = ops
+        ints, caps = regs.ints, regs.caps
+        write_word = cpu.bus.write_word
+        note_store = cpu.csr.note_store
+        checked = cpu.mode is _CHERIOT
+
+        def step(cpu, npc, info):
+            auth = caps[base]
+            address = (ints[base] + offset) & _WORD
+            if checked and (auth is None or not auth.allows(address, size, need)):
+                _deny(auth, ints[base], address, size, _SD)
+            if address & align:
+                raise Trap(TrapCause.MISALIGNED, cpu.pc, f"{address:#x} % {size}")
+            write_word(address, ints[rs], size)
+            note_store(address)
+            return npc
+
+        return step
+
+    return bind
+
+
+@_cheriot_only
+def _bind_clc(cpu, ops, regs):
+    rd, (offset, base) = ops
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+    read_capability = cpu.bus.read_capability
+    need = _bits(_CR)
+
+    def step(cpu, npc, info):
+        auth = caps[base]
+        address = (ints[base] + offset) & _WORD
+        if auth is None or not auth.allows(address, 8, need):
+            _deny(auth, ints[base], address, 8, _CR)
+        if address & 7:
+            raise Trap(TrapCause.MISALIGNED, cpu.pc, f"{address:#x} % 8")
+        loaded = attenuate_loaded(read_capability(address), auth)
+        load_filter = cpu.load_filter
+        if load_filter is not None:
+            loaded = load_filter.filter(loaded)
+        ints[d] = loaded.address
+        caps[d] = loaded
+        return npc
+
+    return step
+
+
+@_cheriot_only
+def _bind_csc(cpu, ops, regs):
+    rs, (offset, base) = ops
+    ints, caps = regs.ints, regs.caps
+    write_capability = cpu.bus.write_capability
+    note_store = cpu.csr.note_store
+    need = _bits(_CW)
+
+    def step(cpu, npc, info):
+        auth = caps[base]
+        address = (ints[base] + offset) & _WORD
+        if auth is None or not auth.allows(address, 8, need):
+            _deny(auth, ints[base], address, 8, _CW)
+        if address & 7:
+            raise Trap(TrapCause.MISALIGNED, cpu.pc, f"{address:#x} % 8")
+        value = caps[rs] or _null(ints[rs])
+        if (
+            value.tag
+            and Permission.GL not in value.perms
+            and Permission.SL not in auth.perms
+        ):
+            raise PermissionFault(
+                "store of local capability requires SL on the authority"
+            )
+        write_capability(address, value)
+        note_store(address)
+        return npc
+
+    return step
+
+
+# --- capability manipulation ---
+
+
+def _cap_get(get):
+    """An integer read of one capability field (``cgetaddr``, ...)."""
+
+    @_cheriot_only
+    def bind(cpu, ops, regs):
+        rd, rs = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            ints[d] = get(caps[rs] or _null(ints[rs])) & _WORD
+            caps[d] = None
+            return npc
+
+        return step
+
+    return bind
+
+
+def _cap_binary(derive, rt_kind):
+    """A capability derived from ``rs`` and register ``rt``.
+
+    ``rt_kind`` is how ``rt`` is read: ``"int"`` after ``rs``,
+    ``"int-first"`` before ``rs`` (as the reference's ``csetbounds`` and
+    ``candperm`` read it), or ``"cap"`` as a capability after ``rs``.
+    """
+
+    @_cheriot_only
+    def bind(cpu, ops, regs):
+        rd, rs, rt = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+        if rt_kind == "int":
+
+            def step(cpu, npc, info):
+                cap = derive(caps[rs] or _null(ints[rs]), ints[rt])
+                ints[d] = cap.address
+                caps[d] = cap
+                return npc
+
+        elif rt_kind == "int-first":
+
+            def step(cpu, npc, info):
+                value = ints[rt]
+                cap = derive(caps[rs] or _null(ints[rs]), value)
+                ints[d] = cap.address
+                caps[d] = cap
+                return npc
+
+        else:
+
+            def step(cpu, npc, info):
+                cap = derive(caps[rs] or _null(ints[rs]), caps[rt] or _null(ints[rt]))
+                ints[d] = cap.address
+                caps[d] = cap
+                return npc
+
+        return step
+
+    return bind
+
+
+def _cap_imm(derive):
+    """A capability derived from ``rs`` and an immediate."""
+
+    @_cheriot_only
+    def bind(cpu, ops, regs):
+        rd, rs, imm = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            cap = derive(caps[rs] or _null(ints[rs]), imm)
+            ints[d] = cap.address
+            caps[d] = cap
+            return npc
+
+        return step
+
+    return bind
+
+
+def _cap_unary(derive):
+    """A capability derived from ``rs`` alone (``ccleartag``)."""
+
+    @_cheriot_only
+    def bind(cpu, ops, regs):
+        rd, rs = ops
+        ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+        def step(cpu, npc, info):
+            cap = derive(caps[rs] or _null(ints[rs]))
+            ints[d] = cap.address
+            caps[d] = cap
+            return npc
+
+        return step
+
+    return bind
+
+
+@_cheriot_only
+def _bind_csealentry(cpu, ops, regs):
+    rd, rs, name = ops
+    try:
+        sentry = _SENTRY_NAMES[name.lower()]
+    except KeyError:
+        sentry = None
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+    def step(cpu, npc, info):
+        if sentry is None:
+            raise OTypeFault(f"unknown sentry type {name!r}")
+        cap = (caps[rs] or _null(ints[rs])).seal_sentry(sentry)
+        ints[d] = cap.address
+        caps[d] = cap
+        return npc
+
+    return step
+
+
+@_cheriot_only
+def _bind_ctestsubset(cpu, ops, regs):
+    rd, rs, rt = ops
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+    def step(cpu, npc, info):
+        big = caps[rs] or _null(ints[rs])
+        small = caps[rt] or _null(ints[rt])
+        ok = (
+            big.tag == small.tag
+            and small.base >= big.base
+            and small.top <= big.top
+            and small.perms <= big.perms
+        )
+        ints[d] = int(ok)
+        caps[d] = None
+        return npc
+
+    return step
+
+
+@_cheriot_only
+def _bind_cspecialrw(cpu, ops, regs):
+    rd, scr, rs = ops
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+    what = f"cspecialrw {scr}"
+    write_back = rs != 0
+
+    def step(cpu, npc, info):
+        _check_sr(cpu, what)
+        old = cpu.regs.read_scr(scr)
+        if write_back:
+            cpu.regs.write_scr(scr, caps[rs] or _null(ints[rs]))
+        ints[d] = old.address
+        caps[d] = old
+        return npc
+
+    return step
+
+
+@_cheriot_only
+def _bind_auipcc(cpu, ops, regs):
+    rd, imm = ops
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+
+    def step(cpu, npc, info):
+        cap = cpu.pcc.set_address((cpu.pc + (imm << 12)) & _WORD)
+        ints[d] = cap.address
+        caps[d] = cap
+        return npc
+
+    return step
+
+
+# --- CSRs ---
+
+#: CSRs whose access needs SR on the PCC.
+_PROTECTED_CSRS = ("mshwm", "mshwmb", "mstatus_mie")
+
+
+def _csr_guard(name):
+    """What the SR check of an access to CSR ``name`` reports, or None
+    when the CSR is not protected."""
+    return f"csr {name}" if name in _PROTECTED_CSRS else None
+
+
+def _bind_csrr(cpu, ops, regs):
+    rd, name = ops
+    guard = _csr_guard(name)
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+    csr = cpu.csr
+
+    def step(cpu, npc, info):
+        if guard is not None:
+            _check_sr(cpu, guard)
+        ints[d] = csr.read(name) & _WORD
+        caps[d] = None
+        return npc
+
+    return step
+
+
+def _bind_csrw(cpu, ops, regs):
+    name, rs = ops
+    guard = _csr_guard(name)
+    ints = regs.ints
+    csr = cpu.csr
+
+    def step(cpu, npc, info):
+        if guard is not None:
+            _check_sr(cpu, guard)
+        csr.write(name, ints[rs])
+        return npc
+
+    return step
+
+
+def _bind_csrrw(cpu, ops, regs):
+    rd, name, rs = ops
+    guard = _csr_guard(name)
+    ints, caps, d = regs.ints, regs.caps, regs.dest(rd)
+    csr = cpu.csr
+
+    def step(cpu, npc, info):
+        if guard is not None:
+            _check_sr(cpu, guard)
+        old = csr.read(name)
+        csr.write(name, ints[rs])
+        ints[d] = old & _WORD
+        caps[d] = None
+        return npc
+
+    return step
+
+
+def _csr_imm(update):
+    """``csrsi``/``csrci``: read-modify-write with an immediate."""
+
+    def bind(cpu, ops, regs):
+        name, imm = ops
+        guard = _csr_guard(name)
+        csr = cpu.csr
+
+        def step(cpu, npc, info):
+            if guard is not None:
+                _check_sr(cpu, guard)
+            csr.write(name, update(csr.read(name), imm))
+            return npc
+
+        return step
+
+    return bind
+
+
+# --- system ---
+
+
+def _ecall_step(cpu, npc, info):
+    if cpu.ecall_handler is not None:
+        cpu.ecall_handler(cpu)
+        return npc
+    cpu.stats.traps += 1
+    raise Trap(TrapCause.ECALL, cpu.pc)
+
+
+def _mret_step(cpu, npc, info):
+    _check_sr(cpu, "mret")
+    epcc = cpu.regs.read_scr("mepcc")
+    # Simplified mstatus handling: returning from machine mode
+    # re-enables interrupts (MPIE is modelled as always set).
+    cpu.csr.interrupts_enabled = True
+    if cpu.mode is _CHERIOT:
+        cpu.pcc = epcc
+    return epcc.address
+
+
+def _halt_step(cpu, npc, info):
+    cpu.stats.instructions += 1
+    raise Halted()
+
+
+def _fixed(step):
+    """Binder of an instruction that reads no operand."""
+    return lambda cpu, ops, regs: step
+
+
+_BINDERS = {
+    # --- integer ALU ---
+    "add": _alu_rr(operator.add),
+    "sub": _alu_rr(operator.sub),
+    "and": _alu_rr(operator.and_),
+    "or": _alu_rr(operator.or_),
+    "xor": _alu_rr(operator.xor),
+    "sll": _alu_rr(_sll),
+    "srl": _alu_rr(_srl),
+    "sra": _alu_rr(_sra),
+    "slt": _alu_rr(_signed_less),
+    "sltu": _alu_rr(operator.lt),
+    # The low word of a product does not depend on the operands' signs.
+    "mul": _alu_rr(operator.mul),
+    "mulh": _alu_rr(lambda a, b: (_signed(a) * _signed(b)) >> 32),
+    "mulhu": _alu_rr(lambda a, b: (a * b) >> 32),
+    "div": _alu_rr(_div_impl),
+    "divu": _alu_rr(lambda a, b: _WORD if b == 0 else a // b),
+    "rem": _alu_rr(_rem_impl),
+    "remu": _alu_rr(lambda a, b: a if b == 0 else a % b),
+    "addi": _alu_ri(operator.add),
+    "andi": _alu_ri(operator.and_),
+    "ori": _alu_ri(operator.or_),
+    "xori": _alu_ri(operator.xor),
+    "slli": _alu_ri(_sll),
+    "srli": _alu_ri(_srl),
+    "srai": _alu_ri(_sra),
+    "slti": _alu_ri(lambda a, b: _signed(a) < b),
+    "sltiu": _alu_ri(lambda a, b: a < (b & _WORD)),
+    "lui": _constant(lambda imm: (imm << 12) & _WORD),
+    "li": _constant(lambda imm: imm & _WORD),
+    "mv": _bind_mv,
+    "nop": _fixed(_nop_step),
+    # --- control flow ---
+    "beq": _branch(operator.eq),
+    "bne": _branch(operator.ne),
+    "blt": _branch(operator.lt, _SIGN),
+    "bge": _branch(operator.ge, _SIGN),
+    "bltu": _branch(operator.lt),
+    "bgeu": _branch(operator.ge),
+    "beqz": _branch(operator.eq, unary=True),
+    "bnez": _branch(operator.ne, unary=True),
+    "jal": _bind_jal,
+    "j": _bind_j,
+    "jalr": _bind_jalr,
+    "ret": _bind_ret,
+    # --- memory ---
+    "lb": _load(1, True),
+    "lbu": _load(1, False),
+    "lh": _load(2, True),
+    "lhu": _load(2, False),
+    "lw": _load(4, False),
+    "sb": _store(1),
+    "sh": _store(2),
+    "sw": _store(4),
+    "clc": _bind_clc,
+    "csc": _bind_csc,
+    # --- capability manipulation ---
+    "cmove": _bind_cmove,
+    "cgetaddr": _cap_get(operator.attrgetter("address")),
+    "cgetbase": _cap_get(operator.attrgetter("base")),
+    "cgettop": _cap_get(lambda cs: min(cs.top, _WORD)),
+    "cgetlen": _cap_get(lambda cs: min(cs.length, _WORD)),
+    "cgetperm": _cap_get(lambda cs: to_architectural_word(cs.perms)),
+    "cgettag": _cap_get(lambda cs: int(cs.tag)),
+    "cgettype": _cap_get(operator.attrgetter("otype")),
+    "ccleartag": _cap_unary(lambda cs: cs.untagged()),
+    "csetaddr": _cap_binary(lambda cs, address: cs.set_address(address), "int"),
+    "cincaddr": _cap_binary(lambda cs, delta: cs.inc_address(_signed(delta)), "int"),
+    "cincaddrimm": _cap_imm(lambda cs, imm: cs.inc_address(imm)),
+    "csetbounds": _cap_binary(lambda cs, length: cs.set_bounds(length), "int-first"),
+    "csetboundsexact": _cap_binary(
+        lambda cs, length: cs.set_bounds(length, exact=True), "int-first"
+    ),
+    "csetboundsimm": _cap_imm(lambda cs, imm: cs.set_bounds(imm)),
+    "candperm": _cap_binary(
+        lambda cs, word: cs.and_perms(from_architectural_word(word & 0xFFF)),
+        "int-first",
+    ),
+    "cseal": _cap_binary(lambda cs, authority: cs.seal(authority), "cap"),
+    "cunseal": _cap_binary(lambda cs, authority: cs.unseal(authority), "cap"),
+    "csealentry": _bind_csealentry,
+    "ctestsubset": _bind_ctestsubset,
+    "csub": _cheriot_only(_alu_rr(operator.sub)),
+    "cram": _cap_get(lambda cs: representable_alignment_mask(cs.address)),
+    "crrl": _cap_get(lambda cs: representable_length(cs.address)),
+    "cspecialrw": _bind_cspecialrw,
+    "auipcc": _bind_auipcc,
+    # --- CSRs ---
+    "csrr": _bind_csrr,
+    "csrw": _bind_csrw,
+    "csrrw": _bind_csrrw,
+    "csrsi": _csr_imm(operator.or_),
+    "csrci": _csr_imm(lambda value, imm: value & ~imm),
+    # --- system ---
+    "ecall": _fixed(_ecall_step),
+    "mret": _fixed(_mret_step),
+    "wfi": _fixed(_nop_step),
+    "halt": _fixed(_halt_step),
+}

@@ -1,9 +1,19 @@
 """The merged integer/capability register file (RV32E: 16 registers).
 
 CHERIoT extends each of the 16 RV32E registers to hold a full
-capability.  Integers are represented as untagged capabilities whose
-address field is the value — exactly the merged-register-file model of
-the CHERI ISA.  ``c0`` reads as the NULL capability and ignores writes.
+capability.  Architecturally an integer is an untagged capability whose
+address field is the value — the merged-register-file model of the
+CHERI ISA — and :meth:`RegisterFile.read` returns exactly that.  ``c0``
+reads as the NULL capability and ignores writes.
+
+Only the host representation differs from the architecture: a register
+written as an integer keeps its value alone, and the NULL-derived
+capability it stands for is built when something reads the register as
+a capability.  ``ints[i]`` always holds register ``i``'s 32-bit value
+(its address); ``caps[i]`` holds its capability, or ``None`` for a
+NULL-derived integer.  The executor's bound steps
+(:mod:`repro.isa.executor`) close over the two lists, so they are
+created once and never replaced.
 
 Special capability registers (SCRs) — ``pcc``, ``mtcc``, ``mtdc``,
 ``mscratchc``, ``mepcc`` — live here too; access to them requires the SR
@@ -12,16 +22,18 @@ permission on the PCC, which the executor enforces.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.capability import Capability
 
 #: Number of general-purpose registers in RV32E.
 NUM_REGS = 16
 
-#: Hot-path aliases: the NULL capability read from ``c0`` and the
-#: NULL-derived constructor every integer write goes through.
-_NULL = Capability.null()
+#: The slot after the last register: bound steps send their writes to
+#: ``x0`` here (see :meth:`RegisterFile.dest`), so ``ints[0]`` stays 0
+#: and ``caps[0]`` stays ``None`` without a per-write test.
+SINK = NUM_REGS
+
 _null = Capability.null
 
 #: ABI register names, indexed by register number.
@@ -58,43 +70,53 @@ def register_index(name: str) -> int:
         raise ValueError(f"unknown register name: {name!r}") from None
 
 
+def _check(index) -> None:
+    """Reject anything but a register index, as every access does."""
+    if not 0 <= index < NUM_REGS:
+        raise ValueError(f"register index out of range: {index}")
+
+
 class RegisterFile:
     """16 capability-width registers plus the SCRs."""
 
-    __slots__ = ("_regs", "_scrs")
+    __slots__ = ("ints", "caps", "_scrs")
 
     def __init__(self) -> None:
-        self._regs: List[Capability] = [Capability.null() for _ in range(NUM_REGS)]
+        #: Register values, plus the :data:`SINK` slot.
+        self.ints: List[int] = [0] * (NUM_REGS + 1)
+        #: Register capabilities (``None``: the NULL-derived integer
+        #: ``ints[i]``), plus the :data:`SINK` slot.  A capability is
+        #: always truthy, so ``caps[i] or null(ints[i])`` reads
+        #: register ``i`` as a capability.
+        self.caps: List[Optional[Capability]] = [None] * (NUM_REGS + 1)
         self._scrs: Dict[str, Capability] = {n: Capability.null() for n in SCR_NAMES}
 
+    @staticmethod
+    def dest(index: int) -> int:
+        """The slot a bound step writes for destination register ``index``."""
+        return index or SINK
+
     def read(self, index: int) -> Capability:
-        if not 0 <= index < NUM_REGS:
-            raise ValueError(f"register index out of range: {index}")
-        if index == 0:
-            return _NULL
-        return self._regs[index]
+        _check(index)
+        return self.caps[index] or _null(self.ints[index])
 
     def write(self, index: int, value: Capability) -> None:
-        if not 0 <= index < NUM_REGS:
-            raise ValueError(f"register index out of range: {index}")
-        if index == 0:
-            return  # writes to zero register are discarded
-        self._regs[index] = value
+        _check(index)
+        if index:  # writes to the zero register are discarded
+            self.ints[index] = value.address
+            self.caps[index] = value
 
     def read_int(self, index: int) -> int:
         """Read a register as a 32-bit unsigned integer (its address)."""
-        # Inlined read(): this and write_int dominate the simulator's
-        # per-instruction work, so they skip the extra call frame.
-        if not 0 <= index < NUM_REGS:
-            raise ValueError(f"register index out of range: {index}")
-        return self._regs[index].address if index else 0
+        _check(index)
+        return self.ints[index]
 
     def write_int(self, index: int, value: int) -> None:
         """Write an integer: an untagged NULL-derived capability."""
-        if not 0 <= index < NUM_REGS:
-            raise ValueError(f"register index out of range: {index}")
+        _check(index)
         if index:
-            self._regs[index] = _null(value & 0xFFFFFFFF)
+            self.ints[index] = value & 0xFFFFFFFF
+            self.caps[index] = None
 
     def read_scr(self, name: str) -> Capability:
         return self._scrs[name]
@@ -105,14 +127,44 @@ class RegisterFile:
         self._scrs[name] = value
 
     def snapshot(self) -> List[Capability]:
-        """Copy of the GPR state (used by the context switcher)."""
-        return list(self._regs)
+        """The 16 registers as capabilities (used by the context switcher)."""
+        return [self.read(i) for i in range(NUM_REGS)]
 
-    def restore(self, regs: List[Capability]) -> None:
-        if len(regs) != NUM_REGS:
-            raise ValueError("register snapshot has wrong length")
-        self._regs = list(regs)
 
-    def clear(self) -> None:
-        """Zero every register (compartment-switch hygiene)."""
-        self._regs = [Capability.null() for _ in range(NUM_REGS)]
+class _CheckedSlots:
+    """One of the two lists, accessed through the public methods' checks."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list) -> None:
+        self._items = items
+
+    def __getitem__(self, index):
+        _check(index)
+        return self._items[index]
+
+    def __setitem__(self, index, value) -> None:
+        _check(index)
+        if index:
+            self._items[index] = value
+
+
+class CheckedRegisters:
+    """The register file as a bound step of a malformed instruction sees it.
+
+    A binder resolves well-formed register operands once and indexes the
+    lists directly.  An operand it cannot trust (out of range, not an
+    integer) is instead checked when the step touches it, with the error
+    :meth:`RegisterFile.read_int` or :meth:`RegisterFile.write` would
+    raise at that moment, and writes to ``x0`` are dropped the same way.
+    """
+
+    __slots__ = ("ints", "caps")
+
+    def __init__(self, regs: RegisterFile) -> None:
+        self.ints = _CheckedSlots(regs.ints)
+        self.caps = _CheckedSlots(regs.caps)
+
+    @staticmethod
+    def dest(index):
+        return index

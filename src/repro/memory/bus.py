@@ -134,7 +134,16 @@ class SystemBus:
                 self.stats.mmio_reads += 1
                 return device.mmio_read(address - base)
         self.stats.data_reads += 1
-        return self.bank_for(address, size).read_word(address, size)
+        # Every guest load comes through here: the last-bank decode is
+        # inline, as in fill().
+        bank = self._last_bank
+        if (
+            bank is None
+            or address < bank.base
+            or address + size > bank.base + bank.size
+        ):
+            bank = self.bank_for(address, size)
+        return bank.read_word(address, size)
 
     def write_word(self, address: int, value: int, size: int = 4) -> None:
         if self._dev_lo <= address < self._dev_hi:
@@ -145,8 +154,18 @@ class SystemBus:
                 device.mmio_write(address - base, value)
                 return
         self.stats.data_writes += 1
-        self.bank_for(address, size).write_word(address, value, size)
-        self._snoop_store(address, size)
+        # Every guest store comes through here: the last-bank decode and
+        # the snoop loop are inline, as in fill().
+        bank = self._last_bank
+        if (
+            bank is None
+            or address < bank.base
+            or address + size > bank.base + bank.size
+        ):
+            bank = self.bank_for(address, size)
+        bank.write_word(address, value, size)
+        for snooper in self._store_snoopers:
+            snooper(address, size)
 
     def read_bytes(self, address: int, size: int) -> bytes:
         self.stats.data_reads += 1

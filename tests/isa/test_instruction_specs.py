@@ -1,7 +1,7 @@
-"""Meta-tests: the spec table, dispatch table and assembler agree."""
+"""Meta-tests: the spec table, the binders and the assembler agree."""
 
 from repro.isa.assembler import assemble
-from repro.isa.executor import _DISPATCH
+from repro.isa.executor import _BINDERS
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.registers import ABI_NAMES, REGISTER_NAMES, register_index
 
@@ -9,13 +9,16 @@ import pytest
 
 
 class TestSpecDispatchAgreement:
+    """Every mnemonic in the spec table has exactly one binder: the
+    binder table is keyed by mnemonic, and its keys are the spec's."""
+
     def test_every_spec_has_a_handler(self):
-        missing = set(INSTRUCTION_SPECS) - set(_DISPATCH)
-        assert not missing, f"specs without handlers: {missing}"
+        missing = set(INSTRUCTION_SPECS) - set(_BINDERS)
+        assert not missing, f"specs without binders: {missing}"
 
     def test_every_handler_has_a_spec(self):
-        extra = set(_DISPATCH) - set(INSTRUCTION_SPECS)
-        assert not extra, f"handlers without specs: {extra}"
+        extra = set(_BINDERS) - set(INSTRUCTION_SPECS)
+        assert not extra, f"binders without specs: {extra}"
 
     def test_signatures_are_well_formed(self):
         valid = {"rd", "rs", "rt", "imm", "mem", "label", "csr", "scr", "str"}

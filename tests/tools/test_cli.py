@@ -63,6 +63,21 @@ def test_trace_export_refuses_a_negative_fleet(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_export_refuses_a_kernel_for_a_fleet(tmp_path):
+    # A fleet rotates its devices' kernels; a --kernel it would ignore
+    # is a usage error, not a trace of some other kernel.
+    proc = _spawn(
+        tmp_path, "trace_export.py", "--fleet", "1", "--kernel", "matrix",
+        "-o", "k.json",
+    )
+    assert proc.returncode == 2
+    error = proc.stderr.splitlines()[-1]
+    assert error.startswith("trace_export.py: error: argument --kernel")
+    assert "device i profiles FLEET_KERNELS[i % 3]" in error
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_profile_report_refuses_zero_iterations(tmp_path):
     # Zero kernel iterations would count down past zero and run ~2^32
     # loops; the tool must refuse it up front (the spawn's timeout

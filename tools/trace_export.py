@@ -36,6 +36,7 @@ sys.path.insert(
 from repro.machine import CoreKind  # noqa: E402
 from repro.obs.export import PROCESS_NAME, write_trace  # noqa: E402
 from repro.obs.workload import (  # noqa: E402
+    FLEET_KERNELS,
     FLEET_PROFILE_DEVICES,
     add_workload_arguments,
     at_least,
@@ -50,6 +51,10 @@ def main(argv=None) -> int:
         "-o", "--output", default="trace.json", help="output path (trace_event JSON)"
     )
     add_workload_arguments(parser)
+    # A fleet picks each device's kernel itself, so an explicit --kernel
+    # must be told from the default to be refused there.
+    default_kernel = parser.get_default("kernel")
+    parser.set_defaults(kernel=None)
     parser.add_argument(
         "--fleet", type=at_least(0), nargs="?", default=0,
         const=FLEET_PROFILE_DEVICES, metavar="N",
@@ -57,6 +62,13 @@ def main(argv=None) -> int:
         f"bare --fleet: {FLEET_PROFILE_DEVICES})",
     )
     args = parser.parse_args(argv)
+    if args.fleet and args.kernel is not None:
+        parser.error(
+            "argument --kernel: not allowed with --fleet, where device i "
+            f"profiles FLEET_KERNELS[i % {len(FLEET_KERNELS)}] "
+            f"({', '.join(FLEET_KERNELS)})"
+        )
+    kernel = args.kernel or default_kernel
     core = CoreKind(args.core)
 
     if args.fleet:
@@ -76,13 +88,13 @@ def main(argv=None) -> int:
         result = run_traced_workload(
             core=core,
             rounds=args.rounds,
-            kernel=args.kernel,
+            kernel=kernel,
             iterations=args.iterations,
         )
         workloads = [(PROCESS_NAME, result)]
         metadata = {
             "core": args.core,
-            "kernel": args.kernel,
+            "kernel": kernel,
             "cycles": result["system"].core_model.cycles,
         }
         over = ""
