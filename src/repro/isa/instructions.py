@@ -201,10 +201,14 @@ class Instruction:
     _spec: Optional[InstructionSpec] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: The static hazard facts the timing model reads on every retire,
-    #: derived once here from the operand signature: the registers the
+    #: The static facts the timing model reads on every retire, derived
+    #: once here from the spec: the timing class (None for an unknown
+    #: mnemonic, which traps before it could retire), the registers the
     #: instruction reads (``rs``/``rt`` and the base of ``imm(rs)``) and,
     #: for a load, the register it writes.
+    timing_class: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     source_regs: Tuple[int, ...] = field(
         default=(), init=False, repr=False, compare=False
     )
@@ -217,6 +221,7 @@ class Instruction:
         object.__setattr__(self, "_spec", spec)
         if spec is None:
             return
+        object.__setattr__(self, "timing_class", spec.timing_class)
         sources = []
         for kind, operand in zip(spec.kinds, self.operands):
             if kind == "rs" or kind == "rt":
@@ -234,10 +239,6 @@ class Instruction:
         if spec is None:
             raise KeyError(self.mnemonic)
         return spec
-
-    @property
-    def timing_class(self) -> str:
-        return self.spec.timing_class
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.text or self.mnemonic}>"

@@ -31,7 +31,11 @@ class MMIODevice(Protocol):
 
 @dataclass(slots=True)
 class BusStats:
-    """Access counters consumed by the pipeline timing models."""
+    """Access counters, one per kind of bus access.
+
+    No timing model reads them: they are observability, and only tests
+    check them.
+    """
 
     data_reads: int = 0
     data_writes: int = 0
@@ -117,6 +121,14 @@ class SystemBus:
     def add_store_snooper(self, snooper: Callable[[int, int], None]) -> None:
         """Register ``snooper(address, size)`` called on every store."""
         self._store_snoopers.append(snooper)
+
+    def remove_store_snooper(self, snooper: Callable[[int, int], None]) -> None:
+        """Unregister ``snooper``; ``ValueError`` if it is not registered.
+
+        A bound method equals every other binding of the same method to
+        the same object, so the revoker can pass ``self._snoop_store``.
+        """
+        self._store_snoopers.remove(snooper)
 
     def _snoop_store(self, address: int, size: int) -> None:
         for snooper in self._store_snoopers:

@@ -70,10 +70,11 @@ class BackgroundRevoker:
         epoch: Optional[EpochCounter] = None,
         core_model: Optional[CoreModel] = None,
     ) -> None:
-        # The bus holds the revoker from here on (its store snooper, and
-        # its MMIO device once attached), so the revoker refers back to
-        # the bus weakly: a strong back-reference would make every bus a
-        # reference cycle that only the cyclic collector frees.
+        # The bus holds the revoker (its MMIO device once attached, and
+        # its store snooper while a pass runs), so the revoker refers
+        # back to the bus weakly: a strong back-reference would make
+        # every bus a reference cycle that only the cyclic collector
+        # frees.
         self.bus = weakref.proxy(bus)
         self.revocation_map = revocation_map
         self.epoch = epoch if epoch is not None else EpochCounter()
@@ -86,7 +87,6 @@ class BackgroundRevoker:
         self._cursor = 0
         self._running = False
         self._pipeline: List[_InFlight] = []
-        bus.add_store_snooper(self._snoop_store)
 
     # ------------------------------------------------------------------
     # MMIO interface
@@ -119,7 +119,11 @@ class BackgroundRevoker:
         return self._running
 
     def kick(self) -> None:
-        """Start a pass over ``[start, end)``; no-op if one is underway."""
+        """Start a pass over ``[start, end)``; no-op if one is underway.
+
+        The engine snoops the bus's stores from here until the pass
+        ends (:meth:`_finish`): only an in-flight word can race a store.
+        """
         if self._running:
             return
         if self._end <= self._start:
@@ -127,6 +131,7 @@ class BackgroundRevoker:
         self._running = True
         self._cursor = self._start
         self._pipeline = []
+        self.bus.add_store_snooper(self._snoop_store)
         self.epoch.begin_sweep()
 
     # ------------------------------------------------------------------
@@ -134,9 +139,10 @@ class BackgroundRevoker:
     # ------------------------------------------------------------------
 
     def _snoop_store(self, address: int, size: int) -> None:
-        """Mark any in-flight word overlapped by a main-pipeline store."""
-        if not self._running:
-            return
+        """Mark any in-flight word overlapped by a main-pipeline store.
+
+        Subscribed only while a pass runs, see :meth:`kick`.
+        """
         lo = address & ~0x7
         hi = (address + size + 7) & ~0x7
         for entry in self._pipeline:
@@ -196,6 +202,7 @@ class BackgroundRevoker:
 
     def _finish(self) -> None:
         self._running = False
+        self.bus.remove_store_snooper(self._snoop_store)
         self._pipeline = []
         self.epoch.end_sweep()
         self.stats.passes += 1

@@ -44,6 +44,11 @@ class InterruptPosture:
     DISABLED = "disabled"
     ENABLED = "enabled"
 
+    #: The interrupt-enable state each posture sets on entry (``None``
+    #: keeps the caller's); its keys are the only postures an export
+    #: may have.
+    ON_ENTRY = {INHERIT: None, DISABLED: False, ENABLED: True}
+
 
 @dataclass(frozen=True)
 class Export:
@@ -155,6 +160,11 @@ class Compartment:
         posture: str = InterruptPosture.ENABLED,
     ) -> Export:
         """Declare an entry point callable from other compartments."""
+        if posture not in InterruptPosture.ON_ENTRY:
+            raise ValueError(
+                f"export {name!r} in {self.name}: posture {posture!r} is not "
+                f"one of {', '.join(map(repr, InterruptPosture.ON_ENTRY))}"
+            )
         if name in self._exports:
             raise ValueError(f"duplicate export {name!r} in {self.name}")
         exp = Export(name, handler, posture)

@@ -103,15 +103,6 @@ class SwitcherStats:
     compartments_restarted: int = 0
 
 
-@dataclass(slots=True)
-class _Frame:
-    """One entry on the switcher's trusted stack."""
-
-    compartment: Compartment
-    sp_at_entry: int
-    interrupts_enabled: bool
-
-
 class CallContext:
     """What an export's handler sees while running.
 
@@ -119,9 +110,16 @@ class CallContext:
     architecture would trap: stack usage (drives the high-water mark),
     capability stores to stack versus globals (SL enforcement), and
     nested cross-compartment calls.
+
+    The context is also the call's entry on the switcher's trusted
+    stack: the caller's aligned stack pointer (``sp_at_entry``) and
+    interrupt posture (``saved_posture``), both restored on return.
     """
 
-    __slots__ = ("switcher", "compartment", "thread", "stack_cap", "args", "sp")
+    __slots__ = (
+        "switcher", "compartment", "thread", "stack_cap", "args", "sp",
+        "sp_at_entry", "saved_posture",
+    )
 
     def __init__(
         self,
@@ -130,6 +128,8 @@ class CallContext:
         thread: Thread,
         stack_cap: Capability,
         args: tuple,
+        sp_at_entry: int,
+        saved_posture: bool,
     ) -> None:
         self.switcher = switcher
         self.compartment = compartment
@@ -137,6 +137,8 @@ class CallContext:
         self.stack_cap = stack_cap
         self.args = args
         self.sp = thread.sp
+        self.sp_at_entry = sp_at_entry
+        self.saved_posture = saved_posture
 
     # -- stack ----------------------------------------------------------
 
@@ -210,17 +212,24 @@ class CompartmentSwitcher:
         self.unseal_authority = unseal_authority
         #: The authority every import token is unsealed with: tokens are
         #: sealed with the one compartment-export otype, so the address
-        #: move is call-independent.  ``_resolve_token`` still runs the
-        #: full ``unseal`` (tag, seal, otype, US and bounds checks) on
-        #: every call.
+        #: move is call-independent.  ``_resolve_token`` runs the full
+        #: ``unseal`` (tag, seal, otype, US and bounds checks) on every
+        #: token it resolves.
         self._export_unsealer = unseal_authority.set_address(_EXPORT_OTYPE)
+        #: The return path's instruction mix, the same for every export.
+        self._return_cycles = (
+            core_model.mixed_instr_cycles(
+                CROSS_RETURN_INSTRS, SWITCHER_MEM_FRACTION
+            )
+            if core_model is not None else 0
+        )
         self.stats = SwitcherStats()
         #: Optional :class:`repro.obs.Telemetry`; every instrumentation
         #: site below is guarded by one ``is not None`` check so the
         #: un-instrumented call path is exactly the seed's.
         self.obs = None
         self._compartments: Dict[str, Compartment] = {}
-        self._trusted_stack: List[_Frame] = []
+        self._trusted_stack: List[CallContext] = []
         #: Export table: entry address -> (compartment, export).  The
         #: loader allocates one slot per linked export; a token's sealed
         #: capability must point at the slot matching its names, so a
@@ -231,6 +240,8 @@ class CompartmentSwitcher:
         self._export_slots: Dict[str, int] = {}
         #: Chopped stack capabilities, see :meth:`_chop`.
         self._chops: Dict[tuple, "tuple[Capability, Capability]"] = {}
+        #: Resolved import tokens, see :meth:`_bind`.
+        self._bindings: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Registry (populated by the loader)
@@ -240,6 +251,7 @@ class CompartmentSwitcher:
         if compartment.name in self._compartments:
             raise ValueError(f"duplicate compartment {compartment.name!r}")
         self._compartments[compartment.name] = compartment
+        self._bindings.clear()
 
     def compartment(self, name: str) -> Compartment:
         return self._compartments[name]
@@ -259,7 +271,10 @@ class CompartmentSwitcher:
         slot = self._export_slots.get(compartment, 0)
         address = globals_cap.base + 8 * slot
         self._export_slots[compartment] = slot + 1
+        # A new slot may overwrite another export's entry, which a
+        # token bound to that entry must then fail to resolve.
         self._export_table[address] = (compartment, export)
+        self._bindings.clear()
         return address
 
     # ------------------------------------------------------------------
@@ -326,6 +341,39 @@ class CompartmentSwitcher:
             raise KeyError(f"unknown compartment {token.compartment_name!r}")
         return target, target.get_export(token.export_name)
 
+    def _bind(self, token: ImportToken) -> tuple:
+        """Resolve ``token`` and keep what every call through it reuses.
+
+        The binding is ``(token, target, export, entry cycles, posture
+        setting)``.  Everything ``_resolve_token`` reads is fixed once it
+        succeeds — the token, its sealed capability and the export are
+        frozen, a compartment's exports only grow (``restart`` keeps
+        them), the unsealer and the core model are never rebound, and
+        ``register_compartment``/``register_export_entry``, the only
+        writers of the two tables, drop every binding — so a later call
+        through the token would resolve it to the same pair and charge
+        the same cycles.  As in :meth:`_chop`, the key is the token's
+        identity and the entry holds the token itself, so no other
+        object can take that identity while the entry lives.  A token
+        that fails to resolve raises before anything is stored, so it
+        faults, and is counted, on every call.
+        """
+        target, export = self._resolve_token(token)
+        core = self.core_model
+        entry_cycles = (
+            core.mixed_instr_cycles(
+                CROSS_CALL_INSTRS + export.veneer_instructions,
+                SWITCHER_MEM_FRACTION,
+            )
+            if core is not None else 0
+        )
+        binding = (
+            token, target, export, entry_cycles,
+            InterruptPosture.ON_ENTRY[export.posture],
+        )
+        self._bindings[id(token)] = binding
+        return binding
+
     def call(self, thread: Thread, token: ImportToken, *args):
         """Cross-compartment call: the full trusted sequence.
 
@@ -336,11 +384,14 @@ class CompartmentSwitcher:
         fault surfaces: unwind to the caller, retry the entry, or
         restart the compartment first (section 5.2).
         """
-        target, export = self._resolve_token(token)
+        binding = self._bindings.get(id(token))
+        if binding is None:
+            binding = self._bind(token)
+        target = binding[1]
         retries = 0
         while True:
             try:
-                return self._invoke(thread, target, export, args)
+                return self._invoke(thread, binding, args)
             except (CapabilityError, Trap) as fault:
                 # The callee violated the architecture: contain it.  The
                 # frame was already unwound (stack zeroed, posture
@@ -394,8 +445,9 @@ class CompartmentSwitcher:
         self._chops[key] = (stack_cap, chopped)
         return chopped
 
-    def _invoke(self, thread: Thread, target: Compartment, export: Export, args):
+    def _invoke(self, thread: Thread, binding: tuple, args):
         """One entry through the call/return path (no fault policy)."""
+        _, target, export, entry_cycles, posture = binding
         self.stats.calls += 1
         obs = self.obs
         xcall_span = None
@@ -408,27 +460,21 @@ class CompartmentSwitcher:
             obs.attributor.push("switcher")
         core = self.core_model
         if core is not None:
-            core.charge(core.mixed_instr_cycles(
-                CROSS_CALL_INSTRS + export.veneer_instructions,
-                SWITCHER_MEM_FRACTION,
-            ))
+            core.charge(entry_cycles)
 
         csr = self.csr
         saved_posture = csr.interrupts_enabled
-        posture = export.posture
-        if posture == InterruptPosture.DISABLED:
-            csr.interrupts_enabled = False
-        elif posture == InterruptPosture.ENABLED:
-            csr.interrupts_enabled = True
+        if posture is not None:
+            csr.interrupts_enabled = posture
 
         # Clear anything dirty below the caller's SP, then chop the stack.
         self._zero_below_sp(thread)
         sp = thread.sp & ~0xF
         callee_stack = self._chop(thread.stack_cap, thread.stack_region.base, sp)
-        frame = _Frame(target, sp, saved_posture)
-        self._trusted_stack.append(frame)
-
-        context = CallContext(self, target, thread, callee_stack, args)
+        context = CallContext(
+            self, target, thread, callee_stack, args, sp, saved_posture
+        )
+        self._trusted_stack.append(context)
         callee_span = None
         try:
             if obs is not None:
@@ -446,14 +492,12 @@ class CompartmentSwitcher:
             self._trusted_stack.pop()
             # Return path: zero exactly what the callee dirtied (HWM) or
             # the whole handed-over region (no HWM), restore SP/posture.
-            thread.sp = frame.sp_at_entry
+            thread.sp = context.sp_at_entry
             self._zero_below_sp(thread)
-            csr.interrupts_enabled = frame.interrupts_enabled
+            csr.interrupts_enabled = context.saved_posture
             self.stats.returns += 1
             if core is not None:
-                core.charge(core.mixed_instr_cycles(
-                    CROSS_RETURN_INSTRS, SWITCHER_MEM_FRACTION
-                ))
+                core.charge(self._return_cycles)
             if obs is not None:
                 obs.attributor.pop()
                 obs.tracer.end(xcall_span)

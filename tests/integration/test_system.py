@@ -87,19 +87,22 @@ class TestWiring:
 
 class TestFreedWithoutTheCollector:
     def test_dropped_system_freed_by_refcount(self):
-        """The background revoker refers to its bus weakly, so dropping
-        a System frees it, its allocator, its bus and its SRAM without
-        the cyclic collector."""
+        """The background revoker refers to its bus weakly, and the
+        switcher's token bindings hold nothing that refers back to it,
+        so dropping a System frees it, its switcher, its allocator, its
+        bus and its SRAM without the cyclic collector."""
         enabled = gc.isenabled()
         gc.disable()
         try:
             system = System.build()
             system.free(system.malloc(64))
+            system.allocator.revoke_now()
+            assert len(system.switcher._bindings) == 2
             refs = [
                 weakref.ref(part)
                 for part in (
-                    system, system.allocator, system.bus, system.sram,
-                    system.hardware_revoker,
+                    system, system.switcher, system.allocator, system.bus,
+                    system.sram, system.hardware_revoker,
                 )
             ]
             del system

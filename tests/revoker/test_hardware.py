@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.machine import System
 from repro.revoker.hardware import (
     REG_END,
     REG_EPOCH,
@@ -134,3 +135,46 @@ class TestCostModel:
         _arm(revoker, SRAM_BASE, SRAM_BASE + 0x2000)
         large = revoker.run_to_completion()
         assert large == pytest.approx(2 * small, rel=0.1)
+
+
+class TestSnoopSubscription:
+    """The engine snoops the bus's stores only while a pass runs."""
+
+    def test_no_snooper_outside_a_pass(self, bus, revoker):
+        assert bus._store_snoopers == []
+        revoker.mmio_write(REG_START, SRAM_BASE)
+        revoker.mmio_write(REG_END, SRAM_BASE)
+        revoker.mmio_write(REG_KICK, 1)  # empty region: no pass
+        assert bus._store_snoopers == []
+
+    @pytest.mark.parametrize("detailed", [False, True], ids=["bulk", "detailed"])
+    def test_kick_adds_one_and_finish_removes_it(self, bus, revoker, detailed):
+        seen = []
+        bus.add_store_snooper(lambda address, size: seen.append(address))
+        other = list(bus._store_snoopers)
+        for _ in range(2):
+            _arm(revoker, SRAM_BASE, SRAM_BASE + 0x40)
+            assert bus._store_snoopers == other + [revoker._snoop_store]
+            revoker.mmio_write(REG_KICK, 1)  # already running: no-op
+            assert bus._store_snoopers == other + [revoker._snoop_store]
+            revoker.run_to_completion(detailed=detailed)
+            assert not revoker.running
+            assert bus._store_snoopers == other
+        bus.write_word(SRAM_BASE, 1, 4)
+        assert seen == [SRAM_BASE]
+        assert revoker.stats.passes == 2
+
+    def test_stepping_to_the_end_removes_it(self, bus, revoker):
+        _arm(revoker, SRAM_BASE, SRAM_BASE + 0x10)
+        while revoker.step():
+            assert bus._store_snoopers == [revoker._snoop_store]
+        assert bus._store_snoopers == []
+
+    def test_system_bus_has_no_snooper_between_passes(self):
+        system = System.build()
+        assert system.bus._store_snoopers == []
+        system.free(system.malloc(64))
+        assert system.bus._store_snoopers == []
+        system.allocator.revoke_now()
+        assert system.hardware_revoker.stats.passes == 1
+        assert system.bus._store_snoopers == []

@@ -45,6 +45,30 @@ class TestExportsImports:
         with pytest.raises(ValueError):
             comp.export("entry", lambda ctx: 2)
 
+    @pytest.mark.parametrize(
+        "posture", ["disable", "Enabled", "", None, InterruptPosture]
+    )
+    def test_unknown_posture_rejected(self, posture):
+        """An export runs DISABLED, ENABLED or INHERIT and nothing else:
+        any other posture would have run as INHERIT and been audited as
+        interrupts-enabled."""
+        comp = make_compartment()
+        with pytest.raises(ValueError) as info:
+            comp.export("entry", lambda ctx: 1, posture=posture)
+        message = str(info.value)
+        for name in ("inherit", "disabled", "enabled"):
+            assert repr(name) in message
+        assert comp.exports == {}
+
+    @pytest.mark.parametrize("posture", [
+        InterruptPosture.INHERIT,
+        InterruptPosture.DISABLED,
+        InterruptPosture.ENABLED,
+    ])
+    def test_each_posture_accepted(self, posture):
+        comp = make_compartment()
+        assert comp.export("entry", lambda ctx: 1, posture=posture).posture == posture
+
     def test_unknown_export(self):
         with pytest.raises(KeyError):
             make_compartment().get_export("missing")

@@ -1,11 +1,23 @@
 """Tests for the trusted compartment switcher (sections 2.6, 5.2)."""
 
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import pytest
 
-from repro.capability import Capability, Permission as P
+from repro.capability import Capability, Permission as P, make_roots
 from repro.capability.errors import PermissionFault, SealedFault, TagFault
+from repro.isa import CSRFile
+from repro.memory import SystemBus, TaggedMemory, default_memory_map
 from repro.memory.bus import BusStats
-from repro.rtos.compartment import ImportToken, InterruptPosture
+from repro.pipeline import CoreKind, make_core_model
+from repro.rtos import (
+    CompartmentSwitcher,
+    InterruptLatencyMonitor,
+    Loader,
+    Scheduler,
+)
+from repro.rtos.compartment import ImportToken, InterruptPosture, RecoveryAction
 from repro.rtos.switcher import (
     CROSS_CALL_INSTRS,
     CROSS_RETURN_INSTRS,
@@ -440,3 +452,204 @@ class TestCrossingLedger:
             self.CALL + self.ZERO[160] + self.ZERO[160] + self.RETURN
             + self.UNWIND
         )
+
+
+class TestBindings:
+    """A bound token behaves exactly like one resolved on every call.
+
+    Two identical worlds run the same calls.  The reference world drops
+    its switcher's bindings before every call, so it resolves every
+    token every time; the bound world keeps them.  After every call,
+    the outcome (the return value, or the fault's type and message),
+    the switcher's counters, the cycles, the trusted-stack depth, the
+    stack's bytes and tags, the posture, the high-water mark and the
+    interrupts-disabled windows must be equal.
+    """
+
+    STACK = 1024
+
+    @staticmethod
+    def _world(posture):
+        mm = default_memory_map()
+        bus = SystemBus()
+        bus.attach_sram(TaggedMemory(mm.code.base, mm.sram_bytes))
+        roots = make_roots()
+        core = make_core_model(CoreKind.IBEX)
+        csr = CSRFile(hwm_enabled=True)
+        switcher = CompartmentSwitcher(bus, csr, roots.sealing, core)
+        loader = Loader(mm, roots, switcher)
+        client = loader.add_compartment("client")
+        service = loader.add_compartment("service")
+
+        def work(ctx, value):
+            ctx.use_stack(96)
+            ctx.store_stack_cap(1, ctx.stack_cap)
+            count = ctx.compartment.state.get("count", 0) + 1
+            ctx.compartment.state["count"] = count
+            return 100 * value + count
+
+        def crash(ctx, value):
+            ctx.use_stack(32)
+            ctx.stack_cap.check_access(ctx.stack_cap.top, 8, (P.LD,))
+
+        service.export("work", work, posture=posture)
+        service.export("crash", crash, posture=posture)
+        service.set_error_handler(lambda info: RecoveryAction.RESTART)
+        genuine = loader.link("client", "service", "work")
+        export_seal = roots.sealing.set_address(genuine.sealed_cap.otype)
+        # An export-table entry whose compartment does not exist yet.
+        ghost_entry = switcher.register_export_entry(
+            "ghost", "work", roots.memory.set_address(0x2004_8000).set_bounds(64)
+        )
+        tokens = {
+            "genuine": genuine,
+            "crashing": loader.link("client", "service", "crash"),
+            "unsealed": ImportToken(
+                "service", "work",
+                roots.memory.set_address(0x2004_0000).set_bounds(16),
+            ),
+            "untagged": ImportToken(
+                "service", "work", genuine.sealed_cap.untagged()
+            ),
+            "wrong-otype": ImportToken(
+                "service", "work",
+                roots.memory.set_address(0x2004_0000).set_bounds(16)
+                .seal(roots.sealing.set_address(3)),
+            ),
+            # A valid sealed capability under another export's names,
+            # as repro.faultinject's token-relabel splice builds one.
+            "relabelled": ImportToken(
+                "service", "crash", genuine.sealed_cap
+            ),
+            "ghost": ImportToken(
+                "ghost", "work",
+                roots.memory.set_address(ghost_entry).seal(export_seal),
+            ),
+        }
+        thread = loader.add_thread("t0", stack_size=TestBindings.STACK)
+        scheduler = Scheduler(csr, core, timeslice_cycles=500)
+        scheduler.add_thread(thread)
+        scheduler.switch_to(thread)
+        return SimpleNamespace(
+            bus=bus, csr=csr, core=core, switcher=switcher, loader=loader,
+            service=service, thread=thread, tokens=tokens, work=work,
+            monitor=InterruptLatencyMonitor(csr, core), resolutions=[],
+        )
+
+    @staticmethod
+    def _count_resolutions(world):
+        resolve = world.switcher._resolve_token
+
+        def counted(token):
+            world.resolutions.append(token)
+            return resolve(token)
+
+        world.switcher._resolve_token = counted
+
+    @staticmethod
+    def _call(world, name, value, reference):
+        if reference:
+            world.switcher._bindings.clear()
+        try:
+            outcome = (
+                "ok",
+                world.switcher.call(world.thread, world.tokens[name], value),
+            )
+        except Exception as exc:  # noqa: BLE001 - the fault is the outcome
+            outcome = ("fault", type(exc).__name__, str(exc))
+        region = world.thread.stack_region
+        bank = world.bus.bank_for(region.base, region.size)
+        return (
+            outcome,
+            asdict(world.switcher.stats),
+            world.core.cycles,
+            world.switcher.call_depth,
+            bank.read_bytes(region.base, region.size),
+            list(bank.tagged_granules(region.base, region.top)),
+            world.csr.interrupts_enabled,
+            world.csr.high_water_mark,
+            world.thread.sp,
+            [(w.start_cycle, w.end_cycle) for w in world.monitor.windows],
+            world.monitor._disabled_since,
+            world.bus.stats,
+            dict(world.service.state),
+        )
+
+    def _run(self, worlds, names):
+        bound, ref = worlds
+        for i, name in enumerate(names):
+            # The caller's posture varies, so INHERIT is observable.
+            for world in worlds:
+                world.csr.interrupts_enabled = i % 3 != 1
+            got = self._call(bound, name, i, reference=False)
+            want = self._call(ref, name, i, reference=True)
+            assert got == want, (i, name)
+        return got[0]
+
+    @pytest.fixture(params=[
+        InterruptPosture.INHERIT,
+        InterruptPosture.DISABLED,
+        InterruptPosture.ENABLED,
+    ])
+    def worlds(self, request):
+        worlds = (self._world(request.param), self._world(request.param))
+        for world in worlds:
+            self._count_resolutions(world)
+        return worlds
+
+    def test_every_token_matches_per_call_resolution(self, worlds):
+        bound, ref = worlds
+        self._run(worlds, [
+            "relabelled", "unsealed", "ghost", "untagged", "wrong-otype",
+            "genuine", "relabelled", "genuine", "untagged", "crashing",
+            "unsealed", "genuine", "wrong-otype", "ghost", "crashing",
+            "relabelled", "genuine", "genuine",
+        ])
+        # The bound world resolved each genuine token once and every
+        # refused token on every call; the reference resolved them all.
+        assert len(ref.resolutions) == 18
+        assert len(bound.resolutions) == 2 + 11
+        assert bound.switcher.stats.forged_tokens_rejected == 3
+        assert sorted(bound.switcher._bindings) == sorted(
+            id(bound.tokens[name]) for name in ("genuine", "crashing")
+        )
+
+    def test_registration_drops_the_bindings(self, worlds):
+        bound, _ = worlds
+        self._run(worlds, ["genuine", "relabelled", "genuine"])
+        for world in worlds:
+            extra = world.loader.add_compartment("extra")
+            extra.export("noop", lambda ctx: None)
+            world.loader.link("client", "extra", "noop")
+        assert bound.switcher._bindings == {}
+        self._run(worlds, ["genuine", "relabelled", "genuine", "relabelled"])
+        # A compartment named by a refused token appears: the token now
+        # resolves, because no refusal was ever stored.
+        for world in worlds:
+            ghost = world.loader.add_compartment("ghost")
+            ghost.export("work", world.work)
+        assert self._run(worlds, ["ghost", "genuine", "ghost"])[0] == "ok"
+
+    def test_overwritten_entry_refuses_a_bound_token(self, worlds):
+        bound, _ = worlds
+        self._run(worlds, ["genuine", "genuine"])
+        for world in worlds:
+            # A new slot at the bound token's entry address.
+            address = world.tokens["genuine"].sealed_cap.address
+            world.switcher.register_export_entry(
+                "intruder", "run",
+                world.service.globals_cap.set_address(address).set_bounds(8),
+            )
+        outcome = self._run(worlds, ["genuine", "genuine"])
+        assert outcome == (
+            "fault", "SealedFault",
+            "import token names service.work but its sealed capability "
+            "points at intruder.run",
+        )
+        assert bound.switcher.stats.forged_tokens_rejected == 2
+
+    def test_restart_keeps_the_binding_valid(self, worlds):
+        self._run(worlds, ["genuine", "genuine", "relabelled"])
+        for world in worlds:
+            world.service.restart()
+        self._run(worlds, ["genuine", "relabelled", "crashing", "genuine"])

@@ -102,18 +102,27 @@ def test_installed_tracer_counts_every_crossing():
     """Install the tracer in a fresh process and make two malloc/free
     pairs through the switcher: every layer they cross is counted.
 
-    After the first pair has warmed the switcher's stack chop, a pair
-    derives exactly two capabilities (``malloc``'s ``set_address`` and
-    ``set_bounds``) and checks none: inlining a traced entry point would
-    shrink these per-layer counts."""
+    After the first pair has warmed the switcher (its stack chop and
+    the bindings of the ``malloc`` and ``free`` tokens), a pair derives
+    exactly two capabilities (``malloc``'s ``set_address`` and
+    ``set_bounds``), checks none and unseals none, and the background
+    revoker, idle between passes, is not among the bus's store
+    snoopers: inlining a traced entry point would shrink these
+    per-layer counts."""
     code = (
         "import sys; sys.path.insert(0, 'perfbench'); "
         "import tracing; t = tracing.Tracer(); builds = []; "
-        "tracing.install(t, builds); t.start(); "
+        "tracing.install(t, builds); "
+        "from repro.capability.capability import Capability; "
+        "unseals = []; unseal = Capability.unseal; "
+        "Capability.unseal = "
+        "lambda cap, auth: unseals.append(cap) or unseal(cap, auth); "
+        "t.start(); "
         "from repro.machine import System; s = System.build(); "
-        "s.free(s.malloc(64)); print(sorted(t.calls.items())); "
-        "s.free(s.malloc(64)); t.stop(); "
-        "print(sorted(t.calls.items()))"
+        "pair = lambda: s.free(s.malloc(64)) or print(repr(("
+        "sorted(t.calls.items()), len(unseals), "
+        "len(s.bus._store_snoopers)))); "
+        "pair(); pair(); t.stop()"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -124,7 +133,10 @@ def test_installed_tracer_counts_every_crossing():
         timeout=120,
         check=True,
     ).stdout
-    first, both = (dict(ast.literal_eval(line)) for line in out.splitlines())
+    (first, first_unseals, first_snoopers), (both, both_unseals, snoopers) = (
+        ast.literal_eval(line) for line in out.splitlines()
+    )
+    first, both = dict(first), dict(both)
     second = {key: both[key] - first.get(key, 0) for key in both}
     for calls in (first, second):
         assert calls["switcher.call"] == 2
@@ -138,3 +150,6 @@ def test_installed_tracer_counts_every_crossing():
     assert second["machine.build"] == 0
     assert second["cap.derive"] == 2
     assert second.get("cap.check", 0) == 0
+    # Each token is unsealed once, when the switcher binds it.
+    assert first_unseals == both_unseals == 2
+    assert first_snoopers == snoopers == 0
