@@ -46,6 +46,9 @@ class RevocationMap:
         self.heap_size = heap_size
         self.granule_bytes = granule_bytes
         self._bits = bytearray(heap_size // granule_bytes)
+        # Runs are stored through a view: a bytes right-hand side of a
+        # bytearray slice store is first copied into a new bytearray.
+        self._bits_view = memoryview(self._bits)
 
     @property
     def granule_count(self) -> int:
@@ -94,7 +97,7 @@ class RevocationMap:
             raise ValueError(f"address {bad:#x} outside revocable region")
         first = off // self.granule_bytes
         last = end // self.granule_bytes
-        self._bits[first : last + 1] = bit * (last + 1 - first)
+        self._bits_view[first : last + 1] = bit * (last + 1 - first)
 
     def any_revoked(self) -> bool:
         return any(self._bits)

@@ -9,18 +9,41 @@ hardware maintains:
   tagged capability;
 * **any** data write that touches a granule clears its tag — partial
   overwrites cannot leave a forgeable half-capability behind.
+
+Every store lands in place: slices go through a ``memoryview`` of each
+bank array (CPython copies the right-hand side of a ``bytearray`` slice
+store into a temporary ``bytearray`` unless it is one already), and
+words and capabilities through precompiled ``struct`` formats.
 """
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Optional
 
 from repro.capability import CAP_SIZE_BYTES, Capability, unpack
 from repro.capability.encoding import pack
 
+#: ``offset >> _GRANULE_SHIFT`` is the index of the granule holding it.
+_GRANULE_SHIFT = CAP_SIZE_BYTES.bit_length() - 1
+
+#: Per word size: its little-endian unsigned format and its value mask.
+_WORDS = {
+    1: (Struct("<B"), 0xFF),
+    2: (Struct("<H"), 0xFFFF),
+    4: (Struct("<I"), 0xFFFF_FFFF),
+}
+
+#: A stored capability's 64 bits, address in the low word.
+_CAP = Struct("<Q")
+
 
 class MemoryError_(Exception):
     """Out-of-range or misaligned physical access."""
+
+
+def _word_size_error(size) -> ValueError:
+    return ValueError(f"word access of {size!r} bytes: size must be 1, 2 or 4")
 
 
 class TaggedMemory:
@@ -35,6 +58,10 @@ class TaggedMemory:
         self.size = size
         self._data = bytearray(size)
         self._tags = bytearray(size // CAP_SIZE_BYTES)
+        # The arrays are never resized, so the views stay valid; they
+        # refer to the arrays, not to the bank, so they form no cycle.
+        self._data_view = memoryview(self._data)
+        self._tags_view = memoryview(self._tags)
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -52,16 +79,13 @@ class TaggedMemory:
             )
         return address - self.base
 
-    def _granule(self, offset: int) -> int:
-        return offset // CAP_SIZE_BYTES
-
     # ------------------------------------------------------------------
     # Data access
     # ------------------------------------------------------------------
 
     def read_bytes(self, address: int, size: int) -> bytes:
         off = self._offset(address, size)
-        return bytes(self._data[off : off + size])
+        return self._data_view[off : off + size].tobytes()
 
     def write_bytes(self, address: int, data: bytes) -> None:
         """Data write: clears the tag of every granule touched.
@@ -73,7 +97,7 @@ class TaggedMemory:
         off = self._offset(address, size)
         if not size:
             return
-        self._data[off : off + size] = data
+        self._data_view[off : off + size] = data
         self._data_written(off, size)
 
     def _data_written(self, off: int, size: int) -> None:
@@ -83,37 +107,49 @@ class TaggedMemory:
         The one copy of the data-write tag rule (``write_bytes``,
         ``write_word`` and ``fill`` all end here).
         """
-        first = off // CAP_SIZE_BYTES
-        last = (off + size - 1) // CAP_SIZE_BYTES
+        first = off >> _GRANULE_SHIFT
+        last = (off + size - 1) >> _GRANULE_SHIFT
         if first == last:
             # Common case: a word-or-smaller store inside one granule.
             self._tags[first] = 0
         else:
-            self._tags[first : last + 1] = bytes(last + 1 - first)
+            self._tags_view[first : last + 1] = bytes(last + 1 - first)
 
     def read_word(self, address: int, size: int = 4) -> int:
-        """Little-endian unsigned read of 1, 2 or 4 bytes."""
-        if address % size != 0:
+        """Little-endian unsigned read of 1, 2 or 4 bytes.
+
+        Any other ``size`` raises ``ValueError`` before the alignment
+        and range checks.
+        """
+        try:
+            fmt = _WORDS[size][0]
+        except KeyError:
+            raise _word_size_error(size) from None
+        if address % size:
             raise MemoryError_(f"misaligned {size}-byte read at {address:#x}")
-        # Inlined read_bytes and bounds check: skips two call frames and
-        # the bytes() copy (int.from_bytes takes the slice directly).
+        # Inlined read_bytes and bounds check: every guest load comes
+        # through here.
         off = address - self.base
         if off < 0 or off + size > self.size:
             self._offset(address, size)  # raises with the standard message
-        return int.from_bytes(self._data[off : off + size], "little")
+        return fmt.unpack_from(self._data, off)[0]
 
     def write_word(self, address: int, value: int, size: int = 4) -> None:
-        """Little-endian unsigned write of 1, 2 or 4 bytes."""
-        if address % size != 0:
+        """Little-endian unsigned write of 1, 2 or 4 bytes; ``value`` is
+        truncated to ``size`` bytes.  Any other ``size`` raises
+        ``ValueError`` before the alignment and range checks."""
+        try:
+            fmt, mask = _WORDS[size]
+        except KeyError:
+            raise _word_size_error(size) from None
+        if address % size:
             raise MemoryError_(f"misaligned {size}-byte write at {address:#x}")
         # Inlined write_bytes and bounds check, as in read_word: every
         # guest word store comes through here.
         off = address - self.base
         if off < 0 or off + size > self.size:
             self._offset(address, size)  # raises with the standard message
-        self._data[off : off + size] = (
-            value & ((1 << (8 * size)) - 1)
-        ).to_bytes(size, "little")
+        fmt.pack_into(self._data, off, value & mask)
         self._data_written(off, size)
 
     def fill(self, address: int, size: int, value: int = 0) -> None:
@@ -130,7 +166,10 @@ class TaggedMemory:
             return
         if off < 0 or off + size > self.size:
             self._offset(address, size)  # raises with the standard message
-        self._data[off : off + size] = bytes([value & 0xFF]) * size
+        value &= 0xFF
+        self._data_view[off : off + size] = (
+            bytes((value,)) * size if value else bytes(size)
+        )
         self._data_written(off, size)
 
     # ------------------------------------------------------------------
@@ -143,32 +182,35 @@ class TaggedMemory:
         The returned value carries the granule's tag; untagged granules
         decode to an untagged capability (just bits).
         """
-        if address % CAP_SIZE_BYTES != 0:
+        if address % CAP_SIZE_BYTES:
             raise MemoryError_(f"misaligned capability read at {address:#x}")
-        off = self._offset(address, CAP_SIZE_BYTES)
-        bits = int.from_bytes(self._data[off : off + CAP_SIZE_BYTES], "little")
-        tag = bool(self._tags[self._granule(off)])
-        return unpack(bits, tag)
+        off = address - self.base
+        if off < 0 or off + CAP_SIZE_BYTES > self.size:
+            self._offset(address, CAP_SIZE_BYTES)  # raises, as in read_word
+        return unpack(
+            _CAP.unpack_from(self._data, off)[0],
+            self._tags[off >> _GRANULE_SHIFT] != 0,
+        )
 
     def write_capability(self, address: int, cap: Capability) -> None:
         """Store a capability, setting the granule tag iff ``cap.tag``."""
-        if address % CAP_SIZE_BYTES != 0:
+        if address % CAP_SIZE_BYTES:
             raise MemoryError_(f"misaligned capability write at {address:#x}")
-        off = self._offset(address, CAP_SIZE_BYTES)
-        self._data[off : off + CAP_SIZE_BYTES] = pack(cap).to_bytes(
-            CAP_SIZE_BYTES, "little"
-        )
-        self._tags[self._granule(off)] = 1 if cap.tag else 0
+        off = address - self.base
+        if off < 0 or off + CAP_SIZE_BYTES > self.size:
+            self._offset(address, CAP_SIZE_BYTES)  # raises, as in read_word
+        _CAP.pack_into(self._data, off, pack(cap))
+        self._tags[off >> _GRANULE_SHIFT] = 1 if cap.tag else 0
 
     def tag_at(self, address: int) -> bool:
         """Inspect the tag of the granule containing ``address``."""
         off = self._offset(address, 1)
-        return bool(self._tags[self._granule(off)])
+        return bool(self._tags[off >> _GRANULE_SHIFT])
 
     def clear_tag(self, address: int) -> None:
         """Clear one granule's tag (the revoker's invalidation write)."""
         off = self._offset(address, 1)
-        self._tags[self._granule(off)] = 0
+        self._tags[off >> _GRANULE_SHIFT] = 0
 
     def tagged_granules(self, start: Optional[int] = None, end: Optional[int] = None):
         """Yield addresses of tagged granules in ``[start, end)``.

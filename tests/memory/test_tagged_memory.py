@@ -48,6 +48,19 @@ class TestDataAccess:
         with pytest.raises(MemoryError_):
             mem.read_bytes(BASE - 1, 1)
 
+    @pytest.mark.parametrize("size", (0, 3, 8, -4))
+    def test_word_size_outside_contract(self, mem, size):
+        """Only 1, 2 and 4 bytes: any other size raises ``ValueError``
+        naming it, before the alignment test (which divides by it) and
+        the range check, and writes nothing."""
+        mem.write_bytes(BASE, b"\xaa" * 16)
+        for address in (BASE, BASE + 1, BASE - 64):
+            with pytest.raises(ValueError, match=f"word access of {size} bytes"):
+                mem.read_word(address, size)
+            with pytest.raises(ValueError, match=f"word access of {size} bytes"):
+                mem.write_word(address, 0x1234_5678, size)
+        assert mem.read_bytes(BASE, 16) == b"\xaa" * 16
+
     def test_fill(self, mem):
         mem.write_bytes(BASE, b"\xff" * 64)
         mem.fill(BASE + 8, 16)

@@ -415,6 +415,23 @@ class TestLoop:
         assert "drifted at a.b: committed 2, fresh run 1" in err
         assert "reproduce: make refresh NAME=stub" in err
 
+    def test_failing_gate_names_the_check_not_a_refresh(
+        self, artifacts, stub, tmp_path, capsys
+    ):
+        """A host-timed entry's failure is rechecked: refreshing its file
+        would only move the baseline to this host's noise."""
+        from dataclasses import replace
+
+        timed = replace(stub, gate=lambda doc: ["synthetic: +25.0% over"])
+        assert artifacts.check(timed, self._commit(tmp_path, self.DOC)) == 1
+        err = capsys.readouterr().err
+        assert "stub: synthetic: +25.0% over" in err
+        assert (
+            "reproduce: PYTHONPATH=src python tools/artifacts.py check stub"
+            in err
+        )
+        assert "make refresh" not in err
+
     def test_missing_file_exits_2_with_the_command(
         self, artifacts, stub, tmp_path, capsys
     ):
@@ -483,6 +500,16 @@ def test_simspeed_floor_rejects_its_tamper(entry, tamper, problem):
     doc = copy.deepcopy(_committed(entry("simspeed")))
     tamper(doc)
     assert entry("simspeed").claims(doc) == [problem]
+
+
+def test_reproduce_lines_of_the_real_entries(artifacts):
+    """Only the host-timed ``simspeed`` entry prints its check command;
+    every byte-gated entry prints its refresh."""
+    lines = {a.name: a.reproduce for a in artifacts.ARTIFACTS}
+    assert lines.pop("simspeed") == (
+        "PYTHONPATH=src python tools/artifacts.py check simspeed"
+    )
+    assert lines == {name: f"make refresh NAME={name}" for name in lines}
 
 
 def test_simspeed_gate_allows_20_percent_after_probe_scaling(monkeypatch):

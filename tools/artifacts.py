@@ -16,7 +16,8 @@ Section-7 tables, ...).
 checks its claims, regenerates it and compares the bytes.  On drift it
 prints the first diverging path, the entry's own diagnosis and any
 claim the fresh run breaks; every failure ends with the one-line
-command that reproduces the file.  One timing line per artifact.
+command that reproduces the file (for ``simspeed``, that rechecks it).
+One timing line per artifact.
 ``BENCH_simspeed.json`` records host seconds, which no rerun
 reproduces byte for byte, so its entry allows each workload 20 % over
 the committed time, scaled by a host-speed probe, instead.
@@ -89,6 +90,10 @@ class Artifact:
 
     @property
     def reproduce(self) -> str:
+        """The one-line command a failure ends with.  A host-timed file
+        is rechecked: refreshing it would record this host's noise."""
+        if self.gate is not None:
+            return f"PYTHONPATH=src python tools/artifacts.py check {self.name}"
         return f"make refresh NAME={self.name}"
 
 
