@@ -11,7 +11,7 @@ Run with::
     python examples/baremetal_assembly.py
 """
 
-from repro.capability import Permission, make_roots
+from repro.capability import make_roots
 from repro.isa import CPU, ExecutionMode, LoadFilter, Trap, assemble
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model

@@ -18,7 +18,7 @@ Run with::
 
 from repro import System
 from repro.allocator import TemporalSafetyMode
-from repro.capability import Permission, attenuate_loaded
+from repro.capability import Permission
 from repro.capability.errors import PermissionFault
 from repro.pipeline import CoreKind
 from repro.rtos.compartment import InterruptPosture

@@ -15,7 +15,7 @@ import sys
 from repro import System
 from repro.allocator import TemporalSafetyMode
 from repro.capability import Capability, Permission, attenuate_loaded
-from repro.capability.errors import CapabilityError, PermissionFault
+from repro.capability.errors import CapabilityError
 from repro.pipeline import CoreKind
 
 BLOCKED = 0

@@ -1,16 +1,16 @@
 """Simulator-speed measurement: how fast the ISA simulator itself runs.
 
 The paper's numbers are *architectural* (cycles, scores); this module
-measures the *host* wall-clock the simulator spends producing them, at
-the executor's default tier, so the executor can be tracked for
+measures the *host* wall-clock the simulator spends producing them, on
+the executor's fused path, so the executor can be tracked for
 regressions.  It backs the ``simspeed`` entry of ``tools/artifacts.py``:
 :func:`speed_report` writes ``BENCH_simspeed.json`` and
 :func:`check_speed` is its gate.  Host seconds are not
 byte-reproducible, so instead of comparing bytes the gate allows each
 workload 20 % over the committed time, scaled by a host-speed probe.
 
-All workloads run the same *architectural* work regardless of executor
-tier — only host time differs — so speed numbers are directly
+All workloads run the same *architectural* work however the executor
+runs them — only host time differs — so speed numbers are directly
 comparable across simulator revisions.
 """
 
@@ -36,8 +36,8 @@ DATA_BASE = 0x2000_8000
 SEED_BASELINE = {
     "table3_iter1_seconds": 2.659,
     "alu_loop_mips": 0.059,
-    # Measured through the seed's execution path (the interpretive step,
-    # Tier.INTERP) on the same container as the other two numbers.
+    # Measured through the seed's execution path (the seed's
+    # interpretive step) on the same container as the other two numbers.
     "mem_loop_mips": 0.102,
 }
 

@@ -3,7 +3,7 @@
 ``repro.fleet`` scales the reproduction from one simulated device to a
 *fleet*: N independent :class:`~repro.machine.System` instances, each
 driven by a seeded fault-campaign slice plus a cross-compartment
-allocation workload and a tiered-CPU kernel, run serially in process
+allocation workload and a CPU kernel, run serially in process
 and folded into one report.
 
 The layering, bottom-up:

@@ -7,11 +7,11 @@ four phases, every one clocked in simulated cycles (never wall time):
    compartment switcher; each cross-compartment call's cycle cost
    becomes a latency sample, and the phase's op/cycle ratio the
    device's throughput.
-2. **Tiered CPU kernel** — a seeded store/load loop on a real
-   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` at the
-   default ``Tier.FUSED``.  Cycle counts are bit-identical across every
-   :class:`~repro.isa.Tier` (the differential suite's guarantee, which
-   runs this kernel too), so the tier can never leak into the report.
+2. **CPU kernel** — a seeded store/load loop on a real
+   :class:`~repro.isa.CPU` built by :meth:`System.make_cpu`, run as
+   fused blocks.  Cycle counts are bit-identical when an observer makes
+   it single-step instead (the differential suite's guarantee, which
+   runs this kernel too), so how it ran can never leak into the report.
 3. **Revocation** — frees push chunks through quarantine, then a
    forced sweep measures the revoker's share of the device's cycles
    (the duty-cycle column).
@@ -187,7 +187,7 @@ def run_device(spec: DeviceSpec) -> dict:
     alloc_cycles = core.cycles - start
     alloc_calls = len(latencies)
 
-    # --- phase 2: the tiered CPU kernel -------------------------------
+    # --- phase 2: the CPU kernel -------------------------------------
     mm = system.memory_map
     code_base = mm.code.base + _KERNEL_CODE_OFFSET
     buf_base = mm.code.base + _KERNEL_BUF_OFFSET

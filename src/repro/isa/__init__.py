@@ -5,7 +5,7 @@ from .blockcache import BlockCacheStats
 from .csr import CSRError, CSRFile, HWMState
 from .disassembler import instruction_to_source, to_source
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
-from .executor import CPU, ExecStats, ExecutionMode, Halted, Tier
+from .executor import CPU, ExecStats, ExecutionMode, Halted
 from .instructions import INSTRUCTION_SPECS, Instruction, InstructionSpec
 from .load_filter import LoadFilter, LoadFilterStats
 from .registers import (
@@ -34,7 +34,6 @@ __all__ = [
     "NUM_REGS",
     "Program",
     "RegisterFile",
-    "Tier",
     "Trap",
     "TrapCause",
     "assemble",

@@ -75,24 +75,6 @@ class ExecutionMode(enum.Enum):
     CHERIOT = "cheriot"
 
 
-class Tier(enum.Enum):
-    """How the executor runs a program: the reference, then the fast tier.
-
-    :attr:`FUSED` is observationally identical to :attr:`INTERP`; the
-    differential suites loop over both to hold it to that.
-    """
-
-    #: The interpretive step: each instruction bound when it runs and a
-    #: full PCC authorization per fetch — the reference.
-    INTERP = "interp"
-    #: Every instruction bound once, at :meth:`CPU.load_program` time,
-    #: straight-line runs fused into superblocks
-    #: (:mod:`repro.isa.blockcache`); the default.  Where a run cannot
-    #: fuse, and for every :meth:`CPU.step`, it single-steps the
-    #: pre-decoded table.
-    FUSED = "fused"
-
-
 #: Hot-path alias: dereferencing the enum member once per module load
 #: beats the two-attribute chain in the per-access authorization check.
 _CHERIOT = ExecutionMode.CHERIOT
@@ -138,10 +120,12 @@ class ExecStats:
 class CPU:
     """A single CHERIoT (or plain RV32E) hart attached to a bus.
 
-    ``tier`` picks how programs run (:class:`Tier`; the default is the
-    fast tier, :attr:`Tier.FUSED`).  ``timing`` is a plain attribute
-    holding the core timing model (a :class:`~repro.pipeline.CoreModel`)
-    or None.
+    Every instruction is bound once, at :meth:`load_program` time.
+    :meth:`run` fuses straight-line runs into superblocks
+    (:mod:`repro.isa.blockcache`); where a run cannot fuse, while an
+    observer is attached, and for every :meth:`step`, it single-steps
+    the bound table.  ``timing`` is a plain attribute holding the core
+    timing model (a :class:`~repro.pipeline.CoreModel`) or None.
 
     Programs are structural (a mnemonic and decoded operands per
     instruction, never bytes in SRAM), so no store, even one into the
@@ -160,16 +144,14 @@ class CPU:
         timing=None,
         hwm_enabled: bool = True,
         cfi_strict: bool = False,
-        tier: Tier = Tier.FUSED,
     ) -> None:
         self.bus = bus
         self.mode = mode
         self.load_filter = load_filter
         self.timing = timing
-        self.tier = tier
-        #: Decode-once, execute-many: at :attr:`Tier.FUSED` every
-        #: instruction is bound to its step at :meth:`load_program` time
-        #: (``(step, instr)`` per instruction).
+        #: Decode-once, execute-many: every instruction is bound to its
+        #: step at :meth:`load_program` time (``(step, instr)`` per
+        #: instruction).
         self._decoded: Optional[List[tuple]] = None
         #: Superblock translation cache (:mod:`repro.isa.blockcache`),
         #: keyed by decoded index: the run loop fuses straight-line runs
@@ -225,19 +207,16 @@ class CPU:
     # Observer attachment and the cached deopt predicate
     # ------------------------------------------------------------------
     #
-    # The run loop's fused-dispatch eligibility ("pre-decoded and
-    # unobserved") is a single cached flag instead of a three-clause
-    # predicate re-evaluated every dispatch.  Every site that can change
-    # eligibility — the ``pre_step_hook`` property setter, retire-hook
-    # install/remove, and ``load_program`` — recomputes it, so a hook
-    # installed mid-run (say, by an ``ecall`` handler) still deoptimizes
-    # from the very next run-loop iteration.
+    # The run loop's fused-dispatch eligibility ("unobserved") is a
+    # single cached flag instead of a predicate re-evaluated every
+    # dispatch.  Every site that can change eligibility — the
+    # ``pre_step_hook`` property setter and retire-hook install/remove —
+    # recomputes it, so a hook installed mid-run (say, by an ``ecall``
+    # handler) still deoptimizes from the very next run-loop iteration.
 
     def _update_fast_path(self) -> None:
         self._fast_loop_ok = (
-            self._decoded is not None
-            and self._pre_step_hook is None
-            and self._retire_hooks is None
+            self._pre_step_hook is None and self._retire_hooks is None
         )
 
     @property
@@ -313,12 +292,9 @@ class CPU:
             if pcc is None:
                 raise ValueError("CHERIoT mode requires a PCC")
             self.pcc = pcc.set_address(self.pc)
-        self._decoded = (
-            None if self.tier is Tier.INTERP else _decode_program(self, program)
-        )
+        self._decoded = _decode_program(self, program)
         self._blocks.clear()
         self._halted = False
-        self._update_fast_path()
 
     @property
     def halted(self) -> bool:
@@ -327,25 +303,24 @@ class CPU:
     def run(self, max_steps: int = 10_000_000) -> ExecStats:
         """Execute until ``halt`` or the step budget is exhausted.
 
-        At :attr:`Tier.FUSED`, with no observer attached
-        (``pre_step_hook`` or retire hooks), straight-line runs execute
-        as fused blocks — one dispatch, batch-charged stats and cycles,
-        architecturally identical to single-stepping.
+        With no observer attached (``pre_step_hook`` or retire hooks),
+        straight-line runs execute as fused blocks — one dispatch,
+        batch-charged stats and cycles, architecturally identical to
+        single-stepping.
         Eligibility is the cached ``_fast_loop_ok`` flag, recomputed by
         every observer install/remove site, so a hook installed mid-run
         (say, by an ``ecall`` handler) deoptimizes from the very next
         iteration without the loop re-evaluating the full predicate.
         """
+        if self.program is None:
+            raise RuntimeError("no program loaded")
         remaining = max_steps
         while remaining > 0:
             try:
                 if self._fast_loop_ok:
                     remaining -= self._block_step(remaining)
                 else:
-                    if self._decoded is not None:
-                        self._step_fast()
-                    else:
-                        self._step_interp()
+                    self._step_fast()
                     remaining -= 1
             except Halted:
                 self._halted = True
@@ -359,20 +334,6 @@ class CPU:
     # Single step
     # ------------------------------------------------------------------
 
-    def _fetch(self) -> Instruction:
-        if self.program is None:
-            raise RuntimeError("no program loaded")
-        index = (self.pc - self.code_base) // 4
-        if self.pc % 4 or not 0 <= index < len(self.program.instructions):
-            raise Trap(TrapCause.CHERI_BOUNDS, self.pc, "pc outside program")
-        if self.mode is ExecutionMode.CHERIOT:
-            try:
-                self.pcc = self.pcc.set_address(self.pc)
-                self.pcc.check_access(self.pc, 4, (Permission.EX,))
-            except CapabilityError as fault:
-                raise trap_from_capability_fault(fault, self.pc) from fault
-        return self.program.instructions[index]
-
     def step(self) -> None:
         """Fetch, execute and retire one instruction.
 
@@ -381,10 +342,9 @@ class CPU:
         one is installed; otherwise the :class:`Trap` propagates to the
         caller (convenient for tests and bare-metal benchmarks).
         """
-        if self._decoded is not None:
-            self._step_fast()
-        else:
-            self._step_interp()
+        if self.program is None:
+            raise RuntimeError("no program loaded")
+        self._step_fast()
 
     def _step_fast(self) -> None:
         """Pre-decoded step: the bound step comes from the table built
@@ -610,48 +570,6 @@ class CPU:
             for instr, info in block.pairs[:k]:
                 retire(instr, info)
 
-    def _step_interp(self) -> None:
-        """The interpretive step: a string-keyed binder lookup and bind
-        per step, and a full PCC authorization per fetch.  Kept as the
-        reference for the differential golden-trace tests
-        (:attr:`Tier.INTERP`); it runs the same steps as the fast tier."""
-        if self._pre_step_hook is not None:
-            self._pre_step_hook(self)
-        if (
-            self.interrupt_pending is not None
-            and self.csr.interrupts_enabled
-            and self._trap_vector_installed()
-        ):
-            cause = self.interrupt_pending
-            self.interrupt_pending = None
-            self._vector(Trap(cause, self.pc))
-            return
-        try:
-            instr = self._fetch()
-            info = _RetireInfo(self.pc)
-            try:
-                next_pc = self._execute(instr, self.pc + 4, info)
-            except _INSTRUCTION_FAULTS as fault:
-                self.stats.traps += 1
-                raise _fault_trap(fault, self.pc) from fault
-        except Trap as trap:
-            if self._trap_vector_installed():
-                self._vector(trap)
-                return
-            raise
-        self.stats.instructions += 1
-        if self.timing is not None:
-            self.timing.retire(instr, info)
-        if self._retire_hooks is not None:
-            for hook in self._retire_hooks:
-                hook(instr, info)
-        self.pc = next_pc
-
-    def _execute(self, instr: Instruction, next_pc: int, info: "_RetireInfo") -> int:
-        """Bind ``instr`` and run its step: the interpretive tier's
-        string-keyed dispatch."""
-        return _bind(self, instr)(self, next_pc, info)
-
     # ------------------------------------------------------------------
     # Trap vectoring
     # ------------------------------------------------------------------
@@ -704,10 +622,9 @@ class _RetireInfo:
 # immediates, access size and sign, permission masks, the execution
 # mode — and returns the instruction's *step*:
 # ``step(cpu, next_pc, info) -> next_pc``.  :meth:`CPU.load_program`
-# binds every instruction of the decoded table; :attr:`Tier.INTERP`
-# binds on every step.  A step takes the CPU as an argument rather than
-# closing over it, so the decoded table holds no reference cycle and a
-# dropped CPU is freed by reference counting.
+# binds every instruction of the decoded table.  A step takes the CPU as
+# an argument rather than closing over it, so the decoded table holds no
+# reference cycle and a dropped CPU is freed by reference counting.
 #
 # Steps close over ``regs.ints`` and ``regs.caps`` and may capture the
 # CPU's bus, CSR file and mode, which are never replaced after

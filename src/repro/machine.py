@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.allocator import CheriHeap, TemporalSafetyMode
 from repro.capability import Capability, make_roots
-from repro.isa import CPU, CSRFile, ExecutionMode, LoadFilter, Tier
+from repro.isa import CPU, CSRFile, ExecutionMode, LoadFilter
 from repro.memory import (
     MemoryMap,
     RevocationMap,
@@ -257,21 +257,14 @@ class System:
         token = self.app.get_import("alloc", "free")
         self.switcher.call(self.main_thread, token, cap)
 
-    def make_cpu(self, mode: ExecutionMode = ExecutionMode.CHERIOT,
-                 tier: Tier = Tier.FUSED) -> CPU:
-        """An ISA-level CPU sharing this system's bus and devices.
-
-        ``tier`` picks the execution tier exactly as on
-        :class:`~repro.isa.CPU`; the zero-copy differential varies the
-        tier of a device's CPU through this seam.
-        """
+    def make_cpu(self) -> CPU:
+        """A CHERIoT CPU sharing this system's bus and devices."""
         return CPU(
             self.bus,
-            mode=mode,
+            mode=ExecutionMode.CHERIOT,
             load_filter=self.load_filter if self.core_model.load_filter_enabled else None,
             timing=self.core_model,
             hwm_enabled=self.csr.hwm_enabled,
-            tier=tier,
         )
 
     def reset_cycles(self) -> None:

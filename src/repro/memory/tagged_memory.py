@@ -84,6 +84,10 @@ class TaggedMemory:
     # ------------------------------------------------------------------
 
     def read_bytes(self, address: int, size: int) -> bytes:
+        """``size`` bytes from ``address``; a negative ``size`` raises
+        ``ValueError`` before the range check."""
+        if size < 0:
+            raise ValueError(f"read of {size!r} bytes: size must not be negative")
         off = self._offset(address, size)
         return self._data_view[off : off + size].tobytes()
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from repro.capability import Capability, Permission as P, SentryType, make_roots
 from repro.capability.otypes import RTOS_DATA_OTYPES
-from repro.isa import CPU, ExecutionMode, Tier, assemble
+from repro.isa import CPU, ExecutionMode, assemble
 from repro.memory import SystemBus, TaggedMemory
 
 #: The hand-written trusted path.  Labels `switcher_call` and
@@ -193,15 +193,13 @@ def build_image(
     stack_size: int = 0x200,
     trusted_stack_at: int = 0x2000_9000,
     export_table_at: int = 0x2000_9800,
-    tier: Tier = Tier.FUSED,
 ) -> AsmSwitcherImage:
     """Assemble switcher + callee + caller into one bootable image.
 
     ``caller_asm`` must define ``_start`` and jump via ``jalr ra, s0``
     where s0 holds the switcher sentry and t0 the export token (both
     pre-loaded in registers by this builder).  ``callee_asm`` must
-    define ``callee_entry`` and end with ``ret``.  ``tier`` picks the
-    CPU's execution tier (:class:`~repro.isa.Tier`).  The capabilities
+    define ``callee_entry`` and end with ``ret``.  The capabilities
     derived here are the image's only copy: the ``switcher`` audit
     image (:mod:`repro.verify.images`) reads them back from the result.
     """
@@ -211,7 +209,7 @@ def build_image(
 
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(code_base, 0x1_0000))
-    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+    cpu = CPU(bus, ExecutionMode.CHERIOT)
     cpu.load_program(program, code_base, pcc=roots.executable, entry="_start")
 
     # The switcher's entry sentry: disable interrupts, keep SR.

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 from repro.capability import Capability, Permission, make_roots
 from repro.cc import ir
 from repro.cc.lower import GlobalLayout, Target, compile_module
-from repro.isa import CPU, ExecutionMode, LoadFilter, Program, Tier, assemble
+from repro.isa import CPU, ExecutionMode, LoadFilter, Program, assemble
 from repro.memory import (
     Region,
     RevocationMap,
@@ -545,7 +545,7 @@ def boot(
             cpu.bus.write_bytes(globals_.base + layout.offset, layout.init)
 
 
-def _run(core: CoreKind, config: str, program: Program, tier: Tier) -> CPU:
+def _run(core: CoreKind, config: str, program: Program) -> CPU:
     """Run ``program`` to ``halt`` on a fresh bus under one configuration."""
     mm = _MEMORY
     bus = SystemBus()
@@ -559,7 +559,6 @@ def _run(core: CoreKind, config: str, program: Program, tier: Tier) -> CPU:
             if filtered else None
         ),
         timing=make_core_model(core, load_filter_enabled=filtered),
-        tier=tier,
     )
     boot(cpu, program, mm.code.base, mm.stacks, mm.globals_)
     cpu.run(max_steps=50_000_000)
@@ -572,20 +571,17 @@ def run_coremark(
     iterations: int = 2,
     fixed_compiler: bool = False,
     optimize: bool = False,
-    tier: Tier = Tier.FUSED,
 ) -> CoreMarkResult:
     """Run the workalike under one of Table 3's configurations.
 
     ``config`` is one of ``rv32e`` (integer pointers, no capabilities),
     ``cheriot`` (capabilities, load filter disabled), or
     ``cheriot+filter`` (capabilities with the load filter engaged).
-    ``tier`` picks the executor's tier (:class:`~repro.isa.Tier`); the
-    differential tests run every tier and require identical results.
     """
     program = coremark_program(
         config, iterations, fixed_compiler=fixed_compiler, optimize=optimize
     )
-    cpu = _run(core, config, program, tier)
+    cpu = _run(core, config, program)
     return CoreMarkResult(
         core=core,
         config=config,
@@ -658,10 +654,7 @@ def run_kernel_profile(
     """
     return {
         kernel: _run(
-            core,
-            config,
-            coremark_program(config, iterations, kernel),
-            Tier.FUSED,
+            core, config, coremark_program(config, iterations, kernel)
         ).timing.cycles
         for kernel in _KERNEL_DRIVERS
     }

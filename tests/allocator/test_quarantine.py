@@ -1,7 +1,5 @@
 """Tests for the epoch-keyed quarantine lists (section 5.1)."""
 
-import pytest
-
 from repro.allocator.dlmalloc import Chunk
 from repro.allocator.quarantine import MAX_LISTS, Quarantine
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.analysis.energy import (
-    IDLE_FRACTION,
-    EnergyEstimate,
     estimate_energy,
     security_battery_cost,
 )

@@ -6,7 +6,6 @@ from repro.capability.bounds import (
     ADDRESS_BITS,
     E_FIELD_MAX,
     EXPONENT_MAX,
-    MAX_PRECISE_LENGTH,
     BoundsError,
     EncodedBounds,
     decode,

@@ -10,8 +10,6 @@ densely-sampled field values, plus every corner the corrections table
 can reach.
 """
 
-import pytest
-
 from repro.capability.bounds import EncodedBounds, decode
 
 

@@ -1,8 +1,6 @@
 """Tests for the reset roots (section 3.1.1) and otype space (3.2.2)."""
 
-import pytest
-
-from repro.capability import Capability, Permission as P, make_roots
+from repro.capability import Permission as P, make_roots
 from repro.capability.otypes import (
     FORWARD_SENTRY_OTYPES,
     OTYPE_UNSEALED,

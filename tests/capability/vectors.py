@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from repro.capability import Capability, unpack
 from repro.capability.encoding import pack
 
 

@@ -1,17 +1,19 @@
-"""Recovery machinery is tier-blind: every :class:`~repro.isa.Tier`.
+"""Recovery machinery is tier-blind: fused and single-stepped alike.
 
-The fleet runs its devices at the default fused tier, so the recovery
+The fleet runs its devices' kernels as fused blocks, so the recovery
 paths the paper's availability story depends on — compartment error
 handlers (UNWIND / RETRY / RESTART) and the executive's watchdog
 (kill / restart) — must behave *bit-identically* whether the faulting
-kernel ran interpreted or as fused superblocks.  A fault raised from
+kernel ran single-stepped or as fused superblocks.  A fault raised from
 inside a fused block must surface through the switcher exactly like
-one raised by the interpreter: same outcome, same stats, same
-registers, same simulated cycles.
+one raised by a single step: same outcome, same stats, same registers,
+same simulated cycles.
 
-Every test here runs the identical scenario once per execution tier
-and compares the complete observable state; the determinism contract
-of :mod:`repro.fleet` rests on these asserts.
+Every test here runs the identical scenario on both sides of
+:mod:`tests.observed` — unobserved, and under a no-op observer that
+makes every CPU single-step — and compares the complete observable
+state; the determinism contract of :mod:`repro.fleet` rests on these
+asserts.
 """
 
 from dataclasses import fields
@@ -19,7 +21,7 @@ from dataclasses import fields
 import pytest
 
 from repro.capability import make_roots
-from repro.isa import CPU, CSRFile, ExecutionMode, Tier, assemble
+from repro.isa import CPU, CSRFile, ExecutionMode, assemble
 from repro.memory import SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
 from repro.rtos import (
@@ -31,6 +33,7 @@ from repro.rtos import (
 )
 from repro.rtos.executive import Executive, Watchdog
 from repro.rtos.thread import ThreadState
+from tests.observed import SIDES, assert_observation_blind, on_side
 
 #: Offsets inside the code region, clear of anything the loader places.
 _CODE_OFFSET = 0x2_0000
@@ -51,9 +54,9 @@ loop:
     halt
 """
 
-#: Walks s1 one word past its bounds on iteration 17; at the fused
-#: tier the faulting load sits inside a fused block, so the fault takes
-#: the block's prefix-replay path, not a single step.
+#: Walks s1 one word past its bounds on iteration 17; run fused, the
+#: faulting load sits inside a fused block, so the fault takes the
+#: block's prefix-replay path, not a single step.
 _FAULTING_KERNEL = """\
     li a0, 40
 loop:
@@ -75,7 +78,7 @@ loop:
 
 
 class _Stack:
-    """One fresh RTOS stack (bus, switcher, loader, thread) per tier."""
+    """One fresh RTOS stack (bus, switcher, loader, thread) per side."""
 
     def __init__(self):
         self.mm = default_memory_map()
@@ -98,10 +101,10 @@ class _Stack:
         self.scheduler.switch_to(thread)
         return thread
 
-    def make_cpu(self, tier):
-        """A CPU at one execution tier, charging the shared core model."""
-        return CPU(
-            self.bus, ExecutionMode.CHERIOT, timing=self.core, tier=tier
+    def make_cpu(self, side):
+        """A CPU on one side, charging the shared core model."""
+        return on_side(
+            side, CPU(self.bus, ExecutionMode.CHERIOT, timing=self.core)
         )
 
     def load_kernel(self, cpu, source, buf_reg=8, buf_size=_BUF_SIZE):
@@ -124,15 +127,7 @@ def _cpu_state(cpu):
     return cpu.regs.snapshot(), stats, cpu.pc
 
 
-def _assert_tier_blind(observations):
-    """All tiers observed the same thing; name the divergence if not."""
-    for tier in Tier:
-        assert observations[tier] == observations[Tier.INTERP], (
-            f"tier {tier.name} diverged from INTERP"
-        )
-
-
-def _flaky_compartment(stack, tier, fail_times):
+def _flaky_compartment(stack, side, fail_times):
     """"client" calling "compute", whose kernel faults ``fail_times``.
 
     A failing call runs the out-of-bounds kernel (the fault travels
@@ -148,7 +143,7 @@ def _flaky_compartment(stack, tier, fail_times):
     def entry(ctx, value):
         ctx.use_stack(64)
         compute.state["calls"] += 1
-        cpu = stack.make_cpu(tier)
+        cpu = stack.make_cpu(side)
         cpus.append(cpu)
         if compute.state["calls"] <= compute.state["fail_times"]:
             # A 64-byte buffer under a 160-byte walk: faults mid-loop.
@@ -167,11 +162,11 @@ class TestErrorHandlerTiers:
     """UNWIND / RETRY / RESTART with the fault raised from the kernel."""
 
     def test_unwind_identical_across_tiers(self):
-        observations = {}
-        for tier in Tier:
+        observations, cpus = {}, {}
+        for side in SIDES:
             stack = _Stack()
             thread = stack.make_thread()
-            client, compute, cpus = _flaky_compartment(stack, tier, 1)
+            client, compute, cpus[side] = _flaky_compartment(stack, side, 1)
             seen = []
             compute.set_error_handler(
                 lambda info: seen.append(
@@ -184,54 +179,50 @@ class TestErrorHandlerTiers:
                 stack.switcher.call(
                     thread, client.get_import("compute", "entry"), 5
                 )
-            observations[tier] = (
+            observations[side] = (
                 excinfo.value.compartment,
                 excinfo.value.cause_type,
                 tuple(seen),
                 _switcher_state(stack),
-                _cpu_state(cpus[-1]),
+                _cpu_state(cpus[side][-1]),
                 stack.core.cycles,
             )
-            if tier is Tier.FUSED:
-                # The fault came from inside a fused block: every
-                # instruction retired through one, none single-stepped.
-                blocks = cpus[-1].block_stats
-                assert blocks.single_steps == 0
-                assert blocks.instructions == cpus[-1].stats.instructions > 0
-        _assert_tier_blind(observations)
+        assert_observation_blind(observations, cpus)
+        # The fault came from inside a fused block: every instruction
+        # retired through one, none single-stepped.
+        fused = cpus["fused"][-1]
+        assert fused.block_stats.single_steps == 0
+        assert fused.block_stats.instructions == fused.stats.instructions > 0
 
     def test_retry_identical_across_tiers(self):
-        observations = {}
-        for tier in Tier:
+        observations, cpus = {}, {}
+        for side in SIDES:
             stack = _Stack()
             thread = stack.make_thread()
-            client, compute, cpus = _flaky_compartment(stack, tier, 1)
+            client, compute, cpus[side] = _flaky_compartment(stack, side, 1)
             compute.set_error_handler(lambda info: RecoveryAction.RETRY)
             result = stack.switcher.call(
                 thread, client.get_import("compute", "entry"), 5
             )
-            observations[tier] = (
+            observations[side] = (
                 result,
                 compute.state["calls"],
                 _switcher_state(stack),
-                _cpu_state(cpus[-1]),
+                _cpu_state(cpus[side][-1]),
                 stack.core.cycles,
             )
-            if tier is Tier.FUSED:
-                # The retry's clean kernel ran fused too.
-                assert cpus[-1].block_stats.executions > 0
-            else:
-                assert cpus[-1].block_stats.executions == 0
-        _assert_tier_blind(observations)
+        assert_observation_blind(observations, cpus)
+        # The retry's clean kernel ran fused too.
+        assert cpus["fused"][-1].block_stats.executions > 0
         # The retry actually happened: two entries, one contained fault.
-        assert observations[Tier.INTERP][1] == 2
+        assert observations["observed"][1] == 2
 
     def test_restart_identical_across_tiers(self):
-        observations = {}
-        for tier in Tier:
+        observations, cpus = {}, {}
+        for side in SIDES:
             stack = _Stack()
             thread = stack.make_thread()
-            client, compute, cpus = _flaky_compartment(stack, tier, 1)
+            client, compute, cpus[side] = _flaky_compartment(stack, side, 1)
             stack.loader.finalize()  # snapshot: fail_times=1, calls=0
             compute.set_error_handler(lambda info: RecoveryAction.RESTART)
             with pytest.raises(CompartmentFault):
@@ -245,16 +236,16 @@ class TestErrorHandlerTiers:
             result = stack.switcher.call(
                 thread, client.get_import("compute", "entry"), 5
             )
-            observations[tier] = (
+            observations[side] = (
                 result,
                 compute.restarts,
                 compute.state["calls"],
                 _switcher_state(stack),
-                _cpu_state(cpus[-1]),
+                _cpu_state(cpus[side][-1]),
                 stack.core.cycles,
             )
-        _assert_tier_blind(observations)
-        assert observations[Tier.INTERP][1] == 1  # exactly one restart
+        assert_observation_blind(observations, cpus)
+        assert observations["observed"][1] == 1  # exactly one restart
 
 
 class TestWatchdogTiers:
@@ -264,11 +255,11 @@ class TestWatchdogTiers:
     #: thread is preempted many times before its budget expires.
     SLICE = 200
 
-    def _sliced_body(self, stack, tier, source, cpus, buf_size=_BUF_SIZE):
+    def _sliced_body(self, stack, side, source, cpus, buf_size=_BUF_SIZE):
         """A generator thread body driving one kernel in step slices."""
 
         def body(thread=None):
-            cpu = stack.make_cpu(tier)
+            cpu = stack.make_cpu(side)
             cpus.append(cpu)
             stack.load_kernel(cpu, source, buf_size=buf_size)
             while True:
@@ -281,34 +272,34 @@ class TestWatchdogTiers:
 
         return body
 
-    def _run_fleet_of_two(self, tier, watchdog_factory):
+    def _run_fleet_of_two(self, side, watchdog_factory):
         stack = _Stack()
         cpus = []
         hog_thread = stack.loader.add_thread("hog", stack_size=512, priority=5)
         good_thread = stack.loader.add_thread("good", stack_size=512, priority=1)
         executive = Executive(
             stack.scheduler, stack.core,
-            watchdog=watchdog_factory(stack, tier, cpus),
+            watchdog=watchdog_factory(stack, side, cpus),
         )
         executive.spawn(
-            hog_thread, self._sliced_body(stack, tier, _RUNAWAY_KERNEL, cpus)()
+            hog_thread, self._sliced_body(stack, side, _RUNAWAY_KERNEL, cpus)()
         )
         executive.spawn(
-            good_thread, self._sliced_body(stack, tier, _CLEAN_KERNEL, cpus)()
+            good_thread, self._sliced_body(stack, side, _CLEAN_KERNEL, cpus)()
         )
         stats = executive.run()
         return stack, stats, hog_thread, good_thread, cpus
 
     def test_kill_identical_across_tiers(self):
-        observations = {}
-        for tier in Tier:
-            stack, stats, hog, good, cpus = self._run_fleet_of_two(
-                tier,
-                lambda stack, tier, cpus: Watchdog(thread_cycle_budget=3_000),
+        observations, cpus = {}, {}
+        for side in SIDES:
+            stack, stats, hog, good, cpus[side] = self._run_fleet_of_two(
+                side,
+                lambda stack, side, cpus: Watchdog(thread_cycle_budget=3_000),
             )
             assert hog.state is ThreadState.FINISHED
             assert good.state is ThreadState.FINISHED
-            observations[tier] = (
+            observations[side] = (
                 tuple(
                     getattr(stats, f.name) for f in fields(stats)
                     if f.name != "watchdog_events"
@@ -316,37 +307,35 @@ class TestWatchdogTiers:
                 tuple(stats.watchdog_events),
                 stack.core.cycles,
             )
-        _assert_tier_blind(observations)
-        events = observations[Tier.INTERP][1]
+        assert_observation_blind(observations, cpus)
+        events = observations["observed"][1]
         assert any(
             name == "hog" and reason.startswith("kill:")
             for name, reason in events
         )
 
     def test_restart_identical_across_tiers(self):
-        observations = {}
-        for tier in Tier:
-            def factory(stack, tier, cpus):
+        observations, cpus = {}, {}
+        for side in SIDES:
+            def factory(stack, side, cpus):
                 return Watchdog(
                     thread_cycle_budget=3_000,
                     action="restart",
                     restart_factory=lambda thread: self._sliced_body(
-                        stack, tier, _CLEAN_KERNEL, cpus
+                        stack, side, _CLEAN_KERNEL, cpus
                     )(thread),
                 )
 
-            stack, stats, hog, good, cpus = self._run_fleet_of_two(
-                tier, factory
+            stack, stats, hog, good, cpus[side] = self._run_fleet_of_two(
+                side, factory
             )
             assert hog.state is ThreadState.FINISHED
-            observations[tier] = (
+            observations[side] = (
                 stats.watchdog_restarts,
                 stats.watchdog_kills,
                 tuple(stats.watchdog_events),
                 stack.core.cycles,
             )
-            if tier is Tier.FUSED:
-                # The sliced kernels ran fused between preemptions.
-                assert any(c.block_stats.executions > 0 for c in cpus)
-        _assert_tier_blind(observations)
-        assert observations[Tier.INTERP][0] == 1  # restarted, then reformed
+        # The sliced kernels ran fused between preemptions.
+        assert_observation_blind(observations, cpus)
+        assert observations["observed"][0] == 1  # restarted, then reformed

@@ -2,8 +2,6 @@
 
 critical path (all variants at the baseline 330 MHz)."""
 
-import pytest
-
 from repro.hw.area_power import FMAX_MHZ
 from repro.hw.critical_path import format_timing, timing_reports
 

@@ -8,7 +8,7 @@ subsystems wired into one System.
 import pytest
 
 from repro.allocator import TemporalSafetyMode
-from repro.isa import ExecutionMode, Trap, TrapCause, assemble
+from repro.isa import Trap, TrapCause, assemble
 from repro.machine import System
 from repro.pipeline import CoreKind
 
@@ -38,7 +38,7 @@ def test_uaf_attack_dies_at_the_load(system):
         halt
         """
     )
-    cpu = system.make_cpu(ExecutionMode.CHERIOT)
+    cpu = system.make_cpu()
     from repro.capability import make_roots
 
     roots = make_roots()  # test-only: stand-in for the attacker's PCC
@@ -62,7 +62,7 @@ def test_live_pointer_still_works_through_the_same_path(system):
     system.bus.write_word(obj.base, 0xFEED, 4)
 
     program = assemble("clc a0, 0(s0)\nlw a1, 0(a0)\nhalt")
-    cpu = system.make_cpu(ExecutionMode.CHERIOT)
+    cpu = system.make_cpu()
     from repro.capability import make_roots
 
     cpu.load_program(
@@ -83,7 +83,7 @@ def test_quarantined_memory_is_unreachable_even_before_sweep(system):
     system.free(victim)  # no revocation pass yet: memory quarantined
 
     program = assemble("clc a0, 0(s0)\nlw a1, 0(a0)\nhalt")
-    cpu = system.make_cpu(ExecutionMode.CHERIOT)
+    cpu = system.make_cpu()
     from repro.capability import make_roots
 
     cpu.load_program(

@@ -10,9 +10,8 @@ allocator model.
 
 import pytest
 
-from repro.allocator import TemporalSafetyMode
 from repro.capability import make_roots
-from repro.isa import ExecutionMode, Trap, TrapCause, assemble
+from repro.isa import Trap, TrapCause, assemble
 from repro.machine import System
 from repro.pipeline import CoreKind
 
@@ -24,7 +23,7 @@ def _stale_attack(system):
     system.bus.write_capability(stash.base, victim)
     system.free(victim)  # quarantined; no sweep yet
 
-    cpu = system.make_cpu(ExecutionMode.CHERIOT)
+    cpu = system.make_cpu()
     cpu.load_program(
         assemble("clc a0, 0(s0)\nlw a1, 0(a0)\nhalt"),
         system.memory_map.code.base + 0x8000,
@@ -61,7 +60,7 @@ class TestFilterIsLoadBearing:
         system.bus.write_capability(stash.base, victim)
         system.free(victim)
         system.allocator.revoke_now()  # the sweep clears the memory tag
-        cpu = system.make_cpu(ExecutionMode.CHERIOT)
+        cpu = system.make_cpu()
         cpu.load_program(
             assemble("clc a0, 0(s0)\nlw a1, 0(a0)\nhalt"),
             system.memory_map.code.base + 0x8000,

@@ -12,7 +12,6 @@ from repro.allocator import TemporalSafetyMode
 from repro.capability import Capability, Permission as P
 from repro.capability.errors import (
     BoundsFault,
-    OTypeFault,
     PermissionFault,
     SealedFault,
     TagFault,

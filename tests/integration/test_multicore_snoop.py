@@ -9,7 +9,7 @@ with a second hart sharing the memory system.
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
+from repro.capability import make_roots
 from repro.isa import CPU, ExecutionMode, assemble
 from repro.memory import RevocationMap, SystemBus, TaggedMemory
 from repro.revoker import BackgroundRevoker

@@ -139,16 +139,15 @@ class TestMakeCpu:
         from repro.isa import ExecutionMode
 
         system = System.build(load_filter_enabled=True)
-        cpu = system.make_cpu(ExecutionMode.CHERIOT)
+        cpu = system.make_cpu()
+        assert cpu.mode is ExecutionMode.CHERIOT
         assert cpu.bus is system.bus
         assert cpu.load_filter is system.load_filter
         assert cpu.timing is system.core_model
 
     def test_filterless_system_gives_filterless_cpu(self):
-        from repro.isa import ExecutionMode
-
         system = System.build(load_filter_enabled=False)
-        assert system.make_cpu(ExecutionMode.CHERIOT).load_filter is None
+        assert system.make_cpu().load_filter is None
 
 
 class TestBackgroundPassVisibility:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capability import MonotonicityFault, Permission, make_roots
+from repro.capability import MonotonicityFault, make_roots
 from repro.iot.firewall import Firewall
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.packets import frame

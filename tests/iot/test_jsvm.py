@@ -6,13 +6,11 @@ from repro.iot.jsvm import (
     CYCLES_PER_OP,
     NUM_LEDS,
     OP_ADD,
-    OP_DROP,
     OP_GETF,
     OP_HALT,
     OP_JMP,
     OP_JNZ,
     OP_LED,
-    OP_LOADG,
     OP_MOD,
     OP_MUL,
     OP_NEWOBJ,

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.iot.loadgen import (
-    STREAM_PAYLOAD_BYTES,
     DeliveryMismatch,
     NetLoadGen,
     drive,

@@ -10,7 +10,6 @@ paths ever drift, every committed artifact built on record bytes
 (BENCH_net.json, BENCH_fleet.json, OBS_slo.json) drifts with them.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

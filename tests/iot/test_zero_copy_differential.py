@@ -6,7 +6,7 @@ contract: for identical wire input, the application must observe
 disciplines — only the cycle economics may differ.  This suite holds
 the seed application and the scaled pipeline to that contract, and
 pins the fleet device sample (which now embeds a net-traffic phase)
-across execution tiers.
+whether its CPU kernel runs fused or observed.
 """
 
 import json
@@ -18,9 +18,9 @@ from repro.fleet.device import DeviceSpec, run_device
 from repro.iot.app import IoTApplication
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.sessions import NetPipeline
-from repro.isa import Tier
 from repro.machine import System
 from repro.pipeline import CoreKind
+from tests.observed import SIDES, assert_observation_blind, building
 
 
 #: Pipeline counters that measure the discipline itself: zero-copy
@@ -124,27 +124,29 @@ class TestScaledPipelineDifferential:
 
 
 class TestTierDifferential:
-    """The device sample — net phase included — across execution tiers.
+    """The device sample — net phase included — fused and observed.
 
-    The fleet's byte-identity contract says the execution tier of the
-    device's CPU kernel can never leak into its report; the net phase
-    rides the same sample, so it inherits the obligation.
+    The fleet's byte-identity contract says how the device's CPU kernel
+    runs can never leak into its report; the net phase rides the same
+    sample, so it inherits the obligation.
     """
 
     @pytest.mark.parametrize("device_id", [0, 3])
     def test_device_sample_tier_invariant(self, device_id, monkeypatch):
         spec = DeviceSpec(device_id=device_id, fleet_seed=20260807)
-        fused = run_device(spec)
         make_cpu = System.make_cpu
-        monkeypatch.setattr(
-            System, "make_cpu",
-            lambda system, **kw: make_cpu(system, **kw, tier=Tier.INTERP),
+        samples, cpus = {}, {}
+        for side in SIDES:
+            cpus[side] = []
+            monkeypatch.setattr(
+                System, "make_cpu", building(make_cpu, side, cpus[side])
+            )
+            samples[side] = run_device(spec)
+        assert_observation_blind(
+            {side: json.dumps(s, sort_keys=True) for side, s in samples.items()},
+            cpus,
         )
-        interp = run_device(spec)
-        assert json.dumps(fused, sort_keys=True) == json.dumps(
-            interp, sort_keys=True
-        )
-        assert fused["net"]["counters"]["packets_delivered"] > 0
+        assert samples["fused"]["net"]["counters"]["packets_delivered"] > 0
 
     def test_device_sample_run_to_run_stable(self):
         spec = DeviceSpec(device_id=1, fleet_seed=20260807)

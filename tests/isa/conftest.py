@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.capability import Capability, Permission as P, make_roots
-from repro.isa import CPU, ExecutionMode, LoadFilter, assemble
+from repro.capability import make_roots
+from repro.isa import CPU, ExecutionMode, assemble
 from repro.memory import RevocationMap, SystemBus, TaggedMemory
 
 CODE_BASE = 0x2000_0000

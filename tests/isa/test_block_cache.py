@@ -1,24 +1,26 @@
-"""Differential tests: the tiered executors vs single-stepping.
+"""Differential tests: fused blocks vs single-stepping.
 
 The superblock translation cache (:mod:`repro.isa.blockcache`) fuses
 straight-line runs of pre-decoded instructions into one dispatch and
 batch-charges their cycle costs.  Its correctness contract is strict
-*observational equivalence*: with any tier enabled, every architectural
+*observational equivalence*: run fused, every architectural
 outcome — golden traces, register files, retired-instruction stats, bus
 counters, modelled cycles, trap causes and messages, even the cycle
 count an MMIO device reads mid-run — must be bit-identical to pure
 single-stepping.  These tests pin that contract across the CoreMark
 workalike (both cores, all configs), the assembly compartment switcher
-(the machinery the allocation benchmark models), a seeded
-fault-injection campaign slice, and randomized programs; plus the
-cache's own contract: programs are structural, so a store into the code
-range keeps every cached block and leaves every tier identical; the
+(the machinery the allocation benchmark models), and randomized
+programs, and pin a seeded fault-injection campaign slice to the
+interpretive reference; plus the cache's own contract: programs are
+structural, so a store into the code range keeps every cached block and
+leaves both sides identical; the
 cache deoptimizes under observers, keeps exact step budgets, and lets a
 dropped CPU be freed by reference counting alone.
 
-Every differential runs the same scenario once per :class:`Tier` —
-the interpreter and fused blocks — and requires what every tier
-observed to equal what the interpreter observed.
+Every differential runs the same scenario on both sides of
+:mod:`tests.observed` — unobserved, so ``run`` fuses, and under a no-op
+observer, so it single-steps — and requires both to observe the same,
+the fused side to have run fused blocks and the observed side none.
 """
 
 import gc
@@ -30,36 +32,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import (
-    CPU,
-    ExecutionMode,
-    Halted,
-    Tier,
-    Trap,
-    assemble,
-)
+from repro.isa import CPU, ExecutionMode, Trap, assemble
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
+from tests.observed import (
+    SIDES,
+    assert_observation_blind,
+    building,
+    fused_blocks,
+    on_side,
+)
 
 CODE_BASE = 0x2000_0000
 DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-def _fresh_cpu(tier):
+def _fresh_cpu(side="fused"):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+    cpu = on_side(side, CPU(bus, ExecutionMode.CHERIOT))
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
-
-
-def _assert_tier_blind(by_tier):
-    """Every tier observed what the interpreter did; name the first
-    tier that did not."""
-    for tier, seen in by_tier.items():
-        assert seen == by_tier[Tier.INTERP], f"{tier.name} diverged"
 
 
 def _load(cpu, roots, program):
@@ -78,16 +73,16 @@ def _state(cpu):
 
 
 def _run_all(source, max_steps=100_000):
-    """Run one program under every tier; return (states, cpus), both
-    keyed by :class:`Tier`."""
+    """Run one program on both sides; return (states, cpus), both keyed
+    by side, ``cpus`` as lists."""
     program = assemble(source)
     states, cpus = {}, {}
-    for tier in Tier:
-        cpu, roots = _fresh_cpu(tier)
+    for side in SIDES:
+        cpu, roots = _fresh_cpu(side)
         _load(cpu, roots, program)
         cpu.run(max_steps=max_steps)
-        states[tier] = _state(cpu)
-        cpus[tier] = cpu
+        states[side] = _state(cpu)
+        cpus[side] = [cpu]
     return states, cpus
 
 
@@ -105,10 +100,8 @@ class TestStraightLineEquivalence:
             halt
         """
         states, cpus = _run_all(source)
-        _assert_tier_blind(states)
-        # Each tier actually ran (this is not a vacuous pass).
-        assert cpus[Tier.FUSED].block_stats.executions > 0
-        assert cpus[Tier.FUSED].block_stats.instructions > 0
+        assert_observation_blind(states, cpus)
+        assert cpus["fused"][0].block_stats.instructions > 0
 
     def test_cap_ops_and_cap_memory_bit_identical(self):
         source = """
@@ -124,8 +117,7 @@ class TestStraightLineEquivalence:
             halt
         """
         states, cpus = _run_all(source)
-        _assert_tier_blind(states)
-        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert_observation_blind(states, cpus)
 
     def test_load_use_hazard_window_identical(self):
         # Back-to-back load/consume pairs at the block entry, interior,
@@ -141,8 +133,7 @@ class TestStraightLineEquivalence:
             add a4, a3, a3
             halt
         """
-        states, _ = _run_all(source)
-        _assert_tier_blind(states)
+        assert_observation_blind(*_run_all(source))
 
     def test_division_and_multiply_costs_identical(self):
         source = """
@@ -156,8 +147,7 @@ class TestStraightLineEquivalence:
             bnez a0, loop
             halt
         """
-        states, _ = _run_all(source)
-        _assert_tier_blind(states)
+        assert_observation_blind(*_run_all(source))
 
     def test_csr_read_loop_identical(self):
         # csrr is not fusable: it ends the cached run and goes through
@@ -171,10 +161,9 @@ class TestStraightLineEquivalence:
             halt
         """
         states, cpus = _run_all(source)
-        _assert_tier_blind(states)
-        assert states[Tier.INTERP][0][10].address == 0
-        assert cpus[Tier.FUSED].block_stats.executions > 0
-        assert cpus[Tier.FUSED].block_stats.single_steps > 0
+        assert_observation_blind(states, cpus)
+        assert states["observed"][0][10].address == 0
+        assert cpus["fused"][0].block_stats.single_steps > 0
 
 
 class TestFaultEquivalence:
@@ -190,15 +179,16 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        outcomes = {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        outcomes, cpus = {}, {}
+        for side in SIDES:
+            cpu, roots = _fresh_cpu(side)
             _load(cpu, roots, program)
             with pytest.raises(Trap) as excinfo:
                 cpu.run()
             trap = excinfo.value
-            outcomes[tier] = (trap.cause, trap.pc, str(trap), _state(cpu))
-        _assert_tier_blind(outcomes)
+            outcomes[side] = (trap.cause, trap.pc, str(trap), _state(cpu))
+            cpus[side] = [cpu]
+        assert_observation_blind(outcomes, cpus)
 
     def test_vectored_mid_block_fault_identical(self):
         source = """
@@ -212,16 +202,17 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        states = {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        states, cpus = {}, {}
+        for side in SIDES:
+            cpu, roots = _fresh_cpu(side)
             _load(cpu, roots, program)
             handler_pc = CODE_BASE + 4 * program.entry("handler")
             cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
             cpu.run()
-            states[tier] = _state(cpu)
-        _assert_tier_blind(states)
-        regs = states[Tier.INTERP][0]
+            states[side] = _state(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        regs = states["observed"][0]
         assert regs[13].address == 7  # the handler ran
         assert regs[10].address == 42  # pre-fault value preserved
 
@@ -234,7 +225,7 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(Tier.INTERP)
+        cpu, roots = _fresh_cpu("observed")
         _load(cpu, roots, program)
         cpu.run()
         retired = cpu.stats.instructions
@@ -243,45 +234,46 @@ class TestFaultEquivalence:
         # includes pc and retired count — pinning exact accounting);
         # exactly enough must halt with identical stats.
         for budget, expect_halt in ((retired - 1, False), (retired, True)):
-            outcomes = {}
-            for tier in Tier:
-                cpu, roots = _fresh_cpu(tier)
+            outcomes, cpus = {}, {}
+            for side in SIDES:
+                cpu, roots = _fresh_cpu(side)
                 _load(cpu, roots, program)
                 try:
                     cpu.run(max_steps=budget)
-                    outcomes[tier] = ("halted", _state(cpu))
+                    outcomes[side] = ("halted", _state(cpu))
                 except RuntimeError as exc:
-                    outcomes[tier] = ("exceeded", str(exc), _state(cpu))
-            _assert_tier_blind(outcomes)
-            assert (outcomes[Tier.INTERP][0] == "halted") is expect_halt
+                    outcomes[side] = ("exceeded", str(exc), _state(cpu))
+                cpus[side] = [cpu]
+            assert_observation_blind(outcomes, cpus)
+            assert (outcomes["observed"][0] == "halted") is expect_halt
 
     def test_rv32e_capability_instruction_trap_identical(self):
         # The instruction table fuses capability mnemonics whatever the
         # mode; in RV32E they execute to an illegal-instruction trap,
-        # which every tier must raise identically from inside a block.
+        # which a fused block must raise as a single step does.
         program = assemble("li a0, 1\ncgetlen a1, s0\nhalt\n")
-        outcomes = {}
-        for tier in Tier:
+        outcomes, cpus = {}, {}
+        for side in SIDES:
             bus = SystemBus()
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-            cpu = CPU(bus, ExecutionMode.RV32E, tier=tier)
+            cpu = on_side(side, CPU(bus, ExecutionMode.RV32E))
             cpu.timing = make_core_model(CoreKind.IBEX)
             cpu.load_program(program, CODE_BASE)
             cpu.regs.write_int(8, DATA_BASE)
             with pytest.raises(Trap) as excinfo:
                 cpu.run()
             trap = excinfo.value
-            outcomes[tier] = (trap.cause, trap.pc, str(trap), _state(cpu))
-        _assert_tier_blind(outcomes)
-        message = outcomes[Tier.INTERP][2]
+            outcomes[side] = (trap.cause, trap.pc, str(trap), _state(cpu))
+            cpus[side] = [cpu]
+        assert_observation_blind(outcomes, cpus)
+        message = outcomes["observed"][2]
         assert "capability instruction in RV32E mode" in message
 
 
 class TestDeoptimization:
     def test_retire_hooks_force_single_stepping(self):
-        # A retire hook must see the identical per-instruction stream,
-        # one record per retired instruction — the fused path never
-        # engages.
+        # A retire hook sees one record per retired instruction — the
+        # fused path never engages — and changes nothing the run does.
         source = """
             li a0, 20
         loop:
@@ -292,33 +284,32 @@ class TestDeoptimization:
             halt
         """
         program = assemble(source)
-        streams, states = {}, {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        states, cpus = {}, {}
+        stream = []
+        for side in SIDES:
+            # The retire hook is the observed side's only observer.
+            cpu, roots = _fresh_cpu()
             _load(cpu, roots, program)
-            stream = []
-            cpu.add_retire_hook(
-                lambda instr, info, stream=stream: stream.append((
-                    info.pc, instr.mnemonic, instr.timing_class,
-                    info.branch_taken,
-                ))
-            )
+            if side == "observed":
+                cpu.add_retire_hook(
+                    lambda instr, info: stream.append((
+                        info.pc, instr.mnemonic, instr.timing_class,
+                        info.branch_taken,
+                    ))
+                )
             cpu.run()
-            streams[tier] = stream
-            states[tier] = _state(cpu)
-            assert cpu.block_stats.executions == 0
-            # ``halt`` counts itself but reaches no hook.
-            assert len(stream) == cpu.stats.instructions - 1
-        _assert_tier_blind(streams)
-        _assert_tier_blind(states)
-        stream = streams[Tier.INTERP]
+            states[side] = _state(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        # ``halt`` counts itself but reaches no hook.
+        assert len(stream) == cpus["observed"][0].stats.instructions - 1
         assert stream[0][0] == CODE_BASE
         assert any(taken for *_, taken in stream)
 
     def test_pre_step_hook_forces_single_stepping(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(Tier.FUSED)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, program)
         seen = []
         cpu.pre_step_hook = lambda c: seen.append(c.pc)
@@ -329,7 +320,7 @@ class TestDeoptimization:
 
     def test_block_cache_disabled_never_fuses(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
-        cpu, roots = _fresh_cpu(Tier.INTERP)
+        cpu, roots = _fresh_cpu("observed")
         _load(cpu, roots, assemble(source))
         cpu.run()
         assert cpu.block_stats.executions == 0
@@ -344,8 +335,8 @@ def _translated_once(cpu) -> bool:
 
 class TestCodeRangeStores:
     """Programs are structural: a store into the code range changes no
-    instruction, so the cache keeps every block and every tier stays
-    identical to the interpreter."""
+    instruction, so the cache keeps every block and the fused run stays
+    identical to the observed one."""
 
     SOURCE = """
         li t0, 3
@@ -356,7 +347,7 @@ class TestCodeRangeStores:
     """
 
     def test_code_range_store_keeps_cached_blocks(self):
-        cpu, roots = _fresh_cpu(Tier.FUSED)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, assemble(self.SOURCE))
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -392,19 +383,18 @@ class TestCodeRangeStores:
         """
         program = assemble(source)
         states, cpus = {}, {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        for side in SIDES:
+            cpu, roots = _fresh_cpu(side)
             _load(cpu, roots, program)
             # s1: write authority over the code region (loop1's range).
             cpu.regs.write(
                 9, roots.memory.set_address(CODE_BASE).set_bounds(0x100)
             )
             cpu.run()
-            states[tier] = _state(cpu)
-            cpus[tier] = cpu
-        _assert_tier_blind(states)
-        assert cpus[Tier.FUSED].block_stats.executions > 0
-        assert _translated_once(cpus[Tier.FUSED])
+            states[side] = _state(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        assert _translated_once(cpus["fused"][0])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -439,8 +429,8 @@ class TestCodeRangeStores:
         program = assemble(source)
         succ_pc = CODE_BASE + 4 * program.entry("succ")
         states, cpus = {}, {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        for side in SIDES:
+            cpu, roots = _fresh_cpu(side)
             _load(cpu, roots, program)
             # s1: write authority aimed at the victim word of succ.
             cpu.regs.write(
@@ -449,10 +439,10 @@ class TestCodeRangeStores:
                 .set_bounds(4),
             )
             cpu.run()
-            states[tier] = _state(cpu)
-            cpus[tier] = cpu
-        _assert_tier_blind(states)
-        assert _translated_once(cpus[Tier.FUSED])
+            states[side] = _state(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        assert _translated_once(cpus["fused"][0])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -481,17 +471,17 @@ class TestCodeRangeStores:
         program = assemble(source)
         victim_pc = CODE_BASE + 4 * program.entry("blockB")
         states, cpus = {}, {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
+        for side in SIDES:
+            cpu, roots = _fresh_cpu(side)
             _load(cpu, roots, program)
             cpu.regs.write(
                 9, roots.memory.set_address(victim_pc).set_bounds(4)
             )
             cpu.run()
-            states[tier] = _state(cpu)
-            cpus[tier] = cpu
-        _assert_tier_blind(states)
-        assert _translated_once(cpus[Tier.FUSED])
+            states[side] = _state(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        assert _translated_once(cpus["fused"][0])
 
 
 class TestRefcountFreeing:
@@ -516,7 +506,7 @@ class TestRefcountFreeing:
             gc.enable()
 
     def test_fused_cpu_and_bus_freed_without_the_collector(self):
-        cpu, roots = _fresh_cpu(Tier.FUSED)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, assemble(self.SOURCE))
         cpu.run()
         assert cpu.block_stats.executions > 0
@@ -541,15 +531,6 @@ class TestRefcountFreeing:
         ref = weakref.ref(cpu)
         del cpu
         assert ref() is None
-
-
-class TestSystemCounters:
-    def test_make_cpu_passes_the_tier_through(self):
-        from repro.machine import System
-
-        system = System.build()
-        for tier in Tier:
-            assert system.make_cpu(tier=tier).tier is tier
 
 
 class _CycleCounter:
@@ -583,28 +564,26 @@ class TestMMIOCycleExactness:
         """
         program = assemble(source)
         device_base = 0x4000_0000
-        sums, states = {}, {}
-        for tier in Tier:
+        seen, cpus = {}, {}
+        for side in SIDES:
             bus = SystemBus()
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
             core_model = make_core_model(CoreKind.IBEX)
             bus.attach_device(device_base, 0x100, _CycleCounter(core_model))
-            cpu = CPU(bus, ExecutionMode.RV32E, tier=tier)
+            cpu = on_side(side, CPU(bus, ExecutionMode.RV32E))
             cpu.timing = core_model
             cpu.load_program(program, CODE_BASE)
             cpu.regs.write_int(8, device_base)
             cpu.run()
-            sums[tier] = cpu.regs.read_int(12)
-            states[tier] = (
+            seen[side] = (
+                cpu.regs.read_int(12),
                 tuple(getattr(cpu.stats, f.name) for f in fields(cpu.stats)),
                 core_model.cycles,
                 bus.stats.mmio_reads,
             )
-            if tier is Tier.FUSED:
-                assert cpu.block_stats.executions > 0
-        _assert_tier_blind(sums)
-        _assert_tier_blind(states)
-        assert sums[Tier.INTERP] > 0  # the count advanced during the run
+            cpus[side] = [cpu]
+        assert_observation_blind(seen, cpus)
+        assert seen["observed"][0] > 0  # the count advanced during the run
 
 
 class TestWorkloadEquivalence:
@@ -612,14 +591,19 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize(
         "config", ["rv32e", "cheriot", "cheriot+filter"]
     )
-    def test_coremark_bit_identical(self, core, config):
-        from repro.workloads.coremark import run_coremark
+    def test_coremark_bit_identical(self, core, config, monkeypatch):
+        from repro.workloads import coremark
 
-        outcomes = {}
-        for tier in Tier:
-            result = run_coremark(core, config, iterations=1, tier=tier)
-            outcomes[tier] = (result.cycles, result.instructions, result.crc)
-        _assert_tier_blind(outcomes)
+        real_cpu = coremark.CPU
+        outcomes, cpus = {}, {}
+        for side in SIDES:
+            cpus[side] = []
+            monkeypatch.setattr(
+                coremark, "CPU", building(real_cpu, side, cpus[side])
+            )
+            result = coremark.run_coremark(core, config, iterations=1)
+            outcomes[side] = (result.cycles, result.instructions, result.crc)
+        assert_observation_blind(outcomes, cpus)
 
     def test_asm_switcher_bit_identical(self):
         # The assembly compartment switcher: sentries, trusted-stack
@@ -627,46 +611,48 @@ class TestWorkloadEquivalence:
         # allocation benchmark's cross-compartment calls model.
         from repro.rtos.asm_switcher import CALLEE_ASM, CALLER_ASM, build_image
 
-        states = {}
-        for tier in Tier:
-            image = build_image(CALLEE_ASM, CALLER_ASM, tier=tier)
-            image.cpu.run()
-            states[tier] = _state_no_timing(image.cpu)
-        _assert_tier_blind(states)
-        regs, stats = states[Tier.INTERP][:2]
+        states, cpus = {}, {}
+        for side in SIDES:
+            cpu = on_side(side, build_image(CALLEE_ASM, CALLER_ASM).cpu)
+            cpu.run()
+            states[side] = _state_no_timing(cpu)
+            cpus[side] = [cpu]
+        assert_observation_blind(states, cpus)
+        regs, stats = states["observed"][:2]
         assert stats[0] > 50  # the full call/return path ran
         assert regs[10].address == 42  # callee's result in a0
 
     def test_fleet_kernel_bit_identical(self):
         # The fleet device's CPU kernel: a device's report numbers must
-        # not depend on the tier its kernel ran at.
+        # not depend on whether its kernel ran fused.
         from repro.fleet.device import _KERNEL_SOURCE
 
         source = _KERNEL_SOURCE.format(
             iters=100, buf_top=DATA_BASE + DATA_SIZE, buf_size=DATA_SIZE
         )
-        states, cpus = _run_all(source)
-        _assert_tier_blind(states)
-        assert cpus[Tier.FUSED].block_stats.executions > 0
+        assert_observation_blind(*_run_all(source))
 
     def test_fault_campaign_slice_bit_identical(self, monkeypatch):
         # 1000 seeded injections: every scenario, outcome, detail and
-        # wrong-result flag must match across both tiers.
-        # (Injection hooks deoptimize per-step; hook-free phases run
-        # fused.)
+        # wrong-result flag must match the interpretive reference's.
+        # The campaign's only CPU runs under its injection hook, an
+        # observer, so both sides single-step: no fused-against-observed
+        # pair exists here.
         from repro.faultinject import engine as engine_mod
         from repro.faultinject.campaign import run_campaign
 
-        real_cpu = engine_mod.CPU
-        records = {}
-        for tier in Tier:
+        from .test_executor_reference import _ReferenceCPU
 
-            def tiered_cpu(*args, _tier=tier, **kwargs):
-                return real_cpu(*args, tier=_tier, **kwargs)
-
-            monkeypatch.setattr(engine_mod, "CPU", tiered_cpu)
-            records[tier] = run_campaign(1000).records
-        _assert_tier_blind(records)
+        records, cpus = {}, {}
+        for name, factory in (("cpu", CPU), ("reference", _ReferenceCPU)):
+            cpus[name] = []
+            monkeypatch.setattr(
+                engine_mod, "CPU", building(factory, "fused", cpus[name])
+            )
+            records[name] = run_campaign(1000).records
+        assert records["cpu"] == records["reference"]
+        assert sum(cpu.stats.instructions for cpu in cpus["cpu"]) > 0
+        assert fused_blocks(cpus["cpu"] + cpus["reference"]) == 0
 
 
 def _state_no_timing(cpu):
@@ -714,24 +700,34 @@ def mixed_program(draw):
 
 
 class TestRandomizedEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_program())
-    def test_run_outcome_identical(self, source):
+    def test_run_outcome_identical(self):
         # Unlike the predecode differential (which single-steps), this
         # drives cpu.run() so fused blocks, mid-block faults and the
-        # fall-back paths all engage.
-        program = assemble(source)
-        outcomes = {}
-        for tier in Tier:
-            cpu, roots = _fresh_cpu(tier)
-            _load(cpu, roots, program)
-            try:
-                cpu.run(max_steps=500)
-                outcomes[tier] = ("halted", _state(cpu))
-            except Trap as trap:
-                outcomes[tier] = (
-                    "trap", trap.cause, trap.pc, str(trap), _state(cpu)
-                )
-            except RuntimeError as exc:
-                outcomes[tier] = ("exceeded", str(exc), _state(cpu))
-        _assert_tier_blind(outcomes)
+        # fall-back paths all engage.  A generated program need not
+        # fuse, so the fused side must have fused over all of them.
+        fused = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(mixed_program())
+        def check(source):
+            program = assemble(source)
+            outcomes, cpus = {}, {}
+            for side in SIDES:
+                cpu, roots = _fresh_cpu(side)
+                _load(cpu, roots, program)
+                try:
+                    cpu.run(max_steps=500)
+                    outcomes[side] = ("halted", _state(cpu))
+                except Trap as trap:
+                    outcomes[side] = (
+                        "trap", trap.cause, trap.pc, str(trap), _state(cpu)
+                    )
+                except RuntimeError as exc:
+                    outcomes[side] = ("exceeded", str(exc), _state(cpu))
+                cpus[side] = [cpu]
+            assert outcomes["observed"] == outcomes["fused"]
+            assert fused_blocks(cpus["observed"]) == 0
+            fused.append(fused_blocks(cpus["fused"]))
+
+        check()
+        assert sum(fused) > 0

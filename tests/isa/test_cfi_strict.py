@@ -5,7 +5,6 @@ control-flow arcs")."""
 
 import pytest
 
-from repro.capability import make_roots
 from repro.isa import CPU, ExecutionMode, Trap, TrapCause, assemble
 from .conftest import CODE_BASE
 

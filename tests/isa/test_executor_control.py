@@ -3,7 +3,7 @@
 import pytest
 
 from repro.capability import Permission as P, SentryType
-from repro.isa import ExecutionMode, Trap, TrapCause
+from repro.isa import CPU, ExecutionMode, Trap, TrapCause
 from .conftest import CODE_BASE, make_cpu
 
 
@@ -146,3 +146,9 @@ class TestFetchChecks:
         cpu.pc = CODE_BASE + 0x1000
         with pytest.raises(Trap):
             cpu.step()
+
+    @pytest.mark.parametrize("call", ["step", "run"])
+    def test_no_program_loaded(self, bus, call):
+        cpu = CPU(bus, ExecutionMode.CHERIOT)
+        with pytest.raises(RuntimeError, match="^no program loaded$"):
+            getattr(cpu, call)()

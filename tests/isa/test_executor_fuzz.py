@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, TrapCause, assemble
-from repro.isa.instructions import Instruction
+from repro.isa import CPU, ExecutionMode, Halted, Trap, TrapCause, assemble
 from repro.memory import SystemBus, TaggedMemory
+from tests.observed import SIDES, assert_observation_blind, on_side
 
 CODE_BASE = 0x2000_0000
 
@@ -153,24 +153,24 @@ class TestUnmappedAccess:
     error, delivered as a trap — found by the chaos fuzz above as
     ``auipcc ra, 0; lb zero, -1(ra)``, which raised a host exception.
     A loop walks the memory root down off the bottom of SRAM, hot
-    enough for every execution tier to be running it when the access
-    faults."""
+    enough to be running as a fused block when the access faults."""
 
     @pytest.mark.parametrize("access", ["lb zero, 0(a1)", "sb zero, 0(a1)"])
     def test_every_tier_traps_at_the_same_point(self, access):
         program = assemble(_WALK_OFF_SRAM.format(access=access))
-        outcomes = set()
-        for tier in Tier:
+        outcomes, cpus = {}, {}
+        for side in SIDES:
             bus = SystemBus()
             bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-            cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+            cpu = on_side(side, CPU(bus, ExecutionMode.CHERIOT))
             cpu.load_program(program, CODE_BASE, pcc=make_roots().executable)
             cpu.regs.write(11, make_roots().memory.set_address(CODE_BASE + 512))
             with pytest.raises(Trap) as info:
                 cpu.run(max_steps=100_000)
-            assert info.value.cause is TrapCause.BUS_FAULT, tier
-            outcomes.add((
+            assert info.value.cause is TrapCause.BUS_FAULT, side
+            outcomes[side] = (
                 info.value.pc, cpu.regs.read_int(10),
                 cpu.stats.instructions, cpu.stats.traps,
-            ))
-        assert len(outcomes) == 1, outcomes
+            )
+            cpus[side] = [cpu]
+        assert_observation_blind(outcomes, cpus)

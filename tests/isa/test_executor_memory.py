@@ -4,7 +4,7 @@ load filter, and the stack high-water mark hook."""
 
 import pytest
 
-from repro.capability import Capability, Permission as P
+from repro.capability import Permission as P
 from repro.isa import ExecutionMode, LoadFilter, Trap, TrapCause
 from .conftest import DATA_BASE, HEAP_BASE, make_cpu
 

@@ -7,17 +7,23 @@ string-keyed table of handlers (``_DISPATCH``) that reach each
 instruction's operation through a ``CPU`` method and resolve its
 operands on every execution, over a register file that holds every
 register as a ``Capability`` (``_BoxedRegisterFile``).  ``_ReferenceCPU``
-runs them through the same run loop, on both tiers.
+runs them in two modes: interpretive, fetching each instruction with a
+full PCC authorization and looking its handler up as it runs; and
+fused, through ``CPU``'s own step and block loops.
 
 Hypothesis-built programs — ``test_executor_fuzz``'s chaotic
 instructions, and every fusable mnemonic over registers that hold
 integers or capabilities, some of them hand-built with operands no
-binder can resolve — run on both executors in both execution modes and
-on both tiers.  After every step the registers as capabilities, the
+binder can resolve — run on ``CPU`` and on both references in both
+execution modes.  After every step the registers as capabilities, the
 SCRs, the PC and PCC, the memory's bytes and tags, the trap or error
 (type, cause, pc and message), ``ExecStats``, the bus statistics and
-the cycles must be equal; so must a whole fused ``run``.
+the cycles must be equal; so must a whole ``run``.  Programs whose
+PCC ends, or is not executable, inside them hold the fused fetch window
+to the full authorization.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +40,7 @@ from repro.capability import (
     to_architectural_word,
 )
 from repro.capability.errors import (
+    CapabilityError,
     OTypeFault,
     PermissionFault,
     SealedFault,
@@ -47,17 +54,20 @@ from repro.isa import (
     Instruction,
     Program,
     RegisterFile,
-    Tier,
     Trap,
     TrapCause,
     assemble,
+    trap_from_capability_fault,
 )
 from repro.isa.blockcache import FUSABLE_MNEMONICS
 from repro.isa.csr import CSR_NAMES
+from repro.isa.executor import _RetireInfo
 from repro.isa.instructions import INSTRUCTION_SPECS
 from repro.isa.registers import ABI_NAMES, SCR_NAMES
-from repro.memory import SystemBus, TaggedMemory
+from repro.memory import MemoryError_, SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
+
+from tests.observed import SIDES, on_side
 
 from .test_executor_fuzz import chaotic_instruction
 
@@ -152,28 +162,99 @@ def _rem_impl(a: int, b: int) -> int:
 class _ReferenceCPU(CPU):
     """A ``CPU`` whose instructions run through the handler table.
 
-    ``Tier.INTERP`` looks each handler up per step; the other tier
-    decodes the table at load time, as the handler-table executor did,
-    and feeds it to the same step and block loops.
+    Interpretive by default: every step fetches with a full PCC
+    authorization and looks its handler up (:meth:`_step_fast` below),
+    and ``run`` never fuses.  With ``fused=True`` it decodes the table
+    at load time, as the handler-table executor did, and feeds it to
+    ``CPU``'s own step and block loops.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, fused=False, **kwargs) -> None:
+        self.fused = fused  # read by ``_update_fast_path`` at construction
         super().__init__(*args, **kwargs)
         self.regs = _BoxedRegisterFile()
 
+    def _update_fast_path(self) -> None:
+        super()._update_fast_path()
+        self._fast_loop_ok = self._fast_loop_ok and self.fused
+
     def load_program(self, program, code_base, pcc=None, entry=""):
-        tier, self.tier = self.tier, Tier.INTERP
+        # ``CPU.load_program`` binds ``CPU``'s steps, which need an
+        # unboxed register file; the handler table's steps replace them.
+        regs, self.regs = self.regs, RegisterFile()
         try:
             super().load_program(program, code_base, pcc, entry)
         finally:
-            self.tier = tier
-        if tier is not Tier.INTERP:
-            self._decoded = [
-                (_reference_step(instr), instr) for instr in program.instructions
-            ]
-            self._update_fast_path()
+            self.regs = regs
+        self._decoded = [
+            (_reference_step(instr), instr) for instr in program.instructions
+        ]
 
-    def _execute(self, instr: Instruction, next_pc: int, info: "_RetireInfo") -> int:
+    def _step_fast(self) -> None:
+        """The interpretive step, unless ``fused``: fetch with a full PCC
+        authorization, then the handler table's dispatch."""
+        if self.fused:
+            super()._step_fast()
+            return
+        if self._pre_step_hook is not None:
+            self._pre_step_hook(self)
+        if (
+            self.interrupt_pending is not None
+            and self.csr.interrupts_enabled
+            and self._trap_vector_installed()
+        ):
+            cause = self.interrupt_pending
+            self.interrupt_pending = None
+            self._vector(Trap(cause, self.pc))
+            return
+        try:
+            instr = self._fetch()
+            info = _RetireInfo(self.pc)
+            try:
+                next_pc = self._execute(instr, self.pc + 4, info)
+            except CapabilityError as fault:
+                self.stats.traps += 1
+                raise trap_from_capability_fault(fault, self.pc) from fault
+            except MemoryError_ as fault:
+                self.stats.traps += 1
+                raise Trap(TrapCause.BUS_FAULT, self.pc, str(fault)) from fault
+        except Trap as trap:
+            if self._trap_vector_installed():
+                self._vector(trap)
+                return
+            raise
+        self.stats.instructions += 1
+        if self.timing is not None:
+            self.timing.retire(instr, info)
+        if self._retire_hooks is not None:
+            for hook in self._retire_hooks:
+                hook(instr, info)
+        self.pc = next_pc
+
+    def _fetch(self) -> Instruction:
+        """The instruction at the PC, authorized by the full PCC check.
+
+        The PCC is re-addressed to the PC and checked on every fetch,
+        but stored only when the check faults, as ``CPU``'s window miss
+        stores it: ``CPU`` re-addresses its PCC only on a miss, and the
+        PCC's address is not architectural (every reader — trap
+        vectoring, ``auipcc``, the link registers — re-addresses it to
+        the PC), so storing it on every fetch would differ from ``CPU``
+        in a field nothing reads while the whole PCC is compared.
+        """
+        index = (self.pc - self.code_base) // 4
+        if self.pc % 4 or not 0 <= index < len(self.program.instructions):
+            raise Trap(TrapCause.CHERI_BOUNDS, self.pc, "pc outside program")
+        if self.mode is ExecutionMode.CHERIOT:
+            pcc = self.pcc.set_address(self.pc)
+            try:
+                pcc.check_access(self.pc, 4, (Permission.EX,))
+            except CapabilityError as fault:
+                self.pcc = pcc
+                raise trap_from_capability_fault(fault, self.pc) from fault
+        return self.program.instructions[index]
+
+    def _execute(self, instr: Instruction, next_pc: int, info: _RetireInfo) -> int:
         handler = _DISPATCH.get(instr.mnemonic)
         if handler is None:
             raise Trap(
@@ -748,10 +829,10 @@ _INITIAL_INTS = {
 }
 
 
-def _machine(impl, mode, tier, program, vectored):
+def _machine(impl, mode, program, vectored):
     bus = SystemBus()
     bank = bus.attach_sram(TaggedMemory(DATA_BASE, DATA_SIZE))
-    cpu = impl(bus, mode, tier=tier)
+    cpu = impl(bus, mode)
     cpu.timing = make_core_model(CoreKind.IBEX)
     if mode is _CHERIOT:
         cpu.load_program(program, CODE_BASE, pcc=_ROOTS.executable)
@@ -833,18 +914,35 @@ def _ran(cpu, bank, max_steps=60):
             continue
         trace.append((None, _observe(cpu, bank)))
         break
-    return trace, repr(cpu.block_stats)
+    return trace, cpu.block_stats
 
 
-def _assert_equivalent(program, vectored=False):
+#: ``CPU`` and the two references it is held to.
+_IMPLS = {
+    "cpu": CPU,
+    "interpretive": _ReferenceCPU,
+    "fused": partial(_ReferenceCPU, fused=True),
+}
+
+
+def _assert_equivalent(program, vectored=False) -> int:
+    """``CPU``, single-stepped and run, equals both references in both
+    modes: the fused one down to its block statistics, the interpretive
+    one, which never fuses, in everything else.  Returns the fused
+    blocks ``CPU`` ran."""
+    fused = 0
     for mode in ExecutionMode:
-        for tier in Tier:
-            seen = {}
-            for impl in (_ReferenceCPU, CPU):
-                stepped = _stepped(*_machine(impl, mode, tier, program, vectored))
-                ran = _ran(*_machine(impl, mode, tier, program, vectored))
-                seen[impl] = (stepped, ran)
-            assert seen[CPU] == seen[_ReferenceCPU], (mode, tier)
+        seen = {}
+        for name, impl in _IMPLS.items():
+            stepped = _stepped(*_machine(impl, mode, program, vectored))
+            trace, blocks = _ran(*_machine(impl, mode, program, vectored))
+            seen[name] = (stepped, trace, blocks)
+        stepped, trace, blocks = seen["cpu"]
+        assert seen["interpretive"][:2] == (stepped, trace), (mode, "interpretive")
+        assert seen["interpretive"][2].executions == 0
+        assert seen["fused"] == seen["cpu"], (mode, "fused")
+        fused += blocks.executions
+    return fused
 
 
 # ----------------------------------------------------------------------
@@ -919,15 +1017,30 @@ def program(draw, line):
 
 
 class TestBoundStepsEqualTheHandlerTable:
-    @settings(max_examples=40, deadline=None)
-    @given(program(chaotic_instruction()), st.booleans())
-    def test_chaotic_programs(self, prog, vectored):
-        _assert_equivalent(prog, vectored)
+    # A generated program need not fuse, so ``CPU`` must have fused over
+    # all of a test's programs.
 
-    @settings(max_examples=40, deadline=None)
-    @given(program(fusable_instruction()), st.booleans())
-    def test_fusable_mnemonics_over_integers_and_capabilities(self, prog, vectored):
-        _assert_equivalent(prog, vectored)
+    def test_chaotic_programs(self):
+        fused = []
+
+        @settings(max_examples=40, deadline=None)
+        @given(program(chaotic_instruction()), st.booleans())
+        def check(prog, vectored):
+            fused.append(_assert_equivalent(prog, vectored))
+
+        check()
+        assert sum(fused) > 0
+
+    def test_fusable_mnemonics_over_integers_and_capabilities(self):
+        fused = []
+
+        @settings(max_examples=40, deadline=None)
+        @given(program(fusable_instruction()), st.booleans())
+        def check(prog, vectored):
+            fused.append(_assert_equivalent(prog, vectored))
+
+        check()
+        assert sum(fused) > 0
 
     @pytest.mark.parametrize("mnemonic", _FUSABLE)
     def test_every_fusable_mnemonic_on_every_register_kind(self, mnemonic):
@@ -946,7 +1059,7 @@ class TestBoundStepsEqualTheHandlerTable:
                     parts.append("inherit")
             lines.append(f"{mnemonic} {', '.join(parts)}")
         for line in lines:
-            _assert_equivalent(assemble(line + "\nhalt\n"))
+            assert _assert_equivalent(assemble(line + "\nhalt\n")) > 0
 
 
 # ----------------------------------------------------------------------
@@ -1044,37 +1157,46 @@ def _with(instr, skipped=False):
     )
 
 
-def _failure(impl, tier, program):
-    cpu, _ = _machine(impl, _CHERIOT, tier, program, vectored=False)
+def _failure(impl, program, side="fused"):
+    """``run`` ``program`` on ``impl``, on ``side``: the error it raised
+    (None if it halted) and the instructions it retired."""
+    cpu = on_side(side, _machine(impl, _CHERIOT, program, vectored=False)[0])
     try:
         cpu.run(max_steps=100)
     except Exception as exc:
-        return _outcome(exc), cpu.stats.instructions
-    return None, cpu.stats.instructions
+        outcome = _outcome(exc)
+    else:
+        outcome = None
+    # Non-vacuity: only the unobserved side fuses.
+    assert (cpu.block_stats.executions > 0) is (side == "fused"), side
+    return outcome, cpu.stats.instructions
 
 
 class TestUnresolvableOperands:
-    """A hand-built instruction that no binder can resolve loads on both
-    tiers and fails only when reached, with the handler table's error
-    and message after the same number of retired instructions."""
+    """A hand-built instruction that no binder can resolve loads and
+    fails only when reached, fused or observed, with the handler table's
+    error and message after the same number of retired instructions."""
 
     @pytest.mark.parametrize("case", sorted(_UNRESOLVABLE))
-    @pytest.mark.parametrize("tier", list(Tier), ids=lambda t: t.name)
-    def test_fails_when_reached_as_the_reference_did(self, case, tier):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_fails_when_reached_as_the_reference_did(self, case, side):
         instr, error, fragment = _UNRESOLVABLE[case]
-        outcome, retired = _failure(CPU, tier, _with(instr))
-        assert (outcome, retired) == _failure(_ReferenceCPU, tier, _with(instr))
+        outcome, retired = _failure(CPU, _with(instr), side)
+        assert (outcome, retired) == _failure(_IMPLS["fused"], _with(instr))
+        assert (outcome, retired) == _failure(
+            _IMPLS["interpretive"], _with(instr), "observed"
+        )
         assert outcome[0] == error.__name__ and fragment in outcome[-1]
         assert retired == 2
 
     @pytest.mark.parametrize("case", sorted(_UNRESOLVABLE))
-    @pytest.mark.parametrize("tier", list(Tier), ids=lambda t: t.name)
-    def test_never_fails_when_not_reached(self, case, tier):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_never_fails_when_not_reached(self, case, side):
         instr, _, _ = _UNRESOLVABLE[case]
-        assert _failure(CPU, tier, _with(instr, skipped=True)) == (None, 4)
+        assert _failure(CPU, _with(instr, skipped=True), side) == (None, 4)
 
-    @pytest.mark.parametrize("tier", list(Tier), ids=lambda t: t.name)
-    def test_equal_operands_of_another_type_bind_apart(self, tier):
+    @pytest.mark.parametrize("side", SIDES)
+    def test_equal_operands_of_another_type_bind_apart(self, side):
         # Equal instructions share one bound step; ``1 == 1.0``, but
         # only the float immediate fails, as it did in the reference.
         program = Program(
@@ -1084,6 +1206,99 @@ class TestUnresolvableOperands:
                 Instruction("halt", ()),
             ),
         )
-        outcome, retired = _failure(CPU, tier, program)
-        assert (outcome, retired) == _failure(_ReferenceCPU, tier, program)
+        outcome, retired = _failure(CPU, program, side)
+        assert (outcome, retired) == _failure(_IMPLS["fused"], program)
+        assert (outcome, retired) == _failure(
+            _IMPLS["interpretive"], program, "observed"
+        )
         assert outcome[0] == "TypeError" and retired == 1
+
+
+# ----------------------------------------------------------------------
+# Fetch authorization at the PCC's edges
+# ----------------------------------------------------------------------
+
+_EX = _ROOTS.executable
+
+#: Programs whose fetch the PCC refuses partway: (source, PCC, the
+#: trap's cause, instructions retired before it, whether ``run`` fuses
+#: a block first).  ``s1`` holds a sentry to the sealed case's
+#: ``target``.
+_FETCH_EDGES = {
+    "bounds end, fall-through from a loop": (
+        "li a0, 3\nloop: addi a0, a0, -1\nbnez a0, loop\nli a1, 1\nhalt\n",
+        _EX.set_address(CODE_BASE).set_bounds(12),
+        TrapCause.CHERI_BOUNDS, 7, True,
+    ),
+    "bounds end, jump past the top": (
+        "li a0, 1\nj far\nhalt\nnop\nfar: li a1, 2\nhalt\n",
+        _EX.set_address(CODE_BASE).set_bounds(16),
+        TrapCause.CHERI_BOUNDS, 2, True,
+    ),
+    # Below the base the re-addressed PCC is unrepresentable: untagged.
+    "bounds start, jump below the base": (
+        "top: nop\n_start: li a0, 2\nj top\nhalt\n",
+        _EX.set_address(CODE_BASE + 4).set_bounds(12),
+        TrapCause.CHERI_TAG, 2, True,
+    ),
+    # Every block from here on straddles the top, so none runs fused.
+    "fused block straddles the top": (
+        "li a0, 1\nli a1, 2\nli a2, 3\nli a3, 4\nli a4, 5\nhalt\n",
+        _EX.set_address(CODE_BASE).set_bounds(12),
+        TrapCause.CHERI_BOUNDS, 3, False,
+    ),
+    "PCC without EX": (
+        "li a0, 1\nhalt\n", _EX.clear_perms(Permission.EX),
+        TrapCause.CHERI_PERMISSION, 0, False,
+    ),
+    "untagged PCC": (
+        "li a0, 1\nhalt\n", _EX.untagged(), TrapCause.CHERI_TAG, 0, False,
+    ),
+    # ``mret`` installs a sealed ``mepcc``; re-addressing it to the PC
+    # clears its tag.
+    "sealed PCC, reached by mret": (
+        "_start: cspecialrw c0, mepcc, s1\nmret\ntarget: li a0, 1\nhalt\n",
+        _EX, TrapCause.CHERI_TAG, 2, False,
+    ),
+}
+
+
+def _edge_trace(impl, case, stepping):
+    """Step (or ``run``) ``case`` to its trap, observing each step."""
+    source, pcc, *_ = _FETCH_EDGES[case]
+    program = assemble(source)
+    bus = SystemBus()
+    bank = bus.attach_sram(TaggedMemory(DATA_BASE, DATA_SIZE))
+    cpu = impl(bus, _CHERIOT)
+    cpu.timing = make_core_model(CoreKind.IBEX)
+    entry = "_start" if "_start" in program.labels else ""
+    cpu.load_program(program, CODE_BASE, pcc=pcc, entry=entry)
+    target = CODE_BASE + 4 * program.labels.get("target", 0)
+    cpu.regs.write(9, _EX.set_address(target).seal_sentry(SentryType.INHERIT))
+    trace = []
+    for _ in range(20):
+        try:
+            cpu.step() if stepping else cpu.run(max_steps=20)
+        except Trap as trap:
+            trace.append(((trap.cause, trap.pc, str(trap)), _observe(cpu, bank)))
+            return trace, cpu
+        trace.append((None, _observe(cpu, bank)))
+    raise AssertionError(f"{case}: no trap")
+
+
+class TestFetchAtThePCCEdges:
+    """``CPU`` authorizes a fetch by its cached window; the interpretive
+    reference runs the full check on every fetch.  Step by step, and as a
+    whole ``run``, they must raise the same trap after the same
+    instructions, and leave the same state, PCC included."""
+
+    @pytest.mark.parametrize("case", list(_FETCH_EDGES))
+    def test_window_matches_the_full_authorization(self, case):
+        reference, _ = _edge_trace(_ReferenceCPU, case, stepping=True)
+        assert _edge_trace(CPU, case, stepping=True)[0] == reference
+        ran, cpu = _edge_trace(CPU, case, stepping=False)
+        assert ran == reference[-1:]
+        (cause, _, _), state = reference[-1]
+        *_, expected_cause, retired, fuses = _FETCH_EDGES[case]
+        assert (cause, state[5][0]) == (expected_cause, retired)
+        assert (cpu.block_stats.executions > 0) is fuses

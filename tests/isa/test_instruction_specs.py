@@ -3,7 +3,7 @@
 from repro.isa.assembler import assemble
 from repro.isa.executor import _BINDERS
 from repro.isa.instructions import INSTRUCTION_SPECS
-from repro.isa.registers import ABI_NAMES, REGISTER_NAMES, register_index
+from repro.isa.registers import ABI_NAMES, register_index
 
 import pytest
 

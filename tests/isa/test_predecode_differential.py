@@ -1,10 +1,11 @@
 """Differential golden-trace tests: pre-decoded vs interpretive stepping.
 
-The fast tier (``Tier.FUSED``) resolves handlers and operand metadata
-once at ``load_program`` time and authorizes fetches against a cached
-PCC window.  ``cpu.step()`` never fuses, so these tests drive it one
-instruction at a time and pin every step to the seed's interpretive
-semantics (``Tier.INTERP``): over randomized programs — ALU, memory,
+``CPU`` binds every instruction once at ``load_program`` time and
+authorizes fetches against a cached PCC window.  ``cpu.step()`` never
+fuses, so these tests drive it one instruction at a time and pin every
+step to the interpretive reference (``_ReferenceCPU`` in
+``test_executor_reference``: the handler table, and a full PCC
+authorization per fetch): over randomized programs — ALU, memory,
 branches, capability manipulation, traps — the two must produce an
 *identical* architectural trace: same per-step PCs, same register file
 (full capabilities, not just addresses), same traps, same
@@ -17,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Tier, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Halted, Trap, assemble
 from repro.memory import SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
+
+from .test_executor_reference import _ReferenceCPU
 
 CODE_BASE = 0x2000_0000
 DATA_BASE = 0x2000_8000
@@ -78,15 +81,15 @@ def mixed_program(draw):
     return "\n".join(lines) + "\ndone: halt\n"
 
 
-#: The reference and the pre-decoded tier, in that order.
-TIERS = (Tier.INTERP, Tier.FUSED)
+#: The interpretive reference and the pre-decoded CPU, in that order.
+IMPLS = (_ReferenceCPU, CPU)
 
 
-def _fresh_cpu(tier):
+def _fresh_cpu(impl):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+    cpu = impl(bus, ExecutionMode.CHERIOT)
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
 
@@ -127,8 +130,8 @@ class TestPredecodeDifferential:
     def test_golden_trace_identical(self, source):
         program = assemble(source)
         traces, states = [], []
-        for tier in TIERS:
-            cpu, roots = _fresh_cpu(tier)
+        for impl in IMPLS:
+            cpu, roots = _fresh_cpu(impl)
             _load(cpu, roots, program)
             traces.append(_golden_trace(cpu))
             states.append(_state(cpu))
@@ -155,8 +158,8 @@ class TestPredecodeDifferential:
         """
         program = assemble(source)
         traces, finals = [], []
-        for tier in TIERS:
-            cpu, roots = _fresh_cpu(tier)
+        for impl in IMPLS:
+            cpu, roots = _fresh_cpu(impl)
             _load(cpu, roots, program)
             handler_pc = CODE_BASE + 4 * program.entry("handler")
             cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
@@ -174,8 +177,8 @@ class TestPredecodeDifferential:
         source = "li a0, 1\nlw a1, 0x7FC(s0)\nhalt\n"
         program = assemble(source)
         results = []
-        for tier in TIERS:
-            cpu, roots = _fresh_cpu(tier)
+        for impl in IMPLS:
+            cpu, roots = _fresh_cpu(impl)
             _load(cpu, roots, program)
             events = _golden_trace(cpu)
             results.append((events, _state(cpu)))
@@ -194,8 +197,8 @@ class TestPredecodeDifferential:
             labels={},
         )
         results = []
-        for tier in TIERS:
-            cpu, roots = _fresh_cpu(tier)
+        for impl in IMPLS:
+            cpu, roots = _fresh_cpu(impl)
             _load(cpu, roots, program)
             results.append(_golden_trace(cpu))
         assert results[0] == results[1]
@@ -206,8 +209,8 @@ class TestPredecodeDifferential:
     def test_running_off_the_end_identical(self):
         program = assemble("li a0, 5\nnop\n")  # no halt
         results = []
-        for tier in TIERS:
-            cpu, roots = _fresh_cpu(tier)
+        for impl in IMPLS:
+            cpu, roots = _fresh_cpu(impl)
             _load(cpu, roots, program)
             results.append(_golden_trace(cpu))
         assert results[0] == results[1]

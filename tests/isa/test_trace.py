@@ -1,18 +1,19 @@
-"""The retire stream a trace recorder sees, across execution tiers.
+"""The retire stream a trace recorder sees.
 
 A retire hook receives the real :class:`~repro.isa.Instruction` and the
 per-retire info, so a trace built from it (one line per retired
-instruction: its pc and its reassemblable text) must read the same
-whichever tier runs the program.
+instruction: its pc and its reassemblable text) must read the same on
+``CPU`` as on the interpretive reference.
 """
 
 from collections import Counter
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Tier, assemble, instruction_to_source
+from repro.isa import CPU, ExecutionMode, assemble, instruction_to_source
 from repro.isa.disassembler import source_labels
 from repro.memory import SystemBus, TaggedMemory
 from .conftest import CODE_BASE, DATA_BASE
+from .test_executor_reference import _ReferenceCPU
 
 
 def _render(entries):
@@ -37,15 +38,15 @@ class TestTraceUnderPredecode:
         "ret\n"
     )
 
-    def _trace(self, tier):
-        """Run the program on ``tier``; one (pc, text, timing class,
+    def _trace(self, impl):
+        """Run the program on ``impl``; one (pc, text, timing class,
         branch taken) record per retired instruction."""
         program = assemble(self.SOURCE)
         labels = source_labels(program)
         bus = SystemBus()
         bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
         roots = make_roots()
-        cpu = CPU(bus, ExecutionMode.CHERIOT, tier=tier)
+        cpu = impl(bus, ExecutionMode.CHERIOT)
         cpu.load_program(program, CODE_BASE, pcc=roots.executable)
         cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
         entries = []
@@ -62,8 +63,8 @@ class TestTraceUnderPredecode:
         return entries
 
     def test_render_identical_across_paths(self):
-        interp = self._trace(Tier.INTERP)
-        fast = self._trace(Tier.FUSED)
+        interp = self._trace(_ReferenceCPU)
+        fast = self._trace(CPU)
         assert fast == interp
         assert _render(fast) == _render(interp)
         assert _histogram(fast) == _histogram(interp)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.isa import ExecutionMode, Tier, Trap, TrapCause, assemble
+from repro.isa import ExecutionMode, Trap, TrapCause, assemble
 from repro.pipeline import CoreKind, make_core_model
+from tests.observed import SIDES, assert_observation_blind
 from .conftest import CODE_BASE, make_cpu
-from .test_block_cache import _assert_tier_blind, _fresh_cpu
+from .test_block_cache import _fresh_cpu
 
 HANDLER_SUFFIX = """
 _handler:
@@ -101,11 +102,11 @@ _irq:
 """
 
 
-def _interrupted_loop(tier, prologue=""):
-    """Run the loop at ``tier``; the ecall handler posts a machine-timer
+def _interrupted_loop(side, prologue=""):
+    """Run the loop on ``side``; the ecall handler posts a machine-timer
     interrupt when the counter reaches 3."""
     program = assemble(INTERRUPTED_LOOP.format(prologue=prologue))
-    cpu, roots = _fresh_cpu(tier)
+    cpu, roots = _fresh_cpu(side)
     cpu.load_program(program, CODE_BASE, pcc=roots.executable, entry="_start")
     irq = CODE_BASE + 4 * program.entry("_irq")
     cpu.regs.write_scr("mtcc", roots.executable.set_address(irq))
@@ -121,13 +122,13 @@ def _interrupted_loop(tier, prologue=""):
 
 class TestTimerInterrupts:
     """The host posts ``interrupt_pending`` (what a timer device does);
-    every tier takes it at the same instruction boundary."""
+    fused and observed runs take it at the same instruction boundary."""
 
     def test_timer_preempts_loop(self):
-        seen = {}
-        for tier in Tier:
-            cpu = _interrupted_loop(tier)
-            seen[tier] = (
+        seen, cpus = {}, {}
+        for side in SIDES:
+            cpu = _interrupted_loop(side)
+            seen[side] = (
                 cpu.regs.read_int(14),  # handler entries
                 cpu.regs.read_int(15),  # loop counter when taken
                 cpu.csr.read("mcause"),
@@ -136,29 +137,29 @@ class TestTimerInterrupts:
                 cpu.stats.traps,
                 cpu.timing.cycles,
             )
-            if tier is Tier.FUSED:
-                assert cpu.block_stats.executions > 0
-        _assert_tier_blind(seen)
-        entries, counter, mcause, mepc, *_ = seen[Tier.INTERP]
+            cpus[side] = [cpu]
+        assert_observation_blind(seen, cpus)
+        entries, counter, mcause, mepc, *_ = seen["observed"]
         assert (entries, counter) == (1, 3)
         assert mcause == TrapCause.TIMER_INTERRUPT.code
         # Taken at the boundary right after the posting ecall.
         assert mepc == CODE_BASE + 4 * 3
 
     def test_interrupts_disabled_holds_timer_off(self):
-        seen = {}
-        for tier in Tier:
-            cpu = _interrupted_loop(tier, prologue="csrci mstatus_mie, 1")
+        seen, cpus = {}, {}
+        for side in SIDES:
+            cpu = _interrupted_loop(side, prologue="csrci mstatus_mie, 1")
             # The interrupt is posted, but the CPU never takes it:
             # posture wins.
-            seen[tier] = (
+            seen[side] = (
                 cpu.regs.read_int(14),
                 cpu.interrupt_pending,
                 cpu.stats.instructions,
                 cpu.timing.cycles,
             )
-        _assert_tier_blind(seen)
-        assert seen[Tier.INTERP][:2] == (0, TrapCause.TIMER_INTERRUPT)
+            cpus[side] = [cpu]
+        assert_observation_blind(seen, cpus)
+        assert seen["observed"][:2] == (0, TrapCause.TIMER_INTERRUPT)
 
 
 class TestVectoringCost:

@@ -58,6 +58,8 @@ class ReferenceTaggedMemory:
         return offset // CAP_SIZE_BYTES
 
     def read_bytes(self, address: int, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"read of {size!r} bytes: size must not be negative")
         off = self._offset(address, size)
         return bytes(self._data[off : off + size])
 

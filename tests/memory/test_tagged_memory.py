@@ -3,6 +3,7 @@
 import pytest
 
 from repro.capability import CAP_SIZE_BYTES, Capability, Permission as P
+from repro.memory import SystemBus
 from repro.memory.tagged_memory import MemoryError_, TaggedMemory
 
 RW = {P.GL, P.LD, P.SD, P.MC, P.SL, P.LM, P.LG}
@@ -47,6 +48,18 @@ class TestDataAccess:
             mem.read_bytes(BASE + 4096, 1)
         with pytest.raises(MemoryError_):
             mem.read_bytes(BASE - 1, 1)
+
+    @pytest.mark.parametrize("offset, size", ((2, -1), (2, -5), (200, -100)))
+    def test_negative_read_size(self, offset, size):
+        """A negative size raises ``ValueError`` naming it, from the bank
+        and through the bus, though ``address + size`` lies in the bank
+        (a range check alone passes it, inside the bank and past its
+        end)."""
+        bus = SystemBus()
+        bank = bus.attach_sram(TaggedMemory(BASE, 128))
+        for memory in (bank, bus):
+            with pytest.raises(ValueError, match=f"read of {size} bytes"):
+                memory.read_bytes(BASE + offset, size)
 
     @pytest.mark.parametrize("size", (0, 3, 8, -4))
     def test_word_size_outside_contract(self, mem, size):

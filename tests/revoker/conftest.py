@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
+from repro.capability import make_roots
 from repro.memory import RevocationMap, SystemBus, TaggedMemory
 from repro.pipeline import CoreKind, make_core_model
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.revoker.software import SoftwareRevoker
-from .conftest import HEAP_BASE, HEAP_SIZE, SRAM_BASE, heap_cap
+from .conftest import HEAP_BASE, SRAM_BASE, heap_cap
 
 
 @pytest.fixture

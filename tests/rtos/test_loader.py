@@ -4,7 +4,7 @@ import pytest
 
 from repro.capability import Permission as P
 from repro.capability.otypes import RTOS_DATA_OTYPES
-from repro.rtos.loader import Loader, LoaderError
+from repro.rtos.loader import LoaderError
 
 
 class TestCompartmentCarving:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capability import Capability, Permission as P, make_roots
+from repro.capability import Capability, Permission as P
 from repro.capability.errors import PermissionFault
 from repro.rtos.message_queue import MessageQueue, QueueEmpty, QueueFull
 

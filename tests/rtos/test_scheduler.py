@@ -5,7 +5,6 @@ import pytest
 from repro.isa import CSRFile
 from repro.pipeline import CoreKind, make_core_model
 from repro.rtos import Scheduler
-from repro.rtos.scheduler import CONTEXT_SWITCH_BASE_INSTRS, HWM_CSR_EXTRA_INSTRS
 from repro.rtos.thread import ThreadState
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.capability import Capability, Permission as P, make_roots
+from repro.capability import Permission as P, make_roots
 from repro.capability.errors import PermissionFault, SealedFault, TagFault
 from repro.isa import CSRFile
 from repro.memory import SystemBus, TaggedMemory, default_memory_map

@@ -1,8 +1,6 @@
 """Tests for blocked-wait accounting over hardware revocation passes."""
 
-import pytest
-
-from repro.rtos.waiting import POLL_STOLEN_BEATS, make_hardware_wait_policy
+from repro.rtos.waiting import make_hardware_wait_policy
 
 
 class TestInterruptDrivenWait:

@@ -1,17 +1,20 @@
-"""No module in ``src/repro`` imports a name it never uses.
+"""No module imports a name it never uses.
 
-An AST scan of every module's top-level imports.  An import counts as
-used when the name it binds appears as a name anywhere in the module,
-or as a word in a string constant (a string annotation), or when its
-statement carries ``# noqa: F401`` (a deliberate re-export).  Package
-``__init__`` modules, which re-export by design, are not scanned.
+An AST scan of the top-level imports of every module under ``src/repro``,
+``tests``, ``tools`` and ``examples`` (``perfbench/`` is not scanned).
+An import counts as used when the name it binds appears as a name
+anywhere in the module, or as a word in a string constant (a string
+annotation), or when its statement carries ``# noqa: F401`` (a
+deliberate re-export).  Package ``__init__`` modules, which re-export by
+design, are not scanned.
 """
 
 import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SCANNED = ("src/repro", "tests", "tools", "examples")
 
 
 def unused_imports(path):
@@ -36,14 +39,15 @@ def unused_imports(path):
         for alias in stmt.names:
             name = alias.asname or alias.name.split(".")[0]
             if name not in used:
-                unused.append(f"{path.relative_to(SRC).as_posix()}: {name}")
+                unused.append(f"{path.relative_to(ROOT).as_posix()}: {name}")
     return unused
 
 
 def test_no_module_imports_a_name_it_never_uses():
     found = [
         entry
-        for path in sorted(SRC.rglob("*.py"))
+        for tree in SCANNED
+        for path in sorted((ROOT / tree).rglob("*.py"))
         if path.name != "__init__.py"
         for entry in unused_imports(path)
     ]

@@ -12,7 +12,6 @@ from repro.workloads.coremark import boot
 from repro.workloads.kernels import (
     ALL_KERNELS,
     binary_search_kernel,
-    bubble_sort_kernel,
     crc32_kernel,
     fibonacci_kernel,
     string_search_kernel,

@@ -339,7 +339,7 @@ def tables_diagnosis(committed: str, fresh: str) -> Lines:
 
 #: Speed floors, an order of magnitude below the committed numbers, so
 #: only a collapse fails them, never host noise.  The seed's ALU-loop
-#: MIPS was taken on the interpretive path (``Tier.INTERP``).
+#: MIPS was taken on the seed's interpretive step.
 MIN_ALU_MIPS = 0.03
 MAX_TABLE3_SECONDS = 30.0
 MIN_ALU_SPEEDUP_VS_SEED = 1.5
